@@ -38,6 +38,7 @@ from .errors import (
 )
 from .hashmaps import (
     DEFAULT_SERIES_TOLERANCE,
+    DEPTH_CAP,
     build_incidence,
     check_ranges,
     make_params,
@@ -103,8 +104,8 @@ class JobConfig:
             raise InputError(f"--d must be >= 2, got {self.d}")
         if self.gamma < 2 * self.d + 2:
             raise InputError(f"--gamma must be >= 2d+2 = {2 * self.d + 2}, got {self.gamma}")
-        if self.depth is not None and self.depth < 1:
-            raise InputError(f"--depth must be >= 1, got {self.depth}")
+        if self.depth is not None and not 1 <= self.depth <= DEPTH_CAP:
+            raise InputError(f"--depth must lie in 1..{DEPTH_CAP}, got {self.depth}")
         if self.grid_level < 1:
             raise InputError(f"--grid-level must be >= 1, got {self.grid_level}")
         if self.mode not in ("exact", "iterative"):

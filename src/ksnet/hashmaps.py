@@ -12,16 +12,22 @@ Solvability of a concrete sample set is not assumed, it is tested: the
 incidence matrix of points against distinct branch values has full row rank
 iff exact interpolation is possible, and a left-kernel vector is a closed
 path, a weighting of the points that cancels every branch equation.
+
+At depth k every branch value is an integer over L * den**k (L the lcm of the
+lam and lam-tail denominators, den that of the inner weights), so branch
+values are computed, sorted and compared as integers.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from functools import cached_property
 
 from .errors import DomainError, InputError, InternalInvariantError, ParameterError
-from .inner import InnerSpec, phi_eval
+from .inner import InnerSpec, phi_scaled
 from .linsolve import left_kernel_vector
 from .rationals import ONE, ZERO, format_rational, grid_points
 
@@ -101,6 +107,20 @@ class HashParams:
     def branch_count(self) -> int:
         return 2 * self.d + 1
 
+    @cached_property
+    def _lam_scaled(self) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
+        """(L, lam numerators, lam-tail numerators), both over L = lcm of their denominators."""
+        lcm = math.lcm(*(v.denominator for v in self.lam + self.lam_tails))
+        return (
+            lcm,
+            tuple(int(v * lcm) for v in self.lam),
+            tuple(int(t * lcm) for t in self.lam_tails),
+        )
+
+    def unit(self, inner: InnerSpec, depth: int) -> int:
+        """The common denominator L * den**depth of every depth-`depth` branch value."""
+        return self._lam_scaled[0] * inner._den**depth
+
 
 def make_params(d: int, gamma: int, series_tolerance=DEFAULT_SERIES_TOLERANCE) -> HashParams:
     """Universal constants for dimension d and base gamma >= 2d+2."""
@@ -137,6 +157,41 @@ class BranchValue:
         return self.value + self.error_bound
 
 
+def check_point(params: HashParams, x) -> tuple[Fraction, ...]:
+    """x as exact coordinates, after checking it has d of them, each in [0, 1]."""
+    point = tuple(Fraction(c) for c in x)
+    if len(point) != params.d:
+        raise DomainError(f"expected {params.d} coordinates, got {len(point)}")
+    for p, coord in enumerate(point, start=1):
+        if not 0 <= coord <= 1:
+            raise DomainError(f"coordinate {p} must lie in [0, 1], got {coord}")
+    return point
+
+
+def branches_scaled(params: HashParams, inner: InnerSpec, point, depth: int) -> list[tuple[int, int]]:
+    """Every branch at a checked point as (value, window) numerators over params.unit(inner, depth).
+
+    phi runs at x_p + a q = (n gamma (gamma - 1) + q m) / (m gamma (gamma - 1))
+    for x_p = n/m, so no Fraction is built.
+    """
+    lam_den, lam_num, tail_num = params._lam_scaled
+    shift_den = params.gamma * (params.gamma - 1)
+    coords = [
+        (c.numerator * shift_den, c.denominator * shift_den, c.denominator, lam, tail)
+        for c, lam, tail in zip(point, lam_num, tail_num)
+    ]
+    base = lam_den * inner._den**depth
+    out = []
+    for q, b in enumerate(params.b):
+        value, window = b * base, 0
+        for num, den, step, lam, tail in coords:
+            v, w = phi_scaled(inner, num + q * step, den, depth)
+            value += lam * v
+            window += lam * w + tail * (v + w)
+        out.append((value, window))
+    return out
+
+
 def psi_eval(params: HashParams, inner: InnerSpec, x, q: int, depth: int) -> BranchValue:
     """Branch q's value at x in [0, 1]^d, truncation depth `depth`.
 
@@ -144,22 +199,12 @@ def psi_eval(params: HashParams, inner: InnerSpec, x, q: int, depth: int) -> Bra
     plus the lam tail applied to the inner value itself; both effects only
     add mass, so the window is one sided.
     """
-    point = tuple(Fraction(c) for c in x)
-    if len(point) != params.d:
-        raise DomainError(f"expected {params.d} coordinates, got {len(point)}")
     if not 0 <= q <= 2 * params.d:
         raise DomainError(f"branch index must lie in 0..{2 * params.d}, got {q}")
-    for p, coord in enumerate(point, start=1):
-        if not 0 <= coord <= 1:
-            raise DomainError(f"coordinate {p} must lie in [0, 1], got {coord}")
-    value = Fraction(params.b[q])
-    error = ZERO
-    shift = params.a * q
-    for lam, tail, coord in zip(params.lam, params.lam_tails, point):
-        iv = phi_eval(inner, coord + shift, depth)
-        value += lam * iv.value
-        error += lam * iv.error_bound + tail * iv.upper
-    return BranchValue(q=q, value=value, error_bound=error)
+    point = check_point(params, x)
+    value, window = branches_scaled(params, inner, point, depth)[q]
+    unit = params.unit(inner, depth)
+    return BranchValue(q=q, value=Fraction(value, unit), error_bound=Fraction(window, unit))
 
 
 @dataclass(frozen=True)
@@ -212,26 +257,33 @@ def check_ranges(params: HashParams, inner: InnerSpec, probe_level: int = 1, dep
     """
     axis = grid_points(probe_level, params.gamma)
     width = 2 * params.d
+    unit = params.unit(inner, depth)
     lo = [None] * params.branch_count
     hi = [None] * params.branch_count
     violations = []
     count = 0
     for point in itertools.product(axis, repeat=params.d):
         count += 1
-        for q in range(params.branch_count):
-            bv = psi_eval(params, inner, point, q, depth)
-            if bv.value < params.b[q] or bv.upper > params.b[q] + width:
+        for q, (value, window) in enumerate(branches_scaled(params, inner, point, depth)):
+            upper = value + window
+            if value < params.b[q] * unit or upper > (params.b[q] + width) * unit:
                 if len(violations) < 10:
-                    violations.append(f"q={q}, x={point}, value={bv.value}")
-            if lo[q] is None or bv.value < lo[q]:
-                lo[q] = bv.value
-            if hi[q] is None or bv.upper > hi[q]:
-                hi[q] = bv.upper
+                    violations.append(f"q={q}, x={point}, value={Fraction(value, unit)}")
+            if lo[q] is None or value < lo[q]:
+                lo[q] = value
+            if hi[q] is None or upper > hi[q]:
+                hi[q] = upper
     branches = tuple(
-        BranchRange(q=q, lo=params.b[q], hi=params.b[q] + width, observed_lo=lo[q], observed_hi=hi[q])
+        BranchRange(
+            q=q,
+            lo=params.b[q],
+            hi=params.b[q] + width,
+            observed_lo=Fraction(lo[q], unit),
+            observed_hi=Fraction(hi[q], unit),
+        )
         for q in range(params.branch_count)
     )
-    min_gap = min(lo[q + 1] - hi[q] for q in range(params.branch_count - 1))
+    min_gap = Fraction(min(lo[q + 1] - hi[q] for q in range(params.branch_count - 1)), unit)
     return RangeReport(
         d=params.d,
         gamma=params.gamma,
@@ -278,7 +330,11 @@ class IncidenceSystem:
 
 
 def build_incidence(params: HashParams, inner: InnerSpec, points, depth: int) -> IncidenceSystem:
-    """Evaluate every branch at every point and tabulate hits on distinct values."""
+    """Evaluate every branch at every point and tabulate hits on distinct values.
+
+    Values are compared as integer numerators over one denominator; only the
+    distinct knots become Fractions.
+    """
     pts = tuple(tuple(Fraction(c) for c in p) for p in points)
     if not pts:
         raise DomainError("need at least one point")
@@ -287,9 +343,9 @@ def build_incidence(params: HashParams, inner: InnerSpec, points, depth: int) ->
         if p in seen:
             raise InputError(f"points must be pairwise distinct; points {seen[p]} and {j} coincide")
         seen[p] = j
+    unit = params.unit(inner, depth)
     values = [
-        [psi_eval(params, inner, p, q, depth).value for q in range(params.branch_count)]
-        for p in pts
+        [v for v, _ in branches_scaled(params, inner, check_point(params, p), depth)] for p in pts
     ]
     knots = sorted({v for per_point in values for v in per_point})
     index = {v: i for i, v in enumerate(knots)}
@@ -303,7 +359,8 @@ def build_incidence(params: HashParams, inner: InnerSpec, points, depth: int) ->
             prior = branch_of.setdefault(col, q)
             if prior != q:
                 raise InternalInvariantError(
-                    f"knot {v} reached from branches {prior} and {q}; ranges must be disjoint"
+                    f"knot {Fraction(v, unit)} reached from branches "
+                    f"{prior} and {q}; ranges must be disjoint"
                 )
         if sum(row.values()) != params.branch_count:
             raise InternalInvariantError("incidence row sum differs from 2d+1")
@@ -312,7 +369,7 @@ def build_incidence(params: HashParams, inner: InnerSpec, points, depth: int) ->
         points=pts,
         depth=depth,
         d=params.d,
-        knots=tuple(knots),
+        knots=tuple(Fraction(v, unit) for v in knots),
         knot_branch=tuple(branch_of[i] for i in range(len(knots))),
         rows=tuple(rows),
     )

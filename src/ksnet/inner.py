@@ -7,6 +7,11 @@ makes that width at most 2**-k, which is both the reported error bound and
 the source of the Holder exponent ln 2 / ln g.  Positive weights keep the map
 strictly increasing across distinct digit strings, and handling the integer
 part separately gives phi(x + 1) = phi(x) + 1 for free.
+
+Evaluation runs on integers: after k digits every value and window is an
+integer over den**k, where den is the lcm of the weight denominators.  The
+digits come from one floor division and are consumed three at a time (fewer
+for large bases) through a table of per-block (c, w) numerators.
 """
 
 from __future__ import annotations
@@ -15,11 +20,16 @@ import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
 from .errors import DomainError, ParameterError
-from .rationals import ONE, ZERO, expand_digits
+from .rationals import ONE, ZERO
 
 HALF = Fraction(1, 2)
+# Digits consumed per table lookup: 3, or fewer when the table of
+# base**digits entries would pass BLOCK_TABLE_LIMIT (base 6: 216 entries).
+BLOCK_DIGITS = 3
+BLOCK_TABLE_LIMIT = 1024
 
 
 @dataclass(frozen=True)
@@ -66,6 +76,32 @@ class InnerSpec:
         object.__setattr__(self, "_wnum", tuple(int(w * den) for w in weights))
         object.__setattr__(self, "_cnum", tuple(int(c * den) for c in cumulative))
 
+    @cached_property
+    def _block(self) -> int:
+        """Digits per table lookup."""
+        digits = BLOCK_DIGITS
+        while digits > 1 and self.base**digits > BLOCK_TABLE_LIMIT:
+            digits -= 1
+        return digits
+
+    @cached_property
+    def _blocks(self) -> tuple[tuple[int, int], ...]:
+        """(c, w) numerators over _den**_block of every _block-digit string, indexed by its value."""
+        table = []
+        for value in range(self.base**self._block):
+            c, w = 0, 1
+            for r in reversed(range(self._block)):
+                digit = value // self.base**r % self.base
+                c = c * self._den + self._cnum[digit] * w
+                w *= self._wnum[digit]
+            table.append((c, w))
+        return tuple(table)
+
+    @cached_property
+    def _powers(self) -> dict[int, tuple[int, tuple[int, ...], int]]:
+        """By depth k: (base**k, _den**(_block*m) for each whole block m, _den**(_block*(k//_block)))."""
+        return {}
+
 
 def default_inner_spec(base: int) -> InnerSpec:
     """Half the interval to digit 0, the rest split evenly: w(0) = 1/2, w(i) = 1/(2(base-1))."""
@@ -87,6 +123,43 @@ class InnerValue:
         return self.value + self.error_bound
 
 
+def phi_scaled(spec: InnerSpec, num: int, den: int, depth: int) -> tuple[int, int]:
+    """Depth-`depth` truncation of the inner function at num/den in [0, 2), den > 0.
+
+    Returns (value, window) as integer numerators over spec._den**depth.  The
+    window is w(i_1)*...*w(i_k), or 0 when num/den is an integer.  The digits
+    are consumed from the least significant end, so each step prepends a
+    block: value <- c * den**(digits so far) + w * value.
+    """
+    if depth < 1:
+        raise DomainError(f"depth must be >= 1, got {depth}")
+    powers = spec._powers.get(depth)
+    block_len = spec._block
+    if powers is None:
+        block_unit = spec._den**block_len
+        scales = tuple(block_unit**m for m in range(depth // block_len + 1))
+        powers = spec._powers[depth] = (spec.base**depth, scales[:-1], scales[-1])
+    digit_scale, scales, scale = powers
+    whole, frac = divmod(num, den)
+    if not frac:
+        return whole * spec._den**depth, 0
+    digits = frac * digit_scale // den
+    blocks, radix = spec._blocks, spec.base**block_len
+    value, window = 0, 1
+    for block_scale in scales:
+        digits, block = divmod(digits, radix)
+        c, w = blocks[block]
+        value = c * block_scale + w * value
+        window *= w
+    cnum, wnum = spec._cnum, spec._wnum
+    for _ in range(depth % block_len):
+        digits, digit = divmod(digits, spec.base)
+        value = cnum[digit] * scale + wnum[digit] * value
+        window *= wnum[digit]
+        scale *= spec._den
+    return whole * scale + value, window
+
+
 def phi_eval(spec: InnerSpec, x, depth: int) -> InnerValue:
     """Depth-`depth` truncation of the inner function at x in [0, 2).
 
@@ -94,18 +167,12 @@ def phi_eval(spec: InnerSpec, x, depth: int) -> InnerValue:
     w(i_1)*...*w(i_k) <= 2**-depth; it collapses to 0 only when the
     fractional part is zero (the digit sum is empty).
     """
-    expansion = expand_digits(Fraction(x), spec.base, depth)
-    den, wnum, cnum = spec._den, spec._wnum, spec._cnum
-    num = 0
-    prefix = 1
-    for d in expansion.digits:
-        num = num * den + cnum[d] * prefix
-        prefix *= wnum[d]
-    scale = den**depth
-    value = expansion.integer_part + Fraction(num, scale)
-    if expansion.exact and num == 0:
-        return InnerValue(value=Fraction(expansion.integer_part), error_bound=ZERO)
-    return InnerValue(value=value, error_bound=Fraction(prefix, scale))
+    x = Fraction(x)
+    if not 0 <= x < 2:
+        raise DomainError(f"inner function domain is [0, 2), got {x}")
+    value, window = phi_scaled(spec, x.numerator, x.denominator, depth)
+    scale = spec._den**depth
+    return InnerValue(value=Fraction(value, scale), error_bound=Fraction(window, scale))
 
 
 def phi_exact(spec: InnerSpec, x) -> Fraction:

@@ -3,25 +3,33 @@
 A model is the triple (inner spec, universal constants, outer function) plus
 a metadata record.  Evaluation is the two-hidden-layer superposition: feed
 every branch value through the shared outer function and add the 2d+1
-contributions.  The exact path works in rationals end to end; the fast path
-trades Fraction arithmetic for doubles after extracting digits exactly, and
-is checked against the exact path by differential tests.
+contributions.
+
+There is one evaluation pipeline, and it is exact.  At depth k every branch
+value is an integer over one denominator, so a per-depth plan (built once
+per model and cached on it) holds all knots as integers in one sorted array;
+lookup, interpolation and the error-bound window scan run on integers, and
+only the final w and error bound become Fractions.  The float path is the
+exact result rounded to the nearest double, with a bound that also covers
+that rounding.
 """
 
 from __future__ import annotations
 
 import io
 import json
+import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from pathlib import Path
 
-from .errors import AssemblyError, DomainError, ModelFormatError
-from .hashmaps import HashParams, psi_eval
+from .errors import AssemblyError, DomainError, InputError, ModelFormatError
+from .hashmaps import HashParams, branches_scaled, check_point
 from .inner import InnerSpec
-from .outer import KnotTable, OuterFunction, g_eval, g_range
-from .rationals import ZERO, format_rational
+from .outer import KnotTable, OuterFunction
+from .rationals import format_rational, parse_rational
 
 FORMAT_VERSION = 1
 
@@ -34,6 +42,11 @@ class KNetModel:
     params: HashParams
     outer: OuterFunction
     meta: dict
+
+    @cached_property
+    def _plans(self) -> dict[int, "_Plan"]:
+        """Evaluation plans by depth; they live and die with the model."""
+        return {}
 
 
 def assemble(inner: InnerSpec, params: HashParams, outer: OuterFunction, meta: dict | None = None) -> KNetModel:
@@ -61,9 +74,143 @@ def assemble(inner: InnerSpec, params: HashParams, outer: OuterFunction, meta: d
 
 def _resolve_depth(model: KNetModel, depth: int | None) -> int:
     if depth is not None:
+        if depth < 1:
+            raise DomainError(f"depth must be >= 1, got {depth}")
         return depth
     stored = model.meta.get("depth")
     return stored if isinstance(stored, int) and stored >= 1 else 30
+
+
+# Knot integers a plan may hold, in bits: knots with unrelated denominators
+# (never produced by a fit) can need a common denominator that grows with
+# every knot, and the plan refuses those rather than exhaust memory.
+PLAN_BITS_LIMIT = 1 << 27
+
+
+class _Plan:
+    """A model's knots as integers at one evaluation depth.
+
+    Branch values at this depth are integers over `unit`.  The knots of all
+    branches form one increasing array `ys` of integers over
+    scale = lcm(unit, knot denominators); the tables can be concatenated
+    because branch intervals are disjoint and increasing.  A branch value v
+    is looked up as v * lift.  Knot values stay numerator/denominator pairs,
+    since the lcm of target denominators can grow with every sample.
+    """
+
+    def __init__(self, model: KNetModel, depth: int):
+        params = model.params
+        tables = model.outer.tables
+        knots = [y for t in tables for y in t.ys]
+        unit = params.unit(model.inner, depth)
+        scale = math.lcm(unit, *{y.denominator for y in knots})
+        if scale.bit_length() * len(knots) > PLAN_BITS_LIMIT:
+            raise DomainError(
+                f"{len(knots)} knots need a {scale.bit_length()}-bit common denominator "
+                f"at depth {depth}, more than the {PLAN_BITS_LIMIT}-bit plan limit"
+            )
+        self.params = params
+        self.inner = model.inner
+        self.depth = depth
+        self.lift = scale // unit
+        self.ys = [y.numerator * (scale // y.denominator) for y in knots]
+        self.gn = [g.numerator for t in tables for g in t.gs]
+        self.gd = [g.denominator for t in tables for g in t.gs]
+        self.step = (2 * params.d + 1) * scale
+        self.tops = [(b + 2 * params.d) * scale for b in params.b]
+        self.spans = []
+        start = 0
+        for t in tables:
+            self.spans.append((start, start + len(t.ys)))
+            start += len(t.ys)
+
+    def g(self, y: int) -> tuple[int, int]:
+        """The outer function at y / scale, as (numerator, denominator > 0).
+
+        Inside a branch interval: linear interpolation between that branch's
+        knots, clamped to its end knots.  Elsewhere: the globally nearest
+        knot, ties toward the smaller one.
+        """
+        ys, gn, gd = self.ys, self.gn, self.gd
+        q = y // self.step if y >= 0 else -1
+        if 0 <= q < len(self.spans) and y <= self.tops[q]:
+            lo, hi = self.spans[q]
+            if lo < hi:
+                if y <= ys[lo]:
+                    return gn[lo], gd[lo]
+                if y >= ys[hi - 1]:
+                    return gn[hi - 1], gd[hi - 1]
+                i = bisect_left(ys, y, lo, hi)
+                if ys[i] == y:
+                    return gn[i], gd[i]
+                y0, dy = ys[i - 1], ys[i] - ys[i - 1]
+                a0, b0, a1, b1 = gn[i - 1], gd[i - 1], gn[i], gd[i]
+                if b0 == b1:
+                    return a0 * dy + (a1 - a0) * (y - y0), b0 * dy
+                return a0 * b1 * dy + (a1 * b0 - a0 * b1) * (y - y0), b0 * b1 * dy
+        i = bisect_left(ys, y)
+        j = min((j for j in (i - 1, i) if 0 <= j < len(ys)), key=lambda j: (abs(ys[j] - y), ys[j]))
+        return gn[j], gd[j]
+
+    def deviation(self, lo: int, hi: int, g: tuple[int, int]) -> tuple[int, int]:
+        """max |g(y) - g(lo)| over [lo, hi], as (numerator, denominator).
+
+        The outer function is piecewise linear, so the extremes lie at the
+        window ends or at knots inside the window.
+        """
+        ys, gn, gd = self.ys, self.gn, self.gd
+        num, den = _gap(*g, *self.g(hi))
+        i = bisect_left(ys, lo)
+        while i < len(ys) and ys[i] <= hi:
+            n2, d2 = _gap(*g, gn[i], gd[i])
+            if n2 * den > num * d2:
+                num, den = n2, d2
+            i += 1
+        return num, den
+
+    def sums(self, x, contributions: list | None = None) -> tuple[int, int, int, int]:
+        """w and the error bound at x as unreduced (numerator, denominator) pairs.
+
+        Per-branch values of the outer function are appended to
+        `contributions` when a list is given.
+        """
+        params, inner = self.params, self.inner
+        point = check_point(params, x)
+        if not self.ys:
+            raise DomainError("outer function has no knots")
+        w_num, w_den = 0, 1
+        e_num, e_den = 0, 1
+        for value, window in branches_scaled(params, inner, point, self.depth):
+            y = value * self.lift
+            g = self.g(y)
+            w_num, w_den = _add(w_num, w_den, *g)
+            if window:
+                e_num, e_den = _add(e_num, e_den, *self.deviation(y, y + window * self.lift, g))
+            if contributions is not None:
+                contributions.append(Fraction(*g))
+        return w_num, w_den, e_num, e_den
+
+
+def _add(a: int, b: int, c: int, d: int) -> tuple[int, int]:
+    """a/b + c/d, unreduced."""
+    if b == d:
+        return a + c, b
+    return a * d + c * b, b * d
+
+
+def _gap(a: int, b: int, c: int, d: int) -> tuple[int, int]:
+    """|a/b - c/d|, unreduced; both ends of a window usually share b = d."""
+    if b == d:
+        return abs(a - c), b
+    return abs(a * d - c * b), b * d
+
+
+def _plan(model: KNetModel, depth: int | None) -> _Plan:
+    depth = _resolve_depth(model, depth)
+    plan = model._plans.get(depth)
+    if plan is None:
+        plan = model._plans[depth] = _Plan(model, depth)
+    return plan
 
 
 def evaluate(model: KNetModel, x, depth: int | None = None, with_branches: bool = False):
@@ -75,20 +222,11 @@ def evaluate(model: KNetModel, x, depth: int | None = None, with_branches: bool 
     per-branch contributions are returned as a third element; they sum to w
     exactly.
     """
-    depth = _resolve_depth(model, depth)
-    w = ZERO
-    error = ZERO
-    contributions = []
-    for q in range(model.params.branch_count):
-        bv = psi_eval(model.params, model.inner, x, q, depth)
-        gq = g_eval(model.outer, bv.value)
-        w += gq
-        if bv.error_bound:
-            lo, hi = g_range(model.outer, bv.value, bv.upper)
-            error += max(hi - gq, gq - lo)
-        contributions.append(gq)
+    parts = [] if with_branches else None
+    w_num, w_den, e_num, e_den = _plan(model, depth).sums(x, parts)
+    w, error = Fraction(w_num, w_den), Fraction(e_num, e_den)
     if with_branches:
-        return w, error, tuple(contributions)
+        return w, error, tuple(parts)
     return w, error
 
 
@@ -96,7 +234,7 @@ def evaluate_batch(model: KNetModel, points, depth: int | None = None, numeric: 
     """Evaluate many points, preserving order; the first bad point aborts with its index.
 
     numeric='exact' yields (Fraction, Fraction) pairs, numeric='fast' yields
-    (float, float) pairs from the double-precision path.
+    (float, float) pairs from FastEvaluator.
     """
     if numeric not in ("exact", "fast"):
         raise DomainError(f"numeric mode must be 'exact' or 'fast', got {numeric!r}")
@@ -114,109 +252,30 @@ def evaluate_batch(model: KNetModel, points, depth: int | None = None, numeric: 
 
 
 class FastEvaluator:
-    """Double-precision evaluation against a model's exact tables.
+    """Double-precision results of exact evaluation.
 
-    Digits are still extracted with integer arithmetic (so the digit string
-    matches the exact path bit for bit); only the weighted sums and the
-    interpolation run in floats.
+    w is the exact value rounded to the nearest double; the bound is the
+    exact error bound plus that rounding error, rounded up, so the true
+    value at any deeper truncation lies within it.  Construction builds the
+    model's evaluation plan, which exact evaluation then shares.
     """
 
     def __init__(self, model: KNetModel):
         self.model = model
-        inner = model.inner
-        params = model.params
-        self.base = inner.base
-        self.wf = [float(w) for w in inner.weights]
-        self.cf = [float(c) for c in inner.cumulative]
-        self.lamf = [float(v) for v in params.lam]
-        self.tailf = [float(t) for t in params.lam_tails]
-        self.af = params.a
-        self.bf = [float(b) for b in params.b]
-        self.ys = [[float(y) for y in t.ys] for t in model.outer.tables]
-        self.gs = [[float(g) for g in t.gs] for t in model.outer.tables]
-        self.flat_ys = [y for ys in self.ys for y in ys]
-        self.flat_gs = [g for gs in self.gs for g in gs]
-        self.width = 2 * params.d
-
-    def _phi(self, x: Fraction, depth: int) -> tuple[float, float]:
-        if not 0 <= x < 2:
-            raise DomainError(f"inner function domain is [0, 2), got {x}")
-        integer_part = x.numerator // x.denominator
-        frac = x - integer_part
-        num, den = frac.numerator, frac.denominator
-        value = 0.0
-        prefix = 1.0
-        for _ in range(depth):
-            num *= self.base
-            digit, num = divmod(num, den)
-            value += self.cf[digit] * prefix
-            prefix *= self.wf[digit]
-        # the window collapses under the same condition as the exact path
-        # (fractional part zero), so the two error bounds stay comparable
-        return integer_part + value, (0.0 if frac == 0 else prefix)
-
-    def _psi(self, point, q: int, depth: int) -> tuple[float, float]:
-        value = self.bf[q]
-        error = 0.0
-        shift = self.af * q
-        for p, coord in enumerate(point):
-            v, e = self._phi(Fraction(coord) + shift, depth)
-            value += self.lamf[p] * v
-            error += self.lamf[p] * e + self.tailf[p] * (v + e)
-        return value, error
-
-    def _g(self, y: float) -> float:
-        q = int(y // (self.width + 1)) if y >= 0 else -1
-        if 0 <= q <= self.width and y <= self.bf[q] + self.width and self.ys[q]:
-            ys, gs = self.ys[q], self.gs[q]
-            if y <= ys[0]:
-                return gs[0]
-            if y >= ys[-1]:
-                return gs[-1]
-            i = bisect_left(ys, y)
-            if ys[i] == y:
-                return gs[i]
-            y0, y1 = ys[i - 1], ys[i]
-            return gs[i - 1] + (gs[i] - gs[i - 1]) * (y - y0) / (y1 - y0)
-        i = bisect_left(self.flat_ys, y)
-        best = None
-        for j in (i - 1, i):
-            if 0 <= j < len(self.flat_ys):
-                key = (abs(self.flat_ys[j] - y), self.flat_ys[j])
-                if best is None or key < best[0]:
-                    best = (key, self.flat_gs[j])
-        if best is None:
-            raise DomainError("outer function has no knots")
-        return best[1]
-
-    def _g_deviation(self, v: float, e: float, gv: float) -> float:
-        g_hi = self._g(v + e)
-        lo, hi = min(gv, g_hi), max(gv, g_hi)
-        i = bisect_left(self.flat_ys, v)
-        while i < len(self.flat_ys) and self.flat_ys[i] <= v + e:
-            g = self.flat_gs[i]
-            lo, hi = min(lo, g), max(hi, g)
-            i += 1
-        return max(hi - gv, gv - lo)
+        _plan(model, None)
 
     def evaluate(self, x, depth: int | None = None) -> tuple[float, float]:
-        model = self.model
-        depth = _resolve_depth(model, depth)
-        point = tuple(Fraction(c) for c in x)
-        if len(point) != model.params.d:
-            raise DomainError(f"expected {model.params.d} coordinates, got {len(point)}")
-        for p, coord in enumerate(point, start=1):
-            if not 0 <= coord <= 1:
-                raise DomainError(f"coordinate {p} must lie in [0, 1], got {coord}")
-        w = 0.0
-        error = 0.0
-        for q in range(model.params.branch_count):
-            v, e = self._psi(point, q, depth)
-            gq = self._g(v)
-            w += gq
-            if e:
-                error += self._g_deviation(v, e, gq)
-        return w, error
+        w_num, w_den, e_num, e_den = _plan(self.model, depth).sums(x)
+        w = w_num / w_den  # int division rounds correctly
+        p, s = w.as_integer_ratio()
+        # bound = e + |w - exact w|, over one denominator
+        num = e_num * s * w_den + abs(p * w_den - w_num * s) * e_den
+        den = e_den * s * w_den
+        bound = num / den
+        p, s = bound.as_integer_ratio()
+        if p * den < num * s:
+            bound = math.nextafter(bound, math.inf)
+        return w, bound
 
 
 def _doc_from_model(model: KNetModel) -> dict:
@@ -271,9 +330,9 @@ def _fraction_at(text, location: str) -> Fraction:
     if not isinstance(text, str):
         raise ModelFormatError(f"expected fraction string, got {type(text).__name__}", location=location)
     try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError):
-        raise ModelFormatError(f"not a fraction: {text!r}", location=location) from None
+        return parse_rational(text)
+    except InputError as exc:
+        raise ModelFormatError(str(exc), location=location) from None
 
 
 def load(source) -> KNetModel:
@@ -300,7 +359,7 @@ def load(source) -> KNetModel:
         raise ModelFormatError(f"cannot load a model from {type(source).__name__}")
     try:
         doc = json.loads(raw)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # also integer literals beyond the int-string limit
         raise ModelFormatError(f"malformed JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise ModelFormatError("top level must be an object")

@@ -127,30 +127,6 @@ def g_eval(outer: OuterFunction, y) -> Fraction:
     return _nearest_knot_value(outer, y)
 
 
-def g_range(outer: OuterFunction, lo, hi) -> tuple[Fraction, Fraction]:
-    """Exact min and max of the outer function over [lo, hi].
-
-    Piecewise linearity puts extremes at the window ends or at knots inside
-    the window; in nearest-knot territory the value is piecewise constant
-    and the end evaluations already cover both reachable knots.
-    """
-    lo, hi = Fraction(lo), Fraction(hi)
-    if lo > hi:
-        raise DomainError(f"empty window [{lo}, {hi}]")
-    g_lo = g_eval(outer, lo)
-    g_hi = g_eval(outer, hi)
-    vmin, vmax = min(g_lo, g_hi), max(g_lo, g_hi)
-    for table in outer.tables:
-        if not table.ys:
-            continue
-        i = bisect_left(table.ys, lo)
-        while i < len(table.ys) and table.ys[i] <= hi:
-            g = table.gs[i]
-            vmin, vmax = min(vmin, g), max(vmax, g)
-            i += 1
-    return vmin, vmax
-
-
 @dataclass(frozen=True)
 class SampleSet:
     """Distinct sample points in [0, 1]^d with exact targets.

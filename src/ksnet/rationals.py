@@ -9,6 +9,8 @@ samples on.
 
 from __future__ import annotations
 
+import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -27,8 +29,25 @@ def make_rational(numerator: int, denominator: int = 1) -> Fraction:
     return Fraction(numerator, denominator)
 
 
+_EXPONENT = re.compile(r"[eE][-+]?([\d_]*)\s*$")
+
+
 def parse_rational(text: str) -> Fraction:
-    """Parse 'p/q' or decimal syntax ('0.25', '-3', '1e-3') into an exact value."""
+    """Parse 'p/q' or decimal syntax ('0.25', '-3', '1e-3') into an exact value.
+
+    A literal whose digits plus exponent magnitude exceed the interpreter's
+    int-string limit is refused: '1e999999999' would otherwise build a
+    billion-digit integer, and the value could not be printed back.
+    """
+    limit = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
+    size = len(text)  # bounds the digit count; count exactly only when it matters
+    if size > limit:
+        size = sum(ch.isdigit() for ch in text)
+    if size <= limit and ("e" in text or "E" in text):
+        exponent = _EXPONENT.search(text)
+        size += int(exponent.group(1).replace("_", "") or 0) if exponent else 0
+    if size > limit:
+        raise InputError(f"numeric literal longer than {limit} digits once expanded: {text[:40]!r}")
     try:
         return Fraction(text.strip())
     except (ValueError, ZeroDivisionError) as exc:

@@ -3,11 +3,16 @@
 import csv
 import itertools
 import json
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import ksnet
 from ksnet.cli import EXIT_INPUT, EXIT_OK, EXIT_SEPARATION, main
 from ksnet.network import evaluate, load
 from ksnet.rationals import parse_rational
@@ -269,3 +274,42 @@ def test_model_file_corruption_is_input_error(workdir, capsys):
     _write_csv(workdir / "points.csv", ["x1", "x2"], [["1/2", "1/2"]])
     rc = main(["eval", "--model", str(model_path), "--in", str(workdir / "points.csv")])
     assert rc == EXIT_INPUT
+
+
+def test_eval_rejects_depth_beyond_cap(workdir, capsys):
+    """Exact eval at depth 5000 used to die formatting a 4300+ digit integer."""
+    _, model_path = _fit(workdir)
+    _write_csv(workdir / "points.csv", ["x1", "x2"], [["1/3", "1/7"]])
+    for numeric in ("exact", "fast"):
+        rc = main(["eval", "--model", str(model_path), "--in", str(workdir / "points.csv"),
+                   "--depth", "5000", "--numeric", numeric])
+        assert rc == EXIT_INPUT
+        assert "--depth must lie in 1..240" in capsys.readouterr().err
+    rc = main(["eval", "--model", str(model_path), "--in", str(workdir / "points.csv"), "--depth", "240"])
+    assert rc == EXIT_OK
+
+
+def _cli_subprocess(args, cwd, timeout=30):
+    """Run `python -m ksnet.cli` in a child, so a hang fails the test instead of stalling it."""
+    env = dict(os.environ, PYTHONPATH=str(Path(ksnet.__file__).resolve().parents[1]))
+    return subprocess.run(
+        [sys.executable, "-m", "ksnet.cli", *args],
+        cwd=cwd, env=env, capture_output=True, text=True, timeout=timeout,
+    )
+
+
+def test_giant_literals_are_input_errors(workdir):
+    """'1e999999999' would make Fraction build a billion-digit integer."""
+    _, model_path = _fit(workdir)
+    _write_csv(workdir / "huge.csv", ["x1", "x2", "f"], [["1/2", "1/3", "1e999999999"]])
+    done = _cli_subprocess(["fit", "--in", "huge.csv", "--model", "huge.json"], workdir)
+    assert done.returncode == EXIT_INPUT
+    assert "row 1, column 3" in done.stderr and "Traceback" not in done.stderr
+
+    doc = json.loads(model_path.read_text())
+    doc["branches"][1]["knots"][0]["g"] = "1e999999999"
+    (workdir / "bad_model.json").write_text(json.dumps(doc))
+    _write_csv(workdir / "points.csv", ["x1", "x2"], [["1/2", "1/2"]])
+    done = _cli_subprocess(["eval", "--model", "bad_model.json", "--in", "points.csv"], workdir)
+    assert done.returncode == EXIT_INPUT
+    assert "branches[1].knots[0].g" in done.stderr and "Traceback" not in done.stderr

@@ -2,6 +2,7 @@
 
 import io
 import json
+import math
 import random
 from fractions import Fraction
 
@@ -10,6 +11,7 @@ import pytest
 from ksnet.errors import AssemblyError, DomainError, ModelFormatError
 from ksnet.hashmaps import make_params, psi_eval
 from ksnet.inner import default_inner_spec
+from ksnet import network
 from ksnet.network import (
     FORMAT_VERSION,
     FastEvaluator,
@@ -20,7 +22,7 @@ from ksnet.network import (
     load,
     save,
 )
-from ksnet.outer import SampleSet, fit_exact, g_eval
+from ksnet.outer import KnotTable, OuterFunction, SampleSet, fit_exact, g_eval
 
 SPEC6 = default_inner_spec(6)
 P26 = make_params(2, 6)
@@ -110,11 +112,9 @@ def test_fast_evaluator_tracks_exact():
 
 
 def test_fast_error_bound_tracks_exact():
-    """Both paths keep the digit-cell window at terminating coordinates.
-
-    The float bound rounds to zero when a branch window falls below double
-    resolution, but it never lands more than rounding slack above the exact
-    bound."""
+    """The float bound is the exact bound plus the rounding of w, rounded up:
+    never below what it must cover, never more than one ulp of w above the
+    exact bound."""
     fast = FastEvaluator(MODEL)
     for x in [(Fraction(1, 3), Fraction(5, 6)), (Fraction(1, 2), Fraction(1, 2))]:
         _, err = evaluate(MODEL, x)
@@ -124,9 +124,39 @@ def test_fast_error_bound_tracks_exact():
     rng = random.Random(6)
     for _ in range(40):
         x = tuple(Fraction(rng.getrandbits(60), 2**60) for _ in range(2))
-        _, err = evaluate(MODEL, x)
-        _, errf = fast.evaluate(x)
-        assert errf <= float(err) * (1 + 1e-6)
+        w, err = evaluate(MODEL, x)
+        wf, errf = fast.evaluate(x)
+        assert err + abs(Fraction(wf) - w) <= errf <= float(err) + math.ulp(wf)
+
+
+def test_fast_bound_covers_its_own_rounding():
+    """|wf - w| is about 1e-17 while the exact bound can be far smaller (or 0
+    when no knot lies in a window); the float bound must still cover it."""
+    fast = FastEvaluator(MODEL)
+    rng = random.Random(11)
+    for _ in range(60):
+        x = tuple(Fraction(rng.getrandbits(60), 2**60) for _ in range(2))
+        w, err = evaluate(MODEL, x)
+        wf, errf = fast.evaluate(x)
+        assert wf == float(w)
+        assert Fraction(errf) >= err + abs(Fraction(wf) - w)
+
+
+def test_plan_refuses_knots_without_a_common_scale(monkeypatch):
+    """Knots with unrelated denominators (a hand-edited model, never a fit)
+    would need integers that grow with every knot; the plan refuses them."""
+    primes = (7, 11, 13, 17, 19, 23, 29, 31)
+    ys = tuple(Fraction(1, 2) + Fraction(1, p) for p in primes)
+    table = KnotTable(ys=tuple(sorted(ys)), gs=(Fraction(1),) * len(ys))
+    empty = KnotTable(ys=(), gs=())
+    model = assemble(SPEC6, P26, OuterFunction(d=2, b=P26.b, tables=(table,) + (empty,) * 4))
+    assert evaluate(model, (Fraction(1, 2), Fraction(1, 2)))[0] == 5
+    # room for knots over the depth-30 denominator itself, not for 2**30 times more
+    unit_bits = P26.unit(SPEC6, 30).bit_length()
+    monkeypatch.setattr(network, "PLAN_BITS_LIMIT", len(ys) * (unit_bits + 30))
+    model = assemble(SPEC6, P26, model.outer)
+    with pytest.raises(DomainError, match="plan limit"):
+        evaluate(model, (Fraction(1, 2), Fraction(1, 2)))
 
 
 def test_fast_evaluator_validates_input():

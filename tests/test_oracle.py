@@ -1,0 +1,181 @@
+"""Differential tests: the integer pipeline against the Fraction oracle, exact equality."""
+
+import random
+from fractions import Fraction
+
+import oracle
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from ksnet.errors import DomainError
+from ksnet.hashmaps import build_incidence, make_params, psi_eval
+from ksnet.inner import InnerSpec, default_inner_spec, phi_eval
+from ksnet.network import FastEvaluator, _plan, assemble, evaluate
+from ksnet.outer import KnotTable, OuterFunction, SampleSet, fit_exact
+
+# weights with mixed denominators (lcm 18), so den is not 2(base - 1)
+ODD_SPEC6 = InnerSpec(
+    base=6,
+    weights=(Fraction(1, 3), Fraction(1, 6), Fraction(1, 6), Fraction(1, 9), Fraction(1, 9), Fraction(1, 9)),
+)
+NETWORKS = [
+    (make_params(2, 6), default_inner_spec(6)),
+    (make_params(3, 8), default_inner_spec(8)),
+    (make_params(2, 6), ODD_SPEC6),
+    (make_params(2, 20), default_inner_spec(20)),  # two-digit blocks
+]
+depths = st.integers(min_value=1, max_value=240)
+
+
+@st.composite
+def unit_coords(draw, base=6):
+    """0, 1, terminating base-`base` fractions, dyadics, arbitrary rationals, near-1 values."""
+    kind = draw(st.sampled_from(["zero", "one", "terminating", "dyadic", "rational", "near_one"]))
+    if kind == "zero":
+        return Fraction(0)
+    if kind == "one":
+        return Fraction(1)
+    if kind == "terminating":
+        j = draw(st.integers(min_value=1, max_value=8))
+        return Fraction(draw(st.integers(min_value=0, max_value=base**j)), base**j)
+    if kind == "dyadic":
+        return Fraction(draw(st.integers(min_value=0, max_value=2**60)), 2**60)
+    if kind == "rational":
+        den = draw(st.integers(min_value=1, max_value=10**12))
+        return Fraction(draw(st.integers(min_value=0, max_value=den)), den)
+    # x + a q >= 1 for the larger branch shifts
+    return 1 - Fraction(draw(st.integers(min_value=1, max_value=40)), base * (base - 1) * 7)
+
+
+@st.composite
+def network_points(draw):
+    params, inner = draw(st.sampled_from(NETWORKS))
+    point = tuple(draw(unit_coords(params.gamma)) for _ in range(params.d))
+    return params, inner, point
+
+
+@given(st.sampled_from([default_inner_spec(6), default_inner_spec(8), ODD_SPEC6,
+                        default_inner_spec(20), default_inner_spec(70)]),
+       unit_coords(), st.integers(min_value=0, max_value=1), depths)
+@settings(max_examples=300, deadline=None)
+def test_phi_matches_oracle(spec, x, whole, depth):
+    x = x + whole if x + whole < 2 else x
+    assert phi_eval(spec, x, depth) == oracle.phi_eval(spec, x, depth)
+
+
+@given(network_points(), depths)
+@settings(max_examples=150, deadline=None)
+def test_psi_matches_oracle(case, depth):
+    params, inner, point = case
+    for q in range(params.branch_count):
+        assert psi_eval(params, inner, point, q, depth) == oracle.psi_eval(params, inner, point, q, depth)
+
+
+@given(st.sampled_from(NETWORKS), st.data(), depths)
+@settings(max_examples=40, deadline=None)
+def test_incidence_matches_oracle(network, data, depth):
+    params, inner = network
+    points = data.draw(
+        st.lists(st.tuples(*[unit_coords(params.gamma)] * params.d), min_size=1, max_size=8, unique=True)
+    )
+    got = build_incidence(params, inner, points, depth)
+    want = oracle.build_incidence(params, inner, points, depth)
+    assert (got.knots, got.rows, got.knot_branch) == (want.knots, want.rows, want.knot_branch)
+    assert (got.knot_count, got.d, got.n_points) == (want.knot_count, want.d, want.n_points)
+
+
+def _fitted(params, inner, n, seed, f=lambda p: sum(p) / (1 + p[0])):
+    rng = random.Random(seed)
+    pts = set()
+    while len(pts) < n:
+        pts.add(tuple(Fraction(rng.getrandbits(40), 2**40) for _ in range(params.d)))
+    pts = sorted(pts)
+    targets = tuple(f(p) for p in pts)
+    outer, report = fit_exact(SampleSet(points=tuple(pts), targets=targets), params, inner)
+    return assemble(inner, params, outer, meta={"depth": report.depth}), pts
+
+
+MODELS = [_fitted(params, inner, 12, seed) for seed, (params, inner) in enumerate(NETWORKS)]
+# x1 * x2 on dyadic points: neighbouring knot values often share a denominator
+MODELS.append(_fitted(*NETWORKS[0], 40, 7, f=lambda p: p[0] * p[1]))
+
+
+def _hand_built_model():
+    """Knots in branches 0 and 2 only: every other branch falls back to the nearest knot."""
+    params, inner = NETWORKS[0]
+    empty = KnotTable(ys=(), gs=())
+    tables = (
+        KnotTable(ys=(Fraction(1, 3), Fraction(2), Fraction(7, 2)), gs=(Fraction(1), Fraction(-2, 3), Fraction(5))),
+        empty,
+        KnotTable(ys=(Fraction(11), Fraction(25, 2)), gs=(Fraction(3, 7), Fraction(9))),
+        empty,
+        empty,
+    )
+    return assemble(inner, params, OuterFunction(d=2, b=params.b, tables=tables))
+
+
+HAND_BUILT = _hand_built_model()
+
+
+@given(st.integers(min_value=0, max_value=len(MODELS) - 1), st.data(), depths)
+@settings(max_examples=80, deadline=None)
+def test_evaluate_matches_oracle(which, data, depth):
+    """Depth overrides on both sides of the fit depth, fresh points and fitted ones."""
+    model, fitted = MODELS[which]
+    params = model.params
+    if data.draw(st.booleans()):
+        point = data.draw(st.sampled_from(fitted))
+    else:
+        point = tuple(data.draw(unit_coords(params.gamma)) for _ in range(params.d))
+    assert evaluate(model, point, depth=depth, with_branches=True) == oracle.evaluate(model, point, depth)
+
+
+@given(st.tuples(unit_coords(), unit_coords()), depths)
+@settings(max_examples=80, deadline=None)
+def test_nearest_knot_fallback_matches_oracle(point, depth):
+    got = evaluate(HAND_BUILT, point, depth=depth, with_branches=True)
+    assert got == oracle.evaluate(HAND_BUILT, point, depth)
+    w, err = got[:2]
+    wf, errf = FastEvaluator(HAND_BUILT).evaluate(point, depth)
+    assert wf == float(w) and Fraction(errf) >= err + abs(Fraction(wf) - w)
+
+
+def _probes(outer):
+    """Knots, midpoints and near neighbours of knots, branch interval ends, gaps and beyond."""
+    ys = sorted(y for t in outer.tables for y in t.ys)
+    probes = set(ys)
+    probes.update((a + b) / 2 for a, b in zip(ys, ys[1:]))
+    probes.update(y + s for y in ys for s in (Fraction(-1, 10**9), Fraction(1, 10**9)))
+    for b in outer.b:
+        probes.update((Fraction(b), Fraction(b + 2 * outer.d), Fraction(2 * b + 2 * outer.d + 1, 2)))
+    probes.update((Fraction(-1), ys[-1] + 3))
+    return sorted(probes)
+
+
+@pytest.mark.parametrize("model", [HAND_BUILT, MODELS[-1][0]], ids=["hand_built", "product"])
+def test_outer_lookup_matches_oracle(model):
+    """The plan's integer lookup and window range against g_eval and g_range, at
+    the values where rules change: exact knots, ties between two knots, and
+    windows that end exactly on a knot."""
+    plan = _plan(model, 30)
+    scale = plan.lift * model.params.unit(model.inner, 30)
+    probes = _probes(model.outer)
+    assert all((y * scale).denominator == 1 for y in probes)
+    for k, y in enumerate(probes):
+        g = plan.g(int(y * scale))
+        assert Fraction(*g) == oracle.g_eval(model.outer, y)
+        for top in probes[k : k + 4]:
+            lo, hi = oracle.g_range(model.outer, y, top)
+            want = max(hi - g[0] / Fraction(g[1]), g[0] / Fraction(g[1]) - lo)
+            assert Fraction(*plan.deviation(int(y * scale), int(top * scale), g)) == want
+
+
+def test_no_knots_is_a_domain_error():
+    params, inner = NETWORKS[0]
+    empty = KnotTable(ys=(), gs=())
+    model = assemble(inner, params, OuterFunction(d=2, b=params.b, tables=(empty,) * 5))
+    with pytest.raises(DomainError, match="no knots"):
+        evaluate(model, (Fraction(1, 2), Fraction(1, 3)))
+    with pytest.raises(DomainError, match="no knots"):
+        oracle.evaluate(model, (Fraction(1, 2), Fraction(1, 3)), 30)

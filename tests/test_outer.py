@@ -21,10 +21,10 @@ from ksnet.outer import (
     fit_exact,
     fit_iterative,
     g_eval,
-    g_range,
     merge_report,
     run_damped_iteration,
 )
+from oracle import g_range
 
 SPEC6 = default_inner_spec(6)
 P26 = make_params(2, 6)
