@@ -231,6 +231,20 @@ def _emit_report(report: dict, out_path: str | None) -> None:
     _emit_text(json.dumps(report, indent=2) + "\n", out_path)
 
 
+def _grid_exceeds(gamma: int, level: int, d: int, limit: int) -> bool:
+    """Whether the level-`level` grid, (gamma**level + 1)**d points, holds more than `limit`.
+
+    Stops multiplying as soon as the answer is yes, so a huge level costs
+    about log_gamma(limit) steps.
+    """
+    side = 1
+    for _ in range(level):
+        side *= gamma
+        if (side + 1) ** d > limit:
+            return True
+    return False
+
+
 def cmd_fit(config: JobConfig) -> int:
     samples = _read_samples(config.in_path, config.d)
     inner = default_inner_spec(config.gamma)
@@ -239,6 +253,12 @@ def cmd_fit(config: JobConfig) -> int:
     if config.mode == "exact":
         outer_fn, fit_rep = fit_exact(samples, params, inner, depth=config.depth)
     else:
+        if _grid_exceeds(config.gamma, config.grid_level, config.d, samples.n):
+            raise InputError(
+                f"iterative mode needs a target at every level-{config.grid_level} "
+                f"grid point, but that grid has more points than the {samples.n} "
+                "rows given; targets are missing"
+            )
         table = dict(zip(samples.points, samples.targets))
         axis = grid_points(config.grid_level, config.gamma)
         grid = set(itertools.product(axis, repeat=config.d))

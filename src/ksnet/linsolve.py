@@ -1,10 +1,16 @@
-"""Exact sparse Gaussian elimination over the rationals.
+"""Exact sparse linear algebra over the rationals, one connected component at a time.
 
 Rows are {column: Fraction} dicts.  All arithmetic is exact, so rank
-decisions and kernel vectors are certificates, not estimates.  Problem sizes
-are desk scale (hundreds of rows), which keeps the cubic worst case
-irrelevant; incidence rows carry a handful of entries each, which keeps the
-practical cost near linear.
+decisions and kernel vectors are certificates, not estimates.
+
+Rows linked through shared nonzero columns form connected components.
+Components touch disjoint columns, so no linear dependency spans two of
+them and every question is answered per component.  The incidence systems
+of a fit are almost all singletons: the inner layer gives every point its
+own branch values, and only truncation makes a few points share knots.  A
+lone nonempty row has rank 1 and needs no elimination; the reduced-pivot
+elimination, quadratic in its rows, runs only on the components with more
+than one row.  Splitting costs one union-find pass over the nonzero entries.
 """
 
 from __future__ import annotations
@@ -27,22 +33,50 @@ def _sub_scaled(target: dict, source: dict, factor: Fraction) -> None:
             target.pop(col, None)
 
 
-def left_kernel_vector(rows) -> tuple[int, tuple[Fraction, ...] | None]:
-    """Rank of the stacked rows, plus a left-kernel witness if they are dependent.
+def components(rows) -> list[list[int]]:
+    """Row indices grouped into connected components, each in input order.
+
+    Two rows are connected when some column is nonzero in both; components
+    are listed by their first row, and an empty row is a component of its own.
+    """
+    parent = list(range(len(rows)))
+
+    def find(i: int) -> int:
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    owner: dict = {}  # column -> first row with a nonzero entry there
+    for idx, row in enumerate(rows):
+        for col, val in row.items():
+            if val:
+                first = owner.setdefault(col, idx)
+                if first != idx:
+                    a, b = find(first), find(idx)
+                    if a != b:
+                        parent[max(a, b)] = min(a, b)  # roots stay the smallest row index
+    groups: dict[int, list[int]] = {}
+    for idx in range(len(rows)):
+        groups.setdefault(find(idx), []).append(idx)
+    return list(groups.values())
+
+
+def _eliminate(rows) -> tuple[int, int | None, dict[int, Fraction] | None]:
+    """Rank of the stacked rows and the first dependency among them.
 
     Maintains a reduced pivot set: every stored pivot row is zero in every
     other pivot column, so one pass reduces an incoming row completely.  The
     transform log expresses each pivot row over the original rows; when a row
     cancels, its log entry is a kernel vector.  Elimination continues past the
-    first cancellation so the reported rank is the rank of the whole stack;
-    the witness kept is the first one found, scaled so its first nonzero
-    entry (in input order) is +1.
+    first cancellation so the rank is that of the whole stack.  Returns
+    (rank, index of the first row that cancelled, its kernel vector as
+    {row: coefficient} scaled so the lowest row has coefficient +1).
     """
-    n = len(rows)
     pivots: list[tuple[int, dict, dict]] = []  # (pivot column, reduced row, transform)
-    witness: tuple[Fraction, ...] | None = None
-    for idx in range(n):
-        row = {col: Fraction(val) for col, val in rows[idx].items() if val}
+    first = witness = None
+    for idx, source in enumerate(rows):
+        row = {col: Fraction(val) for col, val in source.items() if val}
         trans = {idx: ONE}
         for pcol, prow, ptrans in pivots:
             coeff = row.get(pcol)
@@ -52,11 +86,8 @@ def left_kernel_vector(rows) -> tuple[int, tuple[Fraction, ...] | None]:
                 _sub_scaled(trans, ptrans, factor)
         if not row:
             if witness is None:
-                mu = [ZERO] * n
-                for j, coeff in trans.items():
-                    mu[j] = coeff
-                lead = next(c for c in mu if c)
-                witness = tuple(c / lead for c in mu)
+                lead = trans[min(trans)]
+                first, witness = idx, {j: c / lead for j, c in trans.items()}
             continue
         pcol = min(row)
         # clear the new pivot column from the stored pivots to keep them reduced
@@ -67,7 +98,39 @@ def left_kernel_vector(rows) -> tuple[int, tuple[Fraction, ...] | None]:
                 _sub_scaled(prow, row, factor)
                 _sub_scaled(ptrans, trans, factor)
         pivots.append((pcol, row, trans))
-    return len(pivots), witness
+    return len(pivots), first, witness
+
+
+def left_kernel_vector(rows) -> tuple[int, tuple[Fraction, ...] | None]:
+    """Rank of the stacked rows, plus a left-kernel witness if they are dependent.
+
+    The rank is summed over connected components.  The witness is the one
+    elimination in input order would find first: the dependency of the
+    lowest-indexed row that is a combination of earlier rows, scaled so its
+    first nonzero entry is +1.  Rows before that one are independent, so the
+    combination is unique, and it lives inside that row's component.
+    """
+    n = len(rows)
+    rank = 0
+    first, witness = n, None
+    for comp in components(rows):
+        if len(comp) == 1:
+            idx = comp[0]
+            if any(rows[idx].values()):
+                rank += 1
+            elif idx < first:
+                first, witness = idx, {idx: ONE}
+            continue
+        sub_rank, sub_first, sub_witness = _eliminate([rows[j] for j in comp])
+        rank += sub_rank
+        if sub_witness is not None and comp[sub_first] < first:
+            first, witness = comp[sub_first], {comp[k]: c for k, c in sub_witness.items()}
+    if witness is None:
+        return rank, None
+    mu = [ZERO] * n
+    for j, c in witness.items():
+        mu[j] = c
+    return rank, tuple(mu)
 
 
 def solve_square(rows, rhs) -> list[Fraction]:

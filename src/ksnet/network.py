@@ -256,13 +256,12 @@ class FastEvaluator:
 
     w is the exact value rounded to the nearest double; the bound is the
     exact error bound plus that rounding error, rounded up, so the true
-    value at any deeper truncation lies within it.  Construction builds the
-    model's evaluation plan, which exact evaluation then shares.
+    value at any deeper truncation lies within it.  Evaluation plans are
+    built on first use at each depth and shared with exact evaluation.
     """
 
     def __init__(self, model: KNetModel):
         self.model = model
-        _plan(model, None)
 
     def evaluate(self, x, depth: int | None = None) -> tuple[float, float]:
         w_num, w_den, e_num, e_den = _plan(self.model, depth).sums(x)

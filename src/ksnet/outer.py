@@ -9,9 +9,11 @@ branch cannot leak into another branch's interval).
 
 fit_exact solves the underdetermined interpolation system exactly, picking
 the minimum-Euclidean-norm solution g = M^T (M M^T)^-1 f so the result is
-deterministic.  fit_iterative walks the classic damped residual iteration on
-a uniform grid and then (by default) hands the knots to the exact solver, so
-the constructive route ends at the same zero-residual guarantee.
+deterministic.  fit_iterative walks the classic damped residual iteration
+on a uniform grid and then (by default) hands the knots to the exact solver,
+so the constructive route ends at the same zero-residual guarantee.  Both
+run per connected component of the incidence matrix, with a closed form for
+every point that shares no knot.
 """
 
 from __future__ import annotations
@@ -32,8 +34,8 @@ from .errors import (
 )
 from .hashmaps import HashParams, IncidenceSystem, certify_separation
 from .inner import InnerSpec
-from .linsolve import solve_square
-from .rationals import ZERO, format_rational, grid_points
+from .linsolve import components, solve_square
+from .rationals import ONE, ZERO, format_rational, grid_points
 
 CLASS_TAGS = ("continuous", "bounded-discontinuous", "unbounded")
 
@@ -207,29 +209,43 @@ class FitReport:
         }
 
 
-def _column_buckets(system: IncidenceSystem) -> dict[int, list[tuple[int, int]]]:
+def _column_buckets(rows, indices) -> dict[int, list[tuple[int, int]]]:
     buckets: dict[int, list[tuple[int, int]]] = {}
-    for j, row in enumerate(system.rows):
-        for col, cnt in row.items():
+    for j in indices:
+        for col, cnt in rows[j].items():
             buckets.setdefault(col, []).append((j, cnt))
     return buckets
 
 
 def _min_norm_solution(system: IncidenceSystem, targets) -> dict[int, Fraction]:
-    """g = M^T (M M^T)^-1 f, assembled sparsely from column buckets."""
-    n = system.n_points
-    buckets = _column_buckets(system)
-    gram: list[dict[int, int]] = [{} for _ in range(n)]
-    for hits in buckets.values():
-        for j, cj in hits:
-            grow = gram[j]
-            for k, ck in hits:
-                grow[k] = grow.get(k, 0) + cj * ck
-    u = solve_square(gram, list(targets))
-    return {
-        col: sum(cnt * u[j] for j, cnt in hits)
-        for col, hits in buckets.items()
-    }
+    """g = M^T (M M^T)^-1 f, one connected component of M at a time.
+
+    M M^T is block diagonal over the components.  A point that shares no
+    knot has the 1x1 block sum(cnt^2) = 2d+1, so its knots get
+    g = cnt * f / (2d+1) with no solve.  Each component of several points
+    assembles its own gram matrix from column buckets and solves it exactly.
+    """
+    rows = system.rows
+    g: dict[int, Fraction] = {}
+    for comp in components(rows):
+        if len(comp) == 1:
+            row = rows[comp[0]]
+            u = Fraction(targets[comp[0]], sum(cnt * cnt for cnt in row.values()))
+            for col, cnt in row.items():
+                g[col] = u if cnt == 1 else cnt * u
+            continue
+        local = {j: k for k, j in enumerate(comp)}
+        buckets = _column_buckets(rows, comp)
+        gram: list[dict[int, int]] = [{} for _ in comp]
+        for hits in buckets.values():
+            for j, cj in hits:
+                grow = gram[local[j]]
+                for k, ck in hits:
+                    grow[local[k]] = grow.get(local[k], 0) + cj * ck
+        u = solve_square(gram, [targets[j] for j in comp])
+        for col, hits in buckets.items():
+            g[col] = sum(cnt * u[local[j]] for j, cnt in hits)
+    return g
 
 
 def _outer_from_knots(params: HashParams, system: IncidenceSystem, g: dict[int, Fraction]) -> OuterFunction:
@@ -301,14 +317,40 @@ def run_damped_iteration(
     matrix has spectrum in [0, 1]); arithmetic is exact, so a rising sum of
     squares indicates a modeling bug and aborts.  Returns (knot values,
     sup-residual history, collision count, final sup).
+
+    A point that shares no knot (a singleton component of the incidence
+    matrix) has a closed form: its row sums to 2d+1, so each round scales its
+    residual by exactly 1 - damping, and after K rounds its knots hold
+    f * (1 - (1 - damping)^K) / (2d+1).  Only points in shared-knot
+    components are iterated; singletons enter each round's sup and sum of
+    squares through their largest |f| and their sum of f^2.
     """
     branch_count = 2 * system.d + 1
-    buckets = _column_buckets(system)
+    rows = system.rows
+    residual = [Fraction(t) for t in targets]
+    alone: list[int] = []
+    shared: list[int] = []
+    for comp in components(rows):
+        if len(comp) == 1:
+            alone.extend(comp)
+        else:
+            shared.extend(comp)
+    alone_sup = max((abs(residual[j]) for j in alone), default=ZERO)
+    alone_sumsq = sum((residual[j] * residual[j] for j in alone), ZERO)
+
+    def measure(scale: Fraction) -> tuple[Fraction, Fraction]:
+        """(sup, sum of squares) of the residual, singletons scaled by `scale`."""
+        return (
+            max(alone_sup * scale, max((abs(residual[j]) for j in shared), default=ZERO)),
+            alone_sumsq * scale * scale + sum((residual[j] * residual[j] for j in shared), ZERO),
+        )
+
+    buckets = _column_buckets(rows, shared)
     collisions = sum(len(hits) - 1 for hits in buckets.values())
     g = {col: ZERO for col in buckets}
-    residual = [Fraction(t) for t in targets]
-    sup = max((abs(r) for r in residual), default=ZERO)
-    sumsq = sum((r * r for r in residual), ZERO)
+    rate = 1 - damping
+    scale = ONE  # rate ** rounds run: the singletons' residual factor
+    sup, sumsq = measure(scale)
     history: list[float] = []
     for round_no in range(1, max_iter + 1):
         delta = {}
@@ -318,19 +360,24 @@ def run_damped_iteration(
             delta[col] = damping * total / (weight * branch_count)
         for col, dv in delta.items():
             g[col] += dv
-        for j, row in enumerate(system.rows):
-            residual[j] -= sum(cnt * delta[col] for col, cnt in row.items())
-        new_sumsq = sum((r * r for r in residual), ZERO)
+        for j in shared:
+            residual[j] -= sum(cnt * delta[col] for col, cnt in rows[j].items())
+        scale *= rate
+        sup, new_sumsq = measure(scale)
         if new_sumsq > sumsq:
             raise IterationDiverged(
                 f"squared grid residual rose from {sumsq} to {new_sumsq} in "
                 f"round {round_no} with damping {damping}"
             )
         sumsq = new_sumsq
-        sup = max((abs(r) for r in residual), default=ZERO)
         history.append(float(sup))
         if sup <= tolerance:
             break
+    share = (1 - scale) / branch_count
+    for j in alone:
+        value = residual[j] * share
+        for col in rows[j]:
+            g[col] = value
     return g, history, collisions, sup
 
 

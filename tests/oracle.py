@@ -1,9 +1,15 @@
-"""Reference Fraction pipeline: the differential oracle for the integer evaluation path.
+"""Reference pipelines: the differential oracles for the integer evaluation path
+and for the per-component solves.
 
-Every function here works on normalized `Fraction`s one digit and one knot
-at a time, exactly as the library did before evaluation moved to scaled
-integers.  It is deliberately slow and simple; tests require the library to
-agree with it exactly (value, error bound and per-branch contributions).
+The evaluation functions work on normalized `Fraction`s one digit and one
+knot at a time, exactly as the library did before evaluation moved to scaled
+integers; tests require the library to agree with them exactly (value, error
+bound and per-branch contributions).  The solve functions treat the whole
+incidence system as one block, as the library did before it split systems
+into connected components: a global elimination in input order, a global
+gram matrix, and a damped iteration that updates every point every round.
+Tests require identical ranks, witnesses, knot values and histories.
+All of it is deliberately slow and simple.
 """
 
 from __future__ import annotations
@@ -11,10 +17,11 @@ from __future__ import annotations
 from bisect import bisect_left
 from fractions import Fraction
 
-from ksnet.errors import DomainError, InputError, InternalInvariantError
+from ksnet.errors import DomainError, InputError, InternalInvariantError, IterationDiverged
 from ksnet.hashmaps import BranchValue, IncidenceSystem
 from ksnet.inner import InnerValue
-from ksnet.rationals import ZERO, expand_digits
+from ksnet.linsolve import _sub_scaled, solve_square
+from ksnet.rationals import ONE, ZERO, expand_digits
 
 
 def phi_eval(spec, x, depth: int) -> InnerValue:
@@ -145,3 +152,88 @@ def evaluate(model, x, depth: int):
             error += max(hi - gq, gq - lo)
         contributions.append(gq)
     return w, error, tuple(contributions)
+
+
+def left_kernel_vector(rows):
+    """Rank and first left-kernel witness by one reduced-pivot elimination over all rows."""
+    n = len(rows)
+    pivots = []  # (pivot column, reduced row, transform)
+    witness = None
+    for idx in range(n):
+        row = {col: Fraction(val) for col, val in rows[idx].items() if val}
+        trans = {idx: ONE}
+        for pcol, prow, ptrans in pivots:
+            coeff = row.get(pcol)
+            if coeff:
+                factor = coeff / prow[pcol]
+                _sub_scaled(row, prow, factor)
+                _sub_scaled(trans, ptrans, factor)
+        if not row:
+            if witness is None:
+                mu = [ZERO] * n
+                for j, coeff in trans.items():
+                    mu[j] = coeff
+                lead = next(c for c in mu if c)
+                witness = tuple(c / lead for c in mu)
+            continue
+        pcol = min(row)
+        for _, prow, ptrans in pivots:
+            coeff = prow.get(pcol)
+            if coeff:
+                factor = coeff / row[pcol]
+                _sub_scaled(prow, row, factor)
+                _sub_scaled(ptrans, trans, factor)
+        pivots.append((pcol, row, trans))
+    return len(pivots), witness
+
+
+def _column_buckets(system):
+    buckets = {}
+    for j, row in enumerate(system.rows):
+        for col, cnt in row.items():
+            buckets.setdefault(col, []).append((j, cnt))
+    return buckets
+
+
+def min_norm_solution(system, targets):
+    """g = M^T (M M^T)^-1 f with one gram matrix over all points."""
+    n = system.n_points
+    buckets = _column_buckets(system)
+    gram = [{} for _ in range(n)]
+    for hits in buckets.values():
+        for j, cj in hits:
+            for k, ck in hits:
+                gram[j][k] = gram[j].get(k, 0) + cj * ck
+    u = solve_square(gram, list(targets))
+    return {col: sum(cnt * u[j] for j, cnt in hits) for col, hits in buckets.items()}
+
+
+def run_damped_iteration(system, targets, damping, tolerance, max_iter):
+    """The damped residual iteration, every point and every knot updated each round."""
+    branch_count = 2 * system.d + 1
+    buckets = _column_buckets(system)
+    collisions = sum(len(hits) - 1 for hits in buckets.values())
+    g = {col: ZERO for col in buckets}
+    residual = [Fraction(t) for t in targets]
+    sup = max((abs(r) for r in residual), default=ZERO)
+    sumsq = sum((r * r for r in residual), ZERO)
+    history = []
+    for round_no in range(1, max_iter + 1):
+        delta = {}
+        for col, hits in buckets.items():
+            total = sum(residual[j] * cnt for j, cnt in hits)
+            weight = sum(cnt for _, cnt in hits)
+            delta[col] = damping * total / (weight * branch_count)
+        for col, dv in delta.items():
+            g[col] += dv
+        for j, row in enumerate(system.rows):
+            residual[j] -= sum(cnt * delta[col] for col, cnt in row.items())
+        new_sumsq = sum((r * r for r in residual), ZERO)
+        if new_sumsq > sumsq:
+            raise IterationDiverged(f"squared residual rose in round {round_no}")
+        sumsq = new_sumsq
+        sup = max((abs(r) for r in residual), default=ZERO)
+        history.append(float(sup))
+        if sup <= tolerance:
+            break
+    return g, history, collisions, sup

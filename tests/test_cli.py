@@ -313,3 +313,33 @@ def test_giant_literals_are_input_errors(workdir):
     done = _cli_subprocess(["eval", "--model", "bad_model.json", "--in", "points.csv"], workdir)
     assert done.returncode == EXIT_INPUT
     assert "branches[1].knots[0].g" in done.stderr and "Traceback" not in done.stderr
+
+
+def test_eval_fast_builds_only_the_requested_plan(workdir, monkeypatch):
+    from ksnet import network
+
+    _, model_path = _fit(workdir)
+    _write_csv(workdir / "points.csv", ["x1", "x2"], [["1/2", "1/3"]])
+    built = []
+    original = network._Plan.__init__
+
+    def spy(self, model, depth):
+        built.append(depth)
+        original(self, model, depth)
+
+    monkeypatch.setattr(network._Plan, "__init__", spy)
+    rc = main(["eval", "--model", str(model_path), "--in", str(workdir / "points.csv"),
+               "--numeric", "fast", "--depth", "45", "--out", str(workdir / "out.csv")])
+    assert rc == EXIT_OK
+    assert built == [45]
+
+
+def test_iterative_fit_refuses_grid_larger_than_input(workdir):
+    """The level-10**9 grid would have (6**(10**9) + 1)**2 points; four rows cannot cover it."""
+    _write_csv(workdir / "four.csv", ["x1", "x2", "f"],
+               [["0", "0", "0"], ["0", "1", "0"], ["1", "0", "0"], ["1", "1", "1"]])
+    done = _cli_subprocess(
+        ["fit", "--mode", "iterative", "--grid-level", "1000000000",
+         "--in", "four.csv", "--model", "grid.json"], workdir)
+    assert done.returncode == EXIT_INPUT
+    assert "4 rows" in done.stderr and "Traceback" not in done.stderr

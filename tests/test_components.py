@@ -1,0 +1,193 @@
+"""Per-component solves against the global oracles, and where elimination runs.
+
+The library splits every incidence system into connected components and
+solves singletons in closed form; tests/oracle.py keeps the global
+elimination, the global gram solve and the global damped loop.  Ranks,
+witnesses, knot values, histories and collision counts must be identical.
+"""
+
+import random
+from fractions import Fraction
+
+import oracle
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from ksnet import linsolve, outer
+from ksnet.errors import InternalInvariantError
+from ksnet.hashmaps import build_incidence, make_params
+from ksnet.inner import default_inner_spec
+from ksnet.linsolve import components, left_kernel_vector
+from ksnet.outer import (
+    SampleSet,
+    _min_norm_solution,
+    _outer_from_knots,
+    fit_exact,
+    fit_iterative,
+    run_damped_iteration,
+)
+
+SPEC6 = default_inner_spec(6)
+P26 = make_params(2, 6)
+BITS = 40
+
+
+def _coord(draw, top=2**BITS):
+    return Fraction(draw(st.integers(min_value=0, max_value=top)), 2**BITS)
+
+
+@st.composite
+def mixed_systems(draw):
+    """Lone random points, near-twin clusters and boundary straddlers, shuffled.
+
+    Twins differ below the truncation depth, so they hit the same knots and
+    make rows dependent.  Straddlers sit on both sides of a depth-digit
+    boundary, so they differ in branch 0 only and share the other knots.
+    """
+    depth = draw(st.integers(min_value=2, max_value=6))
+    step = Fraction(1, 6 ** (depth + 3))
+    points = set()
+    for _ in range(draw(st.integers(min_value=0, max_value=8))):
+        points.add((_coord(draw), _coord(draw)))
+    for _ in range(draw(st.integers(min_value=0, max_value=3))):
+        if draw(st.booleans()):
+            centre = (_coord(draw, 2**BITS - 2**31), _coord(draw, 2**BITS - 2**31))
+            offsets = draw(st.lists(
+                st.tuples(st.integers(0, 2), st.integers(0, 2)), min_size=2, max_size=4, unique=True))
+            points.update((centre[0] + j * step, centre[1] + k * step) for j, k in offsets)
+        else:
+            edge = Fraction(draw(st.integers(min_value=1, max_value=6**depth - 1)), 6**depth)
+            other = _coord(draw)
+            points.update({(edge - step, other), (edge + step, other)})
+    if not points:
+        points.add((_coord(draw), _coord(draw)))
+    order = draw(st.permutations(sorted(points)))
+    system = build_incidence(P26, SPEC6, order, depth)
+    targets = [
+        Fraction(draw(st.integers(-50, 50)), draw(st.integers(1, 7))) for _ in range(system.n_points)
+    ]
+    return system, targets
+
+
+fractions = st.fractions(min_value=-4, max_value=4, max_denominator=5)
+sparse_rows = st.lists(st.dictionaries(st.integers(0, 11), fractions, max_size=3), max_size=12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(mixed_systems(), st.data())
+def test_incidence_rank_and_witness_match_global_elimination(case, data):
+    system, _ = case
+    rows = list(system.rows)
+    # empty rows anywhere, and an explicit zero entry that must not link two rows
+    for _ in range(data.draw(st.integers(0, 2))):
+        rows.insert(data.draw(st.integers(0, len(rows))), {})
+    if data.draw(st.booleans()):
+        i = data.draw(st.integers(0, len(rows) - 1))
+        rows[i] = {**rows[i], data.draw(st.integers(0, system.knot_count - 1)): 0}
+    assert left_kernel_vector(rows) == oracle.left_kernel_vector(rows)
+
+
+@settings(max_examples=80, deadline=None)
+@given(sparse_rows)
+def test_sparse_rank_and_witness_match_global_elimination(rows):
+    assert left_kernel_vector(rows) == oracle.left_kernel_vector(rows)
+
+
+def test_first_dependency_in_a_later_component_wins():
+    # components {0, 3} and {1, 2, 4}: row 3 repeats row 0, row 4 = row 1 + row 2
+    rows = [{0: 1}, {1: 1, 2: 1}, {2: 1, 3: 1}, {0: 1}, {1: 1, 2: 2, 3: 1}]
+    assert components(rows) == [[0, 3], [1, 2, 4]]
+    rank, witness = left_kernel_vector(rows)
+    assert (rank, witness) == oracle.left_kernel_vector(rows)
+    assert witness == (1, 0, 0, -1, 0)
+    rows[3], rows[4] = rows[4], rows[3]
+    assert left_kernel_vector(rows) == oracle.left_kernel_vector(rows) == (3, (0, 1, 1, -1, 0))
+
+
+@settings(max_examples=40, deadline=None)
+@given(mixed_systems())
+def test_min_norm_matches_global_gram_solve(case):
+    system, targets = case
+    rank, _ = oracle.left_kernel_vector(system.rows)
+    if rank < system.n_points:
+        # the gram matrix is singular, globally and in the dependent component
+        with pytest.raises(InternalInvariantError):
+            oracle.min_norm_solution(system, targets)
+        with pytest.raises(InternalInvariantError):
+            _min_norm_solution(system, targets)
+    else:
+        assert _min_norm_solution(system, targets) == oracle.min_norm_solution(system, targets)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    mixed_systems(),
+    st.sampled_from([Fraction(1), Fraction(1, 2), Fraction(1, 3), Fraction(3, 4)]),
+    st.sampled_from([Fraction(1, 10**6), Fraction(1, 20), Fraction(2)]),
+    st.integers(min_value=1, max_value=25),
+)
+def test_damped_iteration_matches_global_loop(case, damping, tolerance, max_iter):
+    system, targets = case
+    got = run_damped_iteration(system, targets, damping, tolerance, max_iter)
+    want = oracle.run_damped_iteration(system, targets, damping, tolerance, max_iter)
+    assert got == want
+
+
+def _grid1():
+    axis = [Fraction(j, 6) for j in range(7)]
+    return [(x1, x2) for x1 in axis for x2 in axis]
+
+
+@pytest.mark.parametrize("damping", [Fraction(1), Fraction(1, 2)])
+def test_unfinalized_iterative_fit_matches_global_loop(damping):
+    f = lambda p: p[0] * p[1] - p[1] / 3
+    fitted, report = fit_iterative(
+        f, P26, SPEC6, grid_level=1, damping=damping, max_iter=12, finalize=False
+    )
+    system = build_incidence(P26, SPEC6, _grid1(), report.depth)
+    targets = [f(p) for p in system.points]
+    g, history, collisions, sup = oracle.run_damped_iteration(
+        system, targets, damping, Fraction(1, 10**6), 12
+    )
+    assert report.convergence_history == tuple(history)
+    assert (report.collision_count, report.residual_max) == (collisions, sup)
+    assert fitted == _outer_from_knots(P26, system, g)
+
+
+def _counting(monkeypatch, module, name, record):
+    original = getattr(module, name)
+
+    def spy(*args):
+        record.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(module, name, spy)
+
+
+def test_all_singleton_fit_eliminates_nothing(monkeypatch):
+    rng = random.Random(7)
+    pts = sorted({tuple(Fraction(rng.getrandbits(50), 2**50) for _ in range(2)) for _ in range(200)})
+    samples = SampleSet(points=tuple(pts), targets=tuple(x * y for x, y in pts))
+    subs, solves = [], []
+    _counting(monkeypatch, linsolve, "_sub_scaled", subs)
+    _counting(monkeypatch, outer, "solve_square", solves)
+    _, report = fit_exact(samples, P26, SPEC6)
+    assert report.knot_count == 5 * len(pts)
+    assert report.separation.rank == len(pts)
+    assert subs == [] and solves == []
+
+
+def test_near_twin_pairs_eliminate_only_their_components(monkeypatch):
+    rng = random.Random(11)
+    lone = {tuple(Fraction(rng.getrandbits(50), 2**50) for _ in range(2)) for _ in range(30)}
+    twins = [(Fraction(k + 1, 7), Fraction(2, 7)) for k in range(4)]
+    pts = list(lone) + twins + [(x + Fraction(1, 6**40), y) for x, y in twins]
+    rng.shuffle(pts)
+    system = build_incidence(P26, SPEC6, pts, 30)
+    eliminated = []
+    _counting(monkeypatch, linsolve, "_eliminate", eliminated)
+    rank, witness = left_kernel_vector(system.rows)
+    assert [len(rows) for (rows,) in eliminated] == [2] * len(twins)
+    assert rank == len(pts) - len(twins)
+    assert (rank, witness) == oracle.left_kernel_vector(system.rows)
