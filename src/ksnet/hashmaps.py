@@ -22,14 +22,14 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
 
 from .errors import DomainError, InputError, InternalInvariantError, ParameterError
 from .inner import InnerSpec, phi_scaled
 from .linsolve import left_kernel_vector
-from .rationals import ONE, ZERO, format_rational, grid_points
+from .rationals import ONE, ZERO, grid_points
 
 DEFAULT_SERIES_TOLERANCE = Fraction(1, 10**18)
 DEPTH_CAP = 240
@@ -62,6 +62,19 @@ def lambda_series(p: int, d: int, gamma: int, tolerance) -> tuple[Fraction, Frac
             return value, tail, r
 
 
+def check_dims(d: int, gamma: int) -> None:
+    """The dimension rule of every network: d >= 2 and gamma >= 2d+2."""
+    if d < 2:
+        raise ParameterError(f"d must be >= 2, got {d}")
+    if gamma < 2 * d + 2:
+        raise ParameterError(f"gamma must be >= 2d+2 = {2 * d + 2}, got {gamma}")
+
+
+def branch_offsets(d: int) -> tuple[int, ...]:
+    """b_q = (2d+1)q for q = 0..2d: the branch intervals [b_q, b_q + 2d] a unit apart."""
+    return tuple((2 * d + 1) * q for q in range(2 * d + 1))
+
+
 @dataclass(frozen=True)
 class HashParams:
     """The universal constants of a (d, gamma) network.
@@ -69,25 +82,17 @@ class HashParams:
     a shifts coordinates between branches, lam mixes coordinates within a
     branch (truncated values, with rigorous tail bounds carried alongside),
     and b spaces the branch output intervals [b_q, b_q + 2d] a unit apart.
+    a and b follow from d and gamma alone.
     """
 
     d: int
     gamma: int
-    a: Fraction
     lam: tuple[Fraction, ...]
     lam_tails: tuple[Fraction, ...]
     series_terms: tuple[int, ...]
-    b: tuple[int, ...] = field(default=())
 
     def __post_init__(self):
-        if self.d < 2:
-            raise ParameterError(f"d must be >= 2, got {self.d}")
-        if self.gamma < 2 * self.d + 2:
-            raise ParameterError(
-                f"gamma must be >= 2d+2 = {2 * self.d + 2}, got {self.gamma}"
-            )
-        if self.a != Fraction(1, self.gamma * (self.gamma - 1)):
-            raise ParameterError(f"a must equal 1/(gamma(gamma-1)), got {self.a}")
+        check_dims(self.d, self.gamma)
         if len(self.lam) != self.d or len(self.lam_tails) != self.d:
             raise ParameterError(f"need {self.d} mixing weights, got {len(self.lam)}")
         if self.lam[0] != 1:
@@ -97,11 +102,14 @@ class HashParams:
                 raise ParameterError(f"lam_{p} must lie in (0, 1], got {lam}")
             if tail < 0 or lam + tail > 1:
                 raise ParameterError(f"lam_{p} tail bound {tail} is inconsistent")
-        expected_b = tuple((2 * self.d + 1) * q for q in range(2 * self.d + 1))
-        if not self.b:
-            object.__setattr__(self, "b", expected_b)
-        elif tuple(self.b) != expected_b:
-            raise ParameterError(f"b must be (2d+1)q for q = 0..2d, got {self.b}")
+
+    @property
+    def a(self) -> Fraction:
+        return Fraction(1, self.gamma * (self.gamma - 1))
+
+    @cached_property
+    def b(self) -> tuple[int, ...]:
+        return branch_offsets(self.d)
 
     @property
     def branch_count(self) -> int:
@@ -124,24 +132,14 @@ class HashParams:
 
 def make_params(d: int, gamma: int, series_tolerance=DEFAULT_SERIES_TOLERANCE) -> HashParams:
     """Universal constants for dimension d and base gamma >= 2d+2."""
-    if d < 2:
-        raise ParameterError(f"d must be >= 2, got {d}")
-    if gamma < 2 * d + 2:
-        raise ParameterError(f"gamma must be >= 2d+2 = {2 * d + 2}, got {gamma}")
+    check_dims(d, gamma)
     lam, tails, terms = [], [], []
     for p in range(1, d + 1):
         value, tail, count = lambda_series(p, d, gamma, series_tolerance)
         lam.append(value)
         tails.append(tail)
         terms.append(count)
-    return HashParams(
-        d=d,
-        gamma=gamma,
-        a=Fraction(1, gamma * (gamma - 1)),
-        lam=tuple(lam),
-        lam_tails=tuple(tails),
-        series_terms=tuple(terms),
-    )
+    return HashParams(d=d, gamma=gamma, lam=tuple(lam), lam_tails=tuple(tails), series_terms=tuple(terms))
 
 
 @dataclass(frozen=True)
@@ -219,7 +217,7 @@ class BranchRange:
         return {
             "q": self.q,
             "interval": [self.lo, self.hi],
-            "observed": [format_rational(self.observed_lo), format_rational(self.observed_hi)],
+            "observed": [str(self.observed_lo), str(self.observed_hi)],
         }
 
 
@@ -241,7 +239,7 @@ class RangeReport:
             "passed": self.passed,
             "probe_level": self.probe_level,
             "points_checked": self.points_checked,
-            "min_gap": format_rational(self.min_gap),
+            "min_gap": str(self.min_gap),
             "branches": [b.to_jsonable() for b in self.branches],
             "violations": list(self.violations),
         }
@@ -400,7 +398,7 @@ class SeparationVerdict:
             "knot_count": self.knot_count,
             "depth": self.depth,
             "retries": self.retries,
-            "witness": None if self.witness is None else [format_rational(w) for w in self.witness],
+            "witness": None if self.witness is None else [str(w) for w in self.witness],
         }
 
 

@@ -62,16 +62,17 @@ def components(rows) -> list[list[int]]:
     return list(groups.values())
 
 
-def _eliminate(rows) -> tuple[int, int | None, dict[int, Fraction] | None]:
-    """Rank of the stacked rows and the first dependency among them.
+def _eliminate(rows) -> tuple[list[tuple[int, dict, dict]], int | None, dict[int, Fraction] | None]:
+    """Reduced pivots of the stacked rows and the first dependency among them.
 
     Maintains a reduced pivot set: every stored pivot row is zero in every
     other pivot column, so one pass reduces an incoming row completely.  The
     transform log expresses each pivot row over the original rows; when a row
     cancels, its log entry is a kernel vector.  Elimination continues past the
-    first cancellation so the rank is that of the whole stack.  Returns
-    (rank, index of the first row that cancelled, its kernel vector as
-    {row: coefficient} scaled so the lowest row has coefficient +1).
+    first cancellation so the pivots span the whole stack.  Returns
+    (pivots as (column, reduced row, transform), index of the first row that
+    cancelled, its kernel vector as {row: coefficient} scaled so the lowest
+    row has coefficient +1).
     """
     pivots: list[tuple[int, dict, dict]] = []  # (pivot column, reduced row, transform)
     first = witness = None
@@ -98,7 +99,7 @@ def _eliminate(rows) -> tuple[int, int | None, dict[int, Fraction] | None]:
                 _sub_scaled(prow, row, factor)
                 _sub_scaled(ptrans, trans, factor)
         pivots.append((pcol, row, trans))
-    return len(pivots), first, witness
+    return pivots, first, witness
 
 
 def left_kernel_vector(rows) -> tuple[int, tuple[Fraction, ...] | None]:
@@ -121,8 +122,8 @@ def left_kernel_vector(rows) -> tuple[int, tuple[Fraction, ...] | None]:
             elif idx < first:
                 first, witness = idx, {idx: ONE}
             continue
-        sub_rank, sub_first, sub_witness = _eliminate([rows[j] for j in comp])
-        rank += sub_rank
+        pivots, sub_first, sub_witness = _eliminate([rows[j] for j in comp])
+        rank += len(pivots)
         if sub_witness is not None and comp[sub_first] < first:
             first, witness = comp[sub_first], {comp[k]: c for k, c in sub_witness.items()}
     if witness is None:
@@ -134,31 +135,19 @@ def left_kernel_vector(rows) -> tuple[int, tuple[Fraction, ...] | None]:
 
 
 def solve_square(rows, rhs) -> list[Fraction]:
-    """Solve A u = rhs for square A given as sparse rows; exact, with row pivoting."""
+    """Solve A u = rhs for nonsingular square A given as sparse rows, exactly.
+
+    Every column of a nonsingular A is a pivot column, so each reduced pivot
+    row keeps only its pivot entry c, and its transform t (row = t A) gives
+    c u[column] = t . rhs.
+    """
     n = len(rows)
     if len(rhs) != n:
         raise InternalInvariantError(f"system is {n}x{n} but rhs has {len(rhs)} entries")
-    a = [{col: Fraction(val) for col, val in row.items() if val} for row in rows]
-    b = [Fraction(v) for v in rhs]
-    for i in range(n):
-        pivot_row = next((j for j in range(i, n) if a[j].get(i)), None)
-        if pivot_row is None:
-            raise InternalInvariantError("singular system in exact solve")
-        if pivot_row != i:
-            a[i], a[pivot_row] = a[pivot_row], a[i]
-            b[i], b[pivot_row] = b[pivot_row], b[i]
-        piv = a[i][i]
-        for j in range(i + 1, n):
-            coeff = a[j].get(i)
-            if coeff:
-                factor = coeff / piv
-                _sub_scaled(a[j], a[i], factor)
-                b[j] -= factor * b[i]
+    pivots, first, _ = _eliminate(rows)
+    if first is not None:
+        raise InternalInvariantError("singular system in exact solve")
     u = [ZERO] * n
-    for i in range(n - 1, -1, -1):
-        acc = b[i]
-        for col, val in a[i].items():
-            if col > i:
-                acc -= val * u[col]
-        u[i] = acc / a[i][i]
+    for pcol, row, trans in pivots:
+        u[pcol] = sum(c * rhs[j] for j, c in trans.items()) / row[pcol]
     return u

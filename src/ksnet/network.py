@@ -25,11 +25,11 @@ from fractions import Fraction
 from functools import cached_property
 from pathlib import Path
 
-from .errors import AssemblyError, DomainError, InputError, ModelFormatError
-from .hashmaps import HashParams, branches_scaled, check_point
+from .errors import AssemblyError, DomainError, InputError, ModelFormatError, ParameterError
+from .hashmaps import DEPTH_CAP, HashParams, branches_scaled, check_dims, check_point
 from .inner import InnerSpec
-from .outer import KnotTable, OuterFunction
-from .rationals import format_rational, parse_rational
+from .outer import KnotLookup, KnotTable, OuterFunction
+from .rationals import parse_rational
 
 FORMAT_VERSION = 1
 
@@ -50,19 +50,19 @@ class KNetModel:
 
 
 def assemble(inner: InnerSpec, params: HashParams, outer: OuterFunction, meta: dict | None = None) -> KNetModel:
-    """Glue the three components after checking they describe the same network."""
+    """Glue the three components after checking they describe the same network.
+
+    Each error message starts with the location of the offending part.
+    """
     if inner.base != params.gamma:
         raise AssemblyError(
             f"inner.base: digit base {inner.base} differs from gamma {params.gamma}"
         )
     if outer.d != params.d:
         raise AssemblyError(f"outer.d: outer function built for d = {outer.d}, parameters for d = {params.d}")
-    if tuple(outer.b) != tuple(params.b):
-        raise AssemblyError(f"outer.b: offsets {outer.b} differ from {params.b}")
-    if len(outer.tables) != params.branch_count:
-        raise AssemblyError(
-            f"outer.branches: expected {params.branch_count} branch tables, got {len(outer.tables)}"
-        )
+    depth = (meta or {}).get("depth")
+    if depth is not None and (type(depth) is not int or not 1 <= depth <= DEPTH_CAP):
+        raise AssemblyError(f"meta.depth: stored depth must be an integer in 1..{DEPTH_CAP}, got {depth!r}")
     record = {"format_version": FORMAT_VERSION}
     if meta:
         record.update(meta)
@@ -77,80 +77,21 @@ def _resolve_depth(model: KNetModel, depth: int | None) -> int:
         if depth < 1:
             raise DomainError(f"depth must be >= 1, got {depth}")
         return depth
-    stored = model.meta.get("depth")
-    return stored if isinstance(stored, int) and stored >= 1 else 30
+    return model.meta.get("depth") or 30
 
 
-# Knot integers a plan may hold, in bits: knots with unrelated denominators
-# (never produced by a fit) can need a common denominator that grows with
-# every knot, and the plan refuses those rather than exhaust memory.
-PLAN_BITS_LIMIT = 1 << 27
-
-
-class _Plan:
+class _Plan(KnotLookup):
     """A model's knots as integers at one evaluation depth.
 
-    Branch values at this depth are integers over `unit`.  The knots of all
-    branches form one increasing array `ys` of integers over
-    scale = lcm(unit, knot denominators); the tables can be concatenated
-    because branch intervals are disjoint and increasing.  A branch value v
-    is looked up as v * lift.  Knot values stay numerator/denominator pairs,
-    since the lcm of target denominators can grow with every sample.
+    Branch values at this depth are integers over params.unit(inner, depth),
+    so they are looked up with no Fraction built.
     """
 
     def __init__(self, model: KNetModel, depth: int):
-        params = model.params
-        tables = model.outer.tables
-        knots = [y for t in tables for y in t.ys]
-        unit = params.unit(model.inner, depth)
-        scale = math.lcm(unit, *{y.denominator for y in knots})
-        if scale.bit_length() * len(knots) > PLAN_BITS_LIMIT:
-            raise DomainError(
-                f"{len(knots)} knots need a {scale.bit_length()}-bit common denominator "
-                f"at depth {depth}, more than the {PLAN_BITS_LIMIT}-bit plan limit"
-            )
-        self.params = params
+        super().__init__(model.outer, model.params.unit(model.inner, depth))
+        self.params = model.params
         self.inner = model.inner
         self.depth = depth
-        self.lift = scale // unit
-        self.ys = [y.numerator * (scale // y.denominator) for y in knots]
-        self.gn = [g.numerator for t in tables for g in t.gs]
-        self.gd = [g.denominator for t in tables for g in t.gs]
-        self.step = (2 * params.d + 1) * scale
-        self.tops = [(b + 2 * params.d) * scale for b in params.b]
-        self.spans = []
-        start = 0
-        for t in tables:
-            self.spans.append((start, start + len(t.ys)))
-            start += len(t.ys)
-
-    def g(self, y: int) -> tuple[int, int]:
-        """The outer function at y / scale, as (numerator, denominator > 0).
-
-        Inside a branch interval: linear interpolation between that branch's
-        knots, clamped to its end knots.  Elsewhere: the globally nearest
-        knot, ties toward the smaller one.
-        """
-        ys, gn, gd = self.ys, self.gn, self.gd
-        q = y // self.step if y >= 0 else -1
-        if 0 <= q < len(self.spans) and y <= self.tops[q]:
-            lo, hi = self.spans[q]
-            if lo < hi:
-                if y <= ys[lo]:
-                    return gn[lo], gd[lo]
-                if y >= ys[hi - 1]:
-                    return gn[hi - 1], gd[hi - 1]
-                i = bisect_left(ys, y, lo, hi)
-                if ys[i] == y:
-                    return gn[i], gd[i]
-                y0, dy = ys[i - 1], ys[i] - ys[i - 1]
-                a0, b0, a1, b1 = gn[i - 1], gd[i - 1], gn[i], gd[i]
-                if b0 == b1:
-                    return a0 * dy + (a1 - a0) * (y - y0), b0 * dy
-                return a0 * b1 * dy + (a1 * b0 - a0 * b1) * (y - y0), b0 * b1 * dy
-        i = bisect_left(ys, y)
-        j = min((j for j in (i - 1, i) if 0 <= j < len(ys)), key=lambda j: (abs(ys[j] - y), ys[j]))
-        return gn[j], gd[j]
 
     def deviation(self, lo: int, hi: int, g: tuple[int, int]) -> tuple[int, int]:
         """max |g(y) - g(lo)| over [lo, hi], as (numerator, denominator).
@@ -284,7 +225,7 @@ def _doc_from_model(model: KNetModel) -> dict:
             {
                 "q": q,
                 "knots": [
-                    {"y": format_rational(y), "g": format_rational(g)}
+                    {"y": str(y), "g": str(g)}
                     for y, g in zip(table.ys, table.gs)
                 ],
             }
@@ -293,9 +234,9 @@ def _doc_from_model(model: KNetModel) -> dict:
         "format_version": model.meta.get("format_version", FORMAT_VERSION),
         "d": model.params.d,
         "gamma": model.params.gamma,
-        "inner_weights": [format_rational(w) for w in model.inner.weights],
-        "lambda": [format_rational(v) for v in model.params.lam],
-        "lambda_tail": [format_rational(t) for t in model.params.lam_tails],
+        "inner_weights": [str(w) for w in model.inner.weights],
+        "lambda": [str(v) for v in model.params.lam],
+        "lambda_tail": [str(t) for t in model.params.lam_tails],
         "b": list(model.params.b),
         "branches": branches,
         "meta": {k: v for k, v in model.meta.items() if k != "format_version"},
@@ -386,9 +327,10 @@ def load(source) -> KNetModel:
     )
     lam_values = tuple(_fraction_at(v, f"lambda[{i}]") for i, v in enumerate(lam))
     tail_values = tuple(_fraction_at(t, f"lambda_tail[{i}]") for i, t in enumerate(lam_tail))
-    for i, entry in enumerate(b):
-        if isinstance(entry, bool) or not isinstance(entry, int):
-            raise ModelFormatError("expected integer", location=f"b[{i}]")
+    try:
+        check_dims(d, gamma)
+    except ParameterError as exc:
+        raise ModelFormatError(str(exc), location="d" if d < 2 else "gamma") from None
     series = meta.get("series_terms")
     if series is not None and not (
         isinstance(series, list) and all(isinstance(s, int) and s >= 0 for s in series)
@@ -403,14 +345,14 @@ def load(source) -> KNetModel:
         params = HashParams(
             d=d,
             gamma=gamma,
-            a=Fraction(1, gamma * (gamma - 1)) if gamma >= 2 else Fraction(0),
             lam=lam_values,
             lam_tails=tail_values,
             series_terms=tuple(series) if series is not None else (0,) * d,
-            b=tuple(b),
         )
     except ValueError as exc:
         raise ModelFormatError(str(exc), location="lambda") from exc
+    if b != list(params.b):
+        raise ModelFormatError(f"expected (2d+1)q for q = 0..2d, got {b}", location="b")
 
     expected_q = params.branch_count
     if len(branches) != expected_q:
@@ -436,10 +378,14 @@ def load(source) -> KNetModel:
         except ValueError as exc:
             raise ModelFormatError(str(exc), location=f"branches[{i}].knots") from exc
     try:
-        outer = OuterFunction(d=d, b=tuple(b), tables=tuple(tables))
-        return assemble(inner, params, outer, meta=dict(meta))
+        outer = OuterFunction(d=d, tables=tuple(tables))
     except ValueError as exc:
         raise ModelFormatError(str(exc), location="branches") from exc
+    try:
+        return assemble(inner, params, outer, meta=dict(meta))
+    except AssemblyError as exc:
+        location, _, message = str(exc).partition(": ")
+        raise ModelFormatError(message, location=location) from exc
 
 
 @dataclass(frozen=True)
@@ -462,11 +408,11 @@ class TopologyReport:
             "d": self.d,
             "gamma": self.gamma,
             "layer_widths": list(self.layer_widths),
-            "a": format_rational(self.a),
-            "lambda": [format_rational(v) for v in self.lam],
-            "lambda_tail": [format_rational(t) for t in self.lam_tails],
+            "a": str(self.a),
+            "lambda": [str(v) for v in self.lam],
+            "lambda_tail": [str(t) for t in self.lam_tails],
             "b": list(self.b),
-            "inner_weights": [format_rational(w) for w in self.inner_weights],
+            "inner_weights": [str(w) for w in self.inner_weights],
             "knot_counts": list(self.knot_counts),
             "total_knots": sum(self.knot_counts),
             "meta": dict(self.meta),

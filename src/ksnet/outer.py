@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import hashlib
 import itertools
+import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
@@ -32,10 +33,10 @@ from .errors import (
     ParameterError,
     SeparationFailure,
 )
-from .hashmaps import HashParams, IncidenceSystem, certify_separation
+from .hashmaps import HashParams, IncidenceSystem, branch_offsets, certify_separation
 from .inner import InnerSpec
 from .linsolve import components, solve_square
-from .rationals import ONE, ZERO, format_rational, grid_points
+from .rationals import ONE, ZERO, grid_points
 
 CLASS_TAGS = ("continuous", "bounded-discontinuous", "unbounded")
 
@@ -60,73 +61,103 @@ class OuterFunction:
     """Per-branch knot tables over the disjoint intervals [b_q, b_q + 2d]."""
 
     d: int
-    b: tuple[int, ...]
     tables: tuple[KnotTable, ...]
 
     def __post_init__(self):
         width = 2 * self.d
-        expected_b = tuple((width + 1) * q for q in range(width + 1))
-        if tuple(self.b) != expected_b:
-            raise ParameterError(f"b must be (2d+1)q for q = 0..2d, got {self.b}")
         if len(self.tables) != width + 1:
             raise ParameterError(
                 f"need {width + 1} branch tables for d = {self.d}, got {len(self.tables)}"
             )
-        for q, table in enumerate(self.tables):
-            if table.ys and (table.ys[0] < self.b[q] or table.ys[-1] > self.b[q] + width):
-                raise ParameterError(
-                    f"branch {q} knots must lie in [{self.b[q]}, {self.b[q] + width}]"
-                )
+        for q, (b, table) in enumerate(zip(self.b, self.tables)):
+            if table.ys and (table.ys[0] < b or table.ys[-1] > b + width):
+                raise ParameterError(f"branch {q} knots must lie in [{b}, {b + width}]")
+
+    @property
+    def b(self) -> tuple[int, ...]:
+        return branch_offsets(self.d)
 
     @property
     def knot_count(self) -> int:
         return sum(len(t.ys) for t in self.tables)
 
 
-def _interp(table: KnotTable, y: Fraction) -> Fraction:
-    ys, gs = table.ys, table.gs
-    if y <= ys[0]:
-        return gs[0]
-    if y >= ys[-1]:
-        return gs[-1]
-    i = bisect_left(ys, y)
-    if ys[i] == y:
-        return gs[i]
-    y0, y1 = ys[i - 1], ys[i]
-    return gs[i - 1] + (gs[i] - gs[i - 1]) * (y - y0) / (y1 - y0)
+# Knot integers a lookup may hold, in bits: knots with unrelated denominators
+# (never produced by a fit) can need a common denominator that grows with
+# every knot, and the lookup refuses those rather than exhaust memory.
+PLAN_BITS_LIMIT = 1 << 27
 
 
-def _nearest_knot_value(outer: OuterFunction, y: Fraction) -> Fraction:
-    best = None
-    for table in outer.tables:
-        if not table.ys:
-            continue
-        i = bisect_left(table.ys, y)
-        for j in (i - 1, i):
-            if 0 <= j < len(table.ys):
-                key = (abs(table.ys[j] - y), table.ys[j])
-                if best is None or key < best[0]:
-                    best = (key, table.gs[j])
-    return best[1]
+class KnotLookup:
+    """An outer function's knots as integers, for values that are integers over `unit`.
+
+    The knots of all branches form one increasing array `ys` of integers over
+    scale = lcm(unit, knot denominators); the tables can be concatenated
+    because branch intervals are disjoint and increasing.  A value v / unit
+    is looked up as v * lift.  Knot values stay numerator/denominator pairs,
+    since the lcm of target denominators can grow with every sample.
+    """
+
+    def __init__(self, outer: OuterFunction, unit: int):
+        tables = outer.tables
+        knots = [y for t in tables for y in t.ys]
+        scale = math.lcm(unit, *{y.denominator for y in knots})
+        if scale.bit_length() * len(knots) > PLAN_BITS_LIMIT:
+            raise DomainError(
+                f"{len(knots)} knots need a {scale.bit_length()}-bit common "
+                f"denominator, more than the {PLAN_BITS_LIMIT}-bit plan limit"
+            )
+        self.lift = scale // unit
+        self.ys = [y.numerator * (scale // y.denominator) for y in knots]
+        self.gn = [g.numerator for t in tables for g in t.gs]
+        self.gd = [g.denominator for t in tables for g in t.gs]
+        self.step = (2 * outer.d + 1) * scale
+        self.tops = [(b + 2 * outer.d) * scale for b in outer.b]
+        self.spans = []
+        start = 0
+        for t in tables:
+            self.spans.append((start, start + len(t.ys)))
+            start += len(t.ys)
+
+    def g(self, y: int) -> tuple[int, int]:
+        """The outer function at y / scale, as (numerator, denominator > 0).
+
+        Inside a branch interval: linear interpolation between that branch's
+        knots, clamped to its end knots.  Elsewhere, and in a branch with no
+        knots: the globally nearest knot, ties toward the smaller one.
+        """
+        ys, gn, gd = self.ys, self.gn, self.gd
+        q = y // self.step if y >= 0 else -1
+        if 0 <= q < len(self.spans) and y <= self.tops[q]:
+            lo, hi = self.spans[q]
+            if lo < hi:
+                if y <= ys[lo]:
+                    return gn[lo], gd[lo]
+                if y >= ys[hi - 1]:
+                    return gn[hi - 1], gd[hi - 1]
+                i = bisect_left(ys, y, lo, hi)
+                if ys[i] == y:
+                    return gn[i], gd[i]
+                y0, dy = ys[i - 1], ys[i] - ys[i - 1]
+                a0, b0, a1, b1 = gn[i - 1], gd[i - 1], gn[i], gd[i]
+                if b0 == b1:
+                    return a0 * dy + (a1 - a0) * (y - y0), b0 * dy
+                return a0 * b1 * dy + (a1 * b0 - a0 * b1) * (y - y0), b0 * b1 * dy
+        i = bisect_left(ys, y)
+        j = min((j for j in (i - 1, i) if 0 <= j < len(ys)), key=lambda j: (abs(ys[j] - y), ys[j]))
+        return gn[j], gd[j]
 
 
 def g_eval(outer: OuterFunction, y) -> Fraction:
-    """The outer function on the whole real line, exact for rational y.
+    """The outer function on the whole real line, exact for rational y (KnotLookup.g).
 
-    Inside a branch interval: linear interpolation between that branch's
-    knots, clamped to the end knots beyond them.  Outside every branch
-    interval: the value of the globally nearest knot (ties resolved toward
-    the smaller knot).
+    Builds a lookup over y's denominator, so one call costs O(knots).
     """
     if outer.knot_count == 0:
         raise DomainError("outer function has no knots")
     y = Fraction(y)
-    width = 2 * outer.d
-    step = width + 1
-    q = int(y // step) if y >= 0 else -1
-    if 0 <= q <= width and y <= outer.b[q] + width and outer.tables[q].ys:
-        return _interp(outer.tables[q], y)
-    return _nearest_knot_value(outer, y)
+    lookup = KnotLookup(outer, y.denominator)
+    return Fraction(*lookup.g(y.numerator * lookup.lift))
 
 
 @dataclass(frozen=True)
@@ -174,7 +205,7 @@ class SampleSet:
 
     def canonical_hash(self) -> str:
         lines = [
-            ",".join(format_rational(c) for c in p) + ";" + format_rational(t)
+            ",".join(map(str, p)) + ";" + str(t)
             for p, t in zip(self.points, self.targets)
         ]
         return hashlib.sha256("\n".join(lines).encode()).hexdigest()
@@ -197,7 +228,7 @@ class FitReport:
         return {
             "mode": self.mode,
             "residual_max": {
-                "exact": format_rational(self.residual_max),
+                "exact": str(self.residual_max),
                 "approx": float(self.residual_max),
             },
             "knot_count": self.knot_count,
@@ -256,7 +287,7 @@ def _outer_from_knots(params: HashParams, system: IncidenceSystem, g: dict[int, 
         KnotTable(ys=tuple(y for y, _ in knots), gs=tuple(v for _, v in knots))
         for knots in per_branch
     )
-    return OuterFunction(d=params.d, b=params.b, tables=tables)
+    return OuterFunction(d=params.d, tables=tables)
 
 
 def _verify_zero_residual(system: IncidenceSystem, targets, g: dict[int, Fraction]) -> None:
@@ -463,10 +494,10 @@ class BranchStats:
             "knot_count": self.knot_count,
             "value_range": None
             if self.value_lo is None
-            else [format_rational(self.value_lo), format_rational(self.value_hi)],
-            "max_jump": format_rational(self.max_jump),
+            else [str(self.value_lo), str(self.value_hi)],
+            "max_jump": str(self.max_jump),
             "max_jump_ratio": self.max_jump_ratio,
-            "min_spacing": None if self.min_spacing is None else format_rational(self.min_spacing),
+            "min_spacing": None if self.min_spacing is None else str(self.min_spacing),
         }
 
 
@@ -494,11 +525,11 @@ class ClassReport:
             "total_knots": self.total_knots,
             "value_range": None
             if self.value_lo is None
-            else [format_rational(self.value_lo), format_rational(self.value_hi)],
-            "max_abs_value": format_rational(self.max_abs_value),
-            "max_jump": format_rational(self.max_jump),
+            else [str(self.value_lo), str(self.value_hi)],
+            "max_abs_value": str(self.max_abs_value),
+            "max_jump": str(self.max_jump),
             "max_jump_ratio": self.max_jump_ratio,
-            "min_spacing": None if self.min_spacing is None else format_rational(self.min_spacing),
+            "min_spacing": None if self.min_spacing is None else str(self.min_spacing),
             "branches": [b.to_jsonable() for b in self.branches],
         }
 

@@ -16,17 +16,8 @@ from fractions import Fraction
 
 from .errors import DomainError, InputError
 
-ExactRational = Fraction  # arbitrary precision p/q, normalized, denominator > 0
-
 ZERO = Fraction(0)
 ONE = Fraction(1)
-
-
-def make_rational(numerator: int, denominator: int = 1) -> Fraction:
-    """Normalized fraction with the sign carried by the numerator."""
-    if denominator == 0:
-        raise DomainError("denominator must be nonzero")
-    return Fraction(numerator, denominator)
 
 
 _EXPONENT = re.compile(r"[eE][-+]?([\d_]*)\s*$")
@@ -52,11 +43,6 @@ def parse_rational(text: str) -> Fraction:
         return Fraction(text.strip())
     except (ValueError, ZeroDivisionError) as exc:
         raise InputError(f"not a rational literal: {text!r}") from exc
-
-
-def format_rational(x: Fraction) -> str:
-    """Canonical string form 'p' or 'p/q'; inverse of parse_rational."""
-    return str(x)
 
 
 @dataclass(frozen=True)

@@ -17,10 +17,12 @@ from __future__ import annotations
 from bisect import bisect_left
 from fractions import Fraction
 
+import sympy
+
 from ksnet.errors import DomainError, InputError, InternalInvariantError, IterationDiverged
 from ksnet.hashmaps import BranchValue, IncidenceSystem
 from ksnet.inner import InnerValue
-from ksnet.linsolve import _sub_scaled, solve_square
+from ksnet.linsolve import _sub_scaled
 from ksnet.rationals import ONE, ZERO, expand_digits
 
 
@@ -196,7 +198,7 @@ def _column_buckets(system):
 
 
 def min_norm_solution(system, targets):
-    """g = M^T (M M^T)^-1 f with one gram matrix over all points."""
+    """g = M^T (M M^T)^-1 f with one gram matrix over all points, solved by sympy."""
     n = system.n_points
     buckets = _column_buckets(system)
     gram = [{} for _ in range(n)]
@@ -204,7 +206,11 @@ def min_norm_solution(system, targets):
         for j, cj in hits:
             for k, ck in hits:
                 gram[j][k] = gram[j].get(k, 0) + cj * ck
-    u = solve_square(gram, list(targets))
+    matrix = sympy.Matrix(n, n, lambda j, k: gram[j].get(k, 0))
+    if matrix.rank() < n:
+        raise InternalInvariantError("singular gram matrix")
+    solved = matrix.LUsolve(sympy.Matrix([sympy.Rational(t.numerator, t.denominator) for t in targets]))
+    u = [Fraction(int(v.p), int(v.q)) for v in solved]
     return {col: sum(cnt * u[j] for j, cnt in hits) for col, hits in buckets.items()}
 
 

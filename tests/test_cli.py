@@ -343,3 +343,28 @@ def test_iterative_fit_refuses_grid_larger_than_input(workdir):
          "--in", "four.csv", "--model", "grid.json"], workdir)
     assert done.returncode == EXIT_INPUT
     assert "4 rows" in done.stderr and "Traceback" not in done.stderr
+
+
+def test_eval_refuses_a_stored_depth_beyond_the_cap(workdir):
+    """--depth is capped at 240; a model file's meta.depth must be too."""
+    _, model_path = _fit(workdir)
+    _write_csv(workdir / "points.csv", ["x1", "x2"], [["1/2", "1/3"]])
+    for depth in (0, 241, 8000, True, "30"):
+        doc = json.loads(model_path.read_text())
+        doc["meta"]["depth"] = depth
+        (workdir / "deep.json").write_text(json.dumps(doc))
+        done = _cli_subprocess(["eval", "--model", "deep.json", "--in", "points.csv"], workdir)
+        assert done.returncode == EXIT_INPUT, (depth, done.stderr)
+        assert "meta.depth" in done.stderr and "Traceback" not in done.stderr
+
+
+@pytest.mark.parametrize("args", [
+    ["bench", "--mode", "iterative", "--grid-level", "9", "--sweep-n", "2"],
+    ["bench", "--mode", "iterative", "--grid-level", "1000000000"],
+    ["check", "--probe-level", "4"],
+    ["check", "--probe-level", "1000000000"],
+])
+def test_oversized_grids_are_refused_before_they_are_built(tmp_path, args):
+    done = _cli_subprocess(args, tmp_path)
+    assert done.returncode == EXIT_INPUT
+    assert "more than 50000 points" in done.stderr and "Traceback" not in done.stderr

@@ -76,8 +76,6 @@ def test_make_params_rejects():
     with pytest.raises(ParameterError, match="2d\\+2 = 6"):
         make_params(2, 5)
     with pytest.raises(ParameterError):
-        dataclasses.replace(P26, b=(0, 5, 10, 15, 21))
-    with pytest.raises(ParameterError):
         dataclasses.replace(P26, lam=(Fraction(1, 2), P26.lam[1]))
 
 

@@ -11,7 +11,6 @@ import pytest
 from ksnet.errors import AssemblyError, DomainError, ModelFormatError
 from ksnet.hashmaps import make_params, psi_eval
 from ksnet.inner import default_inner_spec
-from ksnet import network
 from ksnet.network import (
     FORMAT_VERSION,
     FastEvaluator,
@@ -149,11 +148,11 @@ def test_plan_refuses_knots_without_a_common_scale(monkeypatch):
     ys = tuple(Fraction(1, 2) + Fraction(1, p) for p in primes)
     table = KnotTable(ys=tuple(sorted(ys)), gs=(Fraction(1),) * len(ys))
     empty = KnotTable(ys=(), gs=())
-    model = assemble(SPEC6, P26, OuterFunction(d=2, b=P26.b, tables=(table,) + (empty,) * 4))
+    model = assemble(SPEC6, P26, OuterFunction(d=2, tables=(table,) + (empty,) * 4))
     assert evaluate(model, (Fraction(1, 2), Fraction(1, 2)))[0] == 5
     # room for knots over the depth-30 denominator itself, not for 2**30 times more
     unit_bits = P26.unit(SPEC6, 30).bit_length()
-    monkeypatch.setattr(network, "PLAN_BITS_LIMIT", len(ys) * (unit_bits + 30))
+    monkeypatch.setattr("ksnet.outer.PLAN_BITS_LIMIT", len(ys) * (unit_bits + 30))
     model = assemble(SPEC6, P26, model.outer)
     with pytest.raises(DomainError, match="plan limit"):
         evaluate(model, (Fraction(1, 2), Fraction(1, 2)))
@@ -224,6 +223,28 @@ def test_load_rejects_malformed_documents():
     doc["branches"][2]["knots"][0]["y"] = doc["branches"][2]["knots"][1]["y"]
     with pytest.raises(ModelFormatError):
         load(json.dumps(doc))
+
+
+def test_load_names_the_offending_field():
+    blob = save(MODEL)
+    for key, value, location in [
+        ("b", [0, 5, 10, 15, 21], "b"),
+        ("d", 1, "d"),
+        ("gamma", 5, "gamma"),
+    ]:
+        doc = json.loads(blob)
+        doc[key] = value
+        with pytest.raises(ModelFormatError) as exc:
+            load(json.dumps(doc))
+        assert exc.value.location == location
+    for depth in (0, 241, 8000, True, "30"):
+        doc = json.loads(blob)
+        doc["meta"]["depth"] = depth
+        with pytest.raises(ModelFormatError) as exc:
+            load(json.dumps(doc))
+        assert exc.value.location == "meta.depth"
+    with pytest.raises(AssemblyError, match="meta.depth"):
+        assemble(SPEC6, P26, MODEL.outer, meta={"depth": 241})
 
 
 def test_depth_falls_back_to_meta():

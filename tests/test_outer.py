@@ -64,7 +64,7 @@ def test_sample_set_validation():
 def _toy_outer():
     t0 = KnotTable(ys=(Fraction(0), Fraction(1), Fraction(2)), gs=(Fraction(0), Fraction(5), Fraction(1)))
     empty = KnotTable(ys=(), gs=())
-    return OuterFunction(d=2, b=(0, 5, 10, 15, 20), tables=(t0, empty, empty, empty, empty))
+    return OuterFunction(d=2, tables=(t0, empty, empty, empty, empty))
 
 
 def test_g_eval_interpolation():
@@ -81,7 +81,7 @@ def test_g_eval_interpolation():
 
 def test_g_eval_empty_everywhere():
     empty = KnotTable(ys=(), gs=())
-    out = OuterFunction(d=2, b=(0, 5, 10, 15, 20), tables=(empty,) * 5)
+    out = OuterFunction(d=2, tables=(empty,) * 5)
     with pytest.raises(DomainError):
         g_eval(out, Fraction(1))
 
