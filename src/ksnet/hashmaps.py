@@ -29,10 +29,38 @@ from functools import cached_property
 from .errors import DomainError, InputError, InternalInvariantError, ParameterError
 from .inner import InnerSpec, phi_scaled
 from .linsolve import left_kernel_vector
-from .rationals import ONE, ZERO, grid_points
+from .rationals import ONE, ZERO, digit_limit, grid_points
 
 DEFAULT_SERIES_TOLERANCE = Fraction(1, 10**18)
 DEPTH_CAP = 240
+
+
+# The most series terms make_params picks: lam_2 of d = 2, gamma = 6 at tolerance
+# 1e-3186 (a 12th term's tail bound would have 6372 digits, see series_tail).
+SERIES_TERMS_CAP = 11
+
+
+def _series_exponent(p: int, d: int, r: int) -> int:
+    return (p - 1) * (d**r - 1) // (d - 1)
+
+
+def series_tail(p: int, d: int, gamma: int, terms: int) -> Fraction:
+    """The bound gamma/(gamma-1) * gamma**-e(terms+1) on lam_p's later terms; refused
+    before it is computed if its denominator would pass digit_limit() (no file holds it)."""
+    exponent = _series_exponent(p, d, terms + 1)
+    if exponent - 1 > digit_limit() / math.log10(gamma):  # int against float compares exactly
+        raise ParameterError(f"lam_{p} after {terms} terms has a tail bound beyond {digit_limit()} digits")
+    return Fraction(gamma, (gamma - 1) * gamma**exponent)
+
+
+def lambda_partial(p: int, d: int, gamma: int, terms: int) -> tuple[Fraction, Fraction]:
+    """lam_p over its first `terms` terms (0 for p = 1, else 1..SERIES_TERMS_CAP) and its tail bound."""
+    if not (terms == 0 if p == 1 else 1 <= terms <= SERIES_TERMS_CAP):
+        raise ParameterError(f"lam_{p} cannot take {terms} series terms")
+    if p == 1:
+        return ONE, ZERO
+    tail = series_tail(p, d, gamma, terms)
+    return sum((Fraction(1, gamma ** _series_exponent(p, d, r)) for r in range(1, terms + 1)), ZERO), tail
 
 
 def lambda_series(p: int, d: int, gamma: int, tolerance) -> tuple[Fraction, Fraction, int]:
@@ -48,18 +76,10 @@ def lambda_series(p: int, d: int, gamma: int, tolerance) -> tuple[Fraction, Frac
     tolerance = Fraction(tolerance)
     if tolerance <= 0:
         raise ParameterError(f"series tolerance must be positive, got {tolerance}")
-    if p == 1:
-        return ONE, ZERO, 0
-    value = ZERO
-    r = 0
-    while True:
-        r += 1
-        exponent = (p - 1) * (d**r - 1) // (d - 1)
-        value += Fraction(1, gamma**exponent)
-        next_exponent = (p - 1) * (d ** (r + 1) - 1) // (d - 1)
-        tail = Fraction(gamma, gamma - 1) / Fraction(gamma**next_exponent)
-        if tail <= tolerance:
-            return value, tail, r
+    terms = 0 if p == 1 else 1
+    while terms and series_tail(p, d, gamma, terms) > tolerance:
+        terms += 1
+    return (*lambda_partial(p, d, gamma, terms), terms)
 
 
 def check_dims(d: int, gamma: int) -> None:
@@ -133,13 +153,8 @@ class HashParams:
 def make_params(d: int, gamma: int, series_tolerance=DEFAULT_SERIES_TOLERANCE) -> HashParams:
     """Universal constants for dimension d and base gamma >= 2d+2."""
     check_dims(d, gamma)
-    lam, tails, terms = [], [], []
-    for p in range(1, d + 1):
-        value, tail, count = lambda_series(p, d, gamma, series_tolerance)
-        lam.append(value)
-        tails.append(tail)
-        terms.append(count)
-    return HashParams(d=d, gamma=gamma, lam=tuple(lam), lam_tails=tuple(tails), series_terms=tuple(terms))
+    lam, tails, terms = zip(*(lambda_series(p, d, gamma, series_tolerance) for p in range(1, d + 1)))
+    return HashParams(d=d, gamma=gamma, lam=lam, lam_tails=tails, series_terms=terms)
 
 
 @dataclass(frozen=True)
@@ -298,14 +313,15 @@ def check_ranges(params: HashParams, inner: InnerSpec, probe_level: int = 1, dep
 class IncidenceSystem:
     """Points against distinct branch values: the solvability object of a fit.
 
-    rows[j] maps knot index to hit count for point j; every row sums to
-    2d+1, and disjoint branch ranges force each entry to 0 or 1.
+    Knot i is the value knots[i] / unit; rows[j] maps knot index to hit count for
+    point j.  Every row sums to 2d+1; disjoint branch ranges force entries 0 or 1.
     """
 
     points: tuple[tuple[Fraction, ...], ...]
     depth: int
     d: int
-    knots: tuple[Fraction, ...]
+    unit: int
+    knots: tuple[int, ...]
     knot_branch: tuple[int, ...]
     rows: tuple[dict[int, int], ...]
 
@@ -330,8 +346,7 @@ class IncidenceSystem:
 def build_incidence(params: HashParams, inner: InnerSpec, points, depth: int) -> IncidenceSystem:
     """Evaluate every branch at every point and tabulate hits on distinct values.
 
-    Values are compared as integer numerators over one denominator; only the
-    distinct knots become Fractions.
+    Values are compared, and kept, as integer numerators over one denominator.
     """
     pts = tuple(tuple(Fraction(c) for c in p) for p in points)
     if not pts:
@@ -367,7 +382,8 @@ def build_incidence(params: HashParams, inner: InnerSpec, points, depth: int) ->
         points=pts,
         depth=depth,
         d=params.d,
-        knots=tuple(Fraction(v, unit) for v in knots),
+        unit=unit,
+        knots=tuple(knots),
         knot_branch=tuple(branch_of[i] for i in range(len(knots))),
         rows=tuple(rows),
     )

@@ -26,10 +26,12 @@ from functools import cached_property
 from pathlib import Path
 
 from .errors import AssemblyError, DomainError, InputError, ModelFormatError, ParameterError
-from .hashmaps import DEPTH_CAP, HashParams, branches_scaled, check_dims, check_point
+from .hashmaps import (
+    DEPTH_CAP, HashParams, branch_offsets, branches_scaled, check_dims, check_point, lambda_partial,
+)
 from .inner import InnerSpec
-from .outer import KnotLookup, KnotTable, OuterFunction
-from .rationals import parse_rational
+from .outer import KnotLookup, OuterFunction, add_ratios, common_unit, ratio_gap
+from .rationals import parse_ratio
 
 FORMAT_VERSION = 1
 
@@ -60,9 +62,7 @@ def assemble(inner: InnerSpec, params: HashParams, outer: OuterFunction, meta: d
         )
     if outer.d != params.d:
         raise AssemblyError(f"outer.d: outer function built for d = {outer.d}, parameters for d = {params.d}")
-    depth = (meta or {}).get("depth")
-    if depth is not None and (type(depth) is not int or not 1 <= depth <= DEPTH_CAP):
-        raise AssemblyError(f"meta.depth: stored depth must be an integer in 1..{DEPTH_CAP}, got {depth!r}")
+    _resolve_depth(meta or {})
     record = {"format_version": FORMAT_VERSION}
     if meta:
         record.update(meta)
@@ -72,12 +72,16 @@ def assemble(inner: InnerSpec, params: HashParams, outer: OuterFunction, meta: d
     return KNetModel(inner=inner, params=params, outer=outer, meta=record)
 
 
-def _resolve_depth(model: KNetModel, depth: int | None) -> int:
+def _resolve_depth(meta: dict, depth: int | None = None) -> int:
+    """depth if given, else meta.depth (30 when absent), which must be an int in 1..DEPTH_CAP."""
     if depth is not None:
         if depth < 1:
             raise DomainError(f"depth must be >= 1, got {depth}")
         return depth
-    return model.meta.get("depth") or 30
+    depth = meta.get("depth")
+    if depth is not None and (type(depth) is not int or not 1 <= depth <= DEPTH_CAP):
+        raise AssemblyError(f"meta.depth: stored depth must be an integer in 1..{DEPTH_CAP}, got {depth!r}")
+    return depth or 30
 
 
 class _Plan(KnotLookup):
@@ -100,10 +104,10 @@ class _Plan(KnotLookup):
         window ends or at knots inside the window.
         """
         ys, gn, gd = self.ys, self.gn, self.gd
-        num, den = _gap(*g, *self.g(hi))
+        num, den = ratio_gap(*g, *self.g(hi))
         i = bisect_left(ys, lo)
         while i < len(ys) and ys[i] <= hi:
-            n2, d2 = _gap(*g, gn[i], gd[i])
+            n2, d2 = ratio_gap(*g, gn[i], gd[i])
             if n2 * den > num * d2:
                 num, den = n2, d2
             i += 1
@@ -124,30 +128,16 @@ class _Plan(KnotLookup):
         for value, window in branches_scaled(params, inner, point, self.depth):
             y = value * self.lift
             g = self.g(y)
-            w_num, w_den = _add(w_num, w_den, *g)
+            w_num, w_den = add_ratios(w_num, w_den, *g)
             if window:
-                e_num, e_den = _add(e_num, e_den, *self.deviation(y, y + window * self.lift, g))
+                e_num, e_den = add_ratios(e_num, e_den, *self.deviation(y, y + window * self.lift, g))
             if contributions is not None:
                 contributions.append(Fraction(*g))
         return w_num, w_den, e_num, e_den
 
 
-def _add(a: int, b: int, c: int, d: int) -> tuple[int, int]:
-    """a/b + c/d, unreduced."""
-    if b == d:
-        return a + c, b
-    return a * d + c * b, b * d
-
-
-def _gap(a: int, b: int, c: int, d: int) -> tuple[int, int]:
-    """|a/b - c/d|, unreduced; both ends of a window usually share b = d."""
-    if b == d:
-        return abs(a - c), b
-    return abs(a * d - c * b), b * d
-
-
 def _plan(model: KNetModel, depth: int | None) -> _Plan:
-    depth = _resolve_depth(model, depth)
+    depth = _resolve_depth(model.meta, depth)
     plan = model._plans.get(depth)
     if plan is None:
         plan = model._plans[depth] = _Plan(model, depth)
@@ -218,34 +208,43 @@ class FastEvaluator:
         return w, bound
 
 
-def _doc_from_model(model: KNetModel) -> dict:
-    branches = []
-    for q, table in enumerate(model.outer.tables):
-        branches.append(
-            {
-                "q": q,
-                "knots": [
-                    {"y": str(y), "g": str(g)}
-                    for y, g in zip(table.ys, table.gs)
-                ],
-            }
-        )
-    return {
-        "format_version": model.meta.get("format_version", FORMAT_VERSION),
-        "d": model.params.d,
-        "gamma": model.params.gamma,
-        "inner_weights": [str(w) for w in model.inner.weights],
-        "lambda": [str(v) for v in model.params.lam],
-        "lambda_tail": [str(t) for t in model.params.lam_tails],
-        "b": list(model.params.b),
-        "branches": branches,
-        "meta": {k: v for k, v in model.meta.items() if k != "format_version"},
-    }
+def _literal(num: int, den: int) -> str:
+    """str(Fraction(num, den)) for den > 0."""
+    c = math.gcd(num, den)
+    return str(num // c) if den == c else f"{num // c}/{den // c}"
 
 
 def save(model: KNetModel, sink=None) -> bytes:
-    """Serialize to canonical JSON bytes; optionally also write them to a path or file."""
-    data = (json.dumps(_doc_from_model(model), indent=2) + "\n").encode()
+    """Serialize to canonical JSON bytes; optionally also write them to a path or file.
+
+    The bytes are json.dumps(document, indent=2) + newline, with the knots written by hand.
+    """
+    params, outer, unit = model.params, model.outer, model.outer.unit
+    doc = {
+        "format_version": model.meta.get("format_version", FORMAT_VERSION),
+        "d": params.d,
+        "gamma": params.gamma,
+        "inner_weights": [str(w) for w in model.inner.weights],
+        "lambda": [str(v) for v in params.lam],
+        "lambda_tail": [str(t) for t in params.lam_tails],
+        "b": list(params.b),
+        "branches": [],
+        "meta": {k: v for k, v in model.meta.items() if k != "format_version"},
+    }
+    head, _, tail = json.dumps(doc, indent=2).partition('"branches": []')
+    out = io.BytesIO()
+    out.write(f'{head}"branches": ['.encode())
+    for q, (ys, gn, gd) in enumerate(zip(outer.ys, outer.gn, outer.gd)):
+        out.write(f'{"," if q else ""}\n    {{\n      "q": {q},\n      "knots": ['.encode())
+        if ys:
+            out.write(",".join(
+                f'\n        {{\n          "y": "{_literal(y, unit)}",\n          "g": "{_literal(n, m)}"\n        }}'
+                for y, n, m in zip(ys, gn, gd)
+            ).encode())
+            out.write(b"\n      ")
+        out.write(b"]\n    }")
+    out.write(f"\n  ]{tail}\n".encode())
+    data = out.getvalue()
     if sink is not None:
         if isinstance(sink, (str, Path)):
             Path(sink).write_bytes(data)
@@ -266,11 +265,12 @@ def _want(doc: dict, key: str, kind, location: str):
     return value
 
 
-def _fraction_at(text, location: str) -> Fraction:
-    if not isinstance(text, str):
-        raise ModelFormatError(f"expected fraction string, got {type(text).__name__}", location=location)
+def _ratio_at(text, location: str) -> tuple[int, int]:
+    """A fraction string as a pair; an error names `location`."""
     try:
-        return parse_rational(text)
+        if type(text) is not str:
+            raise InputError(f"expected fraction string, got {type(text).__name__}")
+        return parse_ratio(text)
     except InputError as exc:
         raise ModelFormatError(str(exc), location=location) from None
 
@@ -280,7 +280,8 @@ def load(source) -> KNetModel:
 
     Accepts a path, bytes, a JSON string, or a readable file.  Any malformed
     or inconsistent content raises ModelFormatError naming the offending
-    location; nothing partial is ever returned.
+    location; nothing partial is ever returned.  lambda and lambda_tail must be
+    the sums meta.series_terms defines.  Knots go over the stored depth's unit.
     """
     if isinstance(source, (str, Path)) and not (isinstance(source, str) and source.lstrip().startswith("{")):
         try:
@@ -316,50 +317,44 @@ def load(source) -> KNetModel:
     d = _want(doc, "d", int, "")
     gamma = _want(doc, "gamma", int, "")
     inner_weights = _want(doc, "inner_weights", list, "")
-    lam = _want(doc, "lambda", list, "")
-    lam_tail = _want(doc, "lambda_tail", list, "")
     b = _want(doc, "b", list, "")
     branches = _want(doc, "branches", list, "")
     meta = _want(doc, "meta", dict, "")
 
-    weights = tuple(
-        _fraction_at(w, f"inner_weights[{i}]") for i, w in enumerate(inner_weights)
-    )
-    lam_values = tuple(_fraction_at(v, f"lambda[{i}]") for i, v in enumerate(lam))
-    tail_values = tuple(_fraction_at(t, f"lambda_tail[{i}]") for i, t in enumerate(lam_tail))
+    weights = tuple(Fraction(*_ratio_at(w, f"inner_weights[{i}]")) for i, w in enumerate(inner_weights))
     try:
         check_dims(d, gamma)
     except ParameterError as exc:
         raise ModelFormatError(str(exc), location="d" if d < 2 else "gamma") from None
+    if len(branches) != 2 * d + 1:
+        raise ModelFormatError(f"expected {2 * d + 1} branches, got {len(branches)}", location="branches")
+    if b != list(branch_offsets(d)):
+        raise ModelFormatError(f"expected (2d+1)q for q = 0..2d, got {b}", location="b")
     series = meta.get("series_terms")
-    if series is not None and not (
-        isinstance(series, list) and all(isinstance(s, int) and s >= 0 for s in series)
-    ):
-        raise ModelFormatError("series_terms must be nonnegative integers", location="meta.series_terms")
-
+    if not (isinstance(series, list) and len(series) == d and all(type(r) is int for r in series)):
+        raise ModelFormatError(f"expected a list of {d} term counts", location="meta.series_terms")
+    try:
+        derived = [lambda_partial(p, d, gamma, r) for p, r in enumerate(series, start=1)]
+    except ParameterError as exc:
+        raise ModelFormatError(str(exc), location="meta.series_terms") from None
+    for k, key in enumerate(("lambda", "lambda_tail")):
+        values = _want(doc, key, list, "")
+        if len(values) != d:
+            raise ModelFormatError(f"need {d} values, got {len(values)}", location=key)
+        for i, (text, want) in enumerate(zip(values, derived)):
+            if Fraction(*_ratio_at(text, f"{key}[{i}]")) != want[k]:
+                raise ModelFormatError(f"differs from the value of {series[i]} series terms", location=f"{key}[{i}]")
     try:
         inner = InnerSpec(base=gamma, weights=weights)
     except ValueError as exc:
         raise ModelFormatError(str(exc), location="inner_weights") from exc
+    params = HashParams(d, gamma, *map(tuple, zip(*derived)), tuple(series))
     try:
-        params = HashParams(
-            d=d,
-            gamma=gamma,
-            lam=lam_values,
-            lam_tails=tail_values,
-            series_terms=tuple(series) if series is not None else (0,) * d,
-        )
-    except ValueError as exc:
-        raise ModelFormatError(str(exc), location="lambda") from exc
-    if b != list(params.b):
-        raise ModelFormatError(f"expected (2d+1)q for q = 0..2d, got {b}", location="b")
+        unit = params.unit(inner, _resolve_depth(meta))
+    except AssemblyError as exc:
+        raise ModelFormatError(str(exc).partition(": ")[2], location="meta.depth") from None
 
-    expected_q = params.branch_count
-    if len(branches) != expected_q:
-        raise ModelFormatError(
-            f"expected {expected_q} branches, got {len(branches)}", location="branches"
-        )
-    tables = []
+    ys, gn, gd = [], [], []
     for i, entry in enumerate(branches):
         if not isinstance(entry, dict):
             raise ModelFormatError("expected object", location=f"branches[{i}]")
@@ -367,25 +362,27 @@ def load(source) -> KNetModel:
         if q != i:
             raise ModelFormatError(f"branches must appear in order; got q = {q}", location=f"branches[{i}].q")
         knots = _want(entry, "knots", list, f"branches[{i}]")
-        ys, gs = [], []
-        for k, knot in enumerate(knots):
-            if not isinstance(knot, dict):
-                raise ModelFormatError("expected object", location=f"branches[{i}].knots[{k}]")
-            ys.append(_fraction_at(knot.get("y"), f"branches[{i}].knots[{k}].y"))
-            gs.append(_fraction_at(knot.get("g"), f"branches[{i}].knots[{k}].g"))
         try:
-            tables.append(KnotTable(ys=tuple(ys), gs=tuple(gs)))
-        except ValueError as exc:
-            raise ModelFormatError(str(exc), location=f"branches[{i}].knots") from exc
+            ys.append([parse_ratio(knot["y"]) for knot in knots])
+            values = [parse_ratio(knot["g"]) for knot in knots]
+        except (TypeError, KeyError, AttributeError, InputError):
+            for k, knot in enumerate(knots):  # find the first bad entry
+                if not isinstance(knot, dict):
+                    raise ModelFormatError("expected object", location=f"branches[{i}].knots[{k}]") from None
+                for key in "yg":
+                    _ratio_at(knot.get(key), f"branches[{i}].knots[{k}].{key}")
+            raise
+        gn.append(tuple(n for n, _ in values))
+        gd.append(tuple(m for _, m in values))
+        knots.clear()  # frees the branch's parsed JSON before the next one is read
     try:
-        outer = OuterFunction(d=d, tables=tuple(tables))
-    except ValueError as exc:
-        raise ModelFormatError(str(exc), location="branches") from exc
-    try:
-        return assemble(inner, params, outer, meta=dict(meta))
-    except AssemblyError as exc:
-        location, _, message = str(exc).partition(": ")
-        raise ModelFormatError(message, location=location) from exc
+        dens = {m for table in ys for _, m in table}
+        if any(unit % m for m in dens):
+            unit = common_unit(dens, sum(map(len, ys)))
+        ys = tuple(tuple(n * (unit // m) for n, m in table) for table in ys)
+        return assemble(inner, params, OuterFunction(d, unit, ys, tuple(gn), tuple(gd)), meta=dict(meta))
+    except (DomainError, ParameterError) as exc:
+        raise ModelFormatError(str(exc), location="branches") from None
 
 
 @dataclass(frozen=True)
@@ -450,6 +447,6 @@ def describe(model: KNetModel) -> TopologyReport:
         lam_tails=model.params.lam_tails,
         b=model.params.b,
         inner_weights=model.inner.weights,
-        knot_counts=tuple(len(t.ys) for t in model.outer.tables),
+        knot_counts=tuple(map(len, model.outer.ys)),
         meta=dict(model.meta),
     )

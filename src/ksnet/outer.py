@@ -21,6 +21,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import math
+import operator
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
@@ -43,7 +44,7 @@ CLASS_TAGS = ("continuous", "bounded-discontinuous", "unbounded")
 
 @dataclass(frozen=True)
 class KnotTable:
-    """Sorted exact knots of one branch with their outer-function values."""
+    """Sorted exact knots of one branch with their outer-function values: the hand-built form."""
 
     ys: tuple[Fraction, ...]
     gs: tuple[Fraction, ...]
@@ -56,22 +57,65 @@ class KnotTable:
                 raise ParameterError(f"knots must be strictly increasing, got {a} then {b}")
 
 
+# Knot integers an outer function or lookup may hold, in bits: knots with
+# unrelated denominators (never produced by a fit) can need a common
+# denominator that grows with every knot; those are refused, not stored.
+PLAN_BITS_LIMIT = 1 << 27
+_PAIR = (operator.attrgetter("numerator"), operator.attrgetter("denominator"))
+
+
+def add_ratios(a: int, b: int, c: int, d: int) -> tuple[int, int]:
+    """a/b + c/d, unreduced."""
+    if b == d:
+        return a + c, b
+    return a * d + c * b, b * d
+
+
+def ratio_gap(a: int, b: int, c: int, d: int) -> tuple[int, int]:
+    """|a/b - c/d|, unreduced; neighbouring values often share b = d."""
+    if b == d:
+        return abs(a - c), b
+    return abs(a * d - c * b), b * d
+
+
+def common_unit(denominators, knot_count: int) -> int:
+    """lcm(denominators), unless knot_count integers over it would pass PLAN_BITS_LIMIT."""
+    unit = math.lcm(*denominators)
+    if unit.bit_length() * knot_count > PLAN_BITS_LIMIT:
+        raise DomainError(f"{knot_count} knots need a {unit.bit_length()}-bit common denominator, "
+                          f"more than the {PLAN_BITS_LIMIT}-bit plan limit")
+    return unit
+
+
 @dataclass(frozen=True)
 class OuterFunction:
-    """Per-branch knot tables over the disjoint intervals [b_q, b_q + 2d]."""
+    """Per-branch knot tables over the disjoint intervals [b_q, b_q + 2d]: knot k of
+    branch q is ys[q][k] / unit with value gn[q][k] / gd[q][k], gd > 0 (reduced in a fit)."""
 
     d: int
-    tables: tuple[KnotTable, ...]
+    unit: int
+    ys: tuple[tuple[int, ...], ...]
+    gn: tuple[tuple[int, ...], ...]
+    gd: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
         width = 2 * self.d
-        if len(self.tables) != width + 1:
-            raise ParameterError(
-                f"need {width + 1} branch tables for d = {self.d}, got {len(self.tables)}"
-            )
-        for q, (b, table) in enumerate(zip(self.b, self.tables)):
-            if table.ys and (table.ys[0] < b or table.ys[-1] > b + width):
+        if not len(self.ys) == len(self.gn) == len(self.gd) == width + 1:
+            raise ParameterError(f"need {width + 1} branch tables for d = {self.d}, got {len(self.ys)}")
+        for q, (b, ys, gn, gd) in enumerate(zip(self.b, self.ys, self.gn, self.gd)):
+            if not len(ys) == len(gn) == len(gd):
+                raise ParameterError(f"branch {q}: {len(ys)} knots but {len(gn)} values")
+            if any(a >= c for a, c in zip(ys, ys[1:])):
+                raise ParameterError(f"branch {q}: knots must be strictly increasing")
+            if ys and (ys[0] < b * self.unit or ys[-1] > (b + width) * self.unit):
                 raise ParameterError(f"branch {q} knots must lie in [{b}, {b + width}]")
+
+    @classmethod
+    def from_tables(cls, d: int, tables) -> OuterFunction:
+        """Hand-built KnotTables over the lcm of their knot denominators."""
+        unit = common_unit({y.denominator for t in tables for y in t.ys}, sum(len(t.ys) for t in tables))
+        ys = tuple(tuple(y.numerator * (unit // y.denominator) for y in t.ys) for t in tables)
+        return cls(d, unit, ys, *(tuple(tuple(map(f, t.gs)) for t in tables) for f in _PAIR))
 
     @property
     def b(self) -> tuple[int, ...]:
@@ -79,45 +123,29 @@ class OuterFunction:
 
     @property
     def knot_count(self) -> int:
-        return sum(len(t.ys) for t in self.tables)
-
-
-# Knot integers a lookup may hold, in bits: knots with unrelated denominators
-# (never produced by a fit) can need a common denominator that grows with
-# every knot, and the lookup refuses those rather than exhaust memory.
-PLAN_BITS_LIMIT = 1 << 27
+        return sum(map(len, self.ys))
 
 
 class KnotLookup:
     """An outer function's knots as integers, for values that are integers over `unit`.
 
     The knots of all branches form one increasing array `ys` of integers over
-    scale = lcm(unit, knot denominators); the tables can be concatenated
-    because branch intervals are disjoint and increasing.  A value v / unit
-    is looked up as v * lift.  Knot values stay numerator/denominator pairs,
-    since the lcm of target denominators can grow with every sample.
+    scale = lcm(unit, outer.unit), a plain concatenation at unit = outer.unit,
+    since branch intervals are disjoint and increasing.  A value v / unit is
+    looked up as v * lift.
     """
 
     def __init__(self, outer: OuterFunction, unit: int):
-        tables = outer.tables
-        knots = [y for t in tables for y in t.ys]
-        scale = math.lcm(unit, *{y.denominator for y in knots})
-        if scale.bit_length() * len(knots) > PLAN_BITS_LIMIT:
-            raise DomainError(
-                f"{len(knots)} knots need a {scale.bit_length()}-bit common "
-                f"denominator, more than the {PLAN_BITS_LIMIT}-bit plan limit"
-            )
+        scale = outer.unit if unit == outer.unit else common_unit((unit, outer.unit), outer.knot_count)
         self.lift = scale // unit
-        self.ys = [y.numerator * (scale // y.denominator) for y in knots]
-        self.gn = [g.numerator for t in tables for g in t.gs]
-        self.gd = [g.denominator for t in tables for g in t.gs]
+        knots, factor = itertools.chain.from_iterable(outer.ys), scale // outer.unit
+        self.ys = list(knots) if factor == 1 else [y * factor for y in knots]
+        self.gn = list(itertools.chain.from_iterable(outer.gn))
+        self.gd = list(itertools.chain.from_iterable(outer.gd))
         self.step = (2 * outer.d + 1) * scale
         self.tops = [(b + 2 * outer.d) * scale for b in outer.b]
-        self.spans = []
-        start = 0
-        for t in tables:
-            self.spans.append((start, start + len(t.ys)))
-            start += len(t.ys)
+        ends = list(itertools.accumulate(map(len, outer.ys)))
+        self.spans = list(zip([0] + ends, ends))
 
     def g(self, y: int) -> tuple[int, int]:
         """The outer function at y / scale, as (numerator, denominator > 0).
@@ -280,19 +308,20 @@ def _min_norm_solution(system: IncidenceSystem, targets) -> dict[int, Fraction]:
 
 
 def _outer_from_knots(params: HashParams, system: IncidenceSystem, g: dict[int, Fraction]) -> OuterFunction:
-    per_branch: list[list[tuple[Fraction, Fraction]]] = [[] for _ in range(params.branch_count)]
+    ys, values = [[] for _ in range(params.branch_count)], [[] for _ in range(params.branch_count)]
     for col, y in enumerate(system.knots):
-        per_branch[system.knot_branch[col]].append((y, g.get(col, ZERO)))
-    tables = tuple(
-        KnotTable(ys=tuple(y for y, _ in knots), gs=tuple(v for _, v in knots))
-        for knots in per_branch
-    )
-    return OuterFunction(d=params.d, tables=tables)
+        ys[system.knot_branch[col]].append(y)
+        values[system.knot_branch[col]].append(g.get(col, ZERO))
+    pairs = (tuple(tuple(map(f, v)) for v in values) for f in _PAIR)
+    return OuterFunction(params.d, system.unit, tuple(map(tuple, ys)), *pairs)
 
 
 def _verify_zero_residual(system: IncidenceSystem, targets, g: dict[int, Fraction]) -> None:
     for j, (row, t) in enumerate(zip(system.rows, targets)):
-        if sum(cnt * g[col] for col, cnt in row.items()) != t:
+        num, den = 0, 1
+        for col, cnt in row.items():
+            num, den = add_ratios(num, den, cnt * g[col].numerator, g[col].denominator)
+        if num * t.denominator != t.numerator * den:
             raise InternalInvariantError(f"exact solve left a nonzero residual at point {j}")
 
 
@@ -535,33 +564,35 @@ class ClassReport:
 
 
 def merge_report(outer: OuterFunction) -> ClassReport:
-    """Knot-table statistics per branch and overall."""
+    """Knot-table statistics per branch and overall (int / int rounds each jump ratio correctly)."""
     stats = []
-    for q, table in enumerate(outer.tables):
-        if not table.ys:
+    for q, (ys, gn, gd) in enumerate(zip(outer.ys, outer.gn, outer.gd)):
+        if not ys:
             stats.append(BranchStats(q, 0, None, None, ZERO, 0.0, None))
             continue
-        max_jump = ZERO
-        ratio = 0.0
-        spacing = None
-        for y0, y1, g0, g1 in zip(table.ys, table.ys[1:], table.gs, table.gs[1:]):
-            jump = abs(g1 - g0)
-            gap = y1 - y0
-            max_jump = max(max_jump, jump)
+        lo, hi, jump, ratio = 0, 0, (0, 1), 0.0
+        for k in range(1, len(ys)):
+            if gn[k] * gd[lo] < gn[lo] * gd[k]:
+                lo = k
+            if gn[k] * gd[hi] > gn[hi] * gd[k]:
+                hi = k
+            step = ratio_gap(gn[k], gd[k], gn[k - 1], gd[k - 1])
+            if step[0] * jump[1] > jump[0] * step[1]:
+                jump = step
             try:
-                ratio = max(ratio, float(jump / gap))
+                ratio = max(ratio, step[0] * outer.unit / (step[1] * (ys[k] - ys[k - 1])))
             except OverflowError:
                 ratio = float("inf")
-            spacing = gap if spacing is None else min(spacing, gap)
+        spacing = min((c - a for a, c in zip(ys, ys[1:])), default=None)
         stats.append(
             BranchStats(
                 q=q,
-                knot_count=len(table.ys),
-                value_lo=min(table.gs),
-                value_hi=max(table.gs),
-                max_jump=max_jump,
+                knot_count=len(ys),
+                value_lo=Fraction(gn[lo], gd[lo]),
+                value_hi=Fraction(gn[hi], gd[hi]),
+                max_jump=Fraction(*jump),
                 max_jump_ratio=ratio,
-                min_spacing=spacing,
+                min_spacing=None if spacing is None else Fraction(spacing, outer.unit),
             )
         )
     populated = [s for s in stats if s.knot_count]

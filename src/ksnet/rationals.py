@@ -23,14 +23,24 @@ ONE = Fraction(1)
 _EXPONENT = re.compile(r"[eE][-+]?([\d_]*)\s*$")
 
 
-def parse_rational(text: str) -> Fraction:
-    """Parse 'p/q' or decimal syntax ('0.25', '-3', '1e-3') into an exact value.
+def digit_limit() -> int:
+    """The interpreter's int-string limit: the most digits a literal may spell."""
+    return sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
 
-    A literal whose digits plus exponent magnitude exceed the interpreter's
-    int-string limit is refused: '1e999999999' would otherwise build a
-    billion-digit integer, and the value could not be printed back.
+
+def parse_ratio(text: str) -> tuple[int, int]:
+    """Parse 'p/q' or decimal syntax ('0.25', '-3', '1e-3') into (numerator, denominator > 0).
+
+    A literal whose digits plus exponent magnitude exceed digit_limit() is
+    refused: '1e999999999' would otherwise build a billion-digit integer,
+    and the value could not be printed back.  ASCII -?digits(/digits)? is
+    split and read with int(), unreduced; any other literal goes through Fraction.
     """
-    limit = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
+    limit = digit_limit()
+    num, slash, den = text.partition("/")
+    if len(text) <= limit and text.isascii() and num.removeprefix("-").isdigit() and (den.isdigit() or not slash):
+        if den := int(den or 1):
+            return int(num), den
     size = len(text)  # bounds the digit count; count exactly only when it matters
     if size > limit:
         size = sum(ch.isdigit() for ch in text)
@@ -40,9 +50,15 @@ def parse_rational(text: str) -> Fraction:
     if size > limit:
         raise InputError(f"numeric literal longer than {limit} digits once expanded: {text[:40]!r}")
     try:
-        return Fraction(text.strip())
+        value = Fraction(text.strip())
     except (ValueError, ZeroDivisionError) as exc:
         raise InputError(f"not a rational literal: {text!r}") from exc
+    return value.numerator, value.denominator
+
+
+def parse_rational(text: str) -> Fraction:
+    """parse_ratio as a Fraction, in lowest terms."""
+    return Fraction(*parse_ratio(text))
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,5 @@
-"""Reference pipelines: the differential oracles for the integer evaluation path
-and for the per-component solves.
+"""Reference pipelines: the differential oracles for the integer evaluation path,
+for the per-component solves, and for the integer knot tables.
 
 The evaluation functions work on normalized `Fraction`s one digit and one
 knot at a time, exactly as the library did before evaluation moved to scaled
@@ -9,21 +9,51 @@ incidence system as one block, as the library did before it split systems
 into connected components: a global elimination in input order, a global
 gram matrix, and a damped iteration that updates every point every round.
 Tests require identical ranks, witnesses, knot values and histories.
+merge_report, save and load work on Fraction knot tables read off the
+integer outer function (`tables`), as the library did before knots stayed
+integers from the fit to the file; parse_rational is the Fraction parse
+the library's fast path must agree with.
 All of it is deliberately slow and simple.
 """
 
 from __future__ import annotations
 
+import io
+import json
+import re
+import sys
 from bisect import bisect_left
 from fractions import Fraction
+from pathlib import Path
 
 import sympy
 
-from ksnet.errors import DomainError, InputError, InternalInvariantError, IterationDiverged
-from ksnet.hashmaps import BranchValue, IncidenceSystem
-from ksnet.inner import InnerValue
+from ksnet.errors import (
+    AssemblyError,
+    DomainError,
+    InputError,
+    InternalInvariantError,
+    IterationDiverged,
+    ModelFormatError,
+    ParameterError,
+)
+from ksnet.hashmaps import BranchValue, HashParams, check_dims
+from ksnet.inner import InnerSpec, InnerValue
 from ksnet.linsolve import _sub_scaled
+from ksnet.network import FORMAT_VERSION, assemble
+from ksnet.outer import BranchStats, ClassReport, KnotTable, OuterFunction
 from ksnet.rationals import ONE, ZERO, expand_digits
+
+
+def tables(outer) -> tuple[KnotTable, ...]:
+    """The outer function's knots as Fraction tables, one per branch."""
+    return tuple(
+        KnotTable(
+            ys=tuple(Fraction(y, outer.unit) for y in ys),
+            gs=tuple(Fraction(n, m) for n, m in zip(gn, gd)),
+        )
+        for ys, gn, gd in zip(outer.ys, outer.gn, outer.gd)
+    )
 
 
 def phi_eval(spec, x, depth: int) -> InnerValue:
@@ -59,7 +89,8 @@ def psi_eval(params, inner, x, q: int, depth: int) -> BranchValue:
     return BranchValue(q=q, value=value, error_bound=error)
 
 
-def build_incidence(params, inner, points, depth: int) -> IncidenceSystem:
+def build_incidence(params, inner, points, depth: int):
+    """(knots as Fractions, knot branches, rows)."""
     pts = tuple(tuple(Fraction(c) for c in p) for p in points)
     seen: dict[tuple, int] = {}
     for j, p in enumerate(pts):
@@ -82,14 +113,7 @@ def build_incidence(params, inner, points, depth: int) -> IncidenceSystem:
             if branch_of.setdefault(col, q) != q:
                 raise InternalInvariantError(f"knot {v} reached from two branches")
         rows.append(row)
-    return IncidenceSystem(
-        points=pts,
-        depth=depth,
-        d=params.d,
-        knots=tuple(knots),
-        knot_branch=tuple(branch_of[i] for i in range(len(knots))),
-        rows=tuple(rows),
-    )
+    return tuple(knots), tuple(branch_of[i] for i in range(len(knots))), tuple(rows)
 
 
 def _interp(table, y: Fraction) -> Fraction:
@@ -111,10 +135,10 @@ def g_eval(outer, y) -> Fraction:
     y = Fraction(y)
     width = 2 * outer.d
     q = int(y // (width + 1)) if y >= 0 else -1
-    if 0 <= q <= width and y <= outer.b[q] + width and outer.tables[q].ys:
-        return _interp(outer.tables[q], y)
+    if 0 <= q <= width and y <= outer.b[q] + width and tables(outer)[q].ys:
+        return _interp(tables(outer)[q], y)
     best = None
-    for table in outer.tables:
+    for table in tables(outer):
         i = bisect_left(table.ys, y)
         for j in (i - 1, i):
             if 0 <= j < len(table.ys):
@@ -132,7 +156,7 @@ def g_range(outer, lo, hi) -> tuple[Fraction, Fraction]:
     g_lo = g_eval(outer, lo)
     g_hi = g_eval(outer, hi)
     vmin, vmax = min(g_lo, g_hi), max(g_lo, g_hi)
-    for table in outer.tables:
+    for table in tables(outer):
         i = bisect_left(table.ys, lo)
         while i < len(table.ys) and table.ys[i] <= hi:
             vmin, vmax = min(vmin, table.gs[i]), max(vmax, table.gs[i])
@@ -243,3 +267,233 @@ def run_damped_iteration(system, targets, damping, tolerance, max_iter):
         if sup <= tolerance:
             break
     return g, history, collisions, sup
+
+
+def merge_report(outer: OuterFunction) -> ClassReport:
+    """Knot-table statistics per branch and overall."""
+    stats = []
+    for q, table in enumerate(tables(outer)):
+        if not table.ys:
+            stats.append(BranchStats(q, 0, None, None, ZERO, 0.0, None))
+            continue
+        max_jump = ZERO
+        ratio = 0.0
+        spacing = None
+        for y0, y1, g0, g1 in zip(table.ys, table.ys[1:], table.gs, table.gs[1:]):
+            jump = abs(g1 - g0)
+            gap = y1 - y0
+            max_jump = max(max_jump, jump)
+            try:
+                ratio = max(ratio, float(jump / gap))
+            except OverflowError:
+                ratio = float("inf")
+            spacing = gap if spacing is None else min(spacing, gap)
+        stats.append(
+            BranchStats(
+                q=q,
+                knot_count=len(table.ys),
+                value_lo=min(table.gs),
+                value_hi=max(table.gs),
+                max_jump=max_jump,
+                max_jump_ratio=ratio,
+                min_spacing=spacing,
+            )
+        )
+    populated = [s for s in stats if s.knot_count]
+    spacings = [s.min_spacing for s in populated if s.min_spacing is not None]
+    return ClassReport(
+        branches=tuple(stats),
+        total_knots=sum(s.knot_count for s in stats),
+        value_lo=min((s.value_lo for s in populated), default=None),
+        value_hi=max((s.value_hi for s in populated), default=None),
+        max_abs_value=max(
+            (max(abs(s.value_lo), abs(s.value_hi)) for s in populated), default=ZERO
+        ),
+        max_jump=max((s.max_jump for s in populated), default=ZERO),
+        max_jump_ratio=max((s.max_jump_ratio for s in populated), default=0.0),
+        min_spacing=min(spacings, default=None),
+    )
+
+
+_EXPONENT = re.compile(r"[eE][-+]?([\d_]*)\s*$")
+
+
+def parse_rational(text: str) -> Fraction:
+    """Parse 'p/q' or decimal syntax ('0.25', '-3', '1e-3') into an exact value.
+
+    A literal whose digits plus exponent magnitude exceed the interpreter's
+    int-string limit is refused: '1e999999999' would otherwise build a
+    billion-digit integer, and the value could not be printed back.
+    """
+    limit = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
+    size = len(text)  # bounds the digit count; count exactly only when it matters
+    if size > limit:
+        size = sum(ch.isdigit() for ch in text)
+    if size <= limit and ("e" in text or "E" in text):
+        exponent = _EXPONENT.search(text)
+        size += int(exponent.group(1).replace("_", "") or 0) if exponent else 0
+    if size > limit:
+        raise InputError(f"numeric literal longer than {limit} digits once expanded: {text[:40]!r}")
+    try:
+        return Fraction(text.strip())
+    except (ValueError, ZeroDivisionError) as exc:
+        raise InputError(f"not a rational literal: {text!r}") from exc
+
+
+def _doc_from_model(model) -> dict:
+    branches = []
+    for q, table in enumerate(tables(model.outer)):
+        branches.append(
+            {
+                "q": q,
+                "knots": [
+                    {"y": str(y), "g": str(g)}
+                    for y, g in zip(table.ys, table.gs)
+                ],
+            }
+        )
+    return {
+        "format_version": model.meta.get("format_version", FORMAT_VERSION),
+        "d": model.params.d,
+        "gamma": model.params.gamma,
+        "inner_weights": [str(w) for w in model.inner.weights],
+        "lambda": [str(v) for v in model.params.lam],
+        "lambda_tail": [str(t) for t in model.params.lam_tails],
+        "b": list(model.params.b),
+        "branches": branches,
+        "meta": {k: v for k, v in model.meta.items() if k != "format_version"},
+    }
+
+
+def save(model) -> bytes:
+    """Canonical JSON bytes through json.dumps over Fraction strings."""
+    return (json.dumps(_doc_from_model(model), indent=2) + "\n").encode()
+
+
+def _want(doc: dict, key: str, kind, location: str):
+    if key not in doc:
+        raise ModelFormatError(f"missing field", location=f"{location}.{key}" if location else key)
+    value = doc[key]
+    if kind is int and isinstance(value, bool) or not isinstance(value, kind):
+        raise ModelFormatError(
+            f"expected {kind.__name__}, got {type(value).__name__}",
+            location=f"{location}.{key}" if location else key,
+        )
+    return value
+
+
+def _fraction_at(text, location: str) -> Fraction:
+    if not isinstance(text, str):
+        raise ModelFormatError(f"expected fraction string, got {type(text).__name__}", location=location)
+    try:
+        return parse_rational(text)
+    except InputError as exc:
+        raise ModelFormatError(str(exc), location=location) from None
+
+
+def load(source):
+    """Parse a model document into Fraction tables, then build the model from them."""
+    if isinstance(source, (str, Path)) and not (isinstance(source, str) and source.lstrip().startswith("{")):
+        try:
+            raw = Path(source).read_bytes()
+        except OSError as exc:
+            raise ModelFormatError(f"cannot read model file: {exc}") from exc
+    elif isinstance(source, (bytes, bytearray)):
+        raw = bytes(source)
+    elif isinstance(source, str):
+        raw = source.encode()
+    elif isinstance(source, io.IOBase) or hasattr(source, "read"):
+        raw = source.read()
+        if isinstance(raw, str):
+            raw = raw.encode()
+    else:
+        raise ModelFormatError(f"cannot load a model from {type(source).__name__}")
+    try:
+        doc = json.loads(raw)
+    except ValueError as exc:  # also integer literals beyond the int-string limit
+        raise ModelFormatError(f"malformed JSON: {exc}") from None
+    if not isinstance(doc, dict):
+        raise ModelFormatError("top level must be an object")
+
+    version = _want(doc, "format_version", int, "")
+    if version > FORMAT_VERSION:
+        raise ModelFormatError(
+            f"format_version {version} is newer than the supported {FORMAT_VERSION}; upgrade the library",
+            location="format_version",
+        )
+    if version < 1:
+        raise ModelFormatError(f"unrecognized format_version {version}", location="format_version")
+
+    d = _want(doc, "d", int, "")
+    gamma = _want(doc, "gamma", int, "")
+    inner_weights = _want(doc, "inner_weights", list, "")
+    lam = _want(doc, "lambda", list, "")
+    lam_tail = _want(doc, "lambda_tail", list, "")
+    b = _want(doc, "b", list, "")
+    branches = _want(doc, "branches", list, "")
+    meta = _want(doc, "meta", dict, "")
+
+    weights = tuple(
+        _fraction_at(w, f"inner_weights[{i}]") for i, w in enumerate(inner_weights)
+    )
+    lam_values = tuple(_fraction_at(v, f"lambda[{i}]") for i, v in enumerate(lam))
+    tail_values = tuple(_fraction_at(t, f"lambda_tail[{i}]") for i, t in enumerate(lam_tail))
+    try:
+        check_dims(d, gamma)
+    except ParameterError as exc:
+        raise ModelFormatError(str(exc), location="d" if d < 2 else "gamma") from None
+    series = meta.get("series_terms")
+    if series is not None and not (
+        isinstance(series, list) and all(isinstance(s, int) and s >= 0 for s in series)
+    ):
+        raise ModelFormatError("series_terms must be nonnegative integers", location="meta.series_terms")
+
+    try:
+        inner = InnerSpec(base=gamma, weights=weights)
+    except ValueError as exc:
+        raise ModelFormatError(str(exc), location="inner_weights") from exc
+    try:
+        params = HashParams(
+            d=d,
+            gamma=gamma,
+            lam=lam_values,
+            lam_tails=tail_values,
+            series_terms=tuple(series) if series is not None else (0,) * d,
+        )
+    except ValueError as exc:
+        raise ModelFormatError(str(exc), location="lambda") from exc
+    if b != list(params.b):
+        raise ModelFormatError(f"expected (2d+1)q for q = 0..2d, got {b}", location="b")
+
+    expected_q = params.branch_count
+    if len(branches) != expected_q:
+        raise ModelFormatError(
+            f"expected {expected_q} branches, got {len(branches)}", location="branches"
+        )
+    tables = []
+    for i, entry in enumerate(branches):
+        if not isinstance(entry, dict):
+            raise ModelFormatError("expected object", location=f"branches[{i}]")
+        q = _want(entry, "q", int, f"branches[{i}]")
+        if q != i:
+            raise ModelFormatError(f"branches must appear in order; got q = {q}", location=f"branches[{i}].q")
+        knots = _want(entry, "knots", list, f"branches[{i}]")
+        ys, gs = [], []
+        for k, knot in enumerate(knots):
+            if not isinstance(knot, dict):
+                raise ModelFormatError("expected object", location=f"branches[{i}].knots[{k}]")
+            ys.append(_fraction_at(knot.get("y"), f"branches[{i}].knots[{k}].y"))
+            gs.append(_fraction_at(knot.get("g"), f"branches[{i}].knots[{k}].g"))
+        try:
+            tables.append(KnotTable(ys=tuple(ys), gs=tuple(gs)))
+        except ValueError as exc:
+            raise ModelFormatError(str(exc), location=f"branches[{i}].knots") from exc
+    try:
+        outer = OuterFunction.from_tables(d, tuple(tables))
+    except (ValueError, DomainError) as exc:
+        raise ModelFormatError(str(exc), location="branches") from exc
+    try:
+        return assemble(inner, params, outer, meta=dict(meta))
+    except AssemblyError as exc:
+        location, _, message = str(exc).partition(": ")
+        raise ModelFormatError(message, location=location) from exc

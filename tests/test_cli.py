@@ -358,6 +358,48 @@ def test_eval_refuses_a_stored_depth_beyond_the_cap(workdir):
         assert "meta.depth" in done.stderr and "Traceback" not in done.stderr
 
 
+def test_eval_refuses_hostile_series_terms(workdir):
+    """A term count is capped before lambda is derived from it: term r of lam_p
+    needs gamma**((p-1)(d**r-1)/(d-1)), so an uncapped count would hang."""
+    from ksnet.hashmaps import SERIES_TERMS_CAP
+
+    _, model_path = _fit(workdir)
+    _write_csv(workdir / "points.csv", ["x1", "x2"], [["1/2", "1/3"]])
+    counts = [[0, 10**18], [0, 2**40], [0, 40], [0, SERIES_TERMS_CAP + 1], [0, -1], [5, 4], [0, "4"]]
+    for series in counts:
+        doc = json.loads(model_path.read_text())
+        doc["meta"]["series_terms"] = series
+        (workdir / "hostile.json").write_text(json.dumps(doc))
+        done = _cli_subprocess(["eval", "--model", "hostile.json", "--in", "points.csv"], workdir)
+        assert done.returncode == EXIT_INPUT, (series, done.stderr)
+        assert "meta.series_terms" in done.stderr and "Traceback" not in done.stderr
+    # within the cap, but for d = 3 the tail bound after 11 terms would have over 200,000 digits
+    params, inner = ksnet.make_params(3, 8), ksnet.default_inner_spec(8)
+    samples = ksnet.SampleSet(points=((Fraction(1, 4), Fraction(1, 2), Fraction(3, 4)),), targets=(Fraction(1),))
+    outer, _ = ksnet.fit_exact(samples, params, inner)
+    doc = json.loads(ksnet.save(ksnet.assemble(inner, params, outer)))
+    doc["meta"]["series_terms"] = [0, SERIES_TERMS_CAP, SERIES_TERMS_CAP]
+    (workdir / "hostile3.json").write_text(json.dumps(doc))
+    _write_csv(workdir / "points3.csv", ["x1", "x2", "x3"], [["1/2", "1/3", "0"]])
+    done = _cli_subprocess(["eval", "--model", "hostile3.json", "--in", "points3.csv"], workdir)
+    assert done.returncode == EXIT_INPUT and "meta.series_terms" in done.stderr, done.stderr
+    # a consistent document for d = 2000: its 4001 branches are all present
+    d, gamma = 2000, 4002
+    doc = {
+        "format_version": 1, "d": d, "gamma": gamma,
+        "inner_weights": [str(w) for w in ksnet.default_inner_spec(gamma).weights],
+        "lambda": ["1"] * d, "lambda_tail": ["0"] * d, "b": [(2 * d + 1) * q for q in range(2 * d + 1)],
+        "branches": [{"q": q, "knots": []} for q in range(2 * d + 1)],
+        "meta": {"series_terms": [0] + [1] * (d - 1)},
+    }
+    (workdir / "wide.json").write_text(json.dumps(doc))
+    done = _cli_subprocess(["describe", "--model", "wide.json"], workdir)
+    assert done.returncode == EXIT_INPUT and "meta.series_terms" in done.stderr, done.stderr
+    # the same bound makes parameters for d = 1000 fail at once instead of computing gamma**1000000
+    done = _cli_subprocess(["check", "--d", "1000", "--gamma", "2002", "--trials", "1"], workdir)
+    assert done.returncode == EXIT_INPUT and "tail bound" in done.stderr, done.stderr
+
+
 @pytest.mark.parametrize("args", [
     ["bench", "--mode", "iterative", "--grid-level", "9", "--sweep-n", "2"],
     ["bench", "--mode", "iterative", "--grid-level", "1000000000"],

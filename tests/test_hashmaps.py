@@ -9,9 +9,11 @@ import sympy
 
 from ksnet.errors import DomainError, InputError, ParameterError
 from ksnet.hashmaps import (
+    SERIES_TERMS_CAP,
     build_incidence,
     certify_separation,
     check_ranges,
+    lambda_partial,
     lambda_series,
     make_params,
     psi_eval,
@@ -59,6 +61,20 @@ def test_lambda_series_d3():
     assert params.lam[2] == Fraction(262145, 16777216)
     assert params.lam[2] == sum(Fraction(1, 8**e) for e in (2, 8))
     assert params.series_terms == (0, 3, 2)
+
+
+def test_series_terms_cap_is_the_most_make_params_picks():
+    """d = 2, gamma = 6 grows the exponent slowest; its 11th term is the last whose
+    tail bound a model file can hold, and a smaller tolerance is refused."""
+    assert make_params(2, 6, Fraction("1e-3186")).series_terms == (0, SERIES_TERMS_CAP) == (0, 11)
+    with pytest.raises(ParameterError, match="beyond 4300 digits"):
+        make_params(2, 6, Fraction("1e-3187"))
+    for p, terms in ((2, 4), (2, SERIES_TERMS_CAP)):
+        value, tail, count = lambda_series(p, 2, 6, lambda_partial(p, 2, 6, terms)[1])
+        assert (value, tail, count) == (*lambda_partial(p, 2, 6, terms), terms)
+    for p, terms in ((1, 1), (2, 0), (2, SERIES_TERMS_CAP + 1), (2, -1)):
+        with pytest.raises(ParameterError, match="series terms"):
+            lambda_partial(p, 2, 6, terms)
 
 
 def test_lambda_tail_brackets_refinement():

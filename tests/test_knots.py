@@ -1,0 +1,181 @@
+"""Integer knot tables against the Fraction oracle: class report, save, load, literal parsing.
+
+Knots stay integers over one unit from the fit to the file and back; the
+oracle keeps the Fraction merge_report, save and load they replaced, and
+every one must agree exactly.  save must also stay lean: its transient
+memory is bounded by a small multiple of the bytes it writes.
+"""
+
+import gc
+import json
+import random
+import tracemalloc
+from fractions import Fraction
+
+import oracle
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from ksnet.errors import InputError
+from ksnet.hashmaps import make_params
+from ksnet.inner import default_inner_spec
+from ksnet.network import assemble, load, save
+from ksnet.outer import KnotTable, OuterFunction, SampleSet, fit_exact, fit_iterative, merge_report
+from ksnet.rationals import parse_ratio, parse_rational
+
+
+def _fitted(d, gamma, n, seed, f):
+    params, inner = make_params(d, gamma), default_inner_spec(gamma)
+    rng = random.Random(seed)
+    points = set()
+    while len(points) < n:
+        points.add(tuple(Fraction(rng.getrandbits(20), 2**20) for _ in range(d)))
+    points = sorted(points)
+    samples = SampleSet(points=tuple(points), targets=tuple(f(p) for p in points))
+    outer, report = fit_exact(samples, params, inner)
+    return assemble(inner, params, outer, meta={"fit_mode": "exact", "depth": report.depth})
+
+
+def _iterative():
+    params, inner = make_params(2, 6), default_inner_spec(6)
+    outer, report = fit_iterative(lambda p: p[0] * p[1] - p[1] / 3, params, inner, grid_level=1)
+    return assemble(inner, params, outer, meta={"fit_mode": "iterative", "depth": report.depth, "grid_level": 1})
+
+
+def _hand_built():
+    """Knots in branches 0 and 3 only, negative values, decimal-friendly positions, and
+    one knot (110/7) whose denominator does not divide the unit of any depth."""
+    params, inner = make_params(2, 6), default_inner_spec(6)
+    empty = KnotTable(ys=(), gs=())
+    tables = (
+        KnotTable(ys=(Fraction(1, 4), Fraction(3, 8), Fraction(5, 2)),
+                  gs=(Fraction(-1, 2), Fraction(-2, 3), Fraction(7))),
+        empty,
+        empty,
+        KnotTable(ys=(Fraction(110, 7), Fraction(16), Fraction(33, 2), Fraction(19)),
+                  gs=(Fraction(1, 3), Fraction(0), Fraction(-5, 4), Fraction(3, 10))),
+        empty,
+    )
+    return assemble(inner, params, OuterFunction.from_tables(2, tables), meta={"note": "hand-built"})
+
+
+MODELS = {
+    "d2_reciprocal": _fitted(2, 6, 30, 1, lambda p: 1 / (p[0] + p[1] + Fraction(1, 1000))),
+    "d3_product": _fitted(3, 8, 12, 2, lambda p: p[0] * p[1] * p[2]),
+    "iterative_grid": _iterative(),
+    "hand_built": _hand_built(),
+}
+
+
+def _spellings(x: Fraction, rng: random.Random) -> str:
+    """One of the many literals of x that Fraction accepts: scaled, spaced, signed,
+    underscored, decimal or exponent forms."""
+    n, d = x.numerator, x.denominator
+    forms = [str(x), f"{n * 2}/{d * 2}", f"{n * 7}/{d * 7}", f"  {x}\t", f"0{n}/0{d}" if n >= 0 else f"-0{-n}/{d}"]
+    if n >= 0:
+        forms.append(f"+{x}")
+    digits = str(abs(n))
+    if len(digits) > 1:
+        forms.append(("-" if n < 0 else "") + digits[0] + "_" + digits[1:] + ("" if d == 1 else f"/{d}"))
+    k = 0
+    while (10**k) % d:  # decimal forms exist when d divides a power of ten
+        k += 1
+        if k > 80:
+            break
+    else:
+        m = n * 10**k // d
+        forms.append(f"{m}e-{k}")
+        forms.append(f"{m}E-{k}")
+        sign, body = ("-" if m < 0 else ""), str(abs(m)).rjust(k + 1, "0")
+        forms.append(f"{sign}{body[:len(body) - k]}.{body[len(body) - k:]}" if k else f"{sign}{body}.0")
+    return rng.choice(forms)
+
+
+def _respelled(model, seed: int) -> str:
+    """The model's document with every rational literal replaced by an equivalent spelling."""
+    rng = random.Random(seed)
+    doc = json.loads(oracle.save(model))
+    for key in ("inner_weights", "lambda", "lambda_tail"):
+        doc[key] = [_spellings(Fraction(v), rng) for v in doc[key]]
+    for branch in doc["branches"]:
+        for knot in branch["knots"]:
+            knot["y"] = _spellings(Fraction(knot["y"]), rng)
+            knot["g"] = _spellings(Fraction(knot["g"]), rng)
+    return json.dumps(doc)
+
+
+def _key(model):
+    return model.inner, model.params, oracle.tables(model.outer), model.meta
+
+
+@pytest.mark.parametrize("name", sorted(MODELS))
+def test_save_and_class_report_match_oracle(name):
+    model = MODELS[name]
+    assert save(model) == oracle.save(model)
+    assert merge_report(model.outer) == oracle.merge_report(model.outer)
+
+
+@pytest.mark.parametrize("name", sorted(MODELS))
+@given(seed=st.integers(min_value=0, max_value=2**32))
+@settings(max_examples=25, deadline=None)
+def test_load_matches_oracle_on_any_spelling(name, seed):
+    """Scaled (non-reduced), spaced, signed, underscored, decimal and exponent
+    literals load to the oracle's values, save back to its bytes, and give its
+    class report."""
+    text = _respelled(MODELS[name], seed)
+    got, want = load(text), oracle.load(text)
+    assert _key(got) == _key(want) == _key(MODELS[name])
+    assert save(got) == oracle.save(want) == save(MODELS[name])
+    assert merge_report(got.outer) == oracle.merge_report(want.outer)
+
+
+def test_unreduced_values_save_reduced():
+    doc = json.loads(save(MODELS["hand_built"]))
+    doc["branches"][0]["knots"][0]["g"] = "-2/4"
+    doc["branches"][3]["knots"][2]["y"] = "66/4"
+    model = load(json.dumps(doc))
+    assert (model.outer.gn[0][0], model.outer.gd[0][0]) == (-2, 4)
+    assert save(model) == save(MODELS["hand_built"]) == oracle.save(model)
+
+
+LIMIT_CASES = ["1" * 4300, "1" * 4301, "1/" + "1" * 4298, "1/" + "1" * 4299, "-" + "9" * 4300, "1e-4299", "1e4300"]
+
+
+def _outcome(parse, text):
+    try:
+        return parse(text)
+    except InputError as exc:
+        return str(exc)
+
+
+@given(st.one_of(
+    st.text(alphabet="0123456789-+/ _.eE\t", max_size=12),
+    st.text(alphabet="0123456789-/١٢²１", max_size=8),
+    st.sampled_from(["1/0", "+1/2", "-0", "007/010", "1/-2", "--1", "-", "1/", "/2", "1//2"] + LIMIT_CASES),
+))
+@settings(max_examples=600, deadline=None)
+@example("١/٢")  # Arabic-Indic digits: Fraction accepts them, the ASCII fast path must not see them
+@example("²")  # a superscript is a digit to str.isdigit but not to int()
+def test_parse_fast_path_agrees_with_fraction(text):
+    """The same literals are accepted with the same values, and refused with the same messages."""
+    want = _outcome(oracle.parse_rational, text)
+    assert _outcome(parse_rational, text) == want
+    if isinstance(want, Fraction):
+        num, den = parse_ratio(text)
+        assert den > 0 and Fraction(num, den) == want
+
+
+def test_save_peak_memory_is_a_small_multiple_of_its_output():
+    model = _fitted(2, 6, 220, 5, lambda p: p[0] * p[1])
+    assert model.outer.knot_count >= 1000
+    data = save(model)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        save(model)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * len(data), (peak, len(data))

@@ -148,7 +148,7 @@ def test_plan_refuses_knots_without_a_common_scale(monkeypatch):
     ys = tuple(Fraction(1, 2) + Fraction(1, p) for p in primes)
     table = KnotTable(ys=tuple(sorted(ys)), gs=(Fraction(1),) * len(ys))
     empty = KnotTable(ys=(), gs=())
-    model = assemble(SPEC6, P26, OuterFunction(d=2, tables=(table,) + (empty,) * 4))
+    model = assemble(SPEC6, P26, OuterFunction.from_tables(2, (table,) + (empty,) * 4))
     assert evaluate(model, (Fraction(1, 2), Fraction(1, 2)))[0] == 5
     # room for knots over the depth-30 denominator itself, not for 2**30 times more
     unit_bits = P26.unit(SPEC6, 30).bit_length()
@@ -247,6 +247,34 @@ def test_load_names_the_offending_field():
         assemble(SPEC6, P26, MODEL.outer, meta={"depth": 241})
 
 
+def test_load_checks_lambda_against_series_terms():
+    """lambda is fixed by d, gamma and meta.series_terms; a model whose weights
+    differ from that derivation is refused where they differ."""
+    blob = save(MODEL)
+    cases = [
+        (lambda doc: doc["lambda"].__setitem__(1, "1/7"), "lambda[1]"),
+        (lambda doc: doc["lambda_tail"].__setitem__(1, "1/7"), "lambda_tail[1]"),
+        (lambda doc: doc["lambda"].append("1"), "lambda"),
+        (lambda doc: doc["meta"].__setitem__("series_terms", [0, 3]), "lambda[1]"),
+        (lambda doc: doc["meta"].__setitem__("series_terms", [7]), "meta.series_terms"),
+        (lambda doc: doc["meta"].__setitem__("series_terms", [1, 4]), "meta.series_terms"),
+        (lambda doc: doc["meta"].__setitem__("series_terms", [0, True]), "meta.series_terms"),
+        (lambda doc: doc["meta"].pop("series_terms"), "meta.series_terms"),
+    ]
+    for edit, location in cases:
+        doc = json.loads(blob)
+        edit(doc)
+        with pytest.raises(ModelFormatError) as exc:
+            load(json.dumps(doc))
+        assert exc.value.location == location
+    doc = json.loads(blob)
+    doc["lambda"][1] = "0.1712986547877453625234586843051422"  # a decimal spelling of lambda[1] + 1e-34
+    with pytest.raises(ModelFormatError, match="lambda"):
+        load(json.dumps(doc))
+    doc["lambda"][1] = str(Fraction(80542626049 * 2, 470184984576 * 2))
+    assert save(load(json.dumps(doc))) == blob
+
+
 def test_depth_falls_back_to_meta():
     w_default, err_default = evaluate(MODEL, (Fraction(1, 7), Fraction(1, 9)))
     w_meta, err_meta = evaluate(MODEL, (Fraction(1, 7), Fraction(1, 9)), depth=MODEL.meta["depth"])
@@ -256,7 +284,7 @@ def test_depth_falls_back_to_meta():
 def test_describe_topology():
     rep = describe(MODEL)
     assert rep.layer_widths == (2, 10, 5, 1)
-    assert rep.knot_counts == tuple(len(t.ys) for t in MODEL.outer.tables)
+    assert rep.knot_counts == tuple(len(ys) for ys in MODEL.outer.ys)
     doc = rep.to_jsonable()
     assert doc["layer_widths"] == [2, 10, 5, 1]
     assert doc["a"] == "1/30"

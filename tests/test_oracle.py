@@ -80,9 +80,10 @@ def test_incidence_matches_oracle(network, data, depth):
         st.lists(st.tuples(*[unit_coords(params.gamma)] * params.d), min_size=1, max_size=8, unique=True)
     )
     got = build_incidence(params, inner, points, depth)
-    want = oracle.build_incidence(params, inner, points, depth)
-    assert (got.knots, got.rows, got.knot_branch) == (want.knots, want.rows, want.knot_branch)
-    assert (got.knot_count, got.d, got.n_points) == (want.knot_count, want.d, want.n_points)
+    knots, knot_branch, rows = oracle.build_incidence(params, inner, points, depth)
+    assert got.unit == params.unit(inner, depth)
+    assert (tuple(Fraction(k, got.unit) for k in got.knots), got.knot_branch, got.rows) == (knots, knot_branch, rows)
+    assert (got.knot_count, got.d, got.n_points) == (len(knots), params.d, len(points))
 
 
 def _fitted(params, inner, n, seed, f=lambda p: sum(p) / (1 + p[0])):
@@ -112,7 +113,7 @@ def _hand_built_model():
         empty,
         empty,
     )
-    return assemble(inner, params, OuterFunction(d=2, tables=tables))
+    return assemble(inner, params, OuterFunction.from_tables(2, tables))
 
 
 HAND_BUILT = _hand_built_model()
@@ -143,7 +144,7 @@ def test_nearest_knot_fallback_matches_oracle(point, depth):
 
 def _probes(outer):
     """Knots, midpoints and near neighbours of knots, branch interval ends, gaps and beyond."""
-    ys = sorted(y for t in outer.tables for y in t.ys)
+    ys = sorted(y for t in oracle.tables(outer) for y in t.ys)
     probes = set(ys)
     probes.update((a + b) / 2 for a, b in zip(ys, ys[1:]))
     probes.update(y + s for y in ys for s in (Fraction(-1, 10**9), Fraction(1, 10**9)))
@@ -189,7 +190,7 @@ def test_g_eval_matches_oracle(model, data):
 def test_no_knots_is_a_domain_error():
     params, inner = NETWORKS[0]
     empty = KnotTable(ys=(), gs=())
-    model = assemble(inner, params, OuterFunction(d=2, tables=(empty,) * 5))
+    model = assemble(inner, params, OuterFunction.from_tables(2, (empty,) * 5))
     with pytest.raises(DomainError, match="no knots"):
         evaluate(model, (Fraction(1, 2), Fraction(1, 3)))
     with pytest.raises(DomainError, match="no knots"):

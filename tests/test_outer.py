@@ -9,6 +9,7 @@ import pytest
 from ksnet.errors import (
     DomainError,
     InputError,
+    InternalInvariantError,
     ParameterError,
     SeparationFailure,
 )
@@ -24,7 +25,7 @@ from ksnet.outer import (
     merge_report,
     run_damped_iteration,
 )
-from oracle import g_range
+from oracle import g_range, tables
 
 SPEC6 = default_inner_spec(6)
 P26 = make_params(2, 6)
@@ -64,7 +65,7 @@ def test_sample_set_validation():
 def _toy_outer():
     t0 = KnotTable(ys=(Fraction(0), Fraction(1), Fraction(2)), gs=(Fraction(0), Fraction(5), Fraction(1)))
     empty = KnotTable(ys=(), gs=())
-    return OuterFunction(d=2, tables=(t0, empty, empty, empty, empty))
+    return OuterFunction.from_tables(2, (t0, empty, empty, empty, empty))
 
 
 def test_g_eval_interpolation():
@@ -81,7 +82,7 @@ def test_g_eval_interpolation():
 
 def test_g_eval_empty_everywhere():
     empty = KnotTable(ys=(), gs=())
-    out = OuterFunction(d=2, tables=(empty,) * 5)
+    out = OuterFunction.from_tables(2, (empty,) * 5)
     with pytest.raises(DomainError):
         g_eval(out, Fraction(1))
 
@@ -101,7 +102,7 @@ def test_single_point_fit_spreads_evenly():
     outer, report = fit_exact(samples, P26, SPEC6)
     assert report.residual_max == 0
     assert report.knot_count == 5
-    values = [g for t in outer.tables for g in t.gs]
+    values = [g for t in tables(outer) for g in t.gs]
     assert values == [f / 5] * 5
 
 
@@ -113,11 +114,28 @@ def test_fit_exact_reproduces_samples():
     assert report.separation.separated
     system = build_incidence(P26, SPEC6, samples.points, report.depth)
     lookup = {}
-    for table in outer.tables:
+    for table in tables(outer):
         lookup.update(zip(table.ys, table.gs))
-    knot_value = {j: lookup[y] for j, y in enumerate(system.knots)}
+    knot_value = {j: lookup[Fraction(y, system.unit)] for j, y in enumerate(system.knots)}
     for row, target in zip(system.rows, samples.targets):
         assert sum(knot_value[j] * c for j, c in row.items()) == target
+
+
+def test_residual_recheck_sums_knot_values_exactly():
+    """The integer re-check accepts the exact solve and refuses a target off by
+    the smallest step its denominator allows."""
+    from ksnet.outer import _min_norm_solution, _verify_zero_residual
+
+    samples = _random_samples(4, 30, lambda p: 1 / (p[0] + p[1] + Fraction(1, 1000)))
+    system = build_incidence(P26, SPEC6, samples.points, 30)
+    g = _min_norm_solution(system, samples.targets)
+    assert len({v.denominator for v in g.values()}) > 1
+    _verify_zero_residual(system, samples.targets, g)
+    for j in (0, 17, 29):
+        targets = list(samples.targets)
+        targets[j] += Fraction(1, targets[j].denominator * 10**40)
+        with pytest.raises(InternalInvariantError, match=f"point {j}"):
+            _verify_zero_residual(system, targets, g)
 
 
 def test_fit_exact_is_minimum_norm():
@@ -129,9 +147,9 @@ def test_fit_exact_is_minimum_norm():
     targets = np.array([float(t) for t in samples.targets])
     expected = np.linalg.pinv(dense) @ targets
     lookup = {}
-    for table in outer.tables:
+    for table in tables(outer):
         lookup.update(zip(table.ys, table.gs))
-    got = np.array([float(lookup[y]) for y in system.knots])
+    got = np.array([float(lookup[Fraction(y, system.unit)]) for y in system.knots])
     assert np.allclose(got, expected, atol=1e-9)
 
 
@@ -200,10 +218,10 @@ def test_iterative_finalize_gives_exact_residual():
     axis = [Fraction(j, 6) for j in range(7)]
     system = build_incidence(P26, SPEC6, [(x1, x2) for x1 in axis for x2 in axis], report.depth)
     lookup = {}
-    for table in outer.tables:
+    for table in tables(outer):
         lookup.update(zip(table.ys, table.gs))
     for row, point in zip(system.rows, system.points):
-        got = sum(lookup[system.knots[j]] * c for j, c in row.items())
+        got = sum(lookup[Fraction(system.knots[j], system.unit)] * c for j, c in row.items())
         assert got == f(point)
 
 
