@@ -19,7 +19,6 @@ import argparse
 import csv
 import datetime
 import io
-import itertools
 import json
 import random
 import sys
@@ -28,11 +27,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import (
+    CoincidentPoints,
     DomainError,
     InputError,
     InternalInvariantError,
     IterationDiverged,
     ModelFormatError,
+    OutsideCube,
     ParameterError,
     SeparationFailure,
 )
@@ -47,7 +48,7 @@ from .hashmaps import (
 from .inner import default_inner_spec, verify_inner
 from .network import FastEvaluator, assemble, describe, evaluate, load, save
 from .outer import SampleSet, fit_exact, fit_iterative, merge_report
-from .rationals import grid_points, parse_rational
+from .rationals import parse_rational
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -55,9 +56,14 @@ EXIT_SEPARATION = 3
 EXIT_INTERNAL = 4
 
 REPORT_VERSION = 1
-# Most grid points `check` sweeps and `bench --mode iterative` fits: a grid
-# is built whole, and one more level multiplies it by about gamma**d.
-GRID_POINT_CAP = 50_000
+# Most points one command builds at once: the grid `check` sweeps and
+# `bench --mode iterative` fits (one more level multiplies a grid by about
+# gamma**d), a `check` trial (--trial-points) and a `bench` fit (--sweep-n).
+POINT_CAP = 50_000
+# Most inner-function samples (--samples) and separation trials (--trials)
+# `check` runs; like the caps above, they are refused before any work starts.
+SAMPLES_CAP = 100_000
+TRIALS_CAP = 10_000
 
 def _prod(p):
     acc = Fraction(1)
@@ -117,16 +123,16 @@ class JobConfig:
             raise InputError(f"--damping must lie in (0, 1], got {self.damping}")
         if self.seed < 0:
             raise InputError(f"--seed must be >= 0, got {self.seed}")
-        if self.samples < 2:
-            raise InputError(f"--samples must be >= 2, got {self.samples}")
-        if self.trials < 1:
-            raise InputError(f"--trials must be >= 1, got {self.trials}")
-        if self.trial_points < 2:
-            raise InputError(f"--trial-points must be >= 2, got {self.trial_points}")
+        if not 2 <= self.samples <= SAMPLES_CAP:
+            raise InputError(f"--samples must lie in 2..{SAMPLES_CAP}, got {self.samples}")
+        if not 1 <= self.trials <= TRIALS_CAP:
+            raise InputError(f"--trials must lie in 1..{TRIALS_CAP}, got {self.trials}")
+        if not 2 <= self.trial_points <= POINT_CAP:
+            raise InputError(f"--trial-points must lie in 2..{POINT_CAP}, got {self.trial_points}")
         if self.probe_level < 1:
             raise InputError(f"--probe-level must be >= 1, got {self.probe_level}")
-        if any(n < 1 for n in self.sweep_n):
-            raise InputError(f"--sweep-n entries must be >= 1, got {self.sweep_n}")
+        if not all(1 <= n <= POINT_CAP for n in self.sweep_n):
+            raise InputError(f"--sweep-n entries must lie in 1..{POINT_CAP}, got {self.sweep_n}")
         if self.command in ("fit", "eval") and not self.in_path:
             raise InputError(f"{self.command} requires --in")
         if self.command in ("fit", "eval", "describe") and not self.model_path:
@@ -182,21 +188,17 @@ def _read_samples(path: str, d: int) -> SampleSet:
     if not data:
         raise InputError(f"{path}: no sample rows")
     points, targets = [], []
-    seen: dict[tuple, int] = {}
     for row_no, row in enumerate(data, start=1):
         if len(row) != d + 1:
             raise InputError(f"row {row_no}: expected {d + 1} cells, got {len(row)}")
-        point = tuple(_parse_cell(cell, row_no, c + 1) for c, cell in enumerate(row[:d]))
-        target = _parse_cell(row[d], row_no, d + 1)
-        for c, coord in enumerate(point, start=1):
-            if not 0 <= coord <= 1:
-                raise InputError(f"row {row_no}, column {c}: coordinate {coord} leaves [0, 1]")
-        if point in seen:
-            raise InputError(f"duplicate point: rows {seen[point]} and {row_no} coincide")
-        seen[point] = row_no
-        points.append(point)
-        targets.append(target)
-    return SampleSet(points=tuple(points), targets=tuple(targets))
+        points.append(tuple(_parse_cell(cell, row_no, c + 1) for c, cell in enumerate(row[:d])))
+        targets.append(_parse_cell(row[d], row_no, d + 1))
+    try:
+        return SampleSet(points=tuple(points), targets=tuple(targets))
+    except OutsideCube as exc:
+        raise InputError(f"row {exc.index + 1}, column {exc.axis}: coordinate {exc.value} leaves [0, 1]") from None
+    except CoincidentPoints as exc:
+        raise InputError(f"duplicate point: rows {exc.first + 1} and {exc.second + 1} coincide") from None
 
 
 def _read_points(path: str, d: int) -> list[tuple[Fraction, ...]]:
@@ -239,9 +241,9 @@ def _grid_exceeds(gamma: int, level: int, d: int, limit: int) -> bool:
 
 
 def _refuse_large_grid(config: JobConfig, level: int, flag: str) -> None:
-    if _grid_exceeds(config.gamma, level, config.d, GRID_POINT_CAP):
+    if _grid_exceeds(config.gamma, level, config.d, POINT_CAP):
         raise InputError(
-            f"{flag} {level}: the grid has more than {GRID_POINT_CAP} points "
+            f"{flag} {level}: the grid has more than {POINT_CAP} points "
             f"for d = {config.d}, gamma = {config.gamma}"
         )
 
@@ -260,23 +262,22 @@ def cmd_fit(config: JobConfig) -> int:
                 f"grid point, but that grid has more points than the {samples.n} "
                 "rows given; targets are missing"
             )
-        table = dict(zip(samples.points, samples.targets))
-        axis = grid_points(config.grid_level, config.gamma)
-        grid = set(itertools.product(axis, repeat=config.d))
+        # no more grid points than rows (checked above), and every row a distinct
+        # grid point: the rows are the whole grid
+        scale = config.gamma**config.grid_level
         for row_no, point in enumerate(samples.points, start=1):
-            if point not in grid:
+            if any(scale % c.denominator for c in point):
                 raise InputError(
                     f"row {row_no}: {_point_text(point)} is not a "
                     f"level-{config.grid_level} grid point"
                 )
-        missing = sorted(p for p in grid if p not in table)
-        if missing:
-            raise InputError(
-                f"iterative mode needs a target at every level-{config.grid_level} "
-                f"grid point; {len(missing)} missing, first {_point_text(missing[0])}"
-            )
+
+        def steps(point) -> tuple[int, ...]:
+            return tuple(c.numerator * (scale // c.denominator) for c in point)
+
+        table = dict(zip(map(steps, samples.points), samples.targets))
         outer_fn, fit_rep = fit_iterative(
-            table.__getitem__,
+            lambda point: table[steps(point)],
             params,
             inner,
             grid_level=config.grid_level,

@@ -19,6 +19,22 @@ class InputError(KsnetError, ValueError):
     """Malformed external input: CSV rows, number literals, job configs."""
 
 
+class CoincidentPoints(InputError):
+    """Two points of one set are equal; `first` < `second` are their 0-based indices."""
+
+    def __init__(self, first: int, second: int):
+        super().__init__(f"points must be pairwise distinct; points {first} and {second} coincide")
+        self.first, self.second = first, second
+
+
+class OutsideCube(DomainError):
+    """Coordinate `axis` (1-based) of point `index` (0-based) is `value`, outside [0, 1]."""
+
+    def __init__(self, index: int, axis: int, value):
+        super().__init__(f"point {index}: coordinate {axis} must lie in [0, 1], got {value}")
+        self.index, self.axis, self.value = index, axis, value
+
+
 class SeparationFailure(KsnetError):
     """The point set admits a closed path, so exact interpolation is unsolvable.
 

@@ -22,13 +22,14 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
 
-from .errors import DomainError, InputError, InternalInvariantError, ParameterError
-from .inner import InnerSpec, phi_scaled
-from .linsolve import left_kernel_vector
+from .errors import CoincidentPoints, DomainError, InternalInvariantError, OutsideCube, ParameterError
+from .inner import InnerSpec, phi_extend, phi_scaled
+from .linsolve import components, left_kernel_vector
 from .rationals import ONE, ZERO, digit_limit, grid_points
 
 DEFAULT_SERIES_TOLERANCE = Fraction(1, 10**18)
@@ -63,14 +64,8 @@ def lambda_partial(p: int, d: int, gamma: int, terms: int) -> tuple[Fraction, Fr
     return sum((Fraction(1, gamma ** _series_exponent(p, d, r)) for r in range(1, terms + 1)), ZERO), tail
 
 
-def lambda_series(p: int, d: int, gamma: int, tolerance) -> tuple[Fraction, Fraction, int]:
-    """Truncated mixing weight lam_p with a rigorous tail bound.
-
-    lam_1 is exactly 1.  For p >= 2 the series sum_r gamma**(-(p-1)(d**r-1)/(d-1))
-    is summed until the geometric majorant of the remainder,
-    gamma**(-e(R+1)) * gamma/(gamma-1), drops to `tolerance` or below.
-    Returns (value, tail bound, number of terms summed).
-    """
+def series_count(p: int, d: int, gamma: int, tolerance) -> int:
+    """The fewest terms of lam_p whose tail bound is at most `tolerance` (0 for p = 1)."""
     if p < 1 or p > d:
         raise ParameterError(f"p must be in 1..{d}, got {p}")
     tolerance = Fraction(tolerance)
@@ -79,6 +74,18 @@ def lambda_series(p: int, d: int, gamma: int, tolerance) -> tuple[Fraction, Frac
     terms = 0 if p == 1 else 1
     while terms and series_tail(p, d, gamma, terms) > tolerance:
         terms += 1
+    return terms
+
+
+def lambda_series(p: int, d: int, gamma: int, tolerance) -> tuple[Fraction, Fraction, int]:
+    """Truncated mixing weight lam_p with a rigorous tail bound.
+
+    lam_1 is exactly 1.  For p >= 2 the series sum_r gamma**(-(p-1)(d**r-1)/(d-1))
+    is summed until the geometric majorant of the remainder,
+    gamma**(-e(R+1)) * gamma/(gamma-1), drops to `tolerance` or below.
+    Returns (value, tail bound, number of terms summed).
+    """
+    terms = series_count(p, d, gamma, tolerance)
     return (*lambda_partial(p, d, gamma, terms), terms)
 
 
@@ -100,28 +107,33 @@ class HashParams:
     """The universal constants of a (d, gamma) network.
 
     a shifts coordinates between branches, lam mixes coordinates within a
-    branch (truncated values, with rigorous tail bounds carried alongside),
-    and b spaces the branch output intervals [b_q, b_q + 2d] a unit apart.
-    a and b follow from d and gamma alone.
+    branch, and b spaces the branch output intervals [b_q, b_q + 2d] a unit
+    apart.  All follow from d, gamma and the series term counts: lam_p is
+    the sum of the first series_terms[p - 1] terms of its series, and
+    lam_tails[p - 1] bounds the rest (lambda_partial).
     """
 
     d: int
     gamma: int
-    lam: tuple[Fraction, ...]
-    lam_tails: tuple[Fraction, ...]
     series_terms: tuple[int, ...]
 
     def __post_init__(self):
         check_dims(self.d, self.gamma)
-        if len(self.lam) != self.d or len(self.lam_tails) != self.d:
-            raise ParameterError(f"need {self.d} mixing weights, got {len(self.lam)}")
-        if self.lam[0] != 1:
-            raise ParameterError(f"lam_1 must be exactly 1, got {self.lam[0]}")
-        for p, (lam, tail) in enumerate(zip(self.lam, self.lam_tails), start=1):
-            if not 0 < lam <= 1:
-                raise ParameterError(f"lam_{p} must lie in (0, 1], got {lam}")
-            if tail < 0 or lam + tail > 1:
-                raise ParameterError(f"lam_{p} tail bound {tail} is inconsistent")
+        if len(self.series_terms) != self.d:
+            raise ParameterError(f"need {self.d} series term counts, got {len(self.series_terms)}")
+        self._series  # derived at once, so a count lambda_partial refuses fails here
+
+    @cached_property
+    def _series(self) -> tuple[tuple[Fraction, Fraction], ...]:
+        return tuple(lambda_partial(p, self.d, self.gamma, r) for p, r in enumerate(self.series_terms, start=1))
+
+    @cached_property
+    def lam(self) -> tuple[Fraction, ...]:
+        return tuple(value for value, _ in self._series)
+
+    @cached_property
+    def lam_tails(self) -> tuple[Fraction, ...]:
+        return tuple(tail for _, tail in self._series)
 
     @property
     def a(self) -> Fraction:
@@ -153,8 +165,7 @@ class HashParams:
 def make_params(d: int, gamma: int, series_tolerance=DEFAULT_SERIES_TOLERANCE) -> HashParams:
     """Universal constants for dimension d and base gamma >= 2d+2."""
     check_dims(d, gamma)
-    lam, tails, terms = zip(*(lambda_series(p, d, gamma, series_tolerance) for p in range(1, d + 1)))
-    return HashParams(d=d, gamma=gamma, lam=lam, lam_tails=tails, series_terms=terms)
+    return HashParams(d, gamma, tuple(series_count(p, d, gamma, series_tolerance) for p in range(1, d + 1)))
 
 
 @dataclass(frozen=True)
@@ -198,7 +209,7 @@ def branches_scaled(params: HashParams, inner: InnerSpec, point, depth: int) -> 
     for q, b in enumerate(params.b):
         value, window = b * base, 0
         for num, den, step, lam, tail in coords:
-            v, w = phi_scaled(inner, num + q * step, den, depth)
+            v, w, _ = phi_scaled(inner, num + q * step, den, depth)
             value += lam * v
             window += lam * w + tail * (v + w)
         out.append((value, window))
@@ -309,6 +320,98 @@ def check_ranges(params: HashParams, inner: InnerSpec, probe_level: int = 1, dep
     )
 
 
+def _exact_point(point) -> tuple[Fraction, ...]:
+    point = tuple(point)
+    if all(type(c) is Fraction for c in point):
+        return point
+    return tuple(map(Fraction, point))
+
+
+class PointGroups:
+    """Distinct points of [0, 1]^d, grouped per axis by coordinate value.
+
+    values[p] lists the distinct coordinates of axis p as (numerator,
+    denominator) pairs in order of first appearance, and ids[p][j] is the
+    place of point j's coordinate in it.  So each distinct coordinate is
+    range-checked once, and two points coincide exactly when their ids agree
+    on every axis.  Raises OutsideCube or CoincidentPoints at the first
+    point at fault, an out-of-range coordinate before a repeat at one point.
+    """
+
+    def __init__(self, points, d: int):
+        self.points = tuple(map(_exact_point, points))
+        if not self.points:
+            raise DomainError("need at least one point")
+        for j, point in enumerate(self.points):
+            if len(point) != d:
+                raise DomainError(f"point {j}: expected {d} coordinates, got {len(point)}")
+        self.values: list[list[tuple[int, int]]] = []
+        self.ids: list[list[int]] = []
+        for p in range(d):
+            index: dict[tuple[int, int], int] = {}
+            self.ids.append([
+                index.setdefault((c.numerator, c.denominator), len(index))
+                for c in map(operator.itemgetter(p), self.points)
+            ])
+            self.values.append(list(index))
+        outside = min((
+            (ids.index(g), p)
+            for p, (values, ids) in enumerate(zip(self.values, self.ids))
+            for g, (num, den) in enumerate(values)
+            if not 0 <= num <= den
+        ), default=None)
+        keys = list(zip(*self.ids))
+        if len(set(keys)) < len(keys):
+            seen: dict[tuple[int, ...], int] = {}
+            for j, key in enumerate(keys):
+                if seen.setdefault(key, j) != j:
+                    if outside is None or outside[0] > j:
+                        raise CoincidentPoints(seen[key], j)
+                    break
+        if outside is not None:
+            j, p = outside
+            raise OutsideCube(j, p + 1, self.points[j][p])
+
+
+class InnerTable:
+    """phi(x + a q) for every distinct coordinate x of every axis and every branch q.
+
+    value[p][q][g], window[p][q][g] and rest[p][q][g] are phi_scaled's
+    (value, window, rest) at x + a q for x = groups.values[p][g], at `depth`.
+    The branch values of every point are sums of these, so phi runs once per
+    distinct coordinate and branch, not once per point.  deepen() carries the
+    table to a greater depth in place through phi_extend, which reads only
+    the new digits.
+    """
+
+    def __init__(self, params: HashParams, inner: InnerSpec, groups: PointGroups):
+        self.params, self.inner, self.groups = params, inner, groups
+        self.depth = 0
+        self.value: list[list[list[int]]] = []
+        self.window: list[list[list[int]]] = []
+        self.rest: list[list[list[int]]] = []
+
+    def deepen(self, depth: int) -> None:
+        """Bring the table to `depth`: extended in place from a lower depth, else computed anew."""
+        inner, more = self.inner, depth - self.depth
+        # x + a q = (n gamma (gamma - 1) + q m) / (m gamma (gamma - 1)) for x = n/m
+        shift = self.params.gamma * (self.params.gamma - 1)
+        if self.depth and more > 0:
+            for values, *tables in zip(self.groups.values, self.value, self.window, self.rest):
+                dens = [m * shift for _, m in values]
+                for value, window, rest in zip(*tables):
+                    for g, den in enumerate(dens):
+                        value[g], window[g], rest[g] = phi_extend(inner, value[g], window[g], rest[g], den, more)
+        elif more:
+            branch_count = self.params.branch_count
+            self.value, self.window, self.rest = ([[None] * branch_count for _ in self.groups.values] for _ in range(3))
+            for p, values in enumerate(self.groups.values):
+                for q in range(branch_count):
+                    triples = [phi_scaled(inner, n * shift + q * m, m * shift, depth) for n, m in values]
+                    self.value[p][q], self.window[p][q], self.rest[p][q] = map(list, zip(*triples))
+        self.depth = depth
+
+
 @dataclass
 class IncidenceSystem:
     """Points against distinct branch values: the solvability object of a fit.
@@ -333,6 +436,11 @@ class IncidenceSystem:
     def knot_count(self) -> int:
         return len(self.knots)
 
+    @cached_property
+    def components(self) -> list[list[int]]:
+        """linsolve.components of the rows, computed once for the certificate and the solves."""
+        return components(self.rows)
+
     def row_sums(self) -> list[int]:
         return [sum(row.values()) for row in self.rows]
 
@@ -343,49 +451,53 @@ class IncidenceSystem:
         ]
 
 
-def build_incidence(params: HashParams, inner: InnerSpec, points, depth: int) -> IncidenceSystem:
+def build_incidence(
+    params: HashParams, inner: InnerSpec, points, depth: int, table: InnerTable | None = None
+) -> IncidenceSystem:
     """Evaluate every branch at every point and tabulate hits on distinct values.
 
-    Values are compared, and kept, as integer numerators over one denominator.
+    The points are checked and grouped per axis (PointGroups), and phi runs
+    once per distinct coordinate and branch (InnerTable); branch q of point j
+    is then b_q plus the lam-weighted sum of its coordinates' entries.  Values
+    are compared, and kept, as integer numerators over one denominator, and
+    each branch's distinct values are sorted on their own: the branch ranges
+    are disjoint and increasing, so their concatenation is the sorted knot
+    list.  A `table` from an earlier build over the same points (certify_separation
+    passes one) is deepened in place instead of recomputed, and `points` is
+    then not read.
     """
-    pts = tuple(tuple(Fraction(c) for c in p) for p in points)
-    if not pts:
-        raise DomainError("need at least one point")
-    seen: dict[tuple, int] = {}
-    for j, p in enumerate(pts):
-        if p in seen:
-            raise InputError(f"points must be pairwise distinct; points {seen[p]} and {j} coincide")
-        seen[p] = j
+    if table is None:
+        table = InnerTable(params, inner, PointGroups(points, params.d))
+    table.deepen(depth)
+    groups, n = table.groups, len(table.groups.points)
     unit = params.unit(inner, depth)
-    values = [
-        [v for v, _ in branches_scaled(params, inner, check_point(params, p), depth)] for p in pts
-    ]
-    knots = sorted({v for per_point in values for v in per_point})
-    index = {v: i for i, v in enumerate(knots)}
-    branch_of: dict[int, int] = {}
-    rows = []
-    for per_point in values:
-        row: dict[int, int] = {}
-        for q, v in enumerate(per_point):
-            col = index[v]
-            row[col] = row.get(col, 0) + 1
-            prior = branch_of.setdefault(col, q)
-            if prior != q:
-                raise InternalInvariantError(
-                    f"knot {Fraction(v, unit)} reached from branches "
-                    f"{prior} and {q}; ranges must be disjoint"
-                )
-        if sum(row.values()) != params.branch_count:
-            raise InternalInvariantError("incidence row sum differs from 2d+1")
-        rows.append(row)
+    lam_num = params._lam_scaled[1]
+    knots: list[int] = []
+    knot_branch: list[int] = []
+    columns = []
+    for q, b in enumerate(params.b):
+        column = [b * unit] * n
+        for lam, values, ids in zip(lam_num, table.value, groups.ids):
+            terms = [lam * v for v in values[q]]
+            column = [c + terms[g] for c, g in zip(column, ids)]
+        distinct = sorted(set(column))
+        if knots and distinct[0] <= knots[-1]:
+            raise InternalInvariantError(
+                f"branch {q} reaches {Fraction(distinct[0], unit)}, not above branch {q - 1}; "
+                "ranges must be disjoint"
+            )
+        index = {v: i for i, v in enumerate(distinct, start=len(knots))}
+        columns.append([index[v] for v in column])
+        knots.extend(distinct)
+        knot_branch.extend([q] * len(distinct))
     return IncidenceSystem(
-        points=pts,
+        points=groups.points,
         depth=depth,
         d=params.d,
         unit=unit,
         knots=tuple(knots),
-        knot_branch=tuple(branch_of[i] for i in range(len(knots))),
-        rows=tuple(rows),
+        knot_branch=tuple(knot_branch),
+        rows=tuple(dict.fromkeys(cols, 1) for cols in zip(*columns)),
     )
 
 
@@ -420,7 +532,7 @@ class SeparationVerdict:
 
 def separation_check(system: IncidenceSystem) -> SeparationVerdict:
     """Decide full row rank of the incidence matrix by exact elimination."""
-    rank, kernel = left_kernel_vector(system.rows)
+    rank, kernel = left_kernel_vector(system.rows, system.components)
     return SeparationVerdict(
         separated=kernel is None,
         rank=rank,
@@ -442,13 +554,18 @@ def certify_separation(
 
     Collisions caused by truncation dissolve at higher depth; a collision
     that survives the cap is reported as not separated, witness attached.
+    The points are checked once, and every retry extends the same InnerTable
+    from depth k to the next depth, reading only the new digits; the depth-k
+    system is dropped before the next one is built.
     """
     current = min(depth, depth_cap)
+    table = InnerTable(params, inner, PointGroups(points, params.d))
     retries = 0
     while True:
-        system = build_incidence(params, inner, points, current)
+        system = build_incidence(params, inner, points, current, table)
         verdict = separation_check(system)
         if verdict.separated or current >= depth_cap:
             return system, replace(verdict, retries=retries)
+        del system
         current = min(2 * current, depth_cap)
         retries += 1

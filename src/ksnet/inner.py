@@ -123,13 +123,15 @@ class InnerValue:
         return self.value + self.error_bound
 
 
-def phi_scaled(spec: InnerSpec, num: int, den: int, depth: int) -> tuple[int, int]:
+def phi_scaled(spec: InnerSpec, num: int, den: int, depth: int) -> tuple[int, int, int]:
     """Depth-`depth` truncation of the inner function at num/den in [0, 2), den > 0.
 
-    Returns (value, window) as integer numerators over spec._den**depth.  The
-    window is w(i_1)*...*w(i_k), or 0 when num/den is an integer.  The digits
-    are consumed from the least significant end, so each step prepends a
-    block: value <- c * den**(digits so far) + w * value.
+    Returns (value, window, rest): value and window are integer numerators
+    over spec._den**depth, and rest / den is the fractional part of
+    base**depth * num/den, the digits not read (phi_extend reads on from it).
+    The window is w(i_1)*...*w(i_k), or 0 when num/den is an integer.  The
+    digits are consumed from the least significant end, so each step
+    prepends a block: value <- c * den**(digits so far) + w * value.
     """
     if depth < 1:
         raise DomainError(f"depth must be >= 1, got {depth}")
@@ -142,8 +144,8 @@ def phi_scaled(spec: InnerSpec, num: int, den: int, depth: int) -> tuple[int, in
     digit_scale, scales, scale = powers
     whole, frac = divmod(num, den)
     if not frac:
-        return whole * spec._den**depth, 0
-    digits = frac * digit_scale // den
+        return whole * spec._den**depth, 0, 0
+    digits, rest = divmod(frac * digit_scale, den)
     blocks, radix = spec._blocks, spec.base**block_len
     value, window = 0, 1
     for block_scale in scales:
@@ -157,7 +159,25 @@ def phi_scaled(spec: InnerSpec, num: int, den: int, depth: int) -> tuple[int, in
         value = cnum[digit] * scale + wnum[digit] * value
         window *= wnum[digit]
         scale *= spec._den
-    return whole * scale + value, window
+    return whole * scale + value, window, rest
+
+
+def phi_extend(spec: InnerSpec, value: int, window: int, rest: int, den: int, more: int) -> tuple[int, int, int]:
+    """phi_scaled at depth k + `more`, from its (value, window, rest) at depth k for some num/den.
+
+    The digits past k are those of rest/den, so the value gains window times
+    their own truncation: v' = v * _den**more + w * phi_more(rest/den) and
+    w' = w * w_more.  An integer input (window 0) reads no digits, and a
+    terminating one (rest 0) reads only zeros, which add c(0) = 0 to the
+    value and a factor w(0) each to the window.
+    """
+    scale = spec._den**more
+    if not window:
+        return value * scale, 0, 0
+    if not rest:
+        return value * scale, window * spec._wnum[0] ** more, 0
+    v, w, rest = phi_scaled(spec, rest, den, more)
+    return value * scale + window * v, window * w, rest
 
 
 def phi_eval(spec: InnerSpec, x, depth: int) -> InnerValue:
@@ -170,7 +190,7 @@ def phi_eval(spec: InnerSpec, x, depth: int) -> InnerValue:
     x = Fraction(x)
     if not 0 <= x < 2:
         raise DomainError(f"inner function domain is [0, 2), got {x}")
-    value, window = phi_scaled(spec, x.numerator, x.denominator, depth)
+    value, window, _ = phi_scaled(spec, x.numerator, x.denominator, depth)
     scale = spec._den**depth
     return InnerValue(value=Fraction(value, scale), error_bound=Fraction(window, scale))
 

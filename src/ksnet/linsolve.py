@@ -102,10 +102,11 @@ def _eliminate(rows) -> tuple[list[tuple[int, dict, dict]], int | None, dict[int
     return pivots, first, witness
 
 
-def left_kernel_vector(rows) -> tuple[int, tuple[Fraction, ...] | None]:
+def left_kernel_vector(rows, comps=None) -> tuple[int, tuple[Fraction, ...] | None]:
     """Rank of the stacked rows, plus a left-kernel witness if they are dependent.
 
-    The rank is summed over connected components.  The witness is the one
+    The rank is summed over connected components (`comps`, if the caller
+    already has components(rows)).  The witness is the one
     elimination in input order would find first: the dependency of the
     lowest-indexed row that is a combination of earlier rows, scaled so its
     first nonzero entry is +1.  Rows before that one are independent, so the
@@ -114,7 +115,7 @@ def left_kernel_vector(rows) -> tuple[int, tuple[Fraction, ...] | None]:
     n = len(rows)
     rank = 0
     first, witness = n, None
-    for comp in components(rows):
+    for comp in components(rows) if comps is None else comps:
         if len(comp) == 1:
             idx = comp[0]
             if any(rows[idx].values()):

@@ -27,7 +27,7 @@ from pathlib import Path
 
 from .errors import AssemblyError, DomainError, InputError, ModelFormatError, ParameterError
 from .hashmaps import (
-    DEPTH_CAP, HashParams, branch_offsets, branches_scaled, check_dims, check_point, lambda_partial,
+    DEPTH_CAP, HashParams, branch_offsets, branches_scaled, check_dims, check_point,
 )
 from .inner import InnerSpec
 from .outer import KnotLookup, OuterFunction, add_ratios, common_unit, ratio_gap
@@ -334,21 +334,20 @@ def load(source) -> KNetModel:
     if not (isinstance(series, list) and len(series) == d and all(type(r) is int for r in series)):
         raise ModelFormatError(f"expected a list of {d} term counts", location="meta.series_terms")
     try:
-        derived = [lambda_partial(p, d, gamma, r) for p, r in enumerate(series, start=1)]
+        params = HashParams(d, gamma, tuple(series))
     except ParameterError as exc:
         raise ModelFormatError(str(exc), location="meta.series_terms") from None
-    for k, key in enumerate(("lambda", "lambda_tail")):
+    for key, derived in (("lambda", params.lam), ("lambda_tail", params.lam_tails)):
         values = _want(doc, key, list, "")
         if len(values) != d:
             raise ModelFormatError(f"need {d} values, got {len(values)}", location=key)
         for i, (text, want) in enumerate(zip(values, derived)):
-            if Fraction(*_ratio_at(text, f"{key}[{i}]")) != want[k]:
+            if Fraction(*_ratio_at(text, f"{key}[{i}]")) != want:
                 raise ModelFormatError(f"differs from the value of {series[i]} series terms", location=f"{key}[{i}]")
     try:
         inner = InnerSpec(base=gamma, weights=weights)
     except ValueError as exc:
         raise ModelFormatError(str(exc), location="inner_weights") from exc
-    params = HashParams(d, gamma, *map(tuple, zip(*derived)), tuple(series))
     try:
         unit = params.unit(inner, _resolve_depth(meta))
     except AssemblyError as exc:

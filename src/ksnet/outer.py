@@ -34,9 +34,9 @@ from .errors import (
     ParameterError,
     SeparationFailure,
 )
-from .hashmaps import HashParams, IncidenceSystem, branch_offsets, certify_separation
+from .hashmaps import HashParams, IncidenceSystem, PointGroups, branch_offsets, certify_separation
 from .inner import InnerSpec
-from .linsolve import components, solve_square
+from .linsolve import solve_square
 from .rationals import ONE, ZERO, grid_points
 
 CLASS_TAGS = ("continuous", "bounded-discontinuous", "unbounded")
@@ -190,7 +190,7 @@ def g_eval(outer: OuterFunction, y) -> Fraction:
 
 @dataclass(frozen=True)
 class SampleSet:
-    """Distinct sample points in [0, 1]^d with exact targets.
+    """Distinct sample points in [0, 1]^d with exact targets, checked by PointGroups.
 
     class_tag is advisory metadata about the target's regularity; it changes
     nothing in the fit, which only needs finite exact values.
@@ -201,26 +201,14 @@ class SampleSet:
     class_tag: str = "continuous"
 
     def __post_init__(self):
-        points = tuple(tuple(Fraction(c) for c in p) for p in self.points)
-        targets = tuple(Fraction(t) for t in self.targets)
-        if not points:
+        targets = tuple(t if type(t) is Fraction else Fraction(t) for t in self.targets)
+        if not self.points:
             raise InputError("sample set is empty")
-        if len(points) != len(targets):
-            raise InputError(f"{len(points)} points but {len(targets)} targets")
+        if len(self.points) != len(targets):
+            raise InputError(f"{len(self.points)} points but {len(targets)} targets")
         if self.class_tag not in CLASS_TAGS:
             raise InputError(f"class_tag must be one of {CLASS_TAGS}, got {self.class_tag!r}")
-        d = len(points[0])
-        seen: dict[tuple, int] = {}
-        for j, p in enumerate(points):
-            if len(p) != d:
-                raise InputError(f"point {j} has {len(p)} coordinates, expected {d}")
-            for coord in p:
-                if not 0 <= coord <= 1:
-                    raise DomainError(f"point {j} leaves [0, 1]^d: {p}")
-            if p in seen:
-                raise InputError(f"points must be pairwise distinct; points {seen[p]} and {j} coincide")
-            seen[p] = j
-        object.__setattr__(self, "points", points)
+        object.__setattr__(self, "points", PointGroups(self.points, len(self.points[0])).points)
         object.__setattr__(self, "targets", targets)
 
     @property
@@ -286,7 +274,7 @@ def _min_norm_solution(system: IncidenceSystem, targets) -> dict[int, Fraction]:
     """
     rows = system.rows
     g: dict[int, Fraction] = {}
-    for comp in components(rows):
+    for comp in system.components:
         if len(comp) == 1:
             row = rows[comp[0]]
             u = Fraction(targets[comp[0]], sum(cnt * cnt for cnt in row.values()))
@@ -390,7 +378,7 @@ def run_damped_iteration(
     residual = [Fraction(t) for t in targets]
     alone: list[int] = []
     shared: list[int] = []
-    for comp in components(rows):
+    for comp in system.components:
         if len(comp) == 1:
             alone.extend(comp)
         else:
@@ -472,7 +460,7 @@ def fit_iterative(
     for p in points:
         raw = f(p)
         try:
-            t = Fraction(raw)
+            t = raw if type(raw) is Fraction else Fraction(raw)
         except (TypeError, ValueError, OverflowError) as exc:
             raise DomainError(
                 f"target at grid point {p} is not finite ({raw!r}); "

@@ -453,15 +453,12 @@ def load(source):
     except ValueError as exc:
         raise ModelFormatError(str(exc), location="inner_weights") from exc
     try:
-        params = HashParams(
-            d=d,
-            gamma=gamma,
-            lam=lam_values,
-            lam_tails=tail_values,
-            series_terms=tuple(series) if series is not None else (0,) * d,
-        )
+        params = HashParams(d=d, gamma=gamma, series_terms=tuple(series or ()))
     except ValueError as exc:
-        raise ModelFormatError(str(exc), location="lambda") from exc
+        raise ModelFormatError(str(exc), location="meta.series_terms") from exc
+    for key, given, derived in (("lambda", lam_values, params.lam), ("lambda_tail", tail_values, params.lam_tails)):
+        if given != derived:
+            raise ModelFormatError("differs from the values meta.series_terms defines", location=key)
     if b != list(params.b):
         raise ModelFormatError(f"expected (2d+1)q for q = 0..2d, got {b}", location="b")
 

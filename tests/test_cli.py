@@ -410,3 +410,19 @@ def test_oversized_grids_are_refused_before_they_are_built(tmp_path, args):
     done = _cli_subprocess(args, tmp_path)
     assert done.returncode == EXIT_INPUT
     assert "more than 50000 points" in done.stderr and "Traceback" not in done.stderr
+
+
+@pytest.mark.parametrize("args, message", [
+    (["check", "--trials", "10001"], "--trials must lie in 1..10000"),
+    (["check", "--samples", "100001"], "--samples must lie in 2..100000"),
+    (["check", "--trial-points", "50001"], "--trial-points must lie in 2..50000"),
+    (["check", "--trial-points", str(10**18)], "--trial-points must lie in 2..50000"),
+    (["bench", "--sweep-n", "50,50001"], "--sweep-n entries must lie in 1..50000"),
+])
+def test_oversized_counts_are_refused_before_any_work(tmp_path, args, message):
+    """Each count is a loop or an allocation of that size; past its cap the command
+    exits 2 at once (a hang or a memory blow-up would hit the child's timeout)."""
+    done = _cli_subprocess(args, tmp_path, timeout=20)
+    assert done.returncode == EXIT_INPUT
+    assert message in done.stderr and "Traceback" not in done.stderr
+    assert not done.stdout

@@ -20,6 +20,8 @@ from ksnet.hashmaps import (
     separation_check,
 )
 from ksnet.inner import default_inner_spec
+from ksnet.network import assemble, load, save
+from ksnet.outer import SampleSet, fit_exact
 
 SPEC6 = default_inner_spec(6)
 P26 = make_params(2, 6)
@@ -77,6 +79,20 @@ def test_series_terms_cap_is_the_most_make_params_picks():
             lambda_partial(p, 2, 6, terms)
 
 
+def test_replaced_term_counts_derive_their_own_weights():
+    """lam and lam_tails follow series_terms, so replaced params save a model that loads."""
+    params = dataclasses.replace(P26, series_terms=(0, 3))
+    assert params.lam == (1, lambda_partial(2, 2, 6, 3)[0]) != P26.lam
+    assert params.lam_tails == (0, lambda_partial(2, 2, 6, 3)[1])
+    samples = SampleSet(points=((Fraction(1, 3), Fraction(2, 7)), (Fraction(1, 2), Fraction(1))),
+                        targets=(Fraction(1), Fraction(-2)))
+    outer, report = fit_exact(samples, params, SPEC6)
+    data = save(assemble(SPEC6, params, outer, meta={"depth": report.depth}))
+    model = load(data)
+    assert model.params == params and model.params.lam == params.lam
+    assert save(model) == data
+
+
 def test_lambda_tail_brackets_refinement():
     """Tightening the tolerance moves the value by at most the coarse tail."""
     coarse, coarse_tail, _ = lambda_series(2, 2, 6, Fraction(1, 10**6))
@@ -91,8 +107,12 @@ def test_make_params_rejects():
         make_params(1, 6)
     with pytest.raises(ParameterError, match="2d\\+2 = 6"):
         make_params(2, 5)
-    with pytest.raises(ParameterError):
+    # lam is derived from the series term counts, so it cannot be given
+    with pytest.raises(TypeError):
         dataclasses.replace(P26, lam=(Fraction(1, 2), P26.lam[1]))
+    for terms in ((0, 0), (1, 4), (0, SERIES_TERMS_CAP + 1), (0,)):
+        with pytest.raises(ParameterError):
+            dataclasses.replace(P26, series_terms=terms)
 
 
 def test_psi_at_corners():
