@@ -139,6 +139,15 @@ class HashParams:
     def a(self) -> Fraction:
         return Fraction(1, self.gamma * (self.gamma - 1))
 
+    def branch_input(self, num: int, den: int) -> tuple[int, int, int]:
+        """(n, m, step) with x + a q = (n + q step) / m for x = num/den and every branch q.
+
+        x + a q = (num gamma (gamma - 1) + q den) / (den gamma (gamma - 1)),
+        so phi runs on integers and no Fraction is built.
+        """
+        shift = self.gamma * (self.gamma - 1)
+        return num * shift, den * shift, den
+
     @cached_property
     def b(self) -> tuple[int, ...]:
         return branch_offsets(self.d)
@@ -193,15 +202,10 @@ def check_point(params: HashParams, x) -> tuple[Fraction, ...]:
 
 
 def branches_scaled(params: HashParams, inner: InnerSpec, point, depth: int) -> list[tuple[int, int]]:
-    """Every branch at a checked point as (value, window) numerators over params.unit(inner, depth).
-
-    phi runs at x_p + a q = (n gamma (gamma - 1) + q m) / (m gamma (gamma - 1))
-    for x_p = n/m, so no Fraction is built.
-    """
+    """Every branch at a checked point as (value, window) numerators over params.unit(inner, depth)."""
     lam_den, lam_num, tail_num = params._lam_scaled
-    shift_den = params.gamma * (params.gamma - 1)
     coords = [
-        (c.numerator * shift_den, c.denominator * shift_den, c.denominator, lam, tail)
+        (*params.branch_input(c.numerator, c.denominator), lam, tail)
         for c, lam, tail in zip(point, lam_num, tail_num)
     ]
     base = lam_den * inner._den**depth
@@ -373,6 +377,11 @@ class PointGroups:
             raise OutsideCube(j, p + 1, self.points[j][p])
 
 
+def point_groups(points, d: int) -> PointGroups:
+    """`points` checked and grouped, unless they already are a PointGroups."""
+    return points if isinstance(points, PointGroups) else PointGroups(points, d)
+
+
 class InnerTable:
     """phi(x + a q) for every distinct coordinate x of every axis and every branch q.
 
@@ -385,6 +394,8 @@ class InnerTable:
     """
 
     def __init__(self, params: HashParams, inner: InnerSpec, groups: PointGroups):
+        if len(groups.values) != params.d:
+            raise DomainError(f"points have d = {len(groups.values)}, parameters have d = {params.d}")
         self.params, self.inner, self.groups = params, inner, groups
         self.depth = 0
         self.value: list[list[list[int]]] = []
@@ -393,21 +404,24 @@ class InnerTable:
 
     def deepen(self, depth: int) -> None:
         """Bring the table to `depth`: extended in place from a lower depth, else computed anew."""
+        if depth < 1:
+            raise DomainError(f"depth must be >= 1, got {depth}")
         inner, more = self.inner, depth - self.depth
-        # x + a q = (n gamma (gamma - 1) + q m) / (m gamma (gamma - 1)) for x = n/m
-        shift = self.params.gamma * (self.params.gamma - 1)
+        if not more:
+            return
+        inputs = [[self.params.branch_input(n, m) for n, m in values] for values in self.groups.values]
         if self.depth and more > 0:
-            for values, *tables in zip(self.groups.values, self.value, self.window, self.rest):
-                dens = [m * shift for _, m in values]
+            for axis, *tables in zip(inputs, self.value, self.window, self.rest):
+                dens = [m for _, m, _ in axis]
                 for value, window, rest in zip(*tables):
                     for g, den in enumerate(dens):
                         value[g], window[g], rest[g] = phi_extend(inner, value[g], window[g], rest[g], den, more)
-        elif more:
+        else:
             branch_count = self.params.branch_count
-            self.value, self.window, self.rest = ([[None] * branch_count for _ in self.groups.values] for _ in range(3))
-            for p, values in enumerate(self.groups.values):
+            self.value, self.window, self.rest = ([[None] * branch_count for _ in inputs] for _ in range(3))
+            for p, axis in enumerate(inputs):
                 for q in range(branch_count):
-                    triples = [phi_scaled(inner, n * shift + q * m, m * shift, depth) for n, m in values]
+                    triples = [phi_scaled(inner, n + q * step, m, depth) for n, m, step in axis]
                     self.value[p][q], self.window[p][q], self.rest[p][q] = map(list, zip(*triples))
         self.depth = depth
 
@@ -456,18 +470,23 @@ def build_incidence(
 ) -> IncidenceSystem:
     """Evaluate every branch at every point and tabulate hits on distinct values.
 
-    The points are checked and grouped per axis (PointGroups), and phi runs
-    once per distinct coordinate and branch (InnerTable); branch q of point j
-    is then b_q plus the lam-weighted sum of its coordinates' entries.  Values
-    are compared, and kept, as integer numerators over one denominator, and
-    each branch's distinct values are sorted on their own: the branch ranges
-    are disjoint and increasing, so their concatenation is the sorted knot
-    list.  A `table` from an earlier build over the same points (certify_separation
-    passes one) is deepened in place instead of recomputed, and `points` is
-    then not read.
+    The points are checked and grouped per axis (PointGroups; a PointGroups
+    is taken as it is), and phi runs once per distinct coordinate and branch
+    (InnerTable); branch q of point j is then b_q plus the lam-weighted sum
+    of its coordinates' entries.  Values are compared, and kept, as integer
+    numerators over one denominator, and each branch's distinct values are
+    sorted on their own: the branch ranges are disjoint and increasing, so
+    their concatenation is the sorted knot list.  Instead of `points`, a
+    `table` from an earlier build with the same params and inner may be
+    passed (points None); it is deepened in place, not recomputed, which is
+    how certify_separation retries.
     """
     if table is None:
-        table = InnerTable(params, inner, PointGroups(points, params.d))
+        table = InnerTable(params, inner, point_groups(points, params.d))
+    elif points is not None:
+        raise DomainError("pass the points or a table of them, not both")
+    elif table.params != params or table.inner != inner:
+        raise ParameterError("the table was built for other parameters or another inner function")
     table.deepen(depth)
     groups, n = table.groups, len(table.groups.points)
     unit = params.unit(inner, depth)
@@ -554,15 +573,16 @@ def certify_separation(
 
     Collisions caused by truncation dissolve at higher depth; a collision
     that survives the cap is reported as not separated, witness attached.
-    The points are checked once, and every retry extends the same InnerTable
-    from depth k to the next depth, reading only the new digits; the depth-k
-    system is dropped before the next one is built.
+    The points are checked once (a PointGroups, as SampleSet keeps, is not
+    checked again), and every retry extends the same InnerTable from depth
+    k to the next depth, reading only the new digits; the depth-k system is
+    dropped before the next one is built.
     """
     current = min(depth, depth_cap)
-    table = InnerTable(params, inner, PointGroups(points, params.d))
+    table = InnerTable(params, inner, point_groups(points, params.d))
     retries = 0
     while True:
-        system = build_incidence(params, inner, points, current, table)
+        system = build_incidence(params, inner, None, current, table)
         verdict = separation_check(system)
         if verdict.separated or current >= depth_cap:
             return system, replace(verdict, retries=retries)

@@ -193,7 +193,9 @@ class SampleSet:
     """Distinct sample points in [0, 1]^d with exact targets, checked by PointGroups.
 
     class_tag is advisory metadata about the target's regularity; it changes
-    nothing in the fit, which only needs finite exact values.
+    nothing in the fit, which only needs finite exact values.  The checked
+    groups are kept as `groups` (not a field), so a fit does not check the
+    points again.
     """
 
     points: tuple[tuple[Fraction, ...], ...]
@@ -208,7 +210,13 @@ class SampleSet:
             raise InputError(f"{len(self.points)} points but {len(targets)} targets")
         if self.class_tag not in CLASS_TAGS:
             raise InputError(f"class_tag must be one of {CLASS_TAGS}, got {self.class_tag!r}")
-        object.__setattr__(self, "points", PointGroups(self.points, len(self.points[0])).points)
+        d = len(self.points[0])
+        for j, p in enumerate(self.points):
+            if len(p) != d:
+                raise InputError(f"point {j} has {len(p)} coordinates, expected {d}")
+        groups = PointGroups(self.points, d)
+        object.__setattr__(self, "groups", groups)
+        object.__setattr__(self, "points", groups.points)
         object.__setattr__(self, "targets", targets)
 
     @property
@@ -327,7 +335,7 @@ def fit_exact(
     """
     if samples.d != params.d:
         raise DomainError(f"samples have d = {samples.d}, parameters have d = {params.d}")
-    system, verdict = certify_separation(params, inner, samples.points, depth)
+    system, verdict = certify_separation(params, inner, samples.groups, depth)
     if not verdict.separated:
         raise SeparationFailure(
             f"samples admit a closed path after {verdict.retries} depth retries "

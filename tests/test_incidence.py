@@ -18,10 +18,11 @@ from test_oracle import NETWORKS, ODD_SPEC6, unit_coords
 
 from ksnet import hashmaps, linsolve
 from ksnet.cli import main
-from ksnet.errors import CoincidentPoints, DomainError, OutsideCube
+from ksnet.errors import CoincidentPoints, DomainError, OutsideCube, ParameterError
 from ksnet.hashmaps import InnerTable, PointGroups, build_incidence, certify_separation
 from ksnet.inner import default_inner_spec, phi_extend, phi_scaled
-from ksnet.outer import fit_iterative
+from ksnet.hashmaps import make_params
+from ksnet.outer import SampleSet, fit_exact, fit_iterative
 
 P26, SPEC6 = NETWORKS[0]
 CHAINS = [(30, 60, 120, 240), (100, 200, 240), (1, 2, 3, 240)]
@@ -31,7 +32,7 @@ def _chain(params, inner, points, chain):
     """Systems along `chain` from one table, each checked against a fresh build."""
     table = InnerTable(params, inner, PointGroups(points, params.d))
     for depth in chain:
-        system = build_incidence(params, inner, points, depth, table)
+        system = build_incidence(params, inner, None, depth, table)
         assert table.depth == depth
         assert system == build_incidence(params, inner, points, depth)
     return system
@@ -125,6 +126,54 @@ def test_build_rejects_coincident_and_outside_points():
         build_incidence(P26, SPEC6, [(half, third), (half,)], 30)
     with pytest.raises(DomainError, match="at least one point"):
         build_incidence(P26, SPEC6, [], 30)
+
+
+def test_depth_below_one_is_refused():
+    """Depth 0 would leave the table empty: every point would hit the same knots
+    and the retry loop (depth 2 * 0) would never end."""
+    points = [(Fraction(1, 3), Fraction(2, 7)), (Fraction(1, 2), Fraction(1))]
+    samples = SampleSet(points=tuple(points), targets=(Fraction(1), Fraction(2)))
+    for call in (
+        lambda: build_incidence(P26, SPEC6, points, 0),
+        lambda: build_incidence(P26, SPEC6, points, -3),
+        lambda: certify_separation(P26, SPEC6, points, 0),
+        lambda: certify_separation(P26, SPEC6, points, 30, depth_cap=0),
+        lambda: fit_exact(samples, P26, SPEC6, depth=0),
+        lambda: fit_iterative(lambda p: p[0], P26, SPEC6, grid_level=1, depth=0),
+    ):
+        with pytest.raises(DomainError, match="depth must be >= 1"):
+            call()
+    table = InnerTable(P26, SPEC6, PointGroups(points, 2))
+    build_incidence(P26, SPEC6, None, 30, table)
+    with pytest.raises(DomainError, match="depth must be >= 1, got 0"):
+        build_incidence(P26, SPEC6, None, 0, table)
+    assert table.depth == 30
+
+
+def test_a_table_is_used_only_with_its_own_parameters():
+    points = [(Fraction(1, 3), Fraction(2, 7)), (Fraction(1, 2), Fraction(1))]
+    table = InnerTable(P26, SPEC6, PointGroups(points, 2))
+    with pytest.raises(DomainError, match="not both"):
+        build_incidence(P26, SPEC6, points, 30, table)
+    with pytest.raises(ParameterError, match="other parameters"):
+        build_incidence(make_params(2, 7), SPEC6, None, 30, table)
+    with pytest.raises(ParameterError, match="another inner function"):
+        build_incidence(P26, ODD_SPEC6, None, 30, table)
+    assert table.depth == 0
+    with pytest.raises(DomainError, match="points have d = 2, parameters have d = 3"):
+        certify_separation(make_params(3, 8), default_inner_spec(8), PointGroups(points, 2), 30)
+
+
+def test_a_fit_checks_its_samples_once(monkeypatch):
+    """SampleSet keeps its PointGroups and certify_separation takes them as they are."""
+    points = [(Fraction(1, 3), Fraction(2, 7)), (Fraction(1, 2), Fraction(1)), (Fraction(0), Fraction(1, 6))]
+    calls = []
+    original = PointGroups.__init__
+    monkeypatch.setattr(PointGroups, "__init__", lambda self, *a: calls.append(a) or original(self, *a))
+    samples = SampleSet(points=tuple(points), targets=(Fraction(1), Fraction(2), Fraction(3)))
+    outer, report = fit_exact(samples, P26, SPEC6)
+    assert report.residual_max == 0 and len(calls) == 1
+    assert samples.groups.points == samples.points
 
 
 def test_components_are_found_once_per_system(monkeypatch):

@@ -55,6 +55,10 @@ def test_sample_set_validation():
         SampleSet(points=((Fraction(3, 2), Fraction(0)),), targets=(Fraction(1),))
     with pytest.raises(InputError):
         SampleSet(points=(p,), targets=(Fraction(1),), class_tag="smooth")
+    with pytest.raises(InputError, match="point 1 has 1 coordinates, expected 2"):
+        SampleSet(points=(p, (Fraction(1, 2),)), targets=(Fraction(1), Fraction(2)))
+    with pytest.raises(DomainError, match="point 1: coordinate 1 must lie in \\[0, 1\\], got 3/2"):
+        SampleSet(points=(p, (Fraction(3, 2), Fraction(0))), targets=(Fraction(1), Fraction(2)))
     s = SampleSet(points=(p,), targets=(Fraction(1),))
     assert s.n == 1 and s.d == 2
     assert s.canonical_hash() == SampleSet(points=(p,), targets=(Fraction(1),)).canonical_hash()
