@@ -20,6 +20,7 @@ import csv
 import datetime
 import io
 import json
+import math
 import random
 import sys
 import time
@@ -27,6 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import (
+    AssemblyError,
     CoincidentPoints,
     DomainError,
     InputError,
@@ -35,6 +37,7 @@ from .errors import (
     ModelFormatError,
     OutsideCube,
     ParameterError,
+    PointError,
     SeparationFailure,
 )
 from .hashmaps import (
@@ -46,8 +49,8 @@ from .hashmaps import (
     separation_check,
 )
 from .inner import default_inner_spec, verify_inner
-from .network import FastEvaluator, assemble, describe, evaluate, load, save
-from .outer import SampleSet, fit_exact, fit_iterative, merge_report
+from .network import assemble, describe, evaluate_batch, load, save
+from .outer import SampleSet, fit_exact, fit_iterative, grid_samples, merge_report
 from .rationals import parse_rational
 
 EXIT_OK = 0
@@ -65,15 +68,8 @@ POINT_CAP = 50_000
 SAMPLES_CAP = 100_000
 TRIALS_CAP = 10_000
 
-def _prod(p):
-    acc = Fraction(1)
-    for c in p:
-        acc *= Fraction(c)
-    return acc
-
-
 TARGETS = {
-    "product": _prod,
+    "product": lambda p: math.prod(map(Fraction, p)),
     "sum": lambda p: sum(Fraction(c) for c in p),
     "indicator": lambda p: Fraction(1) if p[0] < Fraction(1, 2) else Fraction(0),
     "reciprocal": lambda p: 1 / (sum(Fraction(c) for c in p) + Fraction(1, 1000)),
@@ -137,8 +133,8 @@ class JobConfig:
             raise InputError(f"{self.command} requires --in")
         if self.command in ("fit", "eval", "describe") and not self.model_path:
             raise InputError(f"{self.command} requires --model")
-        if self.command == "fit" and self.depth is None:
-            raise InputError("fit requires --depth")
+        if self.command in ("fit", "check", "bench") and self.depth is None:
+            raise InputError(f"{self.command} requires --depth")
 
     def to_jsonable(self) -> dict:
         return {
@@ -178,40 +174,29 @@ def _parse_cell(cell: str, row_no: int, col_no: int) -> Fraction:
         raise InputError(f"row {row_no}, column {col_no}: {exc}") from None
 
 
-def _read_samples(path: str, d: int) -> SampleSet:
+def _read_table(path: str, width: int, columns: str) -> list[tuple[Fraction, ...]]:
+    """The parsed data rows of a CSV whose header has `width` cells, described by `columns`."""
     rows = _read_csv_rows(path)
-    header, data = rows[0], rows[1:]
-    if len(header) != d + 1:
-        raise InputError(
-            f"{path}: expected {d + 1} columns ({d} coordinates and a target), got {len(header)}"
-        )
-    if not data:
+    if len(rows[0]) != width:
+        raise InputError(f"{path}: expected {columns}, got {len(rows[0])}")
+    table = []
+    for row_no, row in enumerate(rows[1:], start=1):
+        if len(row) != width:
+            raise InputError(f"row {row_no}: expected {width} cells, got {len(row)}")
+        table.append(tuple(_parse_cell(cell, row_no, c + 1) for c, cell in enumerate(row)))
+    return table
+
+
+def _read_samples(path: str, d: int) -> SampleSet:
+    rows = _read_table(path, d + 1, f"{d + 1} columns ({d} coordinates and a target)")
+    if not rows:
         raise InputError(f"{path}: no sample rows")
-    points, targets = [], []
-    for row_no, row in enumerate(data, start=1):
-        if len(row) != d + 1:
-            raise InputError(f"row {row_no}: expected {d + 1} cells, got {len(row)}")
-        points.append(tuple(_parse_cell(cell, row_no, c + 1) for c, cell in enumerate(row[:d])))
-        targets.append(_parse_cell(row[d], row_no, d + 1))
     try:
-        return SampleSet(points=tuple(points), targets=tuple(targets))
+        return SampleSet(points=tuple(row[:d] for row in rows), targets=tuple(row[d] for row in rows))
     except OutsideCube as exc:
         raise InputError(f"row {exc.index + 1}, column {exc.axis}: coordinate {exc.value} leaves [0, 1]") from None
     except CoincidentPoints as exc:
         raise InputError(f"duplicate point: rows {exc.first + 1} and {exc.second + 1} coincide") from None
-
-
-def _read_points(path: str, d: int) -> list[tuple[Fraction, ...]]:
-    rows = _read_csv_rows(path)
-    header, data = rows[0], rows[1:]
-    if len(header) != d:
-        raise InputError(f"{path}: expected {d} coordinate columns, got {len(header)}")
-    points = []
-    for row_no, row in enumerate(data, start=1):
-        if len(row) != d:
-            raise InputError(f"row {row_no}: expected {d} cells, got {len(row)}")
-        points.append(tuple(_parse_cell(cell, row_no, c + 1) for c, cell in enumerate(row)))
-    return points
 
 
 def _emit_text(text: str, out_path: str | None) -> None:
@@ -268,19 +253,13 @@ def cmd_fit(config: JobConfig) -> int:
         for row_no, point in enumerate(samples.points, start=1):
             if any(scale % c.denominator for c in point):
                 raise InputError(
-                    f"row {row_no}: {_point_text(point)} is not a "
+                    f"row {row_no}: ({', '.join(map(str, point))}) is not a "
                     f"level-{config.grid_level} grid point"
                 )
-
-        def steps(point) -> tuple[int, ...]:
-            return tuple(c.numerator * (scale // c.denominator) for c in point)
-
-        table = dict(zip(map(steps, samples.points), samples.targets))
         outer_fn, fit_rep = fit_iterative(
-            lambda point: table[steps(point)],
+            samples,
             params,
             inner,
-            grid_level=config.grid_level,
             depth=config.depth,
             max_iter=config.max_iter,
             tolerance=config.tolerance,
@@ -313,49 +292,41 @@ def cmd_fit(config: JobConfig) -> int:
     return EXIT_OK
 
 
-def _point_text(point) -> str:
-    return "(" + ", ".join(map(str, point)) + ")"
-
-
 def cmd_eval(config: JobConfig) -> int:
     model = load(config.model_path)
-    points = _read_points(config.in_path, model.params.d)
-    fast = FastEvaluator(model) if config.numeric == "fast" else None
+    points = _read_table(config.in_path, model.params.d, f"{model.params.d} coordinate columns")
+    try:
+        results = evaluate_batch(model, points, depth=config.depth, numeric=config.numeric)
+    except PointError as exc:
+        raise InputError(f"row {exc.index + 1}: {exc.reason}") from exc
+    text = str if config.numeric == "exact" else repr
     out = io.StringIO()
     writer = csv.writer(out)
     writer.writerow(["w", "error_bound"])
-    for row_no, point in enumerate(points, start=1):
-        try:
-            if fast is None:
-                w, err = evaluate(model, point, depth=config.depth)
-                writer.writerow([str(w), str(err)])
-            else:
-                w, err = fast.evaluate(point, depth=config.depth)
-                writer.writerow([repr(w), repr(err)])
-        except DomainError as exc:
-            raise InputError(f"row {row_no}: {exc}") from exc
+    writer.writerows([text(w), text(err)] for w, err in results)
     _emit_text(out.getvalue(), config.out_path)
     return EXIT_OK
 
 
-def _random_point(rng: random.Random, d: int) -> tuple[Fraction, ...]:
-    return tuple(Fraction(rng.getrandbits(50), 2**50) for _ in range(d))
+def _random_points(rng: random.Random, d: int, n: int) -> list[tuple[Fraction, ...]]:
+    """n distinct points of [0, 1]^d with 50-bit dyadic coordinates, sorted."""
+    points = set()
+    while len(points) < n:
+        points.add(tuple(Fraction(rng.getrandbits(50), 2**50) for _ in range(d)))
+    return sorted(points)
 
 
 def cmd_check(config: JobConfig) -> int:
     params = make_params(config.d, config.gamma, config.series_tolerance)
     _refuse_large_grid(config, config.probe_level, "--probe-level")
     inner = default_inner_spec(config.gamma)
-    depth = config.depth if config.depth is not None else 30
-    inner_report = verify_inner(inner, samples=config.samples, depth=depth, seed=config.seed)
-    range_report = check_ranges(params, inner, probe_level=config.probe_level, depth=depth)
+    inner_report = verify_inner(inner, samples=config.samples, depth=config.depth, seed=config.seed)
+    range_report = check_ranges(params, inner, probe_level=config.probe_level, depth=config.depth)
     rng = random.Random(config.seed)
     failed = []
     for trial in range(config.trials):
-        points = set()
-        while len(points) < config.trial_points:
-            points.add(_random_point(rng, config.d))
-        system = build_incidence(params, inner, sorted(points), depth)
+        points = _random_points(rng, config.d, config.trial_points)
+        system = build_incidence(params, inner, points, config.depth)
         verdict = separation_check(system)
         if not verdict.separated:
             failed.append({"trial": trial, "verdict": verdict.to_jsonable()})
@@ -371,7 +342,7 @@ def cmd_check(config: JobConfig) -> int:
             "passed": trials_passed,
             "trials": config.trials,
             "points_per_trial": config.trial_points,
-            "depth": depth,
+            "depth": config.depth,
             "failures": len(failed),
             "failed_trials": failed,
         },
@@ -386,7 +357,6 @@ def cmd_bench(config: JobConfig) -> int:
         _refuse_large_grid(config, config.grid_level, "--grid-level")
     target = TARGETS[config.target]
     inner = default_inner_spec(config.gamma)
-    depth = config.depth if config.depth is not None else 30
     out = io.StringIO()
     writer = csv.writer(out)
     writer.writerow(
@@ -396,33 +366,26 @@ def cmd_bench(config: JobConfig) -> int:
             "residual_max",
         ]
     )
+
+    def row(n, mode, ms, rep, factor):
+        return [
+            n, config.d, config.gamma, config.depth, mode, config.target, f"{ms:.3f}", rep.knot_count,
+            rep.iterations, factor, rep.separation.retries, rep.depth, str(rep.residual_max),
+        ]
+
     for n in config.sweep_n:
-        rng = random.Random(config.seed * 1_000_003 + n)
-        points = set()
-        while len(points) < n:
-            points.add(_random_point(rng, config.d))
-        points = sorted(points)
-        samples = SampleSet(
-            points=tuple(points), targets=tuple(target(p) for p in points)
-        )
+        points = _random_points(random.Random(config.seed * 1_000_003 + n), config.d, n)
+        samples = SampleSet(points=tuple(points), targets=tuple(target(p) for p in points))
         started = time.perf_counter()
-        _, rep = fit_exact(samples, params, inner, depth=depth)
-        ms = (time.perf_counter() - started) * 1000.0
-        writer.writerow(
-            [
-                n, config.d, config.gamma, depth, "exact", config.target,
-                f"{ms:.3f}", rep.knot_count, rep.iterations, "",
-                rep.separation.retries, rep.depth, str(rep.residual_max),
-            ]
-        )
+        _, rep = fit_exact(samples, params, inner, depth=config.depth)
+        writer.writerow(row(n, "exact", (time.perf_counter() - started) * 1000.0, rep, ""))
     if config.mode == "iterative":
         started = time.perf_counter()
         _, rep = fit_iterative(
-            target,
+            grid_samples(target, params, config.grid_level),
             params,
             inner,
-            grid_level=config.grid_level,
-            depth=depth,
+            depth=config.depth,
             max_iter=config.max_iter,
             tolerance=config.tolerance,
             damping=config.damping,
@@ -431,14 +394,7 @@ def cmd_bench(config: JobConfig) -> int:
         history = rep.convergence_history
         ratios = [b / a for a, b in zip(history, history[1:]) if a > 0]
         factor = f"{sum(ratios) / len(ratios):.6f}" if ratios else ""
-        writer.writerow(
-            [
-                (config.gamma**config.grid_level + 1) ** config.d,
-                config.d, config.gamma, depth, "iterative", config.target,
-                f"{ms:.3f}", rep.knot_count, rep.iterations, factor,
-                rep.separation.retries, rep.depth, str(rep.residual_max),
-            ]
-        )
+        writer.writerow(row(rep.separation.n_points, "iterative", ms, rep, factor))
     _emit_text(out.getvalue(), config.out_path)
     return EXIT_OK
 
@@ -467,58 +423,56 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, *, depth_default=30):
-        p.add_argument("--d", type=int, default=2, help="input dimension (>= 2)")
-        p.add_argument("--gamma", type=int, default=6, help="digit base (>= 2d+2)")
-        p.add_argument("--depth", type=int, default=depth_default, help="truncation depth in digits")
-        p.add_argument("--seed", type=int, default=0, help="RNG seed recorded in outputs")
-        p.add_argument("--out", dest="out_path", default=None, help="report path (default stdout)")
+    # No flag sets a default: an absent flag parses to None and the JobConfig field's default applies.
+    def common(p):
+        p.add_argument("--d", type=int, help="input dimension (>= 2)")
+        p.add_argument("--gamma", type=int, help="digit base (>= 2d+2)")
+        p.add_argument("--depth", type=int, help="truncation depth in digits")
+        p.add_argument("--seed", type=int, help="RNG seed recorded in outputs")
+        p.add_argument("--out", dest="out_path", help="report path (default stdout)")
         p.add_argument("--no-timestamp", dest="timestamps", action="store_false",
                        help="omit timestamps and timings for byte-identical outputs")
-        p.add_argument("--series-tolerance", type=parse_rational, default=DEFAULT_SERIES_TOLERANCE,
+        p.add_argument("--series-tolerance", type=parse_rational,
                        help="tail bound target for the mixing-weight series")
+
+    def iterative(p):
+        p.add_argument("--grid-level", dest="grid_level", type=int, help="grid refinement level for iterative mode")
+        p.add_argument("--tolerance", type=parse_rational, help="iterative stopping tolerance")
+        p.add_argument("--max-iter", dest="max_iter", type=int)
+        p.add_argument("--damping", type=parse_rational)
 
     fit = sub.add_parser("fit", help="fit a model to a sample CSV")
     common(fit)
     fit.add_argument("--in", dest="in_path", required=True, help="sample CSV (d coordinates + target)")
     fit.add_argument("--model", dest="model_path", required=True, help="output model JSON path")
-    fit.add_argument("--mode", choices=("exact", "iterative"), default="exact")
-    fit.add_argument("--grid-level", dest="grid_level", type=int, default=1,
-                     help="grid refinement level for iterative mode")
-    fit.add_argument("--tolerance", type=parse_rational, default=Fraction(1, 10**6),
-                     help="iterative stopping tolerance")
-    fit.add_argument("--max-iter", dest="max_iter", type=int, default=100)
-    fit.add_argument("--damping", type=parse_rational, default=Fraction(1, 2))
+    fit.add_argument("--mode", choices=("exact", "iterative"))
+    iterative(fit)
 
     ev = sub.add_parser("eval", help="evaluate a model on a point CSV")
     ev.add_argument("--model", dest="model_path", required=True)
     ev.add_argument("--in", dest="in_path", required=True, help="point CSV (d coordinate columns)")
-    ev.add_argument("--out", dest="out_path", default=None, help="output CSV (default stdout)")
-    ev.add_argument("--depth", type=int, default=None, help="override the model's stored depth")
-    ev.add_argument("--numeric", choices=("exact", "fast"), default="exact")
+    ev.add_argument("--out", dest="out_path", help="output CSV (default stdout)")
+    ev.add_argument("--depth", type=int, help="override the model's stored depth")
+    ev.add_argument("--numeric", choices=("exact", "fast"))
 
     check = sub.add_parser("check", help="run the property suites")
     common(check)
-    check.add_argument("--samples", type=int, default=2000, help="points for the inner-function suite")
-    check.add_argument("--trials", type=int, default=20, help="random separation trials")
-    check.add_argument("--trial-points", dest="trial_points", type=int, default=50)
-    check.add_argument("--probe-level", dest="probe_level", type=int, default=1,
-                       help="grid level for the range sweep")
+    check.add_argument("--samples", type=int, help="points for the inner-function suite")
+    check.add_argument("--trials", type=int, help="random separation trials")
+    check.add_argument("--trial-points", dest="trial_points", type=int)
+    check.add_argument("--probe-level", dest="probe_level", type=int, help="grid level for the range sweep")
 
     bench = sub.add_parser("bench", help="timing and size sweeps, CSV output")
     common(bench)
-    bench.add_argument("--sweep-n", dest="sweep_n", type=_int_list, default=(50, 100, 200))
-    bench.add_argument("--target", choices=sorted(TARGETS), default="product")
-    bench.add_argument("--mode", choices=("exact", "iterative"), default="exact",
+    bench.add_argument("--sweep-n", dest="sweep_n", type=_int_list)
+    bench.add_argument("--target", choices=sorted(TARGETS))
+    bench.add_argument("--mode", choices=("exact", "iterative"),
                        help="iterative adds a grid-fit row with a convergence factor")
-    bench.add_argument("--grid-level", dest="grid_level", type=int, default=1)
-    bench.add_argument("--tolerance", type=parse_rational, default=Fraction(1, 10**6))
-    bench.add_argument("--max-iter", dest="max_iter", type=int, default=100)
-    bench.add_argument("--damping", type=parse_rational, default=Fraction(1, 2))
+    iterative(bench)
 
     desc = sub.add_parser("describe", help="topology, constants, and knot counts")
     desc.add_argument("--model", dest="model_path", required=True)
-    desc.add_argument("--out", dest="out_path", default=None)
+    desc.add_argument("--out", dest="out_path")
     desc.add_argument("--dot", action="store_true", help="emit a graphviz description instead of JSON")
 
     return parser
@@ -534,8 +488,7 @@ _HANDLERS = {
 
 
 def _config_from_args(args: argparse.Namespace) -> JobConfig:
-    fields = {f for f in JobConfig.__dataclass_fields__}
-    picked = {k: v for k, v in vars(args).items() if k in fields and v is not None}
+    picked = {k: v for k, v in vars(args).items() if k in JobConfig.__dataclass_fields__ and v is not None}
     if args.command == "eval":
         picked["depth"] = args.depth  # None means: use the model's stored depth
     return JobConfig(**picked)
@@ -555,7 +508,7 @@ def main(argv=None) -> int:
         )
         print(f"separation failure: {exc}\nwitness: {witness}", file=sys.stderr)
         return EXIT_SEPARATION
-    except (InputError, DomainError, ParameterError, ModelFormatError) as exc:
+    except (InputError, DomainError, ParameterError, ModelFormatError, AssemblyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except OSError as exc:
@@ -564,6 +517,9 @@ def main(argv=None) -> int:
     except (InternalInvariantError, IterationDiverged) as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
+    except ValueError as exc:  # str() of an exact result past the int-string limit, which no literal may pass
+        print(f"error: a result has too many digits to write: {exc}", file=sys.stderr)
+        return EXIT_INPUT
 
 
 if __name__ == "__main__":

@@ -35,6 +35,14 @@ class OutsideCube(DomainError):
         self.index, self.axis, self.value = index, axis, value
 
 
+class PointError(DomainError):
+    """Point `index` (0-based) of a batch failed; `reason` is the message of the failure."""
+
+    def __init__(self, index: int, reason: str):
+        super().__init__(f"point {index}: {reason}")
+        self.index, self.reason = index, reason
+
+
 class SeparationFailure(KsnetError):
     """The point set admits a closed path, so exact interpolation is unsolvable.
 
@@ -63,7 +71,7 @@ class ModelFormatError(KsnetError, ValueError):
 
 
 class IterationDiverged(KsnetError):
-    """The damped residual iteration let the grid residual grow."""
+    """The damped residual iteration let the residual grow."""
 
 
 class InternalInvariantError(KsnetError):

@@ -34,6 +34,8 @@ from .rationals import ONE, ZERO, digit_limit, grid_points
 
 DEFAULT_SERIES_TOLERANCE = Fraction(1, 10**18)
 DEPTH_CAP = 240
+# Largest digit base: the inner function holds one weight per digit, and every model file lists them.
+GAMMA_CAP = 10_000
 
 
 # The most series terms make_params picks: lam_2 of d = 2, gamma = 6 at tolerance
@@ -90,11 +92,13 @@ def lambda_series(p: int, d: int, gamma: int, tolerance) -> tuple[Fraction, Frac
 
 
 def check_dims(d: int, gamma: int) -> None:
-    """The dimension rule of every network: d >= 2 and gamma >= 2d+2."""
+    """The dimension rule of every network: d >= 2 and 2d+2 <= gamma <= GAMMA_CAP."""
     if d < 2:
         raise ParameterError(f"d must be >= 2, got {d}")
     if gamma < 2 * d + 2:
         raise ParameterError(f"gamma must be >= 2d+2 = {2 * d + 2}, got {gamma}")
+    if gamma > GAMMA_CAP:
+        raise ParameterError(f"gamma must be <= {GAMMA_CAP}, got {gamma}")
 
 
 def branch_offsets(d: int) -> tuple[int, ...]:
@@ -430,8 +434,10 @@ class InnerTable:
 class IncidenceSystem:
     """Points against distinct branch values: the solvability object of a fit.
 
-    Knot i is the value knots[i] / unit; rows[j] maps knot index to hit count for
-    point j.  Every row sums to 2d+1; disjoint branch ranges force entries 0 or 1.
+    Knot i is the value knots[i] / unit.  rows[j] maps to 1 each of the 2d+1
+    knots point j hits, one per branch: the branch ranges are disjoint, so
+    every entry of the matrix is 0 or 1 and every row sums to 2d+1.  The
+    fits rely on this; linsolve takes the rows as general sparse rows.
     """
 
     points: tuple[tuple[Fraction, ...], ...]

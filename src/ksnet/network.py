@@ -22,10 +22,10 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, partial
 from pathlib import Path
 
-from .errors import AssemblyError, DomainError, InputError, ModelFormatError, ParameterError
+from .errors import AssemblyError, DomainError, InputError, ModelFormatError, ParameterError, PointError
 from .hashmaps import (
     DEPTH_CAP, HashParams, branch_offsets, branches_scaled, check_dims, check_point,
 )
@@ -162,23 +162,20 @@ def evaluate(model: KNetModel, x, depth: int | None = None, with_branches: bool 
 
 
 def evaluate_batch(model: KNetModel, points, depth: int | None = None, numeric: str = "exact"):
-    """Evaluate many points, preserving order; the first bad point aborts with its index.
+    """Evaluate many points, preserving order; the first bad point aborts with a PointError.
 
     numeric='exact' yields (Fraction, Fraction) pairs, numeric='fast' yields
     (float, float) pairs from FastEvaluator.
     """
     if numeric not in ("exact", "fast"):
         raise DomainError(f"numeric mode must be 'exact' or 'fast', got {numeric!r}")
-    fast = FastEvaluator(model) if numeric == "fast" else None
+    evaluate_one = FastEvaluator(model).evaluate if numeric == "fast" else partial(evaluate, model)
     out = []
     for j, point in enumerate(points):
         try:
-            if fast is None:
-                out.append(evaluate(model, point, depth))
-            else:
-                out.append(fast.evaluate(point, depth))
+            out.append(evaluate_one(point, depth))
         except DomainError as exc:
-            raise DomainError(f"point {j}: {exc}") from exc
+            raise PointError(j, str(exc)) from exc
     return out
 
 
@@ -196,12 +193,15 @@ class FastEvaluator:
 
     def evaluate(self, x, depth: int | None = None) -> tuple[float, float]:
         w_num, w_den, e_num, e_den = _plan(self.model, depth).sums(x)
-        w = w_num / w_den  # int division rounds correctly
-        p, s = w.as_integer_ratio()
-        # bound = e + |w - exact w|, over one denominator
-        num = e_num * s * w_den + abs(p * w_den - w_num * s) * e_den
-        den = e_den * s * w_den
-        bound = num / den
+        try:
+            w = w_num / w_den  # int division rounds correctly
+            p, s = w.as_integer_ratio()
+            # bound = e + |w - exact w|, over one denominator
+            num = e_num * s * w_den + abs(p * w_den - w_num * s) * e_den
+            den = e_den * s * w_den
+            bound = num / den
+        except OverflowError:
+            raise DomainError("w or its error bound lies beyond the double range; evaluate exactly") from None
         p, s = bound.as_integer_ratio()
         if p * den < num * s:
             bound = math.nextafter(bound, math.inf)

@@ -10,10 +10,11 @@ branch cannot leak into another branch's interval).
 fit_exact solves the underdetermined interpolation system exactly, picking
 the minimum-Euclidean-norm solution g = M^T (M M^T)^-1 f so the result is
 deterministic.  fit_iterative walks the classic damped residual iteration
-on a uniform grid and then (by default) hands the knots to the exact solver,
-so the constructive route ends at the same zero-residual guarantee.  Both
-run per connected component of the incidence matrix, with a closed form for
-every point that shares no knot.
+on the same samples and then (by default) hands the knots to the exact
+solver, so the constructive route ends at the same zero-residual guarantee.
+Both take a checked SampleSet (grid_samples builds one from a target on a
+uniform grid) and run per connected component of the incidence matrix, with
+a closed form for every point that shares no knot.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ import hashlib
 import itertools
 import math
 import operator
+import sys
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
@@ -34,7 +36,7 @@ from .errors import (
     ParameterError,
     SeparationFailure,
 )
-from .hashmaps import HashParams, IncidenceSystem, PointGroups, branch_offsets, certify_separation
+from .hashmaps import HashParams, IncidenceSystem, PointGroups, SeparationVerdict, branch_offsets, certify_separation
 from .inner import InnerSpec
 from .linsolve import solve_square
 from .rationals import ONE, ZERO, grid_points
@@ -235,6 +237,11 @@ class SampleSet:
         return hashlib.sha256("\n".join(lines).encode()).hexdigest()
 
 
+def _approx(x: Fraction) -> float:
+    """float(x) for x >= 0, or inf past the double range."""
+    return float(x) if x <= sys.float_info.max else math.inf
+
+
 @dataclass(frozen=True)
 class FitReport:
     """What a fit did: certificate, residuals, iteration trail."""
@@ -253,7 +260,7 @@ class FitReport:
             "mode": self.mode,
             "residual_max": {
                 "exact": str(self.residual_max),
-                "approx": float(self.residual_max),
+                "approx": _approx(self.residual_max),
             },
             "knot_count": self.knot_count,
             "iterations": self.iterations,
@@ -264,42 +271,44 @@ class FitReport:
         }
 
 
-def _column_buckets(rows, indices) -> dict[int, list[tuple[int, int]]]:
-    buckets: dict[int, list[tuple[int, int]]] = {}
+def _column_buckets(rows, indices) -> dict[int, list[int]]:
+    """knot -> the points among `indices` that hit it."""
+    buckets: dict[int, list[int]] = {}
     for j in indices:
-        for col, cnt in rows[j].items():
-            buckets.setdefault(col, []).append((j, cnt))
+        for col in rows[j]:
+            buckets.setdefault(col, []).append(j)
     return buckets
 
 
 def _min_norm_solution(system: IncidenceSystem, targets) -> dict[int, Fraction]:
     """g = M^T (M M^T)^-1 f, one connected component of M at a time.
 
-    M M^T is block diagonal over the components.  A point that shares no
-    knot has the 1x1 block sum(cnt^2) = 2d+1, so its knots get
-    g = cnt * f / (2d+1) with no solve.  Each component of several points
-    assembles its own gram matrix from column buckets and solves it exactly.
+    M M^T is block diagonal over the components, and its entry (j, k) is the
+    number of knots points j and k share.  A point that shares no knot has
+    the 1x1 block 2d+1, so its knots get g = f / (2d+1) with no solve.  Each
+    component of several points assembles its own gram matrix from column
+    buckets and solves it exactly.
     """
     rows = system.rows
     g: dict[int, Fraction] = {}
     for comp in system.components:
         if len(comp) == 1:
             row = rows[comp[0]]
-            u = Fraction(targets[comp[0]], sum(cnt * cnt for cnt in row.values()))
-            for col, cnt in row.items():
-                g[col] = u if cnt == 1 else cnt * u
+            u = Fraction(targets[comp[0]], len(row))
+            for col in row:
+                g[col] = u
             continue
         local = {j: k for k, j in enumerate(comp)}
         buckets = _column_buckets(rows, comp)
         gram: list[dict[int, int]] = [{} for _ in comp]
         for hits in buckets.values():
-            for j, cj in hits:
+            for j in hits:
                 grow = gram[local[j]]
-                for k, ck in hits:
-                    grow[local[k]] = grow.get(local[k], 0) + cj * ck
+                for k in hits:
+                    grow[local[k]] = grow.get(local[k], 0) + 1
         u = solve_square(gram, [targets[j] for j in comp])
         for col, hits in buckets.items():
-            g[col] = sum(cnt * u[local[j]] for j, cnt in hits)
+            g[col] = sum(u[local[j]] for j in hits)
     return g
 
 
@@ -315,10 +324,37 @@ def _outer_from_knots(params: HashParams, system: IncidenceSystem, g: dict[int, 
 def _verify_zero_residual(system: IncidenceSystem, targets, g: dict[int, Fraction]) -> None:
     for j, (row, t) in enumerate(zip(system.rows, targets)):
         num, den = 0, 1
-        for col, cnt in row.items():
-            num, den = add_ratios(num, den, cnt * g[col].numerator, g[col].denominator)
+        for col in row:
+            num, den = add_ratios(num, den, g[col].numerator, g[col].denominator)
         if num * t.denominator != t.numerator * den:
             raise InternalInvariantError(f"exact solve left a nonzero residual at point {j}")
+
+
+def _certify(
+    samples: SampleSet, params: HashParams, inner: InnerSpec, depth: int, require_separation: bool = True
+) -> tuple[IncidenceSystem, SeparationVerdict]:
+    """The incidence system and separation verdict of a fit, on the samples' checked groups.
+
+    Raises SeparationFailure (witness attached) if the points stay
+    unseparated up to the depth cap and separation is required.
+    """
+    if samples.d != params.d:
+        raise DomainError(f"samples have d = {samples.d}, parameters have d = {params.d}")
+    system, verdict = certify_separation(params, inner, samples.groups, depth)
+    if require_separation and not verdict.separated:
+        raise SeparationFailure(
+            f"samples admit a closed path after {verdict.retries} depth retries "
+            f"(final depth {verdict.depth})",
+            witness=verdict.witness,
+        )
+    return system, verdict
+
+
+def _exact_finish(params: HashParams, system: IncidenceSystem, targets) -> OuterFunction:
+    """The minimum-norm knot values of a separated system, re-checked to reproduce every target."""
+    g = _min_norm_solution(system, targets)
+    _verify_zero_residual(system, targets, g)
+    return _outer_from_knots(params, system, g)
 
 
 def fit_exact(
@@ -333,18 +369,8 @@ def fit_exact(
     unseparated up to the depth cap; otherwise the returned outer function
     reproduces every target exactly and the report says residual zero.
     """
-    if samples.d != params.d:
-        raise DomainError(f"samples have d = {samples.d}, parameters have d = {params.d}")
-    system, verdict = certify_separation(params, inner, samples.groups, depth)
-    if not verdict.separated:
-        raise SeparationFailure(
-            f"samples admit a closed path after {verdict.retries} depth retries "
-            f"(final depth {verdict.depth})",
-            witness=verdict.witness,
-        )
-    g = _min_norm_solution(system, samples.targets)
-    _verify_zero_residual(system, samples.targets, g)
-    outer = _outer_from_knots(params, system, g)
+    system, verdict = _certify(samples, params, inner, depth)
+    outer = _exact_finish(params, system, samples.targets)
     report = FitReport(
         mode="exact",
         residual_max=ZERO,
@@ -411,22 +437,21 @@ def run_damped_iteration(
     for round_no in range(1, max_iter + 1):
         delta = {}
         for col, hits in buckets.items():
-            total = sum(residual[j] * cnt for j, cnt in hits)
-            weight = sum(cnt for _, cnt in hits)
-            delta[col] = damping * total / (weight * branch_count)
+            total = sum(residual[j] for j in hits)
+            delta[col] = damping * total / (len(hits) * branch_count)
         for col, dv in delta.items():
             g[col] += dv
         for j in shared:
-            residual[j] -= sum(cnt * delta[col] for col, cnt in rows[j].items())
+            residual[j] -= sum(delta[col] for col in rows[j])
         scale *= rate
         sup, new_sumsq = measure(scale)
         if new_sumsq > sumsq:
             raise IterationDiverged(
-                f"squared grid residual rose from {sumsq} to {new_sumsq} in "
+                f"squared residual rose from {sumsq} to {new_sumsq} in "
                 f"round {round_no} with damping {damping}"
             )
         sumsq = new_sumsq
-        history.append(float(sup))
+        history.append(_approx(sup))
         if sup <= tolerance:
             break
     share = (1 - scale) / branch_count
@@ -437,31 +462,11 @@ def run_damped_iteration(
     return g, history, collisions, sup
 
 
-def fit_iterative(
-    f,
-    params: HashParams,
-    inner: InnerSpec,
-    grid_level: int,
-    depth: int = 30,
-    max_iter: int = 100,
-    tolerance=Fraction(1, 10**6),
-    damping=Fraction(1, 2),
-    finalize: bool = True,
-) -> tuple[OuterFunction, FitReport]:
-    """Damped residual iteration for the oracle f on the level-`grid_level` grid of [0, 1]^d.
+def grid_samples(f, params: HashParams, grid_level: int) -> SampleSet:
+    """The target oracle f on the level-`grid_level` grid of [0, 1]^d, in product order.
 
-    The iteration trail lands in convergence_history; with finalize=True the
-    knot values are then replaced by the exact minimum-norm solve on the same
-    grid, so the final grid residual is exactly zero.
+    f takes a point (a tuple of Fractions) and returns a finite exact value.
     """
-    damping = Fraction(damping)
-    tolerance = Fraction(tolerance)
-    if not 0 < damping <= 1:
-        raise ParameterError(f"damping must lie in (0, 1], got {damping}")
-    if tolerance <= 0:
-        raise ParameterError(f"tolerance must be positive, got {tolerance}")
-    if max_iter < 1:
-        raise ParameterError(f"max_iter must be >= 1, got {max_iter}")
     axis = grid_points(grid_level, params.gamma)
     points = tuple(itertools.product(axis, repeat=params.d))
     targets = []
@@ -475,21 +480,42 @@ def fit_iterative(
                 "fit_exact on a restricted sample set avoids the bad region"
             ) from exc
         targets.append(t)
-    system, verdict = certify_separation(params, inner, points, depth)
-    if finalize and not verdict.separated:
-        raise SeparationFailure(
-            f"grid points admit a closed path at depth {verdict.depth}",
-            witness=verdict.witness,
-        )
+    return SampleSet(points=points, targets=tuple(targets))
+
+
+def fit_iterative(
+    samples: SampleSet,
+    params: HashParams,
+    inner: InnerSpec,
+    depth: int = 30,
+    max_iter: int = 100,
+    tolerance=Fraction(1, 10**6),
+    damping=Fraction(1, 2),
+    finalize: bool = True,
+) -> tuple[OuterFunction, FitReport]:
+    """Damped residual iteration on the samples.
+
+    The iteration trail lands in convergence_history; with finalize=True the
+    knot values are then replaced by fit_exact's minimum-norm solve on the
+    same system (separation required), so the final residual is exactly zero.
+    With finalize=False the iteration also runs on an unseparated system.
+    """
+    damping = Fraction(damping)
+    tolerance = Fraction(tolerance)
+    if not 0 < damping <= 1:
+        raise ParameterError(f"damping must lie in (0, 1], got {damping}")
+    if tolerance <= 0:
+        raise ParameterError(f"tolerance must be positive, got {tolerance}")
+    if max_iter < 1:
+        raise ParameterError(f"max_iter must be >= 1, got {max_iter}")
+    system, verdict = _certify(samples, params, inner, depth, require_separation=finalize)
     g, history, collisions, sup = run_damped_iteration(
-        system, targets, damping, tolerance, max_iter
+        system, samples.targets, damping, tolerance, max_iter
     )
-    residual_max = sup
     if finalize:
-        g = _min_norm_solution(system, targets)
-        _verify_zero_residual(system, targets, g)
-        residual_max = ZERO
-    outer = _outer_from_knots(params, system, g)
+        outer, residual_max = _exact_finish(params, system, samples.targets), ZERO
+    else:
+        outer, residual_max = _outer_from_knots(params, system, g), sup
     report = FitReport(
         mode="iterative",
         residual_max=residual_max,

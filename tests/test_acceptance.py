@@ -21,7 +21,7 @@ from ksnet.hashmaps import (
 )
 from ksnet.inner import default_inner_spec, phi_exact, verify_inner
 from ksnet.network import FastEvaluator, evaluate, load, save
-from ksnet.outer import fit_iterative
+from ksnet.outer import fit_iterative, grid_samples
 from ksnet.rationals import parse_rational
 
 SPEC6 = default_inner_spec(6)
@@ -169,7 +169,7 @@ def test_criterion_08_iterative_convergence():
     """Damped iteration on x1 + x2 over the level-1 grid never increases the
     residual and finalizes to an exactly zero residual."""
     outer, report = fit_iterative(
-        lambda p: p[0] + p[1], P26, SPEC6, grid_level=1, damping=Fraction(1, 2)
+        grid_samples(lambda p: p[0] + p[1], P26, 1), P26, SPEC6, damping=Fraction(1, 2)
     )
     h = report.convergence_history
     monotone = all(b <= a for a, b in zip(h, h[1:]))

@@ -169,6 +169,10 @@ def test_eval_cites_offending_row(workdir, capsys):
     rc = main(["eval", "--model", str(model_path), "--in", str(workdir / "points.csv")])
     assert rc == EXIT_INPUT
     assert "row 2" in capsys.readouterr().err
+    for numeric in ("exact", "fast"):
+        rc = main(["eval", "--model", str(model_path), "--in", str(workdir / "points.csv"), "--numeric", numeric])
+        assert rc == EXIT_INPUT
+        assert capsys.readouterr() == ("", "error: row 2: coordinate 1 must lie in [0, 1], got 3/2\n")
 
 
 def test_eval_rejects_wrong_column_count(workdir, capsys):

@@ -25,6 +25,7 @@ from ksnet.outer import (
     _outer_from_knots,
     fit_exact,
     fit_iterative,
+    grid_samples,
     run_damped_iteration,
 )
 
@@ -143,7 +144,7 @@ def _grid1():
 def test_unfinalized_iterative_fit_matches_global_loop(damping):
     f = lambda p: p[0] * p[1] - p[1] / 3
     fitted, report = fit_iterative(
-        f, P26, SPEC6, grid_level=1, damping=damping, max_iter=12, finalize=False
+        grid_samples(f, P26, 1), P26, SPEC6, damping=damping, max_iter=12, finalize=False
     )
     system = build_incidence(P26, SPEC6, _grid1(), report.depth)
     targets = [f(p) for p in system.points]

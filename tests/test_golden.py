@@ -2,16 +2,24 @@
 
 tests/golden/ holds the inputs and outputs of a 60-point exact fit and a
 level-1 iterative grid fit: the model, the fit report, exact and fast
-(--depth 45) eval CSVs, and the describe JSON.  Regenerate them with
+(--depth 45) eval CSVs, and the describe JSON.  iterative.sha256.json holds
+the SHA-256 of the model and the fit report of five low-depth iterative grid
+fits whose rows come shuffled (the level-2, depth-1 one retries at depth 2);
+their models run to 1.2 MB, so only the digests are kept.  Regenerate all with
 
     PYTHONPATH=src python tests/test_golden.py tests/golden
 
 only when an output format changes on purpose.
 """
 
+import hashlib
+import itertools
+import json
 import os
+import random
 import shutil
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -41,6 +49,34 @@ def _run(tag: str) -> list[str]:
     return [model, *runs]
 
 
+# (grid level, depth, d, gamma) of the shuffled iterative fits
+SHUFFLED = [(1, 1, 2, 6), (2, 1, 2, 6), (1, 2, 2, 6), (1, 1, 3, 8), (2, 3, 2, 7)]
+DIGESTS = GOLDEN / "iterative.sha256.json"
+
+
+def _target(p) -> Fraction:
+    return p[0] * p[1] - p[-1] / 3 + (1 if p[0] < Fraction(1, 2) else 0)
+
+
+def _iterative_digests(level: int, depth: int, d: int, gamma: int) -> dict[str, str]:
+    """Fit the level-`level` grid from a shuffled CSV in the working directory;
+    the SHA-256 of the model and of the fit report."""
+    axis = [Fraction(j, gamma**level) for j in range(gamma**level + 1)]
+    points = list(itertools.product(axis, repeat=d))
+    random.Random(f"{level}/{depth}/{d}/{gamma}").shuffle(points)
+    rows = [[f"x{p + 1}" for p in range(d)] + ["f"]] + [[*map(str, p), str(_target(p))] for p in points]
+    Path("grid.csv").write_text("".join(",".join(row) + "\n" for row in rows))
+    argv = ["fit", "--no-timestamp", "--mode", "iterative", "--grid-level", str(level), "--depth", str(depth),
+            "--d", str(d), "--gamma", str(gamma), "--in", "grid.csv", "--model", "grid.model.json",
+            "--out", "grid.fit.json"]
+    assert main(argv) == 0, argv
+    return {name: hashlib.sha256(Path(f"grid.{name}.json").read_bytes()).hexdigest() for name in ("model", "fit")}
+
+
+def _tag(case) -> str:
+    return "level{}_depth{}_d{}_gamma{}".format(*case)
+
+
 def _inputs_into(directory: Path) -> None:
     for name in [samples for samples, _ in FITS.values()] + ["queries.csv"]:
         shutil.copyfile(GOLDEN / name, directory / name)
@@ -54,6 +90,12 @@ def test_outputs_match_goldens(tag, tmp_path, monkeypatch):
         assert (tmp_path / name).read_bytes() == (GOLDEN / name).read_bytes(), name
 
 
+@pytest.mark.parametrize("case", SHUFFLED, ids=_tag)
+def test_shuffled_iterative_fits_match_their_digests(case, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert _iterative_digests(*case) == json.loads(DIGESTS.read_text())[_tag(case)]
+
+
 if __name__ == "__main__":
     target = Path(sys.argv[1]).resolve()
     if target != GOLDEN:
@@ -61,3 +103,7 @@ if __name__ == "__main__":
     os.chdir(target)
     for tag in FITS:
         _run(tag)
+    digests = {_tag(case): _iterative_digests(*case) for case in SHUFFLED}
+    for name in ("grid.csv", "grid.model.json", "grid.fit.json"):
+        Path(name).unlink()
+    (target / DIGESTS.name).write_text(json.dumps(digests, indent=2) + "\n")

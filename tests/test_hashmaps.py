@@ -1,6 +1,7 @@
 """Branch maps: mixing weights, range separation, incidence systems."""
 
 import dataclasses
+import itertools
 import random
 from fractions import Fraction
 
@@ -22,6 +23,7 @@ from ksnet.hashmaps import (
 from ksnet.inner import default_inner_spec
 from ksnet.network import assemble, load, save
 from ksnet.outer import SampleSet, fit_exact
+from ksnet.rationals import grid_points
 
 SPEC6 = default_inner_spec(6)
 P26 = make_params(2, 6)
@@ -186,6 +188,29 @@ def test_incidence_row_sums_and_shape():
     assert system.knot_count <= 200
     dense = system.dense()
     assert all(set(row) <= {0, 1} for row in dense)
+
+
+def test_every_incidence_row_hits_one_knot_per_branch():
+    """The invariant the fits rely on (IncidenceSystem): each row holds 2d+1
+    entries, all 1, one in each branch, also where truncation makes points share knots."""
+    grid = list(itertools.product(grid_points(2, 6), repeat=2))
+    p38, spec8 = make_params(3, 8), default_inner_spec(8)
+    cases = [
+        (P26, SPEC6, _random_points(0, 40, 2), 30),
+        (P26, SPEC6, _random_points(3, 200, 2, bits=4), 1),
+        (P26, SPEC6, grid, 30),
+        (P26, SPEC6, grid, 1),
+        (p38, spec8, _random_points(4, 60, 3), 30),
+        (p38, spec8, list(itertools.product(grid_points(1, 8), repeat=3)), 1),
+    ]
+    shared = 0
+    for params, inner, points, depth in cases:
+        system = build_incidence(params, inner, points, depth)
+        for row in system.rows:
+            assert set(row.values()) == {1}
+            assert sorted(system.knot_branch[col] for col in row) == list(range(params.branch_count))
+        shared += system.knot_count < params.branch_count * system.n_points
+    assert shared >= 2
 
 
 def test_random_points_separate():

@@ -22,7 +22,7 @@ from ksnet.errors import CoincidentPoints, DomainError, OutsideCube, ParameterEr
 from ksnet.hashmaps import InnerTable, PointGroups, build_incidence, certify_separation
 from ksnet.inner import default_inner_spec, phi_extend, phi_scaled
 from ksnet.hashmaps import make_params
-from ksnet.outer import SampleSet, fit_exact, fit_iterative
+from ksnet.outer import SampleSet, fit_exact, fit_iterative, grid_samples
 
 P26, SPEC6 = NETWORKS[0]
 CHAINS = [(30, 60, 120, 240), (100, 200, 240), (1, 2, 3, 240)]
@@ -139,7 +139,7 @@ def test_depth_below_one_is_refused():
         lambda: certify_separation(P26, SPEC6, points, 0),
         lambda: certify_separation(P26, SPEC6, points, 30, depth_cap=0),
         lambda: fit_exact(samples, P26, SPEC6, depth=0),
-        lambda: fit_iterative(lambda p: p[0], P26, SPEC6, grid_level=1, depth=0),
+        lambda: fit_iterative(grid_samples(lambda p: p[0], P26, 1), P26, SPEC6, depth=0),
     ):
         with pytest.raises(DomainError, match="depth must be >= 1"):
             call()
@@ -164,8 +164,9 @@ def test_a_table_is_used_only_with_its_own_parameters():
         certify_separation(make_params(3, 8), default_inner_spec(8), PointGroups(points, 2), 30)
 
 
-def test_a_fit_checks_its_samples_once(monkeypatch):
-    """SampleSet keeps its PointGroups and certify_separation takes them as they are."""
+def test_a_fit_checks_its_samples_once(monkeypatch, tmp_path):
+    """SampleSet keeps its PointGroups and certify_separation takes them as they are,
+    in both fit modes, from the library and from the command line."""
     points = [(Fraction(1, 3), Fraction(2, 7)), (Fraction(1, 2), Fraction(1)), (Fraction(0), Fraction(1, 6))]
     calls = []
     original = PointGroups.__init__
@@ -174,13 +175,22 @@ def test_a_fit_checks_its_samples_once(monkeypatch):
     outer, report = fit_exact(samples, P26, SPEC6)
     assert report.residual_max == 0 and len(calls) == 1
     assert samples.groups.points == samples.points
+    _, report = fit_iterative(samples, P26, SPEC6)
+    assert report.residual_max == 0 and len(calls) == 1
+    axis = [Fraction(j, 6) for j in range(7)]
+    _write(tmp_path / "grid.csv", ["x1", "x2", "f"], [(x, y, x - y) for y in axis for x in reversed(axis)])
+    for mode in ("exact", "iterative"):
+        calls.clear()
+        assert main(["fit", "--no-timestamp", "--mode", mode, "--in", str(tmp_path / "grid.csv"),
+                     "--model", str(tmp_path / "m.json"), "--out", str(tmp_path / "r.json")]) == 0
+        assert len(calls) == 1, mode
 
 
 def test_components_are_found_once_per_system(monkeypatch):
     """The certificate, the damped iteration and the min-norm solve share them."""
     calls = []
     monkeypatch.setattr(hashmaps, "components", lambda rows: calls.append(len(rows)) or linsolve.components(rows))
-    _, report = fit_iterative(lambda p: p[0] * p[1], P26, SPEC6, grid_level=1, max_iter=5)
+    _, report = fit_iterative(grid_samples(lambda p: p[0] * p[1], P26, 1), P26, SPEC6, max_iter=5)
     assert report.residual_max == 0 and report.separation.retries == 0
     assert calls == [49]
 

@@ -21,7 +21,7 @@ from ksnet.errors import InputError
 from ksnet.hashmaps import make_params
 from ksnet.inner import default_inner_spec
 from ksnet.network import assemble, load, save
-from ksnet.outer import KnotTable, OuterFunction, SampleSet, fit_exact, fit_iterative, merge_report
+from ksnet.outer import KnotTable, OuterFunction, SampleSet, fit_exact, fit_iterative, grid_samples, merge_report
 from ksnet.rationals import parse_ratio, parse_rational
 
 
@@ -39,7 +39,7 @@ def _fitted(d, gamma, n, seed, f):
 
 def _iterative():
     params, inner = make_params(2, 6), default_inner_spec(6)
-    outer, report = fit_iterative(lambda p: p[0] * p[1] - p[1] / 3, params, inner, grid_level=1)
+    outer, report = fit_iterative(grid_samples(lambda p: p[0] * p[1] - p[1] / 3, params, 1), params, inner)
     return assemble(inner, params, outer, meta={"fit_mode": "iterative", "depth": report.depth, "grid_level": 1})
 
 

@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from ksnet.errors import AssemblyError, DomainError, ModelFormatError
+from ksnet.errors import AssemblyError, DomainError, ModelFormatError, PointError
 from ksnet.hashmaps import make_params, psi_eval
 from ksnet.inner import default_inner_spec
 from ksnet.network import (
@@ -77,6 +77,10 @@ def test_evaluate_batch_names_offending_point():
     points = [(Fraction(1, 2), Fraction(1, 2)), (Fraction(1, 2), Fraction(3, 2))]
     with pytest.raises(DomainError, match="point 1"):
         evaluate_batch(MODEL, points)
+    for numeric in ("exact", "fast"):
+        with pytest.raises(PointError) as caught:
+            evaluate_batch(MODEL, points, numeric=numeric)
+        assert (caught.value.index, caught.value.reason) == (1, "coordinate 2 must lie in [0, 1], got 3/2")
 
 
 def test_error_bound_brackets_deeper_evaluation():

@@ -15,6 +15,7 @@ from ksnet.errors import (
 )
 from ksnet.hashmaps import build_incidence, make_params
 from ksnet.inner import default_inner_spec
+from ksnet.network import assemble, save
 from ksnet.outer import (
     KnotTable,
     OuterFunction,
@@ -22,6 +23,7 @@ from ksnet.outer import (
     fit_exact,
     fit_iterative,
     g_eval,
+    grid_samples,
     merge_report,
     run_damped_iteration,
 )
@@ -190,7 +192,7 @@ def test_merge_report_fields():
 def test_damped_iteration_no_collisions_hits_zero():
     """Private knots mean one full-strength round interpolates exactly."""
     outer, report = fit_iterative(
-        lambda p: Fraction(1, 3), P26, SPEC6, grid_level=1, damping=Fraction(1), finalize=False
+        grid_samples(lambda p: Fraction(1, 3), P26, 1), P26, SPEC6, damping=Fraction(1), finalize=False
     )
     assert report.iterations == 1
     assert report.collision_count == 0
@@ -201,7 +203,7 @@ def test_damped_iteration_no_collisions_hits_zero():
 def test_damped_iteration_halves_residual():
     f = lambda p: p[0] + p[1]
     outer, report = fit_iterative(
-        f, P26, SPEC6, grid_level=1, damping=Fraction(1, 2), finalize=False,
+        grid_samples(f, P26, 1), P26, SPEC6, damping=Fraction(1, 2), finalize=False,
         tolerance=Fraction(1, 10**4),
     )
     h = report.convergence_history
@@ -215,7 +217,7 @@ def test_damped_iteration_halves_residual():
 
 def test_iterative_finalize_gives_exact_residual():
     f = lambda p: p[0] * p[1]
-    outer, report = fit_iterative(f, P26, SPEC6, grid_level=1, damping=Fraction(1, 2))
+    outer, report = fit_iterative(grid_samples(f, P26, 1), P26, SPEC6, damping=Fraction(1, 2))
     assert report.residual_max == 0
     assert report.mode == "iterative"
     # the finalized table reproduces every grid target exactly
@@ -229,13 +231,54 @@ def test_iterative_finalize_gives_exact_residual():
         assert got == f(point)
 
 
+def test_residuals_past_the_double_range_read_inf():
+    samples = grid_samples(lambda p: Fraction(10**400), P26, 1)
+    _, report = fit_iterative(samples, P26, SPEC6, finalize=False, max_iter=3)
+    assert report.convergence_history == (float("inf"),) * 3
+    assert report.to_jsonable()["residual_max"]["approx"] == float("inf")
+
+
 def test_iterative_rejects_bad_knobs():
+    samples = grid_samples(lambda p: p[0], P26, 1)
     with pytest.raises(ParameterError):
-        fit_iterative(lambda p: p[0], P26, SPEC6, grid_level=1, damping=Fraction(3))
+        fit_iterative(samples, P26, SPEC6, damping=Fraction(3))
     with pytest.raises(ParameterError):
-        fit_iterative(lambda p: p[0], P26, SPEC6, grid_level=1, tolerance=Fraction(0))
+        fit_iterative(samples, P26, SPEC6, tolerance=Fraction(0))
     with pytest.raises(ParameterError):
-        fit_iterative(lambda p: p[0], P26, SPEC6, grid_level=1, max_iter=0)
+        fit_iterative(samples, P26, SPEC6, max_iter=0)
+
+
+@pytest.mark.parametrize("den, n, depth", [(11, 40, 1), (1024, 60, 1)])
+def test_finalized_iterative_fit_saves_the_exact_fit_model(den, n, depth):
+    """Off any grid, with shared knots (and a depth retry for den 1024), the damped
+    iteration's exact finish is fit_exact's solve: the same model bytes."""
+    rng = random.Random(5)
+    points = set()
+    while len(points) < n:
+        points.add((Fraction(rng.randrange(den + 1), den), Fraction(rng.randrange(den + 1), den)))
+    samples = SampleSet(points=tuple(sorted(points)), targets=tuple(x * y - y / 3 for x, y in sorted(points)))
+    iterated, report = fit_iterative(samples, P26, SPEC6, depth=depth)
+    exact, exact_report = fit_exact(samples, P26, SPEC6, depth=depth)
+    assert report.collision_count > 0 and report.residual_max == 0
+    assert report.separation == exact_report.separation
+    assert save(assemble(SPEC6, P26, iterated)) == save(assemble(SPEC6, P26, exact))
+
+
+def test_both_fits_refuse_samples_of_another_d():
+    samples = _random_samples(2, 5, lambda p: p[0])
+    for fit in (fit_exact, fit_iterative):
+        with pytest.raises(DomainError, match="samples have d = 2, parameters have d = 3"):
+            fit(samples, make_params(3, 8), default_inner_spec(8))
+
+
+def test_grid_samples_in_product_order():
+    samples = grid_samples(lambda p: p[0] - 2 * p[1], P26, 1)
+    axis = [Fraction(j, 6) for j in range(7)]
+    assert samples.points == tuple((x1, x2) for x1 in axis for x2 in axis)
+    assert samples.targets == tuple(x1 - 2 * x2 for x1, x2 in samples.points)
+    for bad in (float("nan"), float("inf"), None):
+        with pytest.raises(DomainError, match=r"target at grid point \(Fraction\(0, 1\), Fraction\(0, 1\)\) is not finite"):
+            grid_samples(lambda p: bad, P26, 1)
 
 
 def _colliding_system(targets):
