@@ -13,7 +13,7 @@ Run: python3 demos/01_inner_function.py
 import math
 from fractions import Fraction
 
-from ksnet import default_inner_spec, expand_digits, phi_eval, phi_exact, verify_inner
+from ksnet import default_inner_spec, phi_eval, phi_exact, verify_inner
 
 spec = default_inner_spec(6)
 
@@ -22,7 +22,7 @@ print("cumulative cost:", [str(c) for c in spec.cumulative])
 print()
 
 x = Fraction(1, 10)
-print(f"x = {x}, base-6 digits {expand_digits(x, 6, 8).digits}...")
+print(f"x = {x}, base-6 digits {tuple(int(x * 6**k) % 6 for k in range(1, 9))}...")
 print(f"{'depth':>5}  {'phi(x) truncation':>24}  {'window width':>14}")
 for depth in (1, 2, 4, 8, 16, 32):
     v = phi_eval(spec, x, depth)

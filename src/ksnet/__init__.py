@@ -57,18 +57,14 @@ from .network import (
 from .outer import (
     ClassReport,
     FitReport,
-    KnotTable,
     OuterFunction,
     SampleSet,
     fit_exact,
     fit_iterative,
-    g_eval,
     grid_samples,
     merge_report,
 )
 from .rationals import (
-    DigitExpansion,
-    expand_digits,
     grid_points,
     parse_rational,
 )
@@ -80,7 +76,6 @@ __all__ = [
     "BranchValue",
     "ClassReport",
     "DEFAULT_SERIES_TOLERANCE",
-    "DigitExpansion",
     "DomainError",
     "FORMAT_VERSION",
     "FastEvaluator",
@@ -93,7 +88,6 @@ __all__ = [
     "InternalInvariantError",
     "IterationDiverged",
     "KNetModel",
-    "KnotTable",
     "KsnetError",
     "ModelFormatError",
     "OuterFunction",
@@ -112,10 +106,8 @@ __all__ = [
     "describe",
     "evaluate",
     "evaluate_batch",
-    "expand_digits",
     "fit_exact",
     "fit_iterative",
-    "g_eval",
     "grid_points",
     "grid_samples",
     "lambda_series",

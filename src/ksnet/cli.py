@@ -61,7 +61,8 @@ EXIT_INTERNAL = 4
 REPORT_VERSION = 1
 # Most points one command builds at once: the grid `check` sweeps and
 # `bench --mode iterative` fits (one more level multiplies a grid by about
-# gamma**d), a `check` trial (--trial-points) and a `bench` fit (--sweep-n).
+# gamma**d), all `check` trials together (--trials times --trial-points) and
+# a `bench` fit (--sweep-n).
 POINT_CAP = 50_000
 # Most inner-function samples (--samples) and separation trials (--trials)
 # `check` runs; like the caps above, they are refused before any work starts.
@@ -125,6 +126,9 @@ class JobConfig:
             raise InputError(f"--trials must lie in 1..{TRIALS_CAP}, got {self.trials}")
         if not 2 <= self.trial_points <= POINT_CAP:
             raise InputError(f"--trial-points must lie in 2..{POINT_CAP}, got {self.trial_points}")
+        if self.trials * self.trial_points > POINT_CAP:
+            raise InputError(f"--trials times --trial-points must be at most {POINT_CAP}, "
+                             f"got {self.trials} * {self.trial_points}")
         if self.probe_level < 1:
             raise InputError(f"--probe-level must be >= 1, got {self.probe_level}")
         if not all(1 <= n <= POINT_CAP for n in self.sweep_n):
@@ -256,15 +260,8 @@ def cmd_fit(config: JobConfig) -> int:
                     f"row {row_no}: ({', '.join(map(str, point))}) is not a "
                     f"level-{config.grid_level} grid point"
                 )
-        outer_fn, fit_rep = fit_iterative(
-            samples,
-            params,
-            inner,
-            depth=config.depth,
-            max_iter=config.max_iter,
-            tolerance=config.tolerance,
-            damping=config.damping,
-        )
+        outer_fn, fit_rep = fit_iterative(samples, params, inner, depth=config.depth, max_iter=config.max_iter,
+                                          tolerance=config.tolerance, damping=config.damping)
     elapsed_ms = (time.perf_counter() - started) * 1000.0
     meta = {
         "fit_mode": config.mode,

@@ -461,15 +461,6 @@ class IncidenceSystem:
         """linsolve.components of the rows, computed once for the certificate and the solves."""
         return components(self.rows)
 
-    def row_sums(self) -> list[int]:
-        return [sum(row.values()) for row in self.rows]
-
-    def dense(self) -> list[list[int]]:
-        return [
-            [row.get(col, 0) for col in range(len(self.knots))]
-            for row in self.rows
-        ]
-
 
 def build_incidence(
     params: HashParams, inner: InnerSpec, points, depth: int, table: InnerTable | None = None

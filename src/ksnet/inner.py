@@ -16,6 +16,7 @@ for large bases) through a table of per-block (c, w) numerators.
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from dataclasses import dataclass, field
@@ -64,14 +65,10 @@ class InnerSpec:
                 raise ParameterError(f"weight w({i}) must be <= 1/2, got {w}")
         if sum(weights) != 1:
             raise ParameterError(f"weights must sum to 1, got {sum(weights)}")
-        cumulative = []
-        acc = ZERO
-        for w in weights:
-            cumulative.append(acc)
-            acc += w
+        cumulative = tuple(itertools.accumulate(weights[:-1], initial=ZERO))
         den = math.lcm(*(w.denominator for w in weights))
         object.__setattr__(self, "weights", weights)
-        object.__setattr__(self, "cumulative", tuple(cumulative))
+        object.__setattr__(self, "cumulative", cumulative)
         object.__setattr__(self, "_den", den)
         object.__setattr__(self, "_wnum", tuple(int(w * den) for w in weights))
         object.__setattr__(self, "_cnum", tuple(int(c * den) for c in cumulative))

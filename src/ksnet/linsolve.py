@@ -18,9 +18,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import InternalInvariantError
-
-ZERO = Fraction(0)
-ONE = Fraction(1)
+from .rationals import ONE, ZERO
 
 
 def _sub_scaled(target: dict, source: dict, factor: Fraction) -> None:

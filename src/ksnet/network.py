@@ -300,7 +300,7 @@ def load(source) -> KNetModel:
         raise ModelFormatError(f"cannot load a model from {type(source).__name__}")
     try:
         doc = json.loads(raw)
-    except ValueError as exc:  # also integer literals beyond the int-string limit
+    except (ValueError, RecursionError) as exc:  # also over-long integer literals and deep nesting
         raise ModelFormatError(f"malformed JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise ModelFormatError("top level must be an object")

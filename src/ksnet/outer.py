@@ -22,7 +22,6 @@ from __future__ import annotations
 import hashlib
 import itertools
 import math
-import operator
 import sys
 from bisect import bisect_left
 from dataclasses import dataclass
@@ -39,31 +38,22 @@ from .errors import (
 from .hashmaps import HashParams, IncidenceSystem, PointGroups, SeparationVerdict, branch_offsets, certify_separation
 from .inner import InnerSpec
 from .linsolve import solve_square
-from .rationals import ONE, ZERO, grid_points
+from .rationals import ZERO, grid_points
 
 CLASS_TAGS = ("continuous", "bounded-discontinuous", "unbounded")
-
-
-@dataclass(frozen=True)
-class KnotTable:
-    """Sorted exact knots of one branch with their outer-function values: the hand-built form."""
-
-    ys: tuple[Fraction, ...]
-    gs: tuple[Fraction, ...]
-
-    def __post_init__(self):
-        if len(self.ys) != len(self.gs):
-            raise ParameterError(f"{len(self.ys)} knots but {len(self.gs)} values")
-        for a, b in zip(self.ys, self.ys[1:]):
-            if a >= b:
-                raise ParameterError(f"knots must be strictly increasing, got {a} then {b}")
 
 
 # Knot integers an outer function or lookup may hold, in bits: knots with
 # unrelated denominators (never produced by a fit) can need a common
 # denominator that grows with every knot; those are refused, not stored.
 PLAN_BITS_LIMIT = 1 << 27
-_PAIR = (operator.attrgetter("numerator"), operator.attrgetter("denominator"))
+# Work the damped iteration may do, in bit operations: each round multiplies
+# the numerator of every iterated row (each shared-knot point, and the
+# singletons' largest |f|) by the round's factor, which costs the bits of the
+# denominator times those of the factor, plus 2**15 for handling the row.
+# Runs that reach the cap take 0.1-0.6 s on a 2-vCPU VM.
+ITERATION_WORK_CAP = 4 * 10**9
+_FLOAT_MAX = int(sys.float_info.max)
 
 
 def add_ratios(a: int, b: int, c: int, d: int) -> tuple[int, int]:
@@ -111,13 +101,6 @@ class OuterFunction:
                 raise ParameterError(f"branch {q}: knots must be strictly increasing")
             if ys and (ys[0] < b * self.unit or ys[-1] > (b + width) * self.unit):
                 raise ParameterError(f"branch {q} knots must lie in [{b}, {b + width}]")
-
-    @classmethod
-    def from_tables(cls, d: int, tables) -> OuterFunction:
-        """Hand-built KnotTables over the lcm of their knot denominators."""
-        unit = common_unit({y.denominator for t in tables for y in t.ys}, sum(len(t.ys) for t in tables))
-        ys = tuple(tuple(y.numerator * (unit // y.denominator) for y in t.ys) for t in tables)
-        return cls(d, unit, ys, *(tuple(tuple(map(f, t.gs)) for t in tables) for f in _PAIR))
 
     @property
     def b(self) -> tuple[int, ...]:
@@ -178,18 +161,6 @@ class KnotLookup:
         return gn[j], gd[j]
 
 
-def g_eval(outer: OuterFunction, y) -> Fraction:
-    """The outer function on the whole real line, exact for rational y (KnotLookup.g).
-
-    Builds a lookup over y's denominator, so one call costs O(knots).
-    """
-    if outer.knot_count == 0:
-        raise DomainError("outer function has no knots")
-    y = Fraction(y)
-    lookup = KnotLookup(outer, y.denominator)
-    return Fraction(*lookup.g(y.numerator * lookup.lift))
-
-
 @dataclass(frozen=True)
 class SampleSet:
     """Distinct sample points in [0, 1]^d with exact targets, checked by PointGroups.
@@ -237,9 +208,12 @@ class SampleSet:
         return hashlib.sha256("\n".join(lines).encode()).hexdigest()
 
 
-def _approx(x: Fraction) -> float:
-    """float(x) for x >= 0, or inf past the double range."""
-    return float(x) if x <= sys.float_info.max else math.inf
+def _approx(num: int, den: int) -> float:
+    """float(num / den) for num / den >= 0, or inf past the double range (compared
+    exactly, after a bit-length test that settles all but the last doubling)."""
+    if num.bit_length() - den.bit_length() < 1023 or num <= _FLOAT_MAX * den:
+        return num / den
+    return math.inf
 
 
 @dataclass(frozen=True)
@@ -260,7 +234,7 @@ class FitReport:
             "mode": self.mode,
             "residual_max": {
                 "exact": str(self.residual_max),
-                "approx": _approx(self.residual_max),
+                "approx": _approx(self.residual_max.numerator, self.residual_max.denominator),
             },
             "knot_count": self.knot_count,
             "iterations": self.iterations,
@@ -280,8 +254,14 @@ def _column_buckets(rows, indices) -> dict[int, list[int]]:
     return buckets
 
 
-def _min_norm_solution(system: IncidenceSystem, targets) -> dict[int, Fraction]:
-    """g = M^T (M M^T)^-1 f, one connected component of M at a time.
+def _reduced(num: int, den: int) -> tuple[int, int]:
+    c = math.gcd(num, den)
+    return num // c, den // c
+
+
+def _min_norm_solution(system: IncidenceSystem, targets) -> dict[int, tuple[int, int]]:
+    """g = M^T (M M^T)^-1 f, one connected component of M at a time, as reduced
+    (numerator, denominator > 0) pairs.
 
     M M^T is block diagonal over the components, and its entry (j, k) is the
     number of knots points j and k share.  A point that shares no knot has
@@ -289,14 +269,15 @@ def _min_norm_solution(system: IncidenceSystem, targets) -> dict[int, Fraction]:
     component of several points assembles its own gram matrix from column
     buckets and solves it exactly.
     """
-    rows = system.rows
-    g: dict[int, Fraction] = {}
+    rows, branch_count = system.rows, 2 * system.d + 1
+    g: dict[int, tuple[int, int]] = {}
     for comp in system.components:
         if len(comp) == 1:
-            row = rows[comp[0]]
-            u = Fraction(targets[comp[0]], len(row))
-            for col in row:
-                g[col] = u
+            t = targets[comp[0]]
+            c = math.gcd(t.numerator, branch_count)
+            value = t.numerator // c, t.denominator * (branch_count // c)
+            for col in rows[comp[0]]:
+                g[col] = value
             continue
         local = {j: k for k, j in enumerate(comp)}
         buckets = _column_buckets(rows, comp)
@@ -308,24 +289,24 @@ def _min_norm_solution(system: IncidenceSystem, targets) -> dict[int, Fraction]:
                     grow[local[k]] = grow.get(local[k], 0) + 1
         u = solve_square(gram, [targets[j] for j in comp])
         for col, hits in buckets.items():
-            g[col] = sum(u[local[j]] for j in hits)
+            value = sum(u[local[j]] for j in hits)
+            g[col] = value.numerator, value.denominator
     return g
 
 
-def _outer_from_knots(params: HashParams, system: IncidenceSystem, g: dict[int, Fraction]) -> OuterFunction:
-    ys, values = [[] for _ in range(params.branch_count)], [[] for _ in range(params.branch_count)]
+def _outer_from_knots(params: HashParams, system: IncidenceSystem, g: dict[int, tuple[int, int]]) -> OuterFunction:
+    tables = [([], [], []) for _ in range(params.branch_count)]
     for col, y in enumerate(system.knots):
-        ys[system.knot_branch[col]].append(y)
-        values[system.knot_branch[col]].append(g.get(col, ZERO))
-    pairs = (tuple(tuple(map(f, v)) for v in values) for f in _PAIR)
-    return OuterFunction(params.d, system.unit, tuple(map(tuple, ys)), *pairs)
+        for column, v in zip(tables[system.knot_branch[col]], (y, *g.get(col, (0, 1)))):
+            column.append(v)
+    return OuterFunction(params.d, system.unit, *(tuple(map(tuple, v)) for v in zip(*tables)))
 
 
-def _verify_zero_residual(system: IncidenceSystem, targets, g: dict[int, Fraction]) -> None:
+def _verify_zero_residual(system: IncidenceSystem, targets, g: dict[int, tuple[int, int]]) -> None:
     for j, (row, t) in enumerate(zip(system.rows, targets)):
         num, den = 0, 1
         for col in row:
-            num, den = add_ratios(num, den, g[col].numerator, g[col].denominator)
+            num, den = add_ratios(num, den, *g[col])
         if num * t.denominator != t.numerator * den:
             raise InternalInvariantError(f"exact solve left a nonzero residual at point {j}")
 
@@ -371,16 +352,8 @@ def fit_exact(
     """
     system, verdict = _certify(samples, params, inner, depth)
     outer = _exact_finish(params, system, samples.targets)
-    report = FitReport(
-        mode="exact",
-        residual_max=ZERO,
-        knot_count=system.knot_count,
-        iterations=0,
-        convergence_history=(),
-        separation=verdict,
-        depth=system.depth,
-    )
-    return outer, report
+    return outer, FitReport(mode="exact", residual_max=ZERO, knot_count=system.knot_count, iterations=0,
+                            convergence_history=(), separation=verdict, depth=system.depth)
 
 
 def run_damped_iteration(
@@ -389,7 +362,7 @@ def run_damped_iteration(
     damping: Fraction,
     tolerance: Fraction,
     max_iter: int,
-) -> tuple[dict[int, Fraction], list[float], int, Fraction]:
+) -> tuple[dict[int, tuple[int, int]], list[float], int, Fraction]:
     """The residual iteration on a fixed incidence system.
 
     Each round spreads damping * residual / (2d+1) onto every knot a point
@@ -397,69 +370,83 @@ def run_damped_iteration(
     residual.  The sup residual may wiggle when points share knots, but the
     sum of squared residuals never grows for damping in (0, 1] (the update
     matrix has spectrum in [0, 1]); arithmetic is exact, so a rising sum of
-    squares indicates a modeling bug and aborts.  Returns (knot values,
-    sup-residual history, collision count, final sup).
+    squares indicates a modeling bug and aborts.  Returns (knot values as
+    reduced (numerator, denominator > 0) pairs, sup-residual history,
+    collision count, final sup).
 
     A point that shares no knot (a singleton component of the incidence
     matrix) has a closed form: its row sums to 2d+1, so each round scales its
-    residual by exactly 1 - damping, and after K rounds its knots hold
-    f * (1 - (1 - damping)^K) / (2d+1).  Only points in shared-knot
-    components are iterated; singletons enter each round's sup and sum of
-    squares through their largest |f| and their sum of f^2.
+    residual by exactly 1 - damping, and after k rounds its knots hold
+    f * (1 - (1 - damping)^k) / (2d+1).  Only points in shared-knot
+    components are iterated; singletons enter each round's sup through their
+    largest |f|, and cannot raise the sum of squares.
+
+    All of it runs on integers over one denominator.  With damping p/s and K
+    the lcm of the shared-knot hit counts, a knot hit by h points moves by
+    p (K/h) times their residual sum, so each round multiplies the
+    denominator by s K (2d+1) and the singletons' largest |f| by
+    (s - p) K (2d+1).  Each round's work is added up before it runs, and a
+    run that would pass ITERATION_WORK_CAP raises ParameterError.
     """
     branch_count = 2 * system.d + 1
     rows = system.rows
-    residual = [Fraction(t) for t in targets]
     alone: list[int] = []
     shared: list[int] = []
     for comp in system.components:
-        if len(comp) == 1:
-            alone.extend(comp)
-        else:
-            shared.extend(comp)
-    alone_sup = max((abs(residual[j]) for j in alone), default=ZERO)
-    alone_sumsq = sum((residual[j] * residual[j] for j in alone), ZERO)
-
-    def measure(scale: Fraction) -> tuple[Fraction, Fraction]:
-        """(sup, sum of squares) of the residual, singletons scaled by `scale`."""
-        return (
-            max(alone_sup * scale, max((abs(residual[j]) for j in shared), default=ZERO)),
-            alone_sumsq * scale * scale + sum((residual[j] * residual[j] for j in shared), ZERO),
-        )
-
+        (alone if len(comp) == 1 else shared).extend(comp)
     buckets = _column_buckets(rows, shared)
     collisions = sum(len(hits) - 1 for hits in buckets.values())
-    g = {col: ZERO for col in buckets}
-    rate = 1 - damping
-    scale = ONE  # rate ** rounds run: the singletons' residual factor
-    sup, sumsq = measure(scale)
+    p, s = damping.numerator, damping.denominator
+    hits_lcm = math.lcm(*map(len, buckets.values()))
+    step, alone_step = s * hits_lcm * branch_count, (s - p) * hits_lcm * branch_count
+    spread = [(col, hits, p * (hits_lcm // len(hits))) for col, hits in buckets.items()]
+    lone = [targets[j] for j in alone]
+    top = max(max(lone, default=ZERO), -min(lone, default=ZERO))  # the singletons' largest |f|
+    den = math.lcm(top.denominator, *(targets[j].denominator for j in shared))
+    residual = {j: targets[j].numerator * (den // targets[j].denominator) for j in shared}
+    alone_top = top.numerator * (den // top.denominator)
+    g = dict.fromkeys(buckets, 0)
+    sup = max(alone_top, max(map(abs, residual.values()), default=0))
+    sumsq = sum(r * r for r in residual.values())
+    tol_n, tol_d = tolerance.numerator, tolerance.denominator
+    tol_bits = tol_n.bit_length() - tol_d.bit_length() + 2  # a nonzero sup / den > tolerance past this
+    work, iterated, step_bits = 0, len(shared) + 1, step.bit_length()
     history: list[float] = []
     for round_no in range(1, max_iter + 1):
-        delta = {}
-        for col, hits in buckets.items():
-            total = sum(residual[j] for j in hits)
-            delta[col] = damping * total / (len(hits) * branch_count)
+        work += iterated * (den.bit_length() * step_bits + 2**15)
+        if work > ITERATION_WORK_CAP:
+            raise ParameterError(
+                f"damping with a {s.bit_length()}-bit denominator and max_iter {max_iter} pass the work cap "
+                f"of the damped iteration in round {round_no}: lower max_iter, or use a simpler damping"
+            )
+        delta = {col: w * sum(residual[j] for j in hits) for col, hits, w in spread}
         for col, dv in delta.items():
-            g[col] += dv
+            g[col] = g[col] * step + dv
         for j in shared:
-            residual[j] -= sum(delta[col] for col in rows[j])
-        scale *= rate
-        sup, new_sumsq = measure(scale)
-        if new_sumsq > sumsq:
+            residual[j] = residual[j] * step - sum(delta[col] for col in rows[j])
+        alone_top *= alone_step
+        den *= step
+        sup = max(alone_top, max(map(abs, residual.values()), default=0))
+        new_sumsq = sum(r * r for r in residual.values())
+        if new_sumsq > sumsq * step * step:
             raise IterationDiverged(
-                f"squared residual rose from {sumsq} to {new_sumsq} in "
-                f"round {round_no} with damping {damping}"
+                f"squared residual of the shared-knot points rose from {Fraction(sumsq, (den // step) ** 2)} "
+                f"to {Fraction(new_sumsq, den * den)} in round {round_no} with damping {damping}"
             )
         sumsq = new_sumsq
-        history.append(_approx(sup))
-        if sup <= tolerance:
+        history.append(_approx(sup, den))
+        if not sup or sup.bit_length() - den.bit_length() < tol_bits and sup * tol_d <= tol_n * den:
             break
-    share = (1 - scale) / branch_count
+    values = {col: _reduced(v, den) for col, v in g.items()}
+    rounds = len(history)
+    share_n, share_d = _reduced(s**rounds - (s - p) ** rounds, s**rounds * branch_count)
     for j in alone:
-        value = residual[j] * share
+        t = targets[j]
+        c, e = math.gcd(t.numerator, share_d), math.gcd(share_n, t.denominator)
+        value = (t.numerator // c) * (share_n // e), (t.denominator // e) * (share_d // c)
         for col in rows[j]:
-            g[col] = value
-    return g, history, collisions, sup
+            values[col] = value
+    return values, history, collisions, Fraction(sup, den)
 
 
 def grid_samples(f, params: HashParams, grid_level: int) -> SampleSet:
@@ -509,24 +496,14 @@ def fit_iterative(
     if max_iter < 1:
         raise ParameterError(f"max_iter must be >= 1, got {max_iter}")
     system, verdict = _certify(samples, params, inner, depth, require_separation=finalize)
-    g, history, collisions, sup = run_damped_iteration(
-        system, samples.targets, damping, tolerance, max_iter
-    )
+    g, history, collisions, sup = run_damped_iteration(system, samples.targets, damping, tolerance, max_iter)
     if finalize:
         outer, residual_max = _exact_finish(params, system, samples.targets), ZERO
     else:
         outer, residual_max = _outer_from_knots(params, system, g), sup
-    report = FitReport(
-        mode="iterative",
-        residual_max=residual_max,
-        knot_count=system.knot_count,
-        iterations=len(history),
-        convergence_history=tuple(history),
-        separation=verdict,
-        depth=system.depth,
-        collision_count=collisions,
-    )
-    return outer, report
+    return outer, FitReport(mode="iterative", residual_max=residual_max, knot_count=system.knot_count,
+                            iterations=len(history), convergence_history=tuple(history), separation=verdict,
+                            depth=system.depth, collision_count=collisions)
 
 
 @dataclass(frozen=True)

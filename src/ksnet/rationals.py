@@ -1,17 +1,16 @@
-"""Exact rational numbers and their base-expansion views.
+"""Exact rational literals and the uniform grids the fitting code samples on.
 
 Everything downstream (inner-function values, branch offsets, knots) is an
-exact fraction, so equality decisions such as knot merging and zero-residual
-checks never depend on rounding.  The substrate is stdlib Fraction; this
-module adds the digit-expansion view and the uniform grids the fitting code
-samples on.
+exact rational, so equality decisions such as knot merging and zero-residual
+checks never depend on rounding.  The substrate is stdlib Fraction and
+integer (numerator, denominator) pairs; this module parses literals into
+them and builds the grids.
 """
 
 from __future__ import annotations
 
 import re
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DomainError, InputError
@@ -59,61 +58,6 @@ def parse_ratio(text: str) -> tuple[int, int]:
 def parse_rational(text: str) -> Fraction:
     """parse_ratio as a Fraction, in lowest terms."""
     return Fraction(*parse_ratio(text))
-
-
-@dataclass(frozen=True)
-class DigitExpansion:
-    """Floor-truncated base-`base` expansion of a value in [0, 2).
-
-    exact is True iff truncation at this depth loses nothing, i.e. the source
-    value times base**depth is an integer.  Terminating values always appear
-    in the all-zero-tail form; the (base-1)-tail twin is never produced.
-    """
-
-    base: int
-    integer_part: int
-    digits: tuple[int, ...]
-    exact: bool
-
-    @property
-    def depth(self) -> int:
-        return len(self.digits)
-
-    def value(self) -> Fraction:
-        """The truncated value integer_part + sum(digits[r] * base**-(r+1))."""
-        acc = 0
-        for d in self.digits:
-            acc = acc * self.base + d
-        return self.integer_part + Fraction(acc, self.base ** len(self.digits))
-
-
-def expand_digits(x: Fraction, base: int, depth: int) -> DigitExpansion:
-    """First `depth` base-`base` digits of x in [0, 2), floor truncation.
-
-    Digits come from integer long division, so the expansion of an exactly
-    representable value never rounds up into the spurious (base-1) tail.
-    """
-    if base < 2:
-        raise DomainError(f"base must be >= 2, got {base}")
-    if depth < 1:
-        raise DomainError(f"depth must be >= 1, got {depth}")
-    x = Fraction(x)
-    if not 0 <= x < 2:
-        raise DomainError(f"expansion domain is [0, 2), got {x}")
-    integer_part = x.numerator // x.denominator
-    frac = x - integer_part
-    num, den = frac.numerator, frac.denominator
-    digits = []
-    for _ in range(depth):
-        num *= base
-        digit, num = divmod(num, den)
-        digits.append(digit)
-    return DigitExpansion(
-        base=base,
-        integer_part=integer_part,
-        digits=tuple(digits),
-        exact=(num == 0),
-    )
 
 
 def grid_points(level: int, base: int) -> list[Fraction]:

@@ -11,9 +11,9 @@ gram matrix, and a damped iteration that updates every point every round.
 Tests require identical ranks, witnesses, knot values and histories.
 merge_report, save and load work on Fraction knot tables read off the
 integer outer function (`tables`), as the library did before knots stayed
-integers from the fit to the file; parse_rational is the Fraction parse
-the library's fast path must agree with.
-All of it is deliberately slow and simple.
+integers from the fit to the file; KnotTable and outer_from_tables are that
+hand-built form.  parse_rational is the Fraction parse the library's fast
+path must agree with.  All of it is deliberately slow and simple.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ import json
 import re
 import sys
 from bisect import bisect_left
+from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
@@ -41,32 +42,64 @@ from ksnet.hashmaps import BranchValue, HashParams, check_dims
 from ksnet.inner import InnerSpec, InnerValue
 from ksnet.linsolve import _sub_scaled
 from ksnet.network import FORMAT_VERSION, assemble
-from ksnet.outer import BranchStats, ClassReport, KnotTable, OuterFunction
-from ksnet.rationals import ONE, ZERO, expand_digits
+from ksnet.outer import BranchStats, ClassReport, OuterFunction, common_unit
+from ksnet.rationals import ONE, ZERO
+
+
+@dataclass(frozen=True)
+class KnotTable:
+    """Sorted exact knots of one branch with their outer-function values."""
+
+    ys: tuple[Fraction, ...]
+    gs: tuple[Fraction, ...]
+
+    def __post_init__(self):
+        if len(self.ys) != len(self.gs):
+            raise ParameterError(f"{len(self.ys)} knots but {len(self.gs)} values")
+        for a, b in zip(self.ys, self.ys[1:]):
+            if a >= b:
+                raise ParameterError(f"knots must be strictly increasing, got {a} then {b}")
+
+
+def outer_from_tables(d: int, tables) -> OuterFunction:
+    """Hand-built KnotTables as an integer outer function over the lcm of their knot denominators."""
+    unit = common_unit({y.denominator for t in tables for y in t.ys}, sum(len(t.ys) for t in tables))
+    ys = tuple(tuple(y.numerator * (unit // y.denominator) for y in t.ys) for t in tables)
+    gn = tuple(tuple(g.numerator for g in t.gs) for t in tables)
+    gd = tuple(tuple(g.denominator for g in t.gs) for t in tables)
+    return OuterFunction(d, unit, ys, gn, gd)
+
+
+_last_tables: list = [None, ()]
 
 
 def tables(outer) -> tuple[KnotTable, ...]:
-    """The outer function's knots as Fraction tables, one per branch."""
-    return tuple(
-        KnotTable(
-            ys=tuple(Fraction(y, outer.unit) for y in ys),
-            gs=tuple(Fraction(n, m) for n, m in zip(gn, gd)),
+    """The outer function's knots as Fraction tables, one per branch; the last
+    outer function's tables are kept, so repeated lookups build them once."""
+    if _last_tables[0] is not outer:
+        _last_tables[:] = outer, tuple(
+            KnotTable(
+                ys=tuple(Fraction(y, outer.unit) for y in ys),
+                gs=tuple(Fraction(n, m) for n, m in zip(gn, gd)),
+            )
+            for ys, gn, gd in zip(outer.ys, outer.gn, outer.gd)
         )
-        for ys, gn, gd in zip(outer.ys, outer.gn, outer.gd)
-    )
+    return _last_tables[1]
 
 
 def phi_eval(spec, x, depth: int) -> InnerValue:
-    expansion = expand_digits(Fraction(x), spec.base, depth)
+    x = Fraction(x)
+    integer_part, rest = divmod(x.numerator, x.denominator)
     num = 0
     prefix = 1
-    for d in expansion.digits:
+    for _ in range(depth):
+        d, rest = divmod(rest * spec.base, x.denominator)
         num = num * spec._den + spec._cnum[d] * prefix
         prefix *= spec._wnum[d]
     scale = spec._den**depth
-    value = expansion.integer_part + Fraction(num, scale)
-    if expansion.exact and num == 0:
-        return InnerValue(value=Fraction(expansion.integer_part), error_bound=ZERO)
+    value = integer_part + Fraction(num, scale)
+    if rest == 0 and num == 0:
+        return InnerValue(value=Fraction(integer_part), error_bound=ZERO)
     return InnerValue(value=value, error_bound=Fraction(prefix, scale))
 
 
@@ -178,6 +211,15 @@ def evaluate(model, x, depth: int):
             error += max(hi - gq, gq - lo)
         contributions.append(gq)
     return w, error, tuple(contributions)
+
+
+def dense(system) -> list[list[int]]:
+    """The incidence matrix of a system as dense rows."""
+    return [[row.get(col, 0) for col in range(system.knot_count)] for row in system.rows]
+
+
+def row_sums(system) -> list[int]:
+    return [sum(row.values()) for row in system.rows]
 
 
 def left_kernel_vector(rows):
@@ -486,7 +528,7 @@ def load(source):
         except ValueError as exc:
             raise ModelFormatError(str(exc), location=f"branches[{i}].knots") from exc
     try:
-        outer = OuterFunction.from_tables(d, tuple(tables))
+        outer = outer_from_tables(d, tuple(tables))
     except (ValueError, DomainError) as exc:
         raise ModelFormatError(str(exc), location="branches") from exc
     try:

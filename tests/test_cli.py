@@ -362,6 +362,35 @@ def test_eval_refuses_a_stored_depth_beyond_the_cap(workdir):
         assert "meta.depth" in done.stderr and "Traceback" not in done.stderr
 
 
+def test_deeply_nested_model_is_a_format_error(workdir):
+    """The JSON decoder gives up past the recursion limit; load reports that as a
+    model format problem, before any field is read."""
+    _, model_path = _fit(workdir)
+    _write_csv(workdir / "points.csv", ["x1", "x2"], [["1/2", "1/3"]])
+    text = model_path.read_text()
+    (workdir / "nested.json").write_text(text.replace('"meta": {', '"meta": {"x": ' + "[" * 1100 + "]" * 1100 + ",", 1))
+    for args in (["describe", "--model", "nested.json"], ["eval", "--model", "nested.json", "--in", "points.csv"]):
+        done = _cli_subprocess(args, workdir, timeout=5)
+        assert done.returncode == EXIT_INPUT, done.stderr
+        assert "malformed JSON" in done.stderr and "Traceback" not in done.stderr
+
+
+def _grid_csv(path, level=1):
+    axis = [Fraction(j, 6**level) for j in range(6**level + 1)]
+    _write_csv(path, ["x1", "x2", "f"], [[str(a), str(b), str(a * b)] for a in axis for b in axis])
+
+
+@pytest.mark.parametrize("extra", [["--damping", "1e-3", "--max-iter", "1000000"], ["--damping", "1e-4000"]])
+def test_iterative_fit_refuses_work_past_the_cap(tmp_path, extra):
+    """Each round adds the bits of the damping's denominator to every exact
+    residual; a run whose digits would outgrow the work cap exits 2 early."""
+    _grid_csv(tmp_path / "grid.csv")
+    done = _cli_subprocess(["fit", "--mode", "iterative", "--grid-level", "1", "--in", "grid.csv",
+                            "--model", "it.json", *extra], tmp_path, timeout=5)
+    assert done.returncode == EXIT_INPUT, done.stderr
+    assert "damping" in done.stderr and "max_iter" in done.stderr and "Traceback" not in done.stderr
+
+
 def test_eval_refuses_hostile_series_terms(workdir):
     """A term count is capped before lambda is derived from it: term r of lam_p
     needs gamma**((p-1)(d**r-1)/(d-1)), so an uncapped count would hang."""
@@ -422,6 +451,7 @@ def test_oversized_grids_are_refused_before_they_are_built(tmp_path, args):
     (["check", "--trial-points", "50001"], "--trial-points must lie in 2..50000"),
     (["check", "--trial-points", str(10**18)], "--trial-points must lie in 2..50000"),
     (["bench", "--sweep-n", "50,50001"], "--sweep-n entries must lie in 1..50000"),
+    (["check", "--trials", "10000", "--trial-points", "50000"], "--trials times --trial-points must be at most 50000"),
 ])
 def test_oversized_counts_are_refused_before_any_work(tmp_path, args, message):
     """Each count is a loop or an allocation of that size; past its cap the command

@@ -32,6 +32,7 @@ LITERALS = [
     "9" * 5000, "1/" + "7" * 5000, "1" + "0" * 4299, "1/3 ", "true", "null", '"1"',
 ]
 INTS = [0, 1, 2, 3, -1, 240, 241, 10**6, 10**9, 2**63, 10**18, 10**100]
+NEST = "@@nested@@"  # stands in for a value nested past the decoder's recursion limit
 
 
 def _run(argv) -> int:
@@ -116,7 +117,9 @@ def _paths(doc, prefix=()):
 
 @st.composite
 def mutated_model(draw, text):
-    """A saved model with keys dropped, values retyped or respelled, or the file cut short."""
+    """A saved model with keys dropped, values retyped, respelled or nested 1,000-5,000
+    levels deep, or the file cut short.  The nesting is spliced into the text, since
+    json.dumps cannot encode that depth."""
     doc = json.loads(text)
     for _ in range(draw(st.integers(1, 3))):
         paths = [p for p, _ in _paths(doc) if p]
@@ -126,16 +129,21 @@ def mutated_model(draw, text):
         parent = doc
         for key in path[:-1]:
             parent = parent[key]
-        edit = draw(st.sampled_from(["drop", "retype", "respell", "int"]))
+        edit = draw(st.sampled_from(["drop", "retype", "respell", "int", "nest"]))
         if edit == "drop":
             del parent[path[-1]]
         elif edit == "retype":
             parent[path[-1]] = draw(st.sampled_from([None, True, 1.5, [], {}, "x", 0, [1], {"q": 0}]))
         elif edit == "respell":
             parent[path[-1]] = draw(st.sampled_from(LITERALS))
-        else:
+        elif edit == "int":
             parent[path[-1]] = draw(st.sampled_from(INTS))
+        else:
+            parent[path[-1]] = NEST
     out = json.dumps(doc, indent=2)
+    if NEST in out:
+        levels = draw(st.integers(1000, 5000))
+        out = out.replace(json.dumps(NEST), "[" * levels + "]" * levels)
     if draw(st.booleans()):
         out = out[: draw(st.integers(0, len(out)))]
     return out

@@ -6,6 +6,7 @@ elimination, the global gram solve and the global damped loop.  Ranks,
 witnesses, knot values, histories and collision counts must be identical.
 """
 
+import math
 import random
 from fractions import Fraction
 
@@ -106,6 +107,12 @@ def test_first_dependency_in_a_later_component_wins():
     assert left_kernel_vector(rows) == oracle.left_kernel_vector(rows) == (3, (0, 1, 1, -1, 0))
 
 
+def _reduced_values(pairs):
+    """Knot values as Fractions, after checking each pair is in lowest terms with a positive denominator."""
+    assert all(den > 0 and math.gcd(num, den) == 1 for num, den in pairs.values())
+    return {col: Fraction(*value) for col, value in pairs.items()}
+
+
 @settings(max_examples=40, deadline=None)
 @given(mixed_systems())
 def test_min_norm_matches_global_gram_solve(case):
@@ -118,7 +125,7 @@ def test_min_norm_matches_global_gram_solve(case):
         with pytest.raises(InternalInvariantError):
             _min_norm_solution(system, targets)
     else:
-        assert _min_norm_solution(system, targets) == oracle.min_norm_solution(system, targets)
+        assert _reduced_values(_min_norm_solution(system, targets)) == oracle.min_norm_solution(system, targets)
 
 
 @settings(max_examples=40, deadline=None)
@@ -130,9 +137,22 @@ def test_min_norm_matches_global_gram_solve(case):
 )
 def test_damped_iteration_matches_global_loop(case, damping, tolerance, max_iter):
     system, targets = case
-    got = run_damped_iteration(system, targets, damping, tolerance, max_iter)
+    g, *rest = run_damped_iteration(system, targets, damping, tolerance, max_iter)
     want = oracle.run_damped_iteration(system, targets, damping, tolerance, max_iter)
-    assert got == want
+    assert (_reduced_values(g), *rest) == want
+
+
+def test_tolerance_stops_the_iteration_where_the_global_loop_does():
+    """The sup is compared with the tolerance exactly: for tolerances at and
+    around the residuals a run passes, the rounds match the global loop's."""
+    twin = (Fraction(1, 3), Fraction(1, 3))
+    points = [twin, (twin[0] + Fraction(1, 6**10), twin[1]), (Fraction(1, 7), Fraction(2, 9)), (Fraction(5, 11), Fraction(3, 13))]
+    system = build_incidence(P26, SPEC6, points, 2)
+    targets = [Fraction(1), Fraction(3, 2), Fraction(-2, 3), Fraction(5, 4)]
+    for tolerance in sorted({Fraction(n, d) for d in (1, 3, 4, 7, 8, 64) for n in range(1, 2 * d + 1)}):
+        got = run_damped_iteration(system, targets, Fraction(1, 2), tolerance, 30)
+        want = oracle.run_damped_iteration(system, targets, Fraction(1, 2), tolerance, 30)
+        assert (got[1], got[3]) == (want[1], want[3]), tolerance
 
 
 def _grid1():
@@ -153,7 +173,7 @@ def test_unfinalized_iterative_fit_matches_global_loop(damping):
     )
     assert report.convergence_history == tuple(history)
     assert (report.collision_count, report.residual_max) == (collisions, sup)
-    assert fitted == _outer_from_knots(P26, system, g)
+    assert fitted == _outer_from_knots(P26, system, {col: (v.numerator, v.denominator) for col, v in g.items()})
 
 
 def _counting(monkeypatch, module, name, record):

@@ -21,7 +21,7 @@ from ksnet.errors import InputError
 from ksnet.hashmaps import make_params
 from ksnet.inner import default_inner_spec
 from ksnet.network import assemble, load, save
-from ksnet.outer import KnotTable, OuterFunction, SampleSet, fit_exact, fit_iterative, grid_samples, merge_report
+from ksnet.outer import SampleSet, fit_exact, fit_iterative, grid_samples, merge_report
 from ksnet.rationals import parse_ratio, parse_rational
 
 
@@ -47,17 +47,17 @@ def _hand_built():
     """Knots in branches 0 and 3 only, negative values, decimal-friendly positions, and
     one knot (110/7) whose denominator does not divide the unit of any depth."""
     params, inner = make_params(2, 6), default_inner_spec(6)
-    empty = KnotTable(ys=(), gs=())
+    empty = oracle.KnotTable(ys=(), gs=())
     tables = (
-        KnotTable(ys=(Fraction(1, 4), Fraction(3, 8), Fraction(5, 2)),
+        oracle.KnotTable(ys=(Fraction(1, 4), Fraction(3, 8), Fraction(5, 2)),
                   gs=(Fraction(-1, 2), Fraction(-2, 3), Fraction(7))),
         empty,
         empty,
-        KnotTable(ys=(Fraction(110, 7), Fraction(16), Fraction(33, 2), Fraction(19)),
+        oracle.KnotTable(ys=(Fraction(110, 7), Fraction(16), Fraction(33, 2), Fraction(19)),
                   gs=(Fraction(1, 3), Fraction(0), Fraction(-5, 4), Fraction(3, 10))),
         empty,
     )
-    return assemble(inner, params, OuterFunction.from_tables(2, tables), meta={"note": "hand-built"})
+    return assemble(inner, params, oracle.outer_from_tables(2, tables), meta={"note": "hand-built"})
 
 
 MODELS = {

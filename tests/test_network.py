@@ -21,7 +21,8 @@ from ksnet.network import (
     load,
     save,
 )
-from ksnet.outer import KnotTable, OuterFunction, SampleSet, fit_exact, g_eval
+from ksnet.outer import KnotLookup, SampleSet, fit_exact
+from oracle import KnotTable, outer_from_tables
 
 SPEC6 = default_inner_spec(6)
 P26 = make_params(2, 6)
@@ -63,7 +64,8 @@ def test_evaluate_decomposes_into_branches():
     # each part is the outer function applied to that branch's hash value
     for q, v in enumerate(parts):
         y = psi_eval(P26, SPEC6, x, q, 30).value
-        assert g_eval(MODEL.outer, y) == v
+        lookup = KnotLookup(MODEL.outer, y.denominator)
+        assert Fraction(*lookup.g(y.numerator * lookup.lift)) == v
 
 
 def test_evaluate_validates_input():
@@ -152,7 +154,7 @@ def test_plan_refuses_knots_without_a_common_scale(monkeypatch):
     ys = tuple(Fraction(1, 2) + Fraction(1, p) for p in primes)
     table = KnotTable(ys=tuple(sorted(ys)), gs=(Fraction(1),) * len(ys))
     empty = KnotTable(ys=(), gs=())
-    model = assemble(SPEC6, P26, OuterFunction.from_tables(2, (table,) + (empty,) * 4))
+    model = assemble(SPEC6, P26, outer_from_tables(2, (table,) + (empty,) * 4))
     assert evaluate(model, (Fraction(1, 2), Fraction(1, 2)))[0] == 5
     # room for knots over the depth-30 denominator itself, not for 2**30 times more
     unit_bits = P26.unit(SPEC6, 30).bit_length()

@@ -12,7 +12,8 @@ from ksnet.errors import DomainError
 from ksnet.hashmaps import build_incidence, make_params, psi_eval
 from ksnet.inner import InnerSpec, default_inner_spec, phi_eval
 from ksnet.network import FastEvaluator, _plan, assemble, evaluate
-from ksnet.outer import KnotTable, OuterFunction, SampleSet, fit_exact, g_eval
+from ksnet.outer import KnotLookup, SampleSet, fit_exact
+from oracle import KnotTable, outer_from_tables
 
 # weights with mixed denominators (lcm 18), so den is not 2(base - 1)
 ODD_SPEC6 = InnerSpec(
@@ -113,7 +114,7 @@ def _hand_built_model():
         empty,
         empty,
     )
-    return assemble(inner, params, OuterFunction.from_tables(2, tables))
+    return assemble(inner, params, outer_from_tables(2, tables))
 
 
 HAND_BUILT = _hand_built_model()
@@ -176,7 +177,7 @@ def test_outer_lookup_matches_oracle(model):
 @given(data=st.data())
 @settings(max_examples=150, deadline=None)
 def test_g_eval_matches_oracle(model, data):
-    """g_eval at any rational: knots, midpoints, interval ends, inter-branch
+    """The integer lookup at any rational: knots, midpoints, interval ends, inter-branch
     gaps, negative values and values past the last interval."""
     outer = model.outer
     top = outer.b[-1] + 2 * outer.d
@@ -184,13 +185,14 @@ def test_g_eval_matches_oracle(model, data):
         st.sampled_from(_probes(outer)),
         st.fractions(min_value=-3, max_value=top + 3, max_denominator=10**12),
     ))
-    assert g_eval(outer, y) == oracle.g_eval(outer, y)
+    lookup = KnotLookup(outer, y.denominator)
+    assert Fraction(*lookup.g(y.numerator * lookup.lift)) == oracle.g_eval(outer, y)
 
 
 def test_no_knots_is_a_domain_error():
     params, inner = NETWORKS[0]
     empty = KnotTable(ys=(), gs=())
-    model = assemble(inner, params, OuterFunction.from_tables(2, (empty,) * 5))
+    model = assemble(inner, params, outer_from_tables(2, (empty,) * 5))
     with pytest.raises(DomainError, match="no knots"):
         evaluate(model, (Fraction(1, 2), Fraction(1, 3)))
     with pytest.raises(DomainError, match="no knots"):

@@ -1,33 +1,40 @@
 """Outer function: interpolation, exact fitting, damped iteration."""
 
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import ksnet
 from ksnet.errors import (
     DomainError,
     InputError,
     InternalInvariantError,
+    IterationDiverged,
     ParameterError,
     SeparationFailure,
 )
 from ksnet.hashmaps import build_incidence, make_params
 from ksnet.inner import default_inner_spec
-from ksnet.network import assemble, save
+from ksnet.network import assemble, evaluate, save
 from ksnet.outer import (
-    KnotTable,
+    KnotLookup,
     OuterFunction,
     SampleSet,
+    _min_norm_solution,
+    _verify_zero_residual,
     fit_exact,
     fit_iterative,
-    g_eval,
     grid_samples,
     merge_report,
     run_damped_iteration,
 )
-from oracle import g_range, tables
+from oracle import KnotTable, dense, g_range, outer_from_tables, tables
 
 SPEC6 = default_inner_spec(6)
 P26 = make_params(2, 6)
@@ -43,10 +50,11 @@ def _random_samples(seed, n, f, bits=50):
 
 
 def test_knot_table_validation():
-    with pytest.raises(ParameterError):
-        KnotTable(ys=(Fraction(1), Fraction(1)), gs=(Fraction(0), Fraction(0)))
-    with pytest.raises(ParameterError):
-        KnotTable(ys=(Fraction(1),), gs=())
+    empty = ((),) * 4
+    with pytest.raises(ParameterError, match="strictly increasing"):
+        OuterFunction(2, 1, ((1, 1),) + empty, ((0, 0),) + empty, ((1, 1),) + empty)
+    with pytest.raises(ParameterError, match="1 knots but 0 values"):
+        OuterFunction(2, 1, ((1,),) + empty, ((),) + empty, ((),) + empty)
 
 
 def test_sample_set_validation():
@@ -71,7 +79,13 @@ def test_sample_set_validation():
 def _toy_outer():
     t0 = KnotTable(ys=(Fraction(0), Fraction(1), Fraction(2)), gs=(Fraction(0), Fraction(5), Fraction(1)))
     empty = KnotTable(ys=(), gs=())
-    return OuterFunction.from_tables(2, (t0, empty, empty, empty, empty))
+    return outer_from_tables(2, (t0, empty, empty, empty, empty))
+
+
+def g_eval(outer, y):
+    """The outer function at a rational y, through the integer lookup."""
+    lookup = KnotLookup(outer, y.denominator)
+    return Fraction(*lookup.g(y.numerator * lookup.lift))
 
 
 def test_g_eval_interpolation():
@@ -88,9 +102,9 @@ def test_g_eval_interpolation():
 
 def test_g_eval_empty_everywhere():
     empty = KnotTable(ys=(), gs=())
-    out = OuterFunction.from_tables(2, (empty,) * 5)
-    with pytest.raises(DomainError):
-        g_eval(out, Fraction(1))
+    model = assemble(SPEC6, P26, outer_from_tables(2, (empty,) * 5))
+    with pytest.raises(DomainError, match="no knots"):
+        evaluate(model, (Fraction(1), Fraction(1, 2)))
 
 
 def test_g_range_includes_interior_knots():
@@ -130,12 +144,10 @@ def test_fit_exact_reproduces_samples():
 def test_residual_recheck_sums_knot_values_exactly():
     """The integer re-check accepts the exact solve and refuses a target off by
     the smallest step its denominator allows."""
-    from ksnet.outer import _min_norm_solution, _verify_zero_residual
-
     samples = _random_samples(4, 30, lambda p: 1 / (p[0] + p[1] + Fraction(1, 1000)))
     system = build_incidence(P26, SPEC6, samples.points, 30)
     g = _min_norm_solution(system, samples.targets)
-    assert len({v.denominator for v in g.values()}) > 1
+    assert len({den for _, den in g.values()}) > 1
     _verify_zero_residual(system, samples.targets, g)
     for j in (0, 17, 29):
         targets = list(samples.targets)
@@ -149,9 +161,9 @@ def test_fit_exact_is_minimum_norm():
     samples = _random_samples(1, 12, lambda p: p[0] + 2 * p[1])
     outer, report = fit_exact(samples, P26, SPEC6)
     system = build_incidence(P26, SPEC6, samples.points, report.depth)
-    dense = np.array(system.dense(), dtype=float)
+    matrix = np.array(dense(system), dtype=float)
     targets = np.array([float(t) for t in samples.targets])
-    expected = np.linalg.pinv(dense) @ targets
+    expected = np.linalg.pinv(matrix) @ targets
     lookup = {}
     for table in tables(outer):
         lookup.update(zip(table.ys, table.gs))
@@ -236,6 +248,13 @@ def test_residuals_past_the_double_range_read_inf():
     _, report = fit_iterative(samples, P26, SPEC6, finalize=False, max_iter=3)
     assert report.convergence_history == (float("inf"),) * 3
     assert report.to_jsonable()["residual_max"]["approx"] == float("inf")
+    # at the edge of the double range: a sup of exactly the largest double reads as
+    # that double, one more reads inf (one round at damping 1/2 halves the target)
+    top = int(sys.float_info.max)
+    for target, first in ((2 * top, sys.float_info.max), (2 * top + 2, float("inf"))):
+        samples = grid_samples(lambda p: Fraction(target), P26, 1)
+        _, report = fit_iterative(samples, P26, SPEC6, finalize=False, max_iter=1)
+        assert report.convergence_history == (first,)
 
 
 def test_iterative_rejects_bad_knobs():
@@ -320,3 +339,80 @@ def test_sup_wiggle_does_not_trip_divergence_guard():
     assert collisions == 15
     assert any(b > a for a, b in zip(history, history[1:]))
     assert sup < 10
+
+
+def test_divergence_guard_trips_on_an_overshooting_damping():
+    """Damping past 1 (which fit_iterative refuses) overshoots shared knots, so the
+    sum of squares rises in the first round and the guard aborts."""
+    targets = [Fraction(0), Fraction(10), Fraction(10), Fraction(10)]
+    system = _colliding_system(targets)
+    with pytest.raises(IterationDiverged, match="rose from 300 to 975 in round 1 with damping 3"):
+        run_damped_iteration(system, targets, Fraction(3), Fraction(1, 10**6), 5)
+
+
+def _fractions_built(monkeypatch, fn, *args) -> int:
+    count = 0
+    new = Fraction.__new__
+
+    def counting(cls, *a, **k):
+        nonlocal count
+        count += 1
+        return new(cls, *a, **k)
+
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(counting))
+    fn(*args)
+    monkeypatch.undo()
+    return count
+
+
+def test_the_fit_runs_on_integers(monkeypatch):
+    """The damped iteration's rounds, the closed form of a point that shares no
+    knot and the residual re-check build no Fraction: the count does not grow
+    with the rounds, and an all-singleton solve and re-check build none."""
+    targets = [Fraction(0), Fraction(1), Fraction(1), Fraction(1)]
+    colliding = _colliding_system(targets).points
+    lone = _random_samples(6, 10, lambda p: p[0]).points
+    system = build_incidence(P26, SPEC6, colliding + lone, depth=2)
+    targets = [x - y / 7 for x, y in system.points]
+    counts = [
+        _fractions_built(monkeypatch, run_damped_iteration, system, targets, Fraction(1, 3), Fraction(1, 10**100), k)
+        for k in (3, 40)
+    ]
+    assert counts[0] == counts[1] <= 2
+    samples = _random_samples(7, 30, lambda p: p[0] / (1 + p[1]))
+    system = build_incidence(P26, SPEC6, samples.points, 30)
+    assert all(len(comp) == 1 for comp in system.components)
+
+    def solve_and_check():
+        _verify_zero_residual(system, samples.targets, _min_norm_solution(system, samples.targets))
+
+    assert _fractions_built(monkeypatch, solve_and_check) == 0
+
+
+def test_damped_iteration_refuses_work_past_the_cap():
+    """300 random 6-bit points at depth 1 share knots, so every round iterates
+    all of them and each round's numerators grow by the bits of the damping's
+    denominator and of the hit counts; the work cap stops the run long before
+    max_iter.  In a child, so a hang fails the test instead of stalling it."""
+    code = """
+import random
+from fractions import Fraction
+from ksnet.errors import ParameterError
+from ksnet.hashmaps import build_incidence, make_params
+from ksnet.inner import default_inner_spec
+from ksnet.outer import run_damped_iteration
+rng = random.Random(3)
+points = set()
+while len(points) < 300:
+    points.add((Fraction(rng.getrandbits(6), 64), Fraction(rng.getrandbits(6), 64)))
+system = build_incidence(make_params(2, 6), default_inner_spec(6), sorted(points), 1)
+assert sum(len(comp) for comp in system.components if len(comp) > 1) > 250
+try:
+    run_damped_iteration(system, [x * y for x, y in system.points], Fraction(1, 1000), Fraction(1, 10**6), 10**6)
+except ParameterError as exc:
+    print(exc)
+"""
+    env = dict(os.environ, PYTHONPATH=str(Path(ksnet.__file__).resolve().parents[1]))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=5)
+    assert done.returncode == 0, done.stderr
+    assert "work cap" in done.stdout and "damping" in done.stdout and "max_iter 1000000" in done.stdout
