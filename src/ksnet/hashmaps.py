@@ -434,10 +434,10 @@ class InnerTable:
 class IncidenceSystem:
     """Points against distinct branch values: the solvability object of a fit.
 
-    Knot i is the value knots[i] / unit.  rows[j] maps to 1 each of the 2d+1
-    knots point j hits, one per branch: the branch ranges are disjoint, so
-    every entry of the matrix is 0 or 1 and every row sums to 2d+1.  The
-    fits rely on this; linsolve takes the rows as general sparse rows.
+    Knot i is the value knots[i] / unit.  rows[j] is the increasing tuple of
+    the 2d+1 knot ids point j hits, one per branch: the branch ranges are
+    disjoint and increasing, so every entry of the matrix is 0 or 1 and every
+    row sums to 2d+1.  The fits and linsolve rely on this.
     """
 
     points: tuple[tuple[Fraction, ...], ...]
@@ -446,7 +446,7 @@ class IncidenceSystem:
     unit: int
     knots: tuple[int, ...]
     knot_branch: tuple[int, ...]
-    rows: tuple[dict[int, int], ...]
+    rows: tuple[tuple[int, ...], ...]
 
     @property
     def n_points(self) -> int:
@@ -513,7 +513,7 @@ def build_incidence(
         unit=unit,
         knots=tuple(knots),
         knot_branch=tuple(knot_branch),
-        rows=tuple(dict.fromkeys(cols, 1) for cols in zip(*columns)),
+        rows=tuple(zip(*columns)),
     )
 
 

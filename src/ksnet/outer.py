@@ -266,8 +266,8 @@ def _min_norm_solution(system: IncidenceSystem, targets) -> dict[int, tuple[int,
     M M^T is block diagonal over the components, and its entry (j, k) is the
     number of knots points j and k share.  A point that shares no knot has
     the 1x1 block 2d+1, so its knots get g = f / (2d+1) with no solve.  Each
-    component of several points assembles its own gram matrix from column
-    buckets and solves it exactly.
+    component of several points solves its own integer gram matrix exactly,
+    for its targets over one denominator; each knot's value is reduced once.
     """
     rows, branch_count = system.rows, 2 * system.d + 1
     g: dict[int, tuple[int, int]] = {}
@@ -287,10 +287,13 @@ def _min_norm_solution(system: IncidenceSystem, targets) -> dict[int, tuple[int,
                 grow = gram[local[j]]
                 for k in hits:
                     grow[local[k]] = grow.get(local[k], 0) + 1
-        u = solve_square(gram, [targets[j] for j in comp])
+        den = math.lcm(*(targets[j].denominator for j in comp))
+        u = solve_square(gram, [targets[j].numerator * (den // targets[j].denominator) for j in comp])
         for col, hits in buckets.items():
-            value = sum(u[local[j]] for j in hits)
-            g[col] = value.numerator, value.denominator
+            num, c = 0, 1
+            for j in hits:
+                num, c = add_ratios(num, c, *u[local[j]])
+            g[col] = _reduced(num, c * den)
     return g
 
 

@@ -40,7 +40,6 @@ from ksnet.errors import (
 )
 from ksnet.hashmaps import BranchValue, HashParams, check_dims
 from ksnet.inner import InnerSpec, InnerValue
-from ksnet.linsolve import _sub_scaled
 from ksnet.network import FORMAT_VERSION, assemble
 from ksnet.outer import BranchStats, ClassReport, OuterFunction, common_unit
 from ksnet.rationals import ONE, ZERO
@@ -139,10 +138,8 @@ def build_incidence(params, inner, points, depth: int):
     branch_of: dict[int, int] = {}
     rows = []
     for per_point in values:
-        row: dict[int, int] = {}
-        for q, v in enumerate(per_point):
-            col = index[v]
-            row[col] = row.get(col, 0) + 1
+        row = tuple(index[v] for v in per_point)
+        for q, (v, col) in enumerate(zip(per_point, row)):
             if branch_of.setdefault(col, q) != q:
                 raise InternalInvariantError(f"knot {v} reached from two branches")
         rows.append(row)
@@ -215,20 +212,33 @@ def evaluate(model, x, depth: int):
 
 def dense(system) -> list[list[int]]:
     """The incidence matrix of a system as dense rows."""
-    return [[row.get(col, 0) for col in range(system.knot_count)] for row in system.rows]
+    return [[row.count(col) for col in range(system.knot_count)] for row in system.rows]
 
 
 def row_sums(system) -> list[int]:
-    return [sum(row.values()) for row in system.rows]
+    return [len(row) for row in system.rows]
+
+
+def _sub_scaled(target: dict, source: dict, factor: Fraction) -> None:
+    # target -= factor * source, dropping entries that cancel to zero
+    for col, val in source.items():
+        new = target.get(col, ZERO) - factor * val
+        if new:
+            target[col] = new
+        else:
+            target.pop(col, None)
 
 
 def left_kernel_vector(rows):
-    """Rank and first left-kernel witness by one reduced-pivot elimination over all rows."""
+    """Rank and first left-kernel witness by one reduced-pivot elimination over all
+    rows (tuples of the columns that hold a 1), on Fractions."""
     n = len(rows)
     pivots = []  # (pivot column, reduced row, transform)
     witness = None
     for idx in range(n):
-        row = {col: Fraction(val) for col, val in rows[idx].items() if val}
+        row = {}
+        for col in rows[idx]:
+            row[col] = row.get(col, ZERO) + ONE
         trans = {idx: ONE}
         for pcol, prow, ptrans in pivots:
             coeff = row.get(pcol)
@@ -258,8 +268,8 @@ def left_kernel_vector(rows):
 def _column_buckets(system):
     buckets = {}
     for j, row in enumerate(system.rows):
-        for col, cnt in row.items():
-            buckets.setdefault(col, []).append((j, cnt))
+        for col in row:
+            buckets.setdefault(col, []).append(j)
     return buckets
 
 
@@ -269,15 +279,15 @@ def min_norm_solution(system, targets):
     buckets = _column_buckets(system)
     gram = [{} for _ in range(n)]
     for hits in buckets.values():
-        for j, cj in hits:
-            for k, ck in hits:
-                gram[j][k] = gram[j].get(k, 0) + cj * ck
+        for j in hits:
+            for k in hits:
+                gram[j][k] = gram[j].get(k, 0) + 1
     matrix = sympy.Matrix(n, n, lambda j, k: gram[j].get(k, 0))
     if matrix.rank() < n:
         raise InternalInvariantError("singular gram matrix")
     solved = matrix.LUsolve(sympy.Matrix([sympy.Rational(t.numerator, t.denominator) for t in targets]))
     u = [Fraction(int(v.p), int(v.q)) for v in solved]
-    return {col: sum(cnt * u[j] for j, cnt in hits) for col, hits in buckets.items()}
+    return {col: sum(u[j] for j in hits) for col, hits in buckets.items()}
 
 
 def run_damped_iteration(system, targets, damping, tolerance, max_iter):
@@ -293,13 +303,12 @@ def run_damped_iteration(system, targets, damping, tolerance, max_iter):
     for round_no in range(1, max_iter + 1):
         delta = {}
         for col, hits in buckets.items():
-            total = sum(residual[j] * cnt for j, cnt in hits)
-            weight = sum(cnt for _, cnt in hits)
-            delta[col] = damping * total / (weight * branch_count)
+            total = sum(residual[j] for j in hits)
+            delta[col] = damping * total / (len(hits) * branch_count)
         for col, dv in delta.items():
             g[col] += dv
         for j, row in enumerate(system.rows):
-            residual[j] -= sum(cnt * delta[col] for col, cnt in row.items())
+            residual[j] -= sum(delta[col] for col in row)
         new_sumsq = sum((r * r for r in residual), ZERO)
         if new_sumsq > sumsq:
             raise IterationDiverged(f"squared residual rose in round {round_no}")

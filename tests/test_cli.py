@@ -302,6 +302,18 @@ def _cli_subprocess(args, cwd, timeout=30):
     )
 
 
+def test_a_large_shared_knot_certificate_finishes_in_time(workdir):
+    """400 random 7-bit points at depth 1 form one dependent component of 400
+    rows (rank 224); the retry to depth 2 separates them into components of up
+    to 8 rows.  Both eliminations and the solve finish well within the timeout."""
+    _write_csv(workdir / "coarse.csv", ["x1", "x2", "f"], _sample_rows(n=400, bits=7))
+    done = _cli_subprocess(["fit", "--depth", "1", "--no-timestamp", "--in", "coarse.csv",
+                            "--model", "coarse.json", "--out", "coarse.fit.json"], workdir, timeout=10)
+    assert done.returncode == EXIT_OK, done.stderr
+    fit = json.loads((workdir / "coarse.fit.json").read_text())["fit"]
+    assert (fit["separation"]["retries"], fit["depth"], fit["residual_max"]["exact"]) == (1, 2, "0")
+
+
 def test_giant_literals_are_input_errors(workdir):
     """'1e999999999' would make Fraction build a billion-digit integer."""
     _, model_path = _fit(workdir)

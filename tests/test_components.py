@@ -12,6 +12,7 @@ from fractions import Fraction
 
 import oracle
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -72,8 +73,9 @@ def mixed_systems(draw):
     return system, targets
 
 
-fractions = st.fractions(min_value=-4, max_value=4, max_denominator=5)
-sparse_rows = st.lists(st.dictionaries(st.integers(0, 11), fractions, max_size=3), max_size=12)
+sparse_rows = st.lists(
+    st.sets(st.integers(0, 11), min_size=1, max_size=3).map(lambda cols: tuple(sorted(cols))), max_size=12
+)
 
 
 @settings(max_examples=60, deadline=None)
@@ -81,12 +83,9 @@ sparse_rows = st.lists(st.dictionaries(st.integers(0, 11), fractions, max_size=3
 def test_incidence_rank_and_witness_match_global_elimination(case, data):
     system, _ = case
     rows = list(system.rows)
-    # empty rows anywhere, and an explicit zero entry that must not link two rows
+    # copies of rows anywhere: a repeated row depends on its original, before or after it
     for _ in range(data.draw(st.integers(0, 2))):
-        rows.insert(data.draw(st.integers(0, len(rows))), {})
-    if data.draw(st.booleans()):
-        i = data.draw(st.integers(0, len(rows) - 1))
-        rows[i] = {**rows[i], data.draw(st.integers(0, system.knot_count - 1)): 0}
+        rows.insert(data.draw(st.integers(0, len(rows))), data.draw(st.sampled_from(system.rows)))
     assert left_kernel_vector(rows) == oracle.left_kernel_vector(rows)
 
 
@@ -97,14 +96,46 @@ def test_sparse_rank_and_witness_match_global_elimination(rows):
 
 
 def test_first_dependency_in_a_later_component_wins():
-    # components {0, 3} and {1, 2, 4}: row 3 repeats row 0, row 4 = row 1 + row 2
-    rows = [{0: 1}, {1: 1, 2: 1}, {2: 1, 3: 1}, {0: 1}, {1: 1, 2: 2, 3: 1}]
-    assert components(rows) == [[0, 3], [1, 2, 4]]
+    # components {0, 4} and {1, 2, 3, 5}: row 4 repeats row 0, row 5 = row 1 + row 2 - row 3
+    rows = [(0,), (1, 2), (3, 4), (1, 3), (0,), (2, 4)]
+    assert components(rows) == [[0, 4], [1, 2, 3, 5]]
     rank, witness = left_kernel_vector(rows)
     assert (rank, witness) == oracle.left_kernel_vector(rows)
-    assert witness == (1, 0, 0, -1, 0)
-    rows[3], rows[4] = rows[4], rows[3]
-    assert left_kernel_vector(rows) == oracle.left_kernel_vector(rows) == (3, (0, 1, 1, -1, 0))
+    assert witness == (1, 0, 0, 0, -1, 0)
+    rows[4], rows[5] = rows[5], rows[4]
+    assert left_kernel_vector(rows) == oracle.left_kernel_vector(rows) == (4, (0, 1, 1, -1, -1, 0))
+
+
+def _random_points(seed, n, bits):
+    rng = random.Random(seed)
+    points = set()
+    while len(points) < n:
+        points.add(tuple(Fraction(rng.getrandbits(bits), 2**bits) for _ in range(2)))
+    return sorted(points)
+
+
+def test_large_dependent_component_matches_global_elimination():
+    """160 random 6-bit points at depth 1 share knots until they form one
+    dependent component: the integer elimination's rank and witness are the
+    global Fraction elimination's."""
+    system = build_incidence(P26, SPEC6, _random_points(1, 160, 6), 1)
+    assert [len(comp) for comp in system.components] == [160]
+    rank, witness = left_kernel_vector(system.rows)
+    assert witness is not None
+    assert (rank, witness) == oracle.left_kernel_vector(system.rows)
+
+
+def test_coupled_gram_solve_matches_sympy():
+    """The gram matrix M M^T of a random sparse 0/1 M with 5 ones per row among
+    2n columns couples every row: its solve equals sympy's LUsolve."""
+    n = 60
+    rng = random.Random(0)
+    cols = [set(rng.sample(range(2 * n), 5)) for _ in range(n)]
+    gram = [{k: len(a & b) for k, b in enumerate(cols) if a & b} for a in cols]
+    rhs = [rng.randint(-9, 9) for _ in range(n)]
+    want = sympy.Matrix(n, n, lambda j, k: gram[j].get(k, 0)).LUsolve(sympy.Matrix(rhs))
+    got = linsolve.solve_square(gram, rhs)
+    assert [Fraction(*pair) for pair in got] == [Fraction(int(v.p), int(v.q)) for v in want]
 
 
 def _reduced_values(pairs):
@@ -190,13 +221,13 @@ def test_all_singleton_fit_eliminates_nothing(monkeypatch):
     rng = random.Random(7)
     pts = sorted({tuple(Fraction(rng.getrandbits(50), 2**50) for _ in range(2)) for _ in range(200)})
     samples = SampleSet(points=tuple(pts), targets=tuple(x * y for x, y in pts))
-    subs, solves = [], []
-    _counting(monkeypatch, linsolve, "_sub_scaled", subs)
+    eliminated, solves = [], []
+    _counting(monkeypatch, linsolve, "_eliminate", eliminated)
     _counting(monkeypatch, outer, "solve_square", solves)
     _, report = fit_exact(samples, P26, SPEC6)
     assert report.knot_count == 5 * len(pts)
     assert report.separation.rank == len(pts)
-    assert subs == [] and solves == []
+    assert eliminated == [] and solves == []
 
 
 def test_near_twin_pairs_eliminate_only_their_components(monkeypatch):

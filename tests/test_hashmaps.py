@@ -192,8 +192,8 @@ def test_incidence_row_sums_and_shape():
 
 
 def test_every_incidence_row_hits_one_knot_per_branch():
-    """The invariant the fits rely on (IncidenceSystem): each row holds 2d+1
-    entries, all 1, one in each branch, also where truncation makes points share knots."""
+    """The invariant the fits rely on (IncidenceSystem): each row is an increasing
+    tuple of 2d+1 knot ids, one in each branch, also where truncation makes points share knots."""
     grid = list(itertools.product(grid_points(2, 6), repeat=2))
     p38, spec8 = make_params(3, 8), default_inner_spec(8)
     cases = [
@@ -208,8 +208,8 @@ def test_every_incidence_row_hits_one_knot_per_branch():
     for params, inner, points, depth in cases:
         system = build_incidence(params, inner, points, depth)
         for row in system.rows:
-            assert set(row.values()) == {1}
-            assert sorted(system.knot_branch[col] for col in row) == list(range(params.branch_count))
+            assert row == tuple(sorted(set(row)))
+            assert [system.knot_branch[col] for col in row] == list(range(params.branch_count))
         shared += system.knot_count < params.branch_count * system.n_points
     assert shared >= 2
 

@@ -19,7 +19,7 @@ from ksnet.errors import (
     ParameterError,
     SeparationFailure,
 )
-from ksnet.hashmaps import build_incidence, make_params
+from ksnet.hashmaps import build_incidence, make_params, separation_check
 from ksnet.inner import default_inner_spec
 from ksnet.network import assemble, evaluate, save
 from ksnet.outer import (
@@ -138,7 +138,7 @@ def test_fit_exact_reproduces_samples():
         lookup.update(zip(table.ys, table.gs))
     knot_value = {j: lookup[Fraction(y, system.unit)] for j, y in enumerate(system.knots)}
     for row, target in zip(system.rows, samples.targets):
-        assert sum(knot_value[j] * c for j, c in row.items()) == target
+        assert sum(knot_value[j] for j in row) == target
 
 
 def test_residual_recheck_sums_knot_values_exactly():
@@ -239,7 +239,7 @@ def test_iterative_finalize_gives_exact_residual():
     for table in tables(outer):
         lookup.update(zip(table.ys, table.gs))
     for row, point in zip(system.rows, system.points):
-        got = sum(lookup[Fraction(system.knots[j], system.unit)] * c for j, c in row.items())
+        got = sum(lookup[Fraction(system.knots[j], system.unit)] for j in row)
         assert got == f(point)
 
 
@@ -367,8 +367,9 @@ def _fractions_built(monkeypatch, fn, *args) -> int:
 
 def test_the_fit_runs_on_integers(monkeypatch):
     """The damped iteration's rounds, the closed form of a point that shares no
-    knot and the residual re-check build no Fraction: the count does not grow
-    with the rounds, and an all-singleton solve and re-check build none."""
+    knot, the per-component gram solve and the residual re-check build no
+    Fraction: the count does not grow with the rounds, and an all-singleton
+    solve and re-check build none, nor does one with multi-row components."""
     targets = [Fraction(0), Fraction(1), Fraction(1), Fraction(1)]
     colliding = _colliding_system(targets).points
     lone = _random_samples(6, 10, lambda p: p[0]).points
@@ -383,10 +384,20 @@ def test_the_fit_runs_on_integers(monkeypatch):
     system = build_incidence(P26, SPEC6, samples.points, 30)
     assert all(len(comp) == 1 for comp in system.components)
 
-    def solve_and_check():
-        _verify_zero_residual(system, samples.targets, _min_norm_solution(system, samples.targets))
+    def solve_and_check(system, targets):
+        _verify_zero_residual(system, targets, _min_norm_solution(system, targets))
 
-    assert _fractions_built(monkeypatch, solve_and_check) == 0
+    assert _fractions_built(monkeypatch, solve_and_check, system, samples.targets) == 0
+    # points just either side of a depth-2 digit boundary differ in branch 0
+    # only: separated components of 4 and 2 rows, next to lone points
+    step = Fraction(1, 6**5)
+    straddlers = [(Fraction(7, 36) + i * step, Fraction(13, 36) + k * step) for i in (-1, 1) for k in (-1, 1)]
+    straddlers += [(Fraction(29, 36) + i * step, Fraction(1, 5)) for i in (-1, 1)]
+    samples = SampleSet(points=tuple(straddlers) + lone, targets=tuple(x / (1 + y) for x, y in straddlers + list(lone)))
+    system = build_incidence(P26, SPEC6, samples.points, depth=2)
+    assert sorted(map(len, system.components))[-2:] == [2, 4]
+    assert separation_check(system).separated
+    assert _fractions_built(monkeypatch, solve_and_check, system, samples.targets) == 0
 
 
 def test_damped_iteration_refuses_work_past_the_cap():
