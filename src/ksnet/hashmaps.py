@@ -208,16 +208,14 @@ def check_point(params: HashParams, x) -> tuple[Fraction, ...]:
 def branches_scaled(params: HashParams, inner: InnerSpec, point, depth: int) -> list[tuple[int, int]]:
     """Every branch at a checked point as (value, window) numerators over params.unit(inner, depth)."""
     lam_den, lam_num, tail_num = params._lam_scaled
-    coords = [
-        (*params.branch_input(c.numerator, c.denominator), lam, tail)
-        for c, lam, tail in zip(point, lam_num, tail_num)
-    ]
+    coords = [params.branch_input(c.numerator, c.denominator) for c in point]
+    inputs = [(num + q * step, den) for q in range(params.branch_count) for num, den, step in coords]
+    phis, d = phi_scaled(inner, inputs, depth), params.d
     base = lam_den * inner._den**depth
     out = []
     for q, b in enumerate(params.b):
         value, window = b * base, 0
-        for num, den, step, lam, tail in coords:
-            v, w, _ = phi_scaled(inner, num + q * step, den, depth)
+        for lam, tail, (v, w, _) in zip(lam_num, tail_num, phis[q * d:(q + 1) * d]):
             value += lam * v
             window += lam * w + tail * (v + w)
         out.append((value, window))
@@ -392,9 +390,10 @@ class InnerTable:
     value[p][q][g], window[p][q][g] and rest[p][q][g] are phi_scaled's
     (value, window, rest) at x + a q for x = groups.values[p][g], at `depth`.
     The branch values of every point are sums of these, so phi runs once per
-    distinct coordinate and branch, not once per point.  deepen() carries the
-    table to a greater depth in place through phi_extend, which reads only
-    the new digits.
+    distinct coordinate and branch, not once per point.  deepen() fills each
+    (axis, branch) list with one call of the inner kernel, phi_extend: from
+    the coordinates for a fresh table, and from the stored states for a
+    deeper one, reading only the new digits.
     """
 
     def __init__(self, params: HashParams, inner: InnerSpec, groups: PointGroups):
@@ -413,20 +412,20 @@ class InnerTable:
         inner, more = self.inner, depth - self.depth
         if not more:
             return
-        inputs = [[self.params.branch_input(n, m) for n, m in values] for values in self.groups.values]
-        if self.depth and more > 0:
-            for axis, *tables in zip(inputs, self.value, self.window, self.rest):
-                dens = [m for _, m, _ in axis]
-                for value, window, rest in zip(*tables):
-                    for g, den in enumerate(dens):
-                        value[g], window[g], rest[g] = phi_extend(inner, value[g], window[g], rest[g], den, more)
-        else:
-            branch_count = self.params.branch_count
-            self.value, self.window, self.rest = ([[None] * branch_count for _ in inputs] for _ in range(3))
-            for p, axis in enumerate(inputs):
-                for q in range(branch_count):
-                    triples = [phi_scaled(inner, n + q * step, m, depth) for n, m, step in axis]
-                    self.value[p][q], self.window[p][q], self.rest[p][q] = map(list, zip(*triples))
+        extend = 0 < self.depth < depth
+        if not extend:
+            axes, branch_count = len(self.groups.values), self.params.branch_count
+            self.value, self.window, self.rest = ([[None] * branch_count for _ in range(axes)] for _ in range(3))
+        for p, values in enumerate(self.groups.values):
+            axis = [self.params.branch_input(n, m) for n, m in values]
+            dens = [m for _, m, _ in axis]
+            value, window, rest = self.value[p], self.window[p], self.rest[p]
+            for q in range(self.params.branch_count):
+                if extend:
+                    triples = phi_extend(inner, zip(value[q], window[q], rest[q], dens), more)
+                else:
+                    triples = phi_scaled(inner, [(n + q * step, m) for n, m, step in axis], depth)
+                value[q], window[q], rest[q] = map(list, zip(*triples))
         self.depth = depth
 
 
@@ -546,9 +545,14 @@ class SeparationVerdict:
         }
 
 
-def separation_check(system: IncidenceSystem) -> SeparationVerdict:
-    """Decide full row rank of the incidence matrix by exact elimination."""
-    rank, kernel = left_kernel_vector(system.rows, system.components)
+def separation_check(system: IncidenceSystem, stop: bool = False) -> SeparationVerdict:
+    """Decide full row rank of the incidence matrix by exact elimination.
+
+    With `stop`, a system that is not separated gets the partial rank and
+    witness of an elimination that ended at its first dependency
+    (left_kernel_vector); a separated one gets the full answer.
+    """
+    rank, kernel = left_kernel_vector(system.rows, system.components, stop)
     return SeparationVerdict(
         separated=kernel is None,
         rank=rank,
@@ -573,14 +577,16 @@ def certify_separation(
     The points are checked once (a PointGroups, as SampleSet keeps, is not
     checked again), and every retry extends the same InnerTable from depth
     k to the next depth, reading only the new digits; the depth-k system is
-    dropped before the next one is built.
+    dropped before the next one is built.  Below the cap only "separated or
+    not" is needed, so the elimination of an attempt stops at its first
+    dependency; the attempt at the cap gets the full rank and witness.
     """
     current = min(depth, depth_cap)
     table = InnerTable(params, inner, point_groups(points, params.d))
     retries = 0
     while True:
         system = build_incidence(params, inner, None, current, table)
-        verdict = separation_check(system)
+        verdict = separation_check(system, stop=current < depth_cap)
         if verdict.separated or current >= depth_cap:
             return system, replace(verdict, retries=retries)
         del system

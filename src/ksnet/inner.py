@@ -9,9 +9,16 @@ strictly increasing across distinct digit strings, and handling the integer
 part separately gives phi(x + 1) = phi(x) + 1 for free.
 
 Evaluation runs on integers: after k digits every value and window is an
-integer over den**k, where den is the lcm of the weight denominators.  The
-digits come from one floor division and are consumed three at a time (fewer
-for large bases) through a table of per-block (c, w) numerators.
+integer over den**k, where den is the lcm of the weight denominators.  One
+kernel, phi_extend, reads the digits of a whole list of inputs.  It reads
+them one chunk at a time (30 digits for base 6), each chunk from one floor
+division, and consumes a chunk's digits in blocks of three (fewer for large
+bases) from the least significant end.  Value and window share one integer,
+x = window << shift | value, so prepending the block at position m is one
+multiply-add, x <- w * x + c * den**(3m), with both factors read off a
+positional table that InnerSpec builds once, for one chunk.  Chunks join by
+the rule a depth retry uses: value * den**k + window * value',
+window * window'.
 """
 
 from __future__ import annotations
@@ -27,10 +34,15 @@ from .errors import DomainError, ParameterError
 from .rationals import ONE, ZERO
 
 HALF = Fraction(1, 2)
-# Digits consumed per table lookup: 3, or fewer when the table of
-# base**digits entries would pass BLOCK_TABLE_LIMIT (base 6: 216 entries).
+# Digits per block: 3, or fewer when a block's base**digits strings would pass
+# BLOCK_TABLE_LIMIT (base 6: 216 of them).
 BLOCK_DIGITS = 3
 BLOCK_TABLE_LIMIT = 1024
+# Digits per chunk: CHUNK_DIGITS in whole blocks, fewer when the positional
+# table (one entry per block string and position) would pass
+# CHUNK_TABLE_LIMIT entries, at least one block.  Base 6: 10 positions, 30 digits.
+CHUNK_DIGITS = 30
+CHUNK_TABLE_LIMIT = 4096
 
 
 @dataclass(frozen=True)
@@ -75,29 +87,54 @@ class InnerSpec:
 
     @cached_property
     def _block(self) -> int:
-        """Digits per table lookup."""
+        """Digits per block."""
         digits = BLOCK_DIGITS
         while digits > 1 and self.base**digits > BLOCK_TABLE_LIMIT:
             digits -= 1
         return digits
 
     @cached_property
-    def _blocks(self) -> tuple[tuple[int, int], ...]:
-        """(c, w) numerators over _den**_block of every _block-digit string, indexed by its value."""
-        table = []
-        for value in range(self.base**self._block):
-            c, w = 0, 1
-            for r in reversed(range(self._block)):
-                digit = value // self.base**r % self.base
-                c = c * self._den + self._cnum[digit] * w
-                w *= self._wnum[digit]
-            table.append((c, w))
-        return tuple(table)
+    def _table(self) -> tuple[int, int, list[tuple[int, tuple[int, ...], list[int]]]]:
+        """(chunk digits, shift, steps): the positional table of one chunk, built once.
+
+        steps[m] = (radix, ws, cs) prepends the block at position m from the
+        least significant end of a chunk: for the _block-digit string with
+        value b, ws[b] is its window numerator w and cs[b] its c times
+        _den**(_block*m).  With value and window packed as window << shift |
+        value, that is x <- ws[b] * x + cs[b]; shift leaves room for any
+        chunk's value, which stays below _den**chunk.
+        """
+        block, den = self._block, self._den
+        ws, cs = (1,), (0,)
+        for length in range(block):  # prepend a leading digit to every string of this length
+            unit = den**length
+            ws, cs = (
+                tuple(wd * w for wd in self._wnum for w in ws),
+                [cd * unit + wd * c for cd, wd in zip(self._cnum, self._wnum) for c in cs],
+            )
+        radix = len(ws)
+        positions = max(1, min(CHUNK_DIGITS // block, CHUNK_TABLE_LIMIT // radix))
+        steps = [(radix, ws, [c * unit for c in cs]) for unit in (den ** (block * m) for m in range(positions))]
+        chunk = block * positions
+        return chunk, (den**chunk).bit_length(), steps
 
     @cached_property
-    def _powers(self) -> dict[int, tuple[int, tuple[int, ...], int]]:
-        """By depth k: (base**k, _den**(_block*m) for each whole block m, _den**(_block*(k//_block)))."""
+    def _chunks(self) -> dict[int, tuple[int, int, list]]:
+        """_chunk's results by k."""
         return {}
+
+    def _chunk(self, k: int) -> tuple[int, int, list]:
+        """(base**k, _den**k, steps) to read k <= chunk digits: the table's first
+        k // _block positions, then one step per digit left over."""
+        plan = self._chunks.get(k)
+        if plan is None:
+            whole = k // self._block
+            singles = [
+                (self.base, self._wnum, [c * self._den**j for c in self._cnum])
+                for j in range(whole * self._block, k)
+            ]
+            plan = self._chunks[k] = (self.base**k, self._den**k, self._table[2][:whole] + singles)
+        return plan
 
 
 def default_inner_spec(base: int) -> InnerSpec:
@@ -120,61 +157,58 @@ class InnerValue:
         return self.value + self.error_bound
 
 
-def phi_scaled(spec: InnerSpec, num: int, den: int, depth: int) -> tuple[int, int, int]:
-    """Depth-`depth` truncation of the inner function at num/den in [0, 2), den > 0.
+def phi_extend(spec: InnerSpec, states, more: int) -> list[tuple[int, int, int]]:
+    """The inner kernel: read `more` further digits of each state, in order.
 
-    Returns (value, window, rest): value and window are integer numerators
-    over spec._den**depth, and rest / den is the fractional part of
-    base**depth * num/den, the digits not read (phi_extend reads on from it).
-    The window is w(i_1)*...*w(i_k), or 0 when num/den is an integer.  The
-    digits are consumed from the least significant end, so each step
-    prepends a block: value <- c * den**(digits so far) + w * value.
-    """
-    if depth < 1:
-        raise DomainError(f"depth must be >= 1, got {depth}")
-    powers = spec._powers.get(depth)
-    block_len = spec._block
-    if powers is None:
-        block_unit = spec._den**block_len
-        scales = tuple(block_unit**m for m in range(depth // block_len + 1))
-        powers = spec._powers[depth] = (spec.base**depth, scales[:-1], scales[-1])
-    digit_scale, scales, scale = powers
-    whole, frac = divmod(num, den)
-    if not frac:
-        return whole * spec._den**depth, 0, 0
-    digits, rest = divmod(frac * digit_scale, den)
-    blocks, radix = spec._blocks, spec.base**block_len
-    value, window = 0, 1
-    for block_scale in scales:
-        digits, block = divmod(digits, radix)
-        c, w = blocks[block]
-        value = c * block_scale + w * value
-        window *= w
-    cnum, wnum = spec._cnum, spec._wnum
-    for _ in range(depth % block_len):
-        digits, digit = divmod(digits, spec.base)
-        value = cnum[digit] * scale + wnum[digit] * value
-        window *= wnum[digit]
-        scale *= spec._den
-    return whole * scale + value, window, rest
-
-
-def phi_extend(spec: InnerSpec, value: int, window: int, rest: int, den: int, more: int) -> tuple[int, int, int]:
-    """phi_scaled at depth k + `more`, from its (value, window, rest) at depth k for some num/den.
-
-    The digits past k are those of rest/den, so the value gains window times
-    their own truncation: v' = v * _den**more + w * phi_more(rest/den) and
-    w' = w * w_more.  An integer input (window 0) reads no digits, and a
+    A state (value, window, rest, den) is phi_scaled's (value, window, rest)
+    at some depth k for an input with denominator den; the result is the
+    (value, window, rest) at depth k + `more`.  The digits past k are those
+    of rest/den, so the value gains window times their own truncation:
+    v' = v * _den**more + w * phi_more(rest/den) and w' = w * w_more, one
+    chunk at a time.  An integer input (window 0) reads no digits, and a
     terminating one (rest 0) reads only zeros, which add c(0) = 0 to the
     value and a factor w(0) each to the window.
     """
+    if more < 1:
+        raise DomainError(f"depth must be >= 1, got {more}")
+    chunk, shift, _ = spec._table
+    one, mask = 1 << shift, (1 << shift) - 1
+    plans = [spec._chunk(chunk)] * (more // chunk)
+    if more % chunk:
+        plans.append(spec._chunk(more % chunk))
     scale = spec._den**more
-    if not window:
-        return value * scale, 0, 0
-    if not rest:
-        return value * scale, window * spec._wnum[0] ** more, 0
-    v, w, rest = phi_scaled(spec, rest, den, more)
-    return value * scale + window * v, window * w, rest
+    out = []
+    append = out.append
+    for value, window, rest, den in states:
+        if not rest:
+            append((value * scale, window and window * spec._wnum[0] ** more, 0))
+            continue
+        for digit_scale, unit, steps in plans:
+            digits, rest = divmod(rest * digit_scale, den)
+            x = one
+            for radix, ws, cs in steps:
+                block = digits % radix
+                digits //= radix
+                x = ws[block] * x + cs[block]
+            value = value * unit + window * (x & mask)
+            window *= x >> shift
+        append((value, window, rest))
+    return out
+
+
+def phi_scaled(spec: InnerSpec, inputs, depth: int) -> list[tuple[int, int, int]]:
+    """Depth-`depth` truncation of the inner function at each num/den in [0, 2), den > 0.
+
+    Returns (value, window, rest) per (num, den) input: value and window
+    are integer numerators over spec._den**depth, and rest / den is the
+    fractional part of base**depth * num/den, the digits not read
+    (phi_extend reads on from it).  The window is w(i_1)*...*w(i_k), or 0
+    when num/den is an integer.  Each input starts at depth 0 as its
+    integer part, window 1 (0 for an integer) and its fractional part.
+    """
+    return phi_extend(
+        spec, [(whole, frac and 1, frac, den) for num, den in inputs for whole, frac in (divmod(num, den),)], depth
+    )
 
 
 def phi_eval(spec: InnerSpec, x, depth: int) -> InnerValue:
@@ -187,7 +221,7 @@ def phi_eval(spec: InnerSpec, x, depth: int) -> InnerValue:
     x = Fraction(x)
     if not 0 <= x < 2:
         raise DomainError(f"inner function domain is [0, 2), got {x}")
-    value, window, _ = phi_scaled(spec, x.numerator, x.denominator, depth)
+    ((value, window, _),) = phi_scaled(spec, [(x.numerator, x.denominator)], depth)
     scale = spec._den**depth
     return InnerValue(value=Fraction(value, scale), error_bound=Fraction(window, scale))
 

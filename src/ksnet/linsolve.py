@@ -72,7 +72,7 @@ def _cancel(row: dict, trans: dict, pivot: dict, ptrans: dict, col: int) -> None
                 target[k] //= h
 
 
-def _eliminate(rows) -> tuple[dict[int, tuple[dict, dict]], int | None, dict[int, int] | None]:
+def _eliminate(rows, stop: bool = False) -> tuple[dict[int, tuple[dict, dict]], int | None, dict[int, int] | None]:
     """Reduced pivots of the stacked integer rows and the first dependency among them.
 
     Maintains a reduced pivot set: every stored pivot row is zero in every
@@ -80,9 +80,9 @@ def _eliminate(rows) -> tuple[dict[int, tuple[dict, dict]], int | None, dict[int
     holds reduces it completely.  The transform log expresses each pivot row
     over the original rows; when a row cancels, its log entry is a kernel
     vector.  Elimination continues past the first cancellation so the pivots
-    span the whole stack.  Returns (pivots as {column: (reduced row,
-    transform)}, index of the first row that cancelled, its kernel vector as
-    {row: nonzero integer coefficient}).
+    span the whole stack, unless `stop` ends it there.  Returns (pivots as
+    {column: (reduced row, transform)}, index of the first row that
+    cancelled, its kernel vector as {row: nonzero integer coefficient}).
     """
     pivots: dict[int, tuple[dict, dict]] = {}
     first = kernel = None
@@ -93,6 +93,8 @@ def _eliminate(rows) -> tuple[dict[int, tuple[dict, dict]], int | None, dict[int
         if not row:
             if kernel is None:
                 first, kernel = idx, trans
+            if stop:
+                break
             continue
         pcol = min(row)
         # clear the new pivot column from the stored pivots to keep them reduced
@@ -103,7 +105,7 @@ def _eliminate(rows) -> tuple[dict[int, tuple[dict, dict]], int | None, dict[int
     return pivots, first, kernel
 
 
-def left_kernel_vector(rows, comps=None) -> tuple[int, tuple[Fraction, ...] | None]:
+def left_kernel_vector(rows, comps=None, stop: bool = False) -> tuple[int, tuple[Fraction, ...] | None]:
     """Rank of the stacked incidence rows, plus a left-kernel witness if they are dependent.
 
     The rank is summed over connected components (`comps`, if the caller
@@ -112,16 +114,23 @@ def left_kernel_vector(rows, comps=None) -> tuple[int, tuple[Fraction, ...] | No
     lowest-indexed row that is a combination of earlier rows, scaled so its
     first nonzero entry is +1.  Rows before that one are independent, so the
     combination is unique, and it lives inside that row's component.
+
+    With `stop`, the elimination ends at the first dependency it meets.  An
+    independent stack gets the same answer; a dependent one gets a witness
+    of it and the rank of the rows eliminated until then, which only tell
+    that it is dependent.
     """
     rank, first, kernel = 0, len(rows), None
     for comp in components(rows) if comps is None else comps:
         if len(comp) == 1:
             rank += 1
             continue
-        pivots, sub_first, sub_kernel = _eliminate([dict.fromkeys(rows[j], 1) for j in comp])
+        pivots, sub_first, sub_kernel = _eliminate([dict.fromkeys(rows[j], 1) for j in comp], stop)
         rank += len(pivots)
         if sub_kernel is not None and comp[sub_first] < first:
             first, kernel = comp[sub_first], {comp[k]: t for k, t in sub_kernel.items()}
+            if stop:
+                break
     if kernel is None:
         return rank, None
     lead = kernel[min(kernel)]

@@ -566,13 +566,19 @@ class ClassReport:
 
 
 def merge_report(outer: OuterFunction) -> ClassReport:
-    """Knot-table statistics per branch and overall (int / int rounds each jump ratio correctly)."""
+    """Knot-table statistics per branch and overall.
+
+    Jump ratios are compared exactly, as integer cross-products, and only a
+    branch's largest is divided: int / int rounds correctly, and rounding
+    keeps order, so that is the largest rounded ratio (inf past the double
+    range).
+    """
     stats = []
     for q, (ys, gn, gd) in enumerate(zip(outer.ys, outer.gn, outer.gd)):
         if not ys:
             stats.append(BranchStats(q, 0, None, None, ZERO, 0.0, None))
             continue
-        lo, hi, jump, ratio = 0, 0, (0, 1), 0.0
+        lo, hi, jump, steep = 0, 0, (0, 1), (0, 1)
         for k in range(1, len(ys)):
             if gn[k] * gd[lo] < gn[lo] * gd[k]:
                 lo = k
@@ -581,10 +587,13 @@ def merge_report(outer: OuterFunction) -> ClassReport:
             step = ratio_gap(gn[k], gd[k], gn[k - 1], gd[k - 1])
             if step[0] * jump[1] > jump[0] * step[1]:
                 jump = step
-            try:
-                ratio = max(ratio, step[0] * outer.unit / (step[1] * (ys[k] - ys[k - 1])))
-            except OverflowError:
-                ratio = float("inf")
+            slope = step[1] * (ys[k] - ys[k - 1])
+            if step[0] * steep[1] > steep[0] * slope:
+                steep = step[0], slope
+        try:
+            ratio = steep[0] * outer.unit / steep[1]
+        except OverflowError:
+            ratio = float("inf")
         spacing = min((c - a for a, c in zip(ys, ys[1:])), default=None)
         stats.append(
             BranchStats(

@@ -16,9 +16,9 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ksnet import linsolve, outer
+from ksnet import hashmaps, linsolve, outer
 from ksnet.errors import InternalInvariantError
-from ksnet.hashmaps import build_incidence, make_params
+from ksnet.hashmaps import build_incidence, certify_separation, make_params
 from ksnet.inner import default_inner_spec
 from ksnet.linsolve import components, left_kernel_vector
 from ksnet.outer import (
@@ -123,6 +123,56 @@ def test_large_dependent_component_matches_global_elimination():
     rank, witness = left_kernel_vector(system.rows)
     assert witness is not None
     assert (rank, witness) == oracle.left_kernel_vector(system.rows)
+
+
+def _certify(points, depth, cap, full):
+    """certify_separation's depths tried, system and verdict; with `full`, every
+    attempt's elimination runs to the end, as it did before attempts stopped early."""
+    depths = []
+    with pytest.MonkeyPatch.context() as patch:
+        build, kernel = hashmaps.build_incidence, hashmaps.left_kernel_vector
+        patch.setattr(hashmaps, "build_incidence", lambda *a: depths.append(a[3]) or build(*a))
+        if full:
+            patch.setattr(hashmaps, "left_kernel_vector", lambda rows, comps, stop: kernel(rows, comps))
+        system, verdict = certify_separation(P26, SPEC6, points, depth, depth_cap=cap)
+    return depths, system, verdict
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(4, 7), st.integers(2, 160), st.integers(1, 2), st.integers(1, 6), st.randoms(use_true_random=False))
+def test_stopping_at_the_first_dependency_keeps_every_decision(bits, n, depth, cap, rng):
+    """Attempts below the cap stop their elimination at the first dependency: the
+    depths tried, the final system, and its verdict, rank and witness are those
+    of full elimination at every attempt.  Random 4- to 7-bit points collide at
+    depths 1 and 2 (their base-6 digits agree), and at a low cap stay dependent."""
+    side = 2**bits
+    cells = rng.sample(range(side**2), min(n, side**2))
+    points = [(Fraction(k % side, side), Fraction(k // side, side)) for k in cells]
+    assert _certify(points, depth, cap, full=False) == _certify(points, depth, cap, full=True)
+
+
+def test_a_discarded_attempt_stops_at_its_first_dependency(monkeypatch):
+    """160 random 6-bit points form one dependent 160-row component at depth 1:
+    at the cap its elimination runs through every row for the full rank (144)
+    and the witness; below the cap it ends at the first dependency, with fewer
+    pivots."""
+    points = _random_points(1, 160, 6)
+    eliminated = []
+
+    def spy(rows, stop=False, original=linsolve._eliminate):
+        result = original(rows, stop)
+        eliminated.append((len(rows), stop, len(result[0])))
+        return result
+
+    monkeypatch.setattr(linsolve, "_eliminate", spy)
+    _, verdict = certify_separation(P26, SPEC6, points, 1, depth_cap=1)
+    assert (verdict.separated, verdict.rank, eliminated) == (False, 144, [(160, False, 144)])
+    eliminated.clear()
+    system, verdict = certify_separation(P26, SPEC6, points, 1)
+    rows, stop, pivots = eliminated[0]
+    assert (rows, stop) == (160, True) and pivots < 144
+    assert verdict.separated and verdict.retries > 0
+    assert (system, verdict) == _certify(points, 1, hashmaps.DEPTH_CAP, full=True)[1:]
 
 
 def test_coupled_gram_solve_matches_sympy():
@@ -240,6 +290,6 @@ def test_near_twin_pairs_eliminate_only_their_components(monkeypatch):
     eliminated = []
     _counting(monkeypatch, linsolve, "_eliminate", eliminated)
     rank, witness = left_kernel_vector(system.rows)
-    assert [len(rows) for (rows,) in eliminated] == [2] * len(twins)
+    assert [len(rows) for rows, *_ in eliminated] == [2] * len(twins)
     assert rank == len(pts) - len(twins)
     assert (rank, witness) == oracle.left_kernel_vector(system.rows)

@@ -52,10 +52,10 @@ def test_phi_extend_reads_on_where_phi_scaled_stopped(spec):
     base = spec.base
     inputs = [(0, 1), (1, 1), (4, 4), (1, base), (7, base**2), (base + 1, base), (2, 2 * base),
               (1, 3), (2**50 - 1, 2**50), (59, 30), (10**12 - 1, 10**12)]
-    for num, den in inputs:
-        for k, more in [(1, 1), (2, 5), (30, 30), (100, 140), (3, 237)]:
-            got = phi_extend(spec, *phi_scaled(spec, num, den, k), den, more)
-            assert got == phi_scaled(spec, num, den, k + more), (num, den, k, more)
+    dens = [den for _, den in inputs]
+    for k, more in [(1, 1), (2, 5), (30, 30), (100, 140), (3, 237)]:
+        states = [(*triple, den) for triple, den in zip(phi_scaled(spec, inputs, k), dens)]
+        assert phi_extend(spec, states, more) == phi_scaled(spec, inputs, k + more), (k, more)
 
 
 @pytest.mark.parametrize("chain", CHAINS, ids=lambda c: "-".join(map(str, c)))
@@ -86,17 +86,28 @@ def test_random_retry_chains_match_the_oracle(network, data, chain):
 
 def test_certify_separation_extends_one_table(monkeypatch):
     """The depth-30 collision of two near-twins is resolved at 60 by extending the
-    table: phi_scaled starts from a coordinate only in the first build, once per
-    distinct coordinate and branch (4 coordinates, 5 branches)."""
+    table: the kernel starts from a coordinate only in the first build, once per
+    distinct coordinate and branch (4 coordinates, 5 branches), and the retry
+    extends those 20 states."""
     x = (Fraction(1, 3), Fraction(2, 7))
     points = [x, (x[0] + Fraction(1, 6**40), x[1]), (Fraction(1, 2), Fraction(2, 7))]
-    calls = {"build_incidence": 0, "phi_scaled": 0}
-    for name in calls:
-        original = getattr(hashmaps, name)
-        monkeypatch.setattr(hashmaps, name, lambda *a, f=original, n=name: calls.__setitem__(n, calls[n] + 1) or f(*a))
+    builds = []
+    inputs = {"phi_scaled": 0, "phi_extend": 0}
+    original = hashmaps.build_incidence
+    monkeypatch.setattr(hashmaps, "build_incidence", lambda *a: builds.append(a[3]) or original(*a))
+    for name in inputs:
+        kernel = getattr(hashmaps, name)
+
+        def counted(spec, items, depth, f=kernel, n=name):
+            items = list(items)
+            inputs[n] += len(items)
+            return f(spec, items, depth)
+
+        monkeypatch.setattr(hashmaps, name, counted)
     system, verdict = certify_separation(P26, SPEC6, points, 30)
     assert (verdict.separated, verdict.retries, system.depth) == (True, 1, 60)
-    assert calls == {"build_incidence": 2, "phi_scaled": 20}
+    assert builds == [30, 60]
+    assert inputs == {"phi_scaled": 20, "phi_extend": 20}
     monkeypatch.undo()
     assert system == build_incidence(P26, SPEC6, points, 60)
 

@@ -3,12 +3,17 @@
 import math
 from fractions import Fraction
 
+import oracle
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ksnet.errors import DomainError, ParameterError
-from ksnet.inner import InnerSpec, default_inner_spec, phi_eval, phi_exact, verify_inner
+from ksnet.inner import (
+    CHUNK_TABLE_LIMIT, InnerSpec, default_inner_spec, phi_eval, phi_exact, phi_extend, phi_scaled, verify_inner,
+)
+from test_incidence import CHAINS
+from test_oracle import NETWORKS, ODD_SPEC6
 
 SPEC6 = default_inner_spec(6)
 
@@ -150,3 +155,56 @@ def test_verify_inner_passes():
 def test_verify_inner_other_base():
     report = verify_inner(default_inner_spec(8), samples=200, depth=20, seed=3)
     assert report.passed
+
+
+KERNEL_SPECS = list({inner: None for _, inner in NETWORKS} | {ODD_SPEC6: None, default_inner_spec(70): None,
+                                                              default_inner_spec(1000): None})
+KERNEL_DEPTHS = (1, 2, 29, 30, 31, 59, 60, 61, 120, 240)
+
+
+def _kernel_inputs(base):
+    """Integers, terminating, unreduced and general inputs, some with integer part 1."""
+    return [(0, 1), (1, 1), (4, 4), (1, base), (7, base**2), (base + 1, base), (2, 2 * base), (3 * base, 9 * base),
+            (1, 3), (2, 3), (2**50 - 1, 2**50), (59, 30), (10**12 - 1, 10**12), (base**45 + 1, base**45)]
+
+
+@pytest.mark.parametrize("spec", KERNEL_SPECS, ids=lambda s: f"base{s.base}-den{s._den}")
+def test_kernel_matches_the_oracle_at_every_chunk_boundary(spec):
+    """Value and window against the Fraction oracle's digit loop, and the rest
+    against base**depth * x mod 1, at depths on both sides of the chunk lengths."""
+    inputs = _kernel_inputs(spec.base)
+    for depth in KERNEL_DEPTHS:
+        scale = spec._den**depth
+        for (num, den), (value, window, rest) in zip(inputs, phi_scaled(spec, inputs, depth), strict=True):
+            want = oracle.phi_eval(spec, Fraction(num, den), depth)
+            got = Fraction(value, scale), Fraction(window, scale)
+            assert got == (want.value, want.error_bound), (num, den, depth)
+            assert rest == num * spec.base**depth % den
+
+
+@pytest.mark.parametrize("spec", KERNEL_SPECS, ids=lambda s: f"base{s.base}-den{s._den}")
+@pytest.mark.parametrize("chain", CHAINS, ids=lambda c: "-".join(map(str, c)))
+def test_extended_results_equal_direct_ones_along_the_chains(spec, chain):
+    inputs = _kernel_inputs(spec.base)
+    dens = [den for _, den in inputs]
+    triples = phi_scaled(spec, inputs, chain[0])
+    for before, depth in zip(chain, chain[1:]):
+        triples = phi_extend(spec, [(*t, den) for t, den in zip(triples, dens)], depth - before)
+        assert triples == phi_scaled(spec, inputs, depth), (before, depth)
+
+
+def test_the_kernel_table_does_not_grow_with_depth():
+    """One positional table per spec, for one chunk; reading 240 digits adds nothing to it."""
+    for spec in [*KERNEL_SPECS, default_inner_spec(10_000)]:
+        spec = InnerSpec(spec.base, spec.weights)
+        phi_scaled(spec, [(1, 3)], 1)
+        chunk, _, steps = table = spec._table
+        assert sum(len(cs) for _, _, cs in steps) <= max(CHUNK_TABLE_LIMIT, spec.base), spec.base
+        phi_scaled(spec, [(1, 3), (2**50 - 1, 2**50)], 240)
+        assert spec._table is table and max(spec._chunks) <= chunk
+
+
+def test_the_kernel_refuses_depth_below_one():
+    for depth in (0, -1):
+        with pytest.raises(DomainError, match="depth must be >= 1"):
+            phi_scaled(SPEC6, [(1, 3)], depth)

@@ -130,6 +130,42 @@ def test_load_matches_oracle_on_any_spelling(name, seed):
     assert merge_report(got.outer) == oracle.merge_report(want.outer)
 
 
+@st.composite
+def _knot_tables(draw):
+    """Up to 6 knots in each branch of d = 2, at spacings from 10**-1 down to 10**-330,
+    with values up to 10**320 in size: some jump ratios pass the double range."""
+    tables = []
+    for b in range(0, 25, 5):
+        scale = 10 ** draw(st.sampled_from([1, 6, 40, 300, 330]))
+        ys = sorted(draw(st.sets(st.integers(0, 4 * scale), max_size=6)))
+        gs = [Fraction(draw(st.integers(-(10**320), 10**320) | st.integers(-50, 50)), draw(st.integers(1, 10**6)))
+              for _ in ys]
+        tables.append(oracle.KnotTable(ys=tuple(b + Fraction(y, scale) for y in ys), gs=tuple(gs)))
+    return oracle.outer_from_tables(2, tables)
+
+
+@given(_knot_tables())
+@settings(max_examples=80, deadline=None)
+def test_class_report_matches_oracle_on_any_knot_table(outer):
+    assert merge_report(outer) == oracle.merge_report(outer)
+
+
+def test_an_overflowing_jump_ratio_reads_inf():
+    """A jump of 10**10 over a gap of 10**-300 passes the double range, in one branch
+    only; the branch and overall ratios are inf, as the oracle's are."""
+    empty = oracle.KnotTable(ys=(), gs=())
+    tables = [oracle.KnotTable(ys=(Fraction(1), 1 + Fraction(1, 10**300), Fraction(2)),
+                               gs=(Fraction(0), Fraction(10**10), Fraction(1, 3))),
+              empty, empty,
+              oracle.KnotTable(ys=(Fraction(16), Fraction(17)), gs=(Fraction(0), Fraction(2, 3))),
+              empty]
+    outer = oracle.outer_from_tables(2, tables)
+    report = merge_report(outer)
+    assert report == oracle.merge_report(outer)
+    assert [b.max_jump_ratio for b in report.branches] == [float("inf"), 0.0, 0.0, 2 / 3, 0.0]
+    assert report.max_jump_ratio == float("inf")
+
+
 def test_unreduced_values_save_reduced():
     doc = json.loads(save(MODELS["hand_built"]))
     doc["branches"][0]["knots"][0]["g"] = "-2/4"
