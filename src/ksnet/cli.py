@@ -51,7 +51,7 @@ from .hashmaps import (
 from .inner import default_inner_spec, verify_inner
 from .network import assemble, describe, evaluate_batch, load, save
 from .outer import SampleSet, fit_exact, fit_iterative, grid_samples, merge_report
-from .rationals import parse_rational
+from .rationals import parse_rational, plain_ratios
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -179,7 +179,11 @@ def _parse_cell(cell: str, row_no: int, col_no: int) -> Fraction:
 
 
 def _read_table(path: str, width: int, columns: str) -> list[tuple[Fraction, ...]]:
-    """The parsed data rows of a CSV whose header has `width` cells, described by `columns`."""
+    """The parsed data rows of a CSV whose header has `width` cells, described by `columns`.
+
+    Each row is read by one plain_ratios guard, or, when it says None, one
+    cell at a time, so that the first bad cell is named.
+    """
     rows = _read_csv_rows(path)
     if len(rows[0]) != width:
         raise InputError(f"{path}: expected {columns}, got {len(rows[0])}")
@@ -187,7 +191,11 @@ def _read_table(path: str, width: int, columns: str) -> list[tuple[Fraction, ...
     for row_no, row in enumerate(rows[1:], start=1):
         if len(row) != width:
             raise InputError(f"row {row_no}: expected {width} cells, got {len(row)}")
-        table.append(tuple(_parse_cell(cell, row_no, c + 1) for c, cell in enumerate(row)))
+        ratios = plain_ratios(row)
+        if ratios is None:
+            table.append(tuple(_parse_cell(cell, row_no, c + 1) for c, cell in enumerate(row)))
+        else:
+            table.append(tuple(map(Fraction, *ratios)))
     return table
 
 

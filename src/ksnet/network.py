@@ -23,6 +23,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, partial
+from operator import itemgetter, mul
 from pathlib import Path
 
 from .errors import AssemblyError, DomainError, InputError, ModelFormatError, ParameterError, PointError
@@ -31,7 +32,7 @@ from .hashmaps import (
 )
 from .inner import InnerSpec
 from .outer import KnotLookup, OuterFunction, add_ratios, common_unit, ratio_gap
-from .rationals import parse_ratio
+from .rationals import parse_ratio, plain_ratios
 
 FORMAT_VERSION = 1
 
@@ -281,7 +282,14 @@ def load(source) -> KNetModel:
     Accepts a path, bytes, a JSON string, or a readable file.  Any malformed
     or inconsistent content raises ModelFormatError naming the offending
     location; nothing partial is ever returned.  lambda and lambda_tail must be
-    the sums meta.series_terms defines.  Knots go over the stored depth's unit.
+    the sums meta.series_terms defines.
+
+    The y and g literals of a branch are read together by one
+    rationals.plain_ratios guard when every one is a plain -?digits(/digits)?;
+    otherwise they are read one at a time by parse_ratio, which owns every
+    error message and location.  Plain values stay unreduced.  Knots go
+    over the stored depth's unit, or over the common_unit of all their
+    denominators when one of them does not divide it.
     """
     if isinstance(source, (str, Path)) and not (isinstance(source, str) and source.lstrip().startswith("{")):
         try:
@@ -362,26 +370,38 @@ def load(source) -> KNetModel:
             raise ModelFormatError(f"branches must appear in order; got q = {q}", location=f"branches[{i}].q")
         knots = _want(entry, "knots", list, f"branches[{i}]")
         try:
-            ys.append([parse_ratio(knot["y"]) for knot in knots])
-            values = [parse_ratio(knot["g"]) for knot in knots]
-        except (TypeError, KeyError, AttributeError, InputError):
-            for k, knot in enumerate(knots):  # find the first bad entry
-                if not isinstance(knot, dict):
-                    raise ModelFormatError("expected object", location=f"branches[{i}].knots[{k}]") from None
-                for key in "yg":
-                    _ratio_at(knot.get(key), f"branches[{i}].knots[{k}].{key}")
-            raise
-        gn.append(tuple(n for n, _ in values))
-        gd.append(tuple(m for _, m in values))
+            ratios = plain_ratios(list(map(itemgetter("y"), knots)) + list(map(itemgetter("g"), knots)))
+        except (TypeError, KeyError):
+            ratios = None
+        nums, dens = _knot_ratios(knots, i) if ratios is None else ratios
+        ys.append((nums[:len(knots)], dens[:len(knots)]))
+        gn.append(tuple(nums[len(knots):]))
+        gd.append(tuple(dens[len(knots):]))
         knots.clear()  # frees the branch's parsed JSON before the next one is read
     try:
-        dens = {m for table in ys for _, m in table}
+        dens = set().union(*(ms for _, ms in ys))
         if any(unit % m for m in dens):
-            unit = common_unit(dens, sum(map(len, ys)))
-        ys = tuple(tuple(n * (unit // m) for n, m in table) for table in ys)
+            unit = common_unit(dens, sum(len(ns) for ns, _ in ys))
+        factors = {m: unit // m for m in dens}
+        ys = tuple(tuple(map(mul, ns, map(factors.__getitem__, ms))) for ns, ms in ys)
         return assemble(inner, params, OuterFunction(d, unit, ys, tuple(gn), tuple(gd)), meta=dict(meta))
     except (DomainError, ParameterError) as exc:
         raise ModelFormatError(str(exc), location="branches") from None
+
+
+def _knot_ratios(knots: list, i: int) -> tuple[list[int], list[int]]:
+    """Branch i's knot positions, then its values, one literal at a time, as numerators
+    and denominators; the first bad knot or literal raises ModelFormatError naming it."""
+    try:
+        pairs = [parse_ratio(knot["y"]) for knot in knots] + [parse_ratio(knot["g"]) for knot in knots]
+    except (TypeError, KeyError, AttributeError, InputError):
+        for k, knot in enumerate(knots):  # find the first bad entry
+            if not isinstance(knot, dict):
+                raise ModelFormatError("expected object", location=f"branches[{i}].knots[{k}]") from None
+            for key in "yg":
+                _ratio_at(knot.get(key), f"branches[{i}].knots[{k}].{key}")
+        raise
+    return [n for n, _ in pairs], [m for _, m in pairs]
 
 
 @dataclass(frozen=True)

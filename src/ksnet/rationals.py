@@ -27,19 +27,56 @@ def digit_limit() -> int:
     return sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
 
 
+_PLAIN_CHARS = b"0123456789/-"
+
+
+def plain_ratios(texts: list) -> tuple[list[int], list[int]] | None:
+    """The numerators and the denominators (> 0) of `texts`, unreduced, when every
+    item is an ASCII -?digits(/digits)? of at most digit_limit() characters; else None.
+
+    One translate of the joined text rules out every other character; each
+    literal is then split at its slash and read with int().  None means some
+    item is not such a literal (not a str, '5/', '/2', '1/-2', '--1', '1/0',
+    too long), and the caller parses the items one at a time with parse_ratio,
+    which decides and words every error.
+    """
+    try:
+        joined = "".join(texts)
+    except TypeError:
+        return None
+    if not joined.isascii() or joined.encode().translate(None, _PLAIN_CHARS):
+        return None
+    limit = digit_limit()
+    if len(joined) > limit and max(map(len, texts)) > limit:
+        return None
+    nums, dens = [], []
+    try:
+        for text in texts:
+            num, slash, den = text.partition("/")
+            nums.append(int(num))
+            if not slash:
+                dens.append(1)
+            elif (den := int(den)) > 0:
+                dens.append(den)
+            else:
+                return None
+    except ValueError:
+        return None
+    return nums, dens
+
+
 def parse_ratio(text: str) -> tuple[int, int]:
     """Parse 'p/q' or decimal syntax ('0.25', '-3', '1e-3') into (numerator, denominator > 0).
 
     A literal whose digits plus exponent magnitude exceed digit_limit() is
     refused: '1e999999999' would otherwise build a billion-digit integer,
-    and the value could not be printed back.  ASCII -?digits(/digits)? is
-    split and read with int(), unreduced; any other literal goes through Fraction.
+    and the value could not be printed back.  A literal plain_ratios accepts
+    is read there, unreduced; any other goes through Fraction, reduced.
     """
+    plain = plain_ratios([text])
+    if plain is not None:
+        return plain[0][0], plain[1][0]
     limit = digit_limit()
-    num, slash, den = text.partition("/")
-    if len(text) <= limit and text.isascii() and num.removeprefix("-").isdigit() and (den.isdigit() or not slash):
-        if den := int(den or 1):
-            return int(num), den
     size = len(text)  # bounds the digit count; count exactly only when it matters
     if size > limit:
         size = sum(ch.isdigit() for ch in text)

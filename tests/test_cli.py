@@ -13,7 +13,9 @@ from pathlib import Path
 import pytest
 
 import ksnet
+from ksnet import cli
 from ksnet.cli import EXIT_INPUT, EXIT_OK, EXIT_SEPARATION, main
+from ksnet.errors import InputError
 from ksnet.network import evaluate, load
 from ksnet.rationals import parse_rational
 
@@ -181,6 +183,25 @@ def test_eval_rejects_wrong_column_count(workdir, capsys):
     rc = main(["eval", "--model", str(model_path), "--in", str(workdir / "points.csv")])
     assert rc == EXIT_INPUT
     assert "2" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("rows, error", [
+    ([["1/2", "1/3", "1/6"], ["-0/4", "007/010", "1"]], None),
+    ([["1/2", "1/3", "1/6"], ["0.25", "1e-1", " +1/40"]], None),
+    ([["1/2", "1/3", "1/6"], ["1/4", "5/", "1"]], "row 2, column 2: not a rational literal: '5/'"),
+    ([["1/2", "1/-3", "1/6"], ["1/4", "1/5"]], "row 1, column 2: not a rational literal: '1/-3'"),
+    ([["1/2", "1/3"], ["1/4", "x", "1"]], "row 1: expected 3 cells, got 2"),
+])
+def test_csv_tables_read_as_one_cell_at_a_time(tmp_path, rows, error):
+    """Rows read through the row guard give each cell's own value, and a bad
+    table the error of its first bad row or cell."""
+    _write_csv(tmp_path / "t.csv", ["x1", "x2", "f"], rows)
+    if error is None:
+        assert cli._read_table(str(tmp_path / "t.csv"), 3, "") == [tuple(map(parse_rational, row)) for row in rows]
+    else:
+        with pytest.raises(InputError) as exc:
+            cli._read_table(str(tmp_path / "t.csv"), 3, "")
+        assert str(exc.value) == error
 
 
 def test_iterative_fit_requires_full_grid(tmp_path, capsys):

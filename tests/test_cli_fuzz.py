@@ -30,6 +30,7 @@ LITERALS = [
     "", " ", "0", "1", "-1", "1/2", "-0", "+1/3", "0.5", ".5", "5.", "1e-3", "1E+2", "2", "7/0", "0/0", "1/-3",
     "nan", "inf", "-inf", "abc", "1/2/3", "0x10", "1_0", "１", "½", "\x00", "1e999999999", "1e-999999999",
     "9" * 5000, "1/" + "7" * 5000, "1" + "0" * 4299, "1/3 ", "true", "null", '"1"',
+    "1 /2", "1/ 2", "1/+2", "5/", "1/2-3", "--1/2",
 ]
 INTS = [0, 1, 2, 3, -1, 240, 241, 10**6, 10**9, 2**63, 10**18, 10**100]
 NEST = "@@nested@@"  # stands in for a value nested past the decoder's recursion limit

@@ -2,8 +2,10 @@
 
 Knots stay integers over one unit from the fit to the file and back; the
 oracle keeps the Fraction merge_report, save and load they replaced, and
-every one must agree exactly.  save must also stay lean: its transient
-memory is bounded by a small multiple of the bytes it writes.
+every one must agree exactly, also where load's whole-branch fast path
+hands a literal back to the one-at-a-time parse.  save and load must also
+stay lean: their transient memory is bounded by a small multiple of the
+bytes of the file.
 """
 
 import gc
@@ -17,12 +19,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ksnet.errors import InputError
+from ksnet.errors import InputError, ModelFormatError
 from ksnet.hashmaps import make_params
 from ksnet.inner import default_inner_spec
 from ksnet.network import assemble, load, save
 from ksnet.outer import SampleSet, fit_exact, fit_iterative, grid_samples, merge_report
-from ksnet.rationals import parse_ratio, parse_rational
+from ksnet.rationals import parse_ratio, parse_rational, plain_ratios
 
 
 def _fitted(d, gamma, n, seed, f):
@@ -202,16 +204,115 @@ def test_parse_fast_path_agrees_with_fraction(text):
         assert den > 0 and Fraction(num, den) == want
 
 
-def test_save_peak_memory_is_a_small_multiple_of_its_output():
-    model = _fitted(2, 6, 220, 5, lambda p: p[0] * p[1])
-    assert model.outer.knot_count >= 1000
-    data = save(model)
+@given(st.lists(st.one_of(
+    st.text(alphabet="0123456789-/ +_", max_size=8),
+    st.sampled_from(["١/٢", "1/0", "5/", "1/-2", "1/2/3", None, 7] + LIMIT_CASES),
+), max_size=6))
+@settings(max_examples=300, deadline=None)
+def test_plain_ratios_of_a_list_are_the_plain_ratios_of_each_item(texts):
+    """The whole-list guard accepts a list exactly when it accepts every item alone,
+    with parse_ratio's unreduced pairs."""
+    alone = [plain_ratios([text]) for text in texts]
+    got = plain_ratios(texts)
+    if any(pair is None for pair in alone):
+        assert got is None
+    else:
+        assert got == ([n for (n,), _ in alone], [m for _, (m,) in alone])
+        assert list(zip(*got)) == [parse_ratio(text) for text in texts]
+
+
+MISSING = object()  # stands for a knot without the key
+ARABIC_INDIC = str.maketrans("0123456789", "٠١٢٣٤٥٦٧٨٩")
+# each part within the int-string limit, the literal past it together
+LONG_TOGETHER = "1" * 3000 + "/" + "7" * 3000
+REFUSED = ["5/", "/2", "1/-2", "1/+2", "1 /2", "1/ 2", "0/0", "--1/2", "1/2-3", LONG_TOGETHER, None, 5, MISSING]
+# any value is a valid outer-function value
+VALUES = ["+1/2", "1_0/3", "١/٢", "-0/7", "007/010", "-2/4", "6/9", "0"]
+
+
+def _same_position(y: Fraction, lo: Fraction, hi: Fraction) -> list[str]:
+    """Respellings of knot position y, and one position strictly between its
+    neighbours lo and hi whose denominator (a multiple of 11) divides no unit."""
+    n, m = y.numerator, y.denominator
+    moved = y + (hi - y) / 11 if hi > y else y - (y - lo) / 11
+    return [f"+{y}", f"00{n}/00{m}", str(y).translate(ARABIC_INDIC), f"{n}_0/{m}0", f"{3 * n}/{3 * m}",
+            f"-0/{m}" if n == 0 else f"{n}/{m}", str(moved)]
+
+
+@st.composite
+def _one_literal(draw):
+    """A saved model with one knot's y or g replaced by a drawn literal or dropped.
+    Positions keep their order, so every refusal is the literal's own."""
+    name = draw(st.sampled_from(sorted(MODELS)))
+    doc = json.loads(save(MODELS[name]))
+    spots = [(q, k) for q, branch in enumerate(doc["branches"]) for k in range(len(branch["knots"]))]
+    q, k = draw(st.sampled_from(spots))
+    knots = doc["branches"][q]["knots"]
+    key = draw(st.sampled_from("yg"))
+    if key == "g":
+        literal = draw(st.sampled_from(REFUSED + VALUES))
+    else:
+        lo = Fraction(knots[k - 1]["y"]) if k else Fraction(doc["b"][q])
+        hi = Fraction(knots[k + 1]["y"]) if k + 1 < len(knots) else Fraction(doc["b"][q] + 2 * doc["d"])
+        literal = draw(st.sampled_from(REFUSED + _same_position(Fraction(knots[k]["y"]), lo, hi)))
+    if literal is MISSING:
+        del knots[k][key]
+    else:
+        knots[k][key] = literal
+    return json.dumps(doc, indent=2)
+
+
+def _load_outcome(load_model, text):
+    try:
+        return load_model(text)
+    except ModelFormatError as exc:
+        return exc
+
+
+@given(_one_literal())
+@settings(max_examples=300, deadline=None)
+def test_load_matches_oracle_on_one_drawn_knot_literal(text):
+    """load reads a branch through one guard and falls back to the one-at-a-time
+    parse: it loads what the oracle loads, to the same tables and bytes, and
+    refuses what the oracle refuses, at the same location and in the same words."""
+    got, want = _load_outcome(load, text), _load_outcome(oracle.load, text)
+    if isinstance(want, ModelFormatError):
+        assert isinstance(got, ModelFormatError), got
+        assert (got.location, str(got)) == (want.location, str(want))
+    else:
+        assert not isinstance(got, ModelFormatError), got
+        assert _key(got) == _key(want)
+        assert save(got) == oracle.save(want)
+
+
+def _transient_peak(fn) -> int:
     gc.collect()
     tracemalloc.start()
     try:
         start = tracemalloc.get_traced_memory()[0]
-        save(model)
-        peak = tracemalloc.get_traced_memory()[1] - start
+        fn()
+        return tracemalloc.get_traced_memory()[1] - start
     finally:
         tracemalloc.stop()
+
+
+@pytest.fixture(scope="module")
+def large_model():
+    model = _fitted(2, 6, 220, 5, lambda p: p[0] * p[1])
+    assert model.outer.knot_count >= 1000
+    return model
+
+
+def test_save_peak_memory_is_a_small_multiple_of_its_output(large_model):
+    data = save(large_model)
+    peak = _transient_peak(lambda: save(large_model))
     assert peak < 3 * len(data), (peak, len(data))
+
+
+def test_load_peak_memory_is_a_small_multiple_of_its_input(large_model):
+    """The parsed document, the joined literals of one branch and the knot tables
+    stay below 5x the file's bytes together."""
+    data = save(large_model)
+    assert save(load(data)) == data
+    peak = _transient_peak(lambda: load(data))
+    assert peak < 5 * len(data), (peak, len(data))
