@@ -195,12 +195,17 @@ class BranchValue:
 
 
 def check_point(params: HashParams, x) -> tuple[Fraction, ...]:
-    """x as exact coordinates, after checking it has d of them, each in [0, 1]."""
-    point = tuple(Fraction(c) for c in x)
+    """x as exact coordinates, after checking it has d of them, each in [0, 1].
+
+    A coordinate n/m (m > 0) lies in [0, 1] when 0 <= n <= m, which compares
+    integers instead of Fractions.
+    """
+    point = tuple(c if type(c) is Fraction else Fraction(c) for c in x)
     if len(point) != params.d:
         raise DomainError(f"expected {params.d} coordinates, got {len(point)}")
     for p, coord in enumerate(point, start=1):
-        if not 0 <= coord <= 1:
+        num, den = coord.as_integer_ratio()
+        if not 0 <= num <= den:
             raise DomainError(f"coordinate {p} must lie in [0, 1], got {coord}")
     return point
 

@@ -7,11 +7,17 @@ contributions.
 
 There is one evaluation pipeline, and it is exact.  At depth k every branch
 value is an integer over one denominator, so a per-depth plan (built once
-per model and cached on it) holds all knots as integers in one sorted array;
-lookup, interpolation and the error-bound window scan run on integers, and
-only the final w and error bound become Fractions.  The float path is the
-exact result rounded to the nearest double, with a bound that also covers
-that rounding.
+per model and cached on it) holds all knot positions as integers in one
+sorted array, and all knot values as integer numerators over one value
+denominator G, the lcm of their denominators (G = 1, with per-knot
+denominators, when G would pass the plan's bit limit).  Each branch costs
+one knot search.  When its error window lies strictly between two knots,
+the error term is the closed form |g1 - g0| * window / dy, over the same
+denominator as the interpolated value; any other window is scanned knot by
+knot.  w and the error bound accumulate on one running denominator, and
+only the final w and error bound become Fractions, where G is applied.  The
+float path is the exact result rounded to the nearest double, with a bound
+that also covers that rounding.
 """
 
 from __future__ import annotations
@@ -19,7 +25,6 @@ from __future__ import annotations
 import io
 import json
 import math
-from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, partial
@@ -31,7 +36,7 @@ from .hashmaps import (
     DEPTH_CAP, HashParams, branch_offsets, branches_scaled, check_dims, check_point,
 )
 from .inner import InnerSpec
-from .outer import KnotLookup, OuterFunction, add_ratios, common_unit, ratio_gap
+from .outer import KnotLookup, OuterFunction, common_unit
 from .rationals import parse_ratio, plain_ratios
 
 FORMAT_VERSION = 1
@@ -89,7 +94,7 @@ class _Plan(KnotLookup):
     """A model's knots as integers at one evaluation depth.
 
     Branch values at this depth are integers over params.unit(inner, depth),
-    so they are looked up with no Fraction built.
+    so each is looked up with one knot search and no Fraction built.
     """
 
     def __init__(self, model: KNetModel, depth: int):
@@ -98,43 +103,30 @@ class _Plan(KnotLookup):
         self.inner = model.inner
         self.depth = depth
 
-    def deviation(self, lo: int, hi: int, g: tuple[int, int]) -> tuple[int, int]:
-        """max |g(y) - g(lo)| over [lo, hi], as (numerator, denominator).
+    def sums(self, x, contributions: list | None = None) -> tuple[int, int, int]:
+        """w and the error bound at x as unreduced numerators over one denominator.
 
-        The outer function is piecewise linear, so the extremes lie at the
-        window ends or at knots inside the window.
+        Branch lookups that share a denominator add without a product, and
+        value_den joins the denominator once, at the end.  Per-branch values
+        of the outer function are appended to `contributions` when a list is
+        given.
         """
-        ys, gn, gd = self.ys, self.gn, self.gd
-        num, den = ratio_gap(*g, *self.g(hi))
-        i = bisect_left(ys, lo)
-        while i < len(ys) and ys[i] <= hi:
-            n2, d2 = ratio_gap(*g, gn[i], gd[i])
-            if n2 * den > num * d2:
-                num, den = n2, d2
-            i += 1
-        return num, den
-
-    def sums(self, x, contributions: list | None = None) -> tuple[int, int, int, int]:
-        """w and the error bound at x as unreduced (numerator, denominator) pairs.
-
-        Per-branch values of the outer function are appended to
-        `contributions` when a list is given.
-        """
-        params, inner = self.params, self.inner
-        point = check_point(params, x)
+        point = check_point(self.params, x)
         if not self.ys:
             raise DomainError("outer function has no knots")
-        w_num, w_den = 0, 1
-        e_num, e_den = 0, 1
-        for value, window in branches_scaled(params, inner, point, self.depth):
-            y = value * self.lift
-            g = self.g(y)
-            w_num, w_den = add_ratios(w_num, w_den, *g)
-            if window:
-                e_num, e_den = add_ratios(e_num, e_den, *self.deviation(y, y + window * self.lift, g))
+        lift, value_den = self.lift, self.value_den
+        w_num = e_num = 0
+        den = 1
+        for value, window in branches_scaled(self.params, self.inner, point, self.depth):
+            g, dev, m = self.branch(value * lift, window * lift)
+            if m == den:
+                w_num += g
+                e_num += dev
+            else:
+                w_num, e_num, den = w_num * m + g * den, e_num * m + dev * den, den * m
             if contributions is not None:
-                contributions.append(Fraction(*g))
-        return w_num, w_den, e_num, e_den
+                contributions.append(Fraction(g, m * value_den))
+        return w_num, e_num, den * value_den
 
 
 def _plan(model: KNetModel, depth: int | None) -> _Plan:
@@ -155,8 +147,8 @@ def evaluate(model: KNetModel, x, depth: int | None = None, with_branches: bool 
     exactly.
     """
     parts = [] if with_branches else None
-    w_num, w_den, e_num, e_den = _plan(model, depth).sums(x, parts)
-    w, error = Fraction(w_num, w_den), Fraction(e_num, e_den)
+    w_num, e_num, den = _plan(model, depth).sums(x, parts)
+    w, error = Fraction(w_num, den), Fraction(e_num, den)
     if with_branches:
         return w, error, tuple(parts)
     return w, error
@@ -193,13 +185,13 @@ class FastEvaluator:
         self.model = model
 
     def evaluate(self, x, depth: int | None = None) -> tuple[float, float]:
-        w_num, w_den, e_num, e_den = _plan(self.model, depth).sums(x)
+        w_num, e_num, den = _plan(self.model, depth).sums(x)
         try:
-            w = w_num / w_den  # int division rounds correctly
+            w = w_num / den  # int division rounds correctly
             p, s = w.as_integer_ratio()
             # bound = e + |w - exact w|, over one denominator
-            num = e_num * s * w_den + abs(p * w_den - w_num * s) * e_den
-            den = e_den * s * w_den
+            num = e_num * s + abs(p * den - w_num * s)
+            den *= s
             bound = num / den
         except OverflowError:
             raise DomainError("w or its error bound lies beyond the double range; evaluate exactly") from None

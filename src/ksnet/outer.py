@@ -26,6 +26,7 @@ import sys
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 from .errors import (
     DomainError,
@@ -71,11 +72,18 @@ def ratio_gap(a: int, b: int, c: int, d: int) -> tuple[int, int]:
 
 
 def common_unit(denominators, knot_count: int) -> int:
-    """lcm(denominators), unless knot_count integers over it would pass PLAN_BITS_LIMIT."""
-    unit = math.lcm(*denominators)
-    if unit.bit_length() * knot_count > PLAN_BITS_LIMIT:
-        raise DomainError(f"{knot_count} knots need a {unit.bit_length()}-bit common denominator, "
-                          f"more than the {PLAN_BITS_LIMIT}-bit plan limit")
+    """lcm(denominators), unless knot_count integers over it would pass PLAN_BITS_LIMIT.
+
+    The lcm grows one denominator at a time and is refused as soon as it
+    passes, so many unrelated denominators cost time bounded by the limit,
+    not quadratic in their count.
+    """
+    unit = 1
+    for m in denominators:
+        unit = math.lcm(unit, m)
+        if unit.bit_length() * knot_count > PLAN_BITS_LIMIT:
+            raise DomainError(f"{knot_count} knots need a common denominator of at least {unit.bit_length()} "
+                              f"bits, more than the {PLAN_BITS_LIMIT}-bit plan limit")
     return unit
 
 
@@ -118,6 +126,13 @@ class KnotLookup:
     scale = lcm(unit, outer.unit), a plain concatenation at unit = outer.unit,
     since branch intervals are disjoint and increasing.  A value v / unit is
     looked up as v * lift.
+
+    Knot values are integer numerators `gn` over one denominator
+    value_den = lcm of the value denominators, with every `gd` = 1, when
+    value_den's bits times the knot count stay within PLAN_BITS_LIMIT (the
+    common_unit rule).  Otherwise value_den = 1 and `gd` keeps the per-knot
+    denominators; the same code serves both.  A lookup returns (n, m) for the
+    value n / (m * value_den), so value_den is applied once, by the caller.
     """
 
     def __init__(self, outer: OuterFunction, unit: int):
@@ -127,38 +142,95 @@ class KnotLookup:
         self.ys = list(knots) if factor == 1 else [y * factor for y in knots]
         self.gn = list(itertools.chain.from_iterable(outer.gn))
         self.gd = list(itertools.chain.from_iterable(outer.gd))
+        dens = set(self.gd)
+        try:
+            self.value_den = common_unit(dens, len(self.gd))
+        except DomainError:
+            self.value_den = 1
+        else:
+            factors = {m: self.value_den // m for m in dens}
+            self.gn = list(map(mul, self.gn, map(factors.__getitem__, self.gd)))
+            self.gd = [1] * len(self.gd)
         self.step = (2 * outer.d + 1) * scale
         self.tops = [(b + 2 * outer.d) * scale for b in outer.b]
         ends = list(itertools.accumulate(map(len, outer.ys)))
         self.spans = list(zip([0] + ends, ends))
 
+    def _find(self, y: int) -> tuple[int, bool]:
+        """(i, between) for y / scale, from one search.
+
+        between means ys[i - 1] < y < ys[i] are knots of the branch interval
+        that holds y.  Otherwise the outer function at y is knot i's value: an
+        exact knot, a clamp to the branch's end knot, or, outside every branch
+        interval and in a branch with no knots, the globally nearest knot,
+        ties toward the smaller one.
+        """
+        ys = self.ys
+        q = y // self.step if y >= 0 else -1
+        if 0 <= q < len(self.spans) and y <= self.tops[q]:
+            lo, hi = self.spans[q]
+            if lo < hi:
+                i = bisect_left(ys, y, lo, hi)
+                if i == hi:
+                    return hi - 1, False
+                return i, lo < i and y < ys[i]
+        i = bisect_left(ys, y)
+        return min((j for j in (i - 1, i) if 0 <= j < len(ys)), key=lambda j: (abs(ys[j] - y), ys[j])), False
+
     def g(self, y: int) -> tuple[int, int]:
-        """The outer function at y / scale, as (numerator, denominator > 0).
+        """The outer function at y / scale, as (n, m > 0) for n / (m * value_den).
 
         Inside a branch interval: linear interpolation between that branch's
         knots, clamped to its end knots.  Elsewhere, and in a branch with no
         knots: the globally nearest knot, ties toward the smaller one.
         """
+        num, _, den = self.branch(y, 0)
+        return num, den
+
+    def deviation(self, lo: int, hi: int, g: tuple[int, int]) -> tuple[int, int]:
+        """max |g(y) - g(lo)| over [lo, hi] as (n, m) for n / (m * value_den), where g = g(lo).
+
+        The outer function is piecewise linear, so the extremes lie at the
+        window ends or at knots inside the window.
+        """
         ys, gn, gd = self.ys, self.gn, self.gd
-        q = y // self.step if y >= 0 else -1
-        if 0 <= q < len(self.spans) and y <= self.tops[q]:
-            lo, hi = self.spans[q]
-            if lo < hi:
-                if y <= ys[lo]:
-                    return gn[lo], gd[lo]
-                if y >= ys[hi - 1]:
-                    return gn[hi - 1], gd[hi - 1]
-                i = bisect_left(ys, y, lo, hi)
-                if ys[i] == y:
-                    return gn[i], gd[i]
-                y0, dy = ys[i - 1], ys[i] - ys[i - 1]
-                a0, b0, a1, b1 = gn[i - 1], gd[i - 1], gn[i], gd[i]
-                if b0 == b1:
-                    return a0 * dy + (a1 - a0) * (y - y0), b0 * dy
-                return a0 * b1 * dy + (a1 * b0 - a0 * b1) * (y - y0), b0 * b1 * dy
-        i = bisect_left(ys, y)
-        j = min((j for j in (i - 1, i) if 0 <= j < len(ys)), key=lambda j: (abs(ys[j] - y), ys[j]))
-        return gn[j], gd[j]
+        num, den = ratio_gap(*g, *self.g(hi))
+        i = bisect_left(ys, lo)
+        while i < len(ys) and ys[i] <= hi:
+            n2, d2 = ratio_gap(*g, gn[i], gd[i])
+            if n2 * den > num * d2:
+                num, den = n2, d2
+            i += 1
+        return num, den
+
+    def branch(self, y: int, width: int) -> tuple[int, int, int]:
+        """g(y) and deviation(y, y + width), as numerators over one denominator m
+        (values n / (m * value_den)).
+
+        When the window [y, y + width] lies strictly between two knots of one
+        branch, the outer function is linear on it, and the deviation is the
+        closed form |g1 - g0| * width / dy over the denominator of g(y).  A
+        window that reaches or crosses a knot, starts on one, or lies past the
+        knots of its branch is scanned by deviation.
+        """
+        ys, gn, gd = self.ys, self.gn, self.gd
+        i, between = self._find(y)
+        if between:
+            y0, dy = ys[i - 1], ys[i] - ys[i - 1]
+            a0, b0, a1, b1 = gn[i - 1], gd[i - 1], gn[i], gd[i]
+            if b0 != b1:
+                a0, a1, b0 = a0 * b1, a1 * b0, b0 * b1
+            num, den = a0 * dy + (a1 - a0) * (y - y0), b0 * dy
+            if y + width < ys[i]:
+                return num, abs(a1 - a0) * width, den
+        else:
+            num, den = gn[i], gd[i]
+        if not width:
+            return num, 0, den
+        dev, dev_den = self.deviation(y, y + width, (num, den))
+        if dev_den == den:
+            return num, dev, den
+        return num * dev_den, dev * den, den * dev_den
 
 
 @dataclass(frozen=True)

@@ -335,6 +335,29 @@ def test_a_large_shared_knot_certificate_finishes_in_time(workdir):
     assert (fit["separation"]["retries"], fit["depth"], fit["residual_max"]["exact"]) == (1, 2, "0")
 
 
+def test_knots_without_a_common_denominator_evaluate_or_fail_in_time(workdir):
+    """20,000 knots in one branch whose values, then positions, have unrelated
+    100-bit denominators.  Values fall back to per-knot denominators and
+    positions are refused, each after a bounded part of their lcm; the whole
+    lcm would cost time quadratic in the knot count."""
+    _, model_path = _fit(workdir)
+    rng = random.Random(5)
+    dens = sorted({rng.getrandbits(100) | 1 for _ in range(20_000)}, reverse=True)
+    _write_csv(workdir / "points.csv", ["x1", "x2"], [["1/2", "1/3"]])
+    doc = json.loads(model_path.read_text())
+    doc["branches"][0]["knots"] = [{"y": f"{j}/{2**16}", "g": f"1/{m}"} for j, m in enumerate(dens, start=1)]
+    (workdir / "values.json").write_text(json.dumps(doc))
+    done = _cli_subprocess(["eval", "--model", "values.json", "--in", "points.csv"], workdir, timeout=10)
+    assert done.returncode == EXIT_OK, done.stderr
+    w, err = evaluate(load(workdir / "values.json"), (Fraction(1, 2), Fraction(1, 3)))
+    assert f"{w},{err}" in done.stdout
+    doc["branches"][0]["knots"] = [{"y": f"1/{m}", "g": "1"} for m in dens]
+    (workdir / "positions.json").write_text(json.dumps(doc))
+    done = _cli_subprocess(["eval", "--model", "positions.json", "--in", "points.csv"], workdir, timeout=10)
+    assert done.returncode == EXIT_INPUT and "plan limit" in done.stderr, done.stderr
+    assert "Traceback" not in done.stderr
+
+
 def test_giant_literals_are_input_errors(workdir):
     """'1e999999999' would make Fraction build a billion-digit integer."""
     _, model_path = _fit(workdir)

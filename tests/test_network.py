@@ -65,7 +65,8 @@ def test_evaluate_decomposes_into_branches():
     for q, v in enumerate(parts):
         y = psi_eval(P26, SPEC6, x, q, 30).value
         lookup = KnotLookup(MODEL.outer, y.denominator)
-        assert Fraction(*lookup.g(y.numerator * lookup.lift)) == v
+        num, den = lookup.g(y.numerator * lookup.lift)
+        assert Fraction(num, den * lookup.value_den) == v
 
 
 def test_evaluate_validates_input():

@@ -1,7 +1,11 @@
 """Differential tests: the integer pipeline against the Fraction oracle, exact equality."""
 
+import math
 import random
+import re
+from contextlib import nullcontext
 from fractions import Fraction
+from unittest import mock
 
 import oracle
 import pytest
@@ -9,9 +13,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ksnet.errors import DomainError
-from ksnet.hashmaps import build_incidence, make_params, psi_eval
+from ksnet.hashmaps import branches_scaled, build_incidence, check_point, make_params, psi_eval
 from ksnet.inner import InnerSpec, default_inner_spec, phi_eval
-from ksnet.network import FastEvaluator, _plan, assemble, evaluate
+from ksnet.network import FastEvaluator, _plan, assemble, evaluate, load, save
 from ksnet.outer import KnotLookup, SampleSet, fit_exact
 from oracle import KnotTable, outer_from_tables
 
@@ -166,11 +170,12 @@ def test_outer_lookup_matches_oracle(model):
     assert all((y * scale).denominator == 1 for y in probes)
     for k, y in enumerate(probes):
         g = plan.g(int(y * scale))
-        assert Fraction(*g) == oracle.g_eval(model.outer, y)
+        value = Fraction(g[0], g[1] * plan.value_den)
+        assert value == oracle.g_eval(model.outer, y)
         for top in probes[k : k + 4]:
             lo, hi = oracle.g_range(model.outer, y, top)
-            want = max(hi - g[0] / Fraction(g[1]), g[0] / Fraction(g[1]) - lo)
-            assert Fraction(*plan.deviation(int(y * scale), int(top * scale), g)) == want
+            dev, dev_den = plan.deviation(int(y * scale), int(top * scale), g)
+            assert Fraction(dev, dev_den * plan.value_den) == max(hi - value, value - lo)
 
 
 @pytest.mark.parametrize("model", [HAND_BUILT, MODELS[-1][0], MODELS[1][0]], ids=["hand_built", "product", "d3"])
@@ -186,7 +191,87 @@ def test_g_eval_matches_oracle(model, data):
         st.fractions(min_value=-3, max_value=top + 3, max_denominator=10**12),
     ))
     lookup = KnotLookup(outer, y.denominator)
-    assert Fraction(*lookup.g(y.numerator * lookup.lift)) == oracle.g_eval(outer, y)
+    num, den = lookup.g(y.numerator * lookup.lift)
+    assert Fraction(num, den * lookup.value_den) == oracle.g_eval(outer, y)
+
+
+# value denominators with no common scale: the plan's one denominator is none of them
+VALUE_DENS = (7, 11, 13, 17, 19, 23, 29, 31, 3**5, 2**7)
+WINDOW_CASES = ("inside", "ends_on_knot", "crosses", "starts_on_knot", "first_knot", "last_knot", "past_knots", "empty")
+
+
+def _window_knots(draw, y: Fraction, top: Fraction, lo: Fraction, hi: Fraction) -> list[Fraction]:
+    """Knot positions in a branch interval [lo, hi] around the branch window [y, top]."""
+    case = draw(st.sampled_from(WINDOW_CASES))
+    below = y - (y - lo) * Fraction(draw(st.integers(1, 9)), 10)
+    above = top + (hi - top) * Fraction(draw(st.integers(1, 9)), 10)
+    if case == "inside":
+        knots = [below, above]
+    elif case == "ends_on_knot":
+        knots = [below, top, above]
+    elif case == "crosses":
+        count = draw(st.integers(1, 3))
+        knots = [below, *(y + (top - y) * Fraction(k, count + 1) for k in range(1, count + 1)), above]
+    elif case == "starts_on_knot":
+        knots = [below, y, above]
+    elif case == "first_knot":
+        knots = [y, above]
+    elif case == "last_knot":
+        knots = [below, y]
+    elif case == "past_knots":
+        knots = [lo, below] if draw(st.booleans()) else [above, hi]
+    else:
+        knots = []
+    return sorted({k for k in knots if lo <= k <= hi})
+
+
+@given(st.sampled_from(NETWORKS[:2]), st.data(), st.one_of(st.integers(1, 3), depths),
+       st.booleans(), st.booleans())
+@settings(max_examples=120, deadline=None)
+def test_evaluate_matches_oracle_on_every_window_case(network, data, depth, respell, fallback):
+    """Hand-built knots around each branch window: inside one interval, ending on a
+    knot, crossing 1-3 knots, starting on a knot or on a branch's first or last
+    knot, past a branch's knots, and empty branches that fall back to the
+    nearest knot.  Values have unrelated denominators; with `respell` the model
+    is loaded with values like "2/4", and with `fallback` PLAN_BITS_LIMIT leaves
+    room for the positions but not for one value denominator."""
+    params, inner = network
+    point = tuple(data.draw(unit_coords(params.gamma)) for _ in range(params.d))
+    unit = params.unit(inner, depth)
+    width = 2 * params.d
+    positions = [
+        _window_knots(data.draw, Fraction(v, unit), Fraction(v + w, unit), Fraction(b), Fraction(b + width))
+        for b, (v, w) in zip(params.b, branches_scaled(params, inner, check_point(params, point), depth))
+    ]
+    if not any(positions):
+        positions[0] = [Fraction(params.b[0] + width)]
+    # a bound on the plan's position scale, with or without a save and load at depth 30
+    scale_bound = math.lcm(unit, params.unit(inner, 30), *(y.denominator for ys in positions for y in ys))
+    big = 1 << (scale_bound.bit_length() + 8)  # n / (big + k) with |n| <= 60 keeps a denominator above it
+    values = [
+        [Fraction(data.draw(st.integers(-60, 60).filter(bool)), big + data.draw(st.integers(0, 10**6)))
+         if fallback else Fraction(data.draw(st.integers(-60, 60)), data.draw(st.sampled_from(VALUE_DENS)))
+         for _ in ys]
+        for ys in positions
+    ]
+    tables = tuple(KnotTable(ys=tuple(ys), gs=tuple(gs)) for ys, gs in zip(positions, values))
+    model = assemble(inner, params, outer_from_tables(params.d, tables))
+    if respell:
+        factor = data.draw(st.integers(2, 9))
+        text = re.sub(r'"g": "(-?\d+)(?:/(\d+))?"',
+                      lambda m: f'"g": "{int(m[1]) * factor}/{int(m[2] or 1) * factor}"', save(model).decode())
+        model = load(text)
+    value_den = math.lcm(*(m for gd in model.outer.gd for m in gd))
+    scale_bits = math.lcm(unit, model.outer.unit).bit_length()
+    assert not fallback or value_den.bit_length() > scale_bits
+    limit = model.outer.knot_count * scale_bits
+    with mock.patch("ksnet.outer.PLAN_BITS_LIMIT", limit) if fallback else nullcontext():
+        got = evaluate(model, point, depth=depth, with_branches=True)
+        wf, errf = FastEvaluator(model).evaluate(point, depth)
+        assert _plan(model, depth).value_den == (1 if fallback else value_den)
+    assert got == oracle.evaluate(model, point, depth)
+    w, err = got[:2]
+    assert wf == float(w) and Fraction(errf) >= err + abs(Fraction(wf) - w)
 
 
 def test_no_knots_is_a_domain_error():

@@ -85,7 +85,8 @@ def _toy_outer():
 def g_eval(outer, y):
     """The outer function at a rational y, through the integer lookup."""
     lookup = KnotLookup(outer, y.denominator)
-    return Fraction(*lookup.g(y.numerator * lookup.lift))
+    num, den = lookup.g(y.numerator * lookup.lift)
+    return Fraction(num, den * lookup.value_den)
 
 
 def test_g_eval_interpolation():
