@@ -20,7 +20,6 @@ values are computed, sorted and compared as integers.
 
 from __future__ import annotations
 
-import itertools
 import math
 import operator
 from dataclasses import dataclass, replace
@@ -283,49 +282,48 @@ class RangeReport:
 
 
 def check_ranges(params: HashParams, inner: InnerSpec, probe_level: int = 1, depth: int = 30) -> RangeReport:
-    """Sweep the level-`probe_level` grid of [0, 1]^d through every branch.
+    """Sweep the level-`probe_level` grid of [0, 1]^d through every branch, in closed form.
 
     Confirms each value window [value, value + error_bound] sits inside
     [b_q, b_q + 2d] and measures the observed inter-branch gap (structurally
-    at least 1).  Grid size is (gamma**probe_level + 1)**d, so keep the level
-    small for d > 2.
+    at least 1).  Branch q at x is b_q + sum_p lam_p phi(x_p + a q), and its
+    window ends at b_q + sum_p (lam_p + tail_p) (phi + window)(x_p + a q).
+    The grid's coordinates run independently over one axis of
+    gamma**probe_level + 1 values and no lam_p or tail_p is negative, so over
+    all (gamma**probe_level + 1)**d points the lowest value is
+    b_q + (sum lam) min phi and the highest window end is
+    b_q + (sum (lam + tail)) max (phi + window), both extremes over the axis:
+    one phi_scaled call per branch.  A branch that leaves its interval is
+    listed at the grid point that takes the extreme, with every coordinate at
+    the axis value that gives it.
     """
     axis = grid_points(probe_level, params.gamma)
+    coords = [params.branch_input(c.numerator, c.denominator) for c in axis]
+    _, lam_num, tail_num = params._lam_scaled
+    lam_sum, reach_sum = sum(lam_num), sum(lam_num) + sum(tail_num)
     width = 2 * params.d
     unit = params.unit(inner, depth)
-    lo = [None] * params.branch_count
-    hi = [None] * params.branch_count
-    violations = []
-    count = 0
-    for point in itertools.product(axis, repeat=params.d):
-        count += 1
-        for q, (value, window) in enumerate(branches_scaled(params, inner, point, depth)):
-            upper = value + window
-            if value < params.b[q] * unit or upper > (params.b[q] + width) * unit:
-                if len(violations) < 10:
-                    violations.append(f"q={q}, x={point}, value={Fraction(value, unit)}")
-            if lo[q] is None or value < lo[q]:
-                lo[q] = value
-            if hi[q] is None or upper > hi[q]:
-                hi[q] = upper
-    branches = tuple(
-        BranchRange(
-            q=q,
-            lo=params.b[q],
-            hi=params.b[q] + width,
-            observed_lo=Fraction(lo[q], unit),
-            observed_hi=Fraction(hi[q], unit),
-        )
-        for q in range(params.branch_count)
-    )
+    branches, violations, lo, hi = [], [], [], []
+    for q, b in enumerate(params.b):
+        phis = phi_scaled(inner, [(n + q * step, m) for n, m, step in coords], depth)
+        low = min(range(len(axis)), key=lambda g: phis[g][0])
+        high = max(range(len(axis)), key=lambda g: phis[g][0] + phis[g][1])
+        lo.append(b * unit + lam_sum * phis[low][0])
+        hi.append(b * unit + reach_sum * (phis[high][0] + phis[high][1]))
+        escaped = ([low] if lo[q] < b * unit else []) + ([high] if hi[q] > (b + width) * unit else [])
+        violations += [
+            f"q={q}, x={(axis[g],) * params.d}, value={Fraction(b * unit + lam_sum * phis[g][0], unit)}"
+            for g in dict.fromkeys(escaped)
+        ]
+        branches.append(BranchRange(q, b, b + width, Fraction(lo[q], unit), Fraction(hi[q], unit)))
     min_gap = Fraction(min(lo[q + 1] - hi[q] for q in range(params.branch_count - 1)), unit)
     return RangeReport(
         d=params.d,
         gamma=params.gamma,
         probe_level=probe_level,
-        points_checked=count,
-        branches=branches,
-        violations=tuple(violations),
+        points_checked=len(axis) ** params.d,
+        branches=tuple(branches),
+        violations=tuple(violations[:10]),
         min_gap=min_gap,
         passed=not violations and min_gap >= 1,
     )

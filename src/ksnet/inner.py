@@ -31,7 +31,7 @@ from fractions import Fraction
 from functools import cached_property
 
 from .errors import DomainError, ParameterError
-from .rationals import ONE, ZERO
+from .rationals import ZERO
 
 HALF = Fraction(1, 2)
 # Digits per block: 3, or fewer when a block's base**digits strings would pass
@@ -43,6 +43,10 @@ BLOCK_TABLE_LIMIT = 1024
 # CHUNK_TABLE_LIMIT entries, at least one block.  Base 6: 10 positions, 30 digits.
 CHUNK_DIGITS = 30
 CHUNK_TABLE_LIMIT = 4096
+# Samples per kernel call in verify_inner (a Holder pair or a shift is two inputs): bounds its memory at depth 240.
+VERIFY_CHUNK = 4096
+# Most digits of the terminating inputs of verify_inner's shift check.
+SHIFT_DIGITS = 6
 
 
 @dataclass(frozen=True)
@@ -296,6 +300,17 @@ def _log_fraction(x: Fraction) -> float:
     return math.log(x.numerator) - math.log(x.denominator)
 
 
+def _from_witnesses(name: str, witnesses: list[str], detail: str) -> PropertyCheck:
+    """A check that passed when it found no witness, reporting the first one it found."""
+    return PropertyCheck(name=name, passed=not witnesses, detail=detail, witness=next(iter(witnesses), None))
+
+
+def _terminating(rng: random.Random, base: int) -> tuple[int, int]:
+    """(k, base**r) for a random r in 1..SHIFT_DIGITS and k in 0..base**r - 1."""
+    scale = base ** rng.randint(1, SHIFT_DIGITS)
+    return rng.randrange(scale), scale
+
+
 def verify_inner(
     spec: InnerSpec,
     samples: int = 10_000,
@@ -310,102 +325,74 @@ def verify_inner(
         on random pairs, with the measured constant reported;
     (c) the exact shift identity phi(t + 1) = phi(t) + 1 on terminating t;
     (d) range containment phi([0, 1]) inside [0, 1].
+
+    One seeded generator draws the points, then the Holder pairs (53-bit
+    dyadics in [0, 1]), then the terminating t, in that order.
+    phi is read through phi_scaled, VERIFY_CHUNK samples per call (a chunk
+    of sorted points overlaps the one before it by one point, which links
+    their adjacent pairs), and values are compared as integer numerators over
+    spec._den**depth; t is read to SHIFT_DIGITS digits, which is all of it.
     """
     if samples < 2:
         raise DomainError(f"need at least 2 samples, got {samples}")
     if shift_samples is None:
         shift_samples = max(1, samples // 10)
     rng = random.Random(seed)
-    denom = 2**53
-    points = sorted(Fraction(rng.randrange(denom + 1), denom) for _ in range(samples))
-    values = [phi_eval(spec, x, depth) for x in points]
+    denom, scale = 2**53, spec._den**depth
+    points = sorted(rng.randrange(denom + 1) for _ in range(samples))
 
-    checks = []
+    def phis(nums):  # (value, window) numerators of phi at num/denom for each num
+        return [(v, w) for v, w, _ in phi_scaled(spec, [(x, denom) for x in nums], depth)]
 
-    violations = 0
-    witness = None
-    for (x, vx), (y, vy) in zip(zip(points, values), zip(points[1:], values[1:])):
-        if x == y:
-            continue
-        if vx.value > vy.value + vx.error_bound + vy.error_bound:
-            violations += 1
-            if witness is None:
-                witness = f"x={x}, y={y}"
-    checks.append(
-        PropertyCheck(
-            name="monotone",
-            passed=violations == 0,
-            detail=f"{violations} violations over {samples - 1} sorted adjacent pairs",
-            witness=witness,
-        )
-    )
+    def escaping(xs, values):  # witnesses of phi(x) leaving [0, 1]
+        return [f"x={Fraction(x, denom)}" for x, (v, w) in zip(xs, values) if v < 0 or v + w > scale]
+
+    disorder, escapes = [], []
+    for start in range(0, samples, VERIFY_CHUNK):
+        xs = points[max(start - 1, 0):start + VERIFY_CHUNK]
+        values = phis(xs)
+        disorder += [
+            f"x={Fraction(x, denom)}, y={Fraction(y, denom)}"
+            for x, y, (vx, wx), (vy, wy) in zip(xs, xs[1:], values, values[1:])
+            if x != y and vx > vy + wx + wy
+        ]
+        fresh = 1 if start else 0  # the overlap point was range-checked with the chunk before
+        escapes += escaping(xs[fresh:], values[fresh:])
+    escapes += escaping((0, denom), phis((0, denom)))
 
     alpha = math.log(2) / math.log(spec.base)
     log4 = math.log(4)
-    violations = 0
-    witness = None
+    steep = []
     max_log_c = -math.inf
-    for _ in range(samples):
-        a = Fraction(rng.randrange(denom + 1), denom)
-        b = Fraction(rng.randrange(denom + 1), denom)
-        if a == b:
-            continue
-        if a > b:
-            a, b = b, a
-        dphi = phi_eval(spec, b, depth).value - phi_eval(spec, a, depth).value
-        if dphi == 0:
-            continue
-        log_c = _log_fraction(dphi) - alpha * _log_fraction(b - a)
-        max_log_c = max(max_log_c, log_c)
-        if log_c > log4:
-            violations += 1
-            if witness is None:
-                witness = f"x={a}, y={b}"
+    for start in range(0, samples, VERIFY_CHUNK):
+        pairs = [sorted((rng.randrange(denom + 1), rng.randrange(denom + 1)))
+                 for _ in range(min(VERIFY_CHUNK, samples - start))]
+        pairs = [(a, b) for a, b in pairs if a != b]
+        values = phis(x for pair in pairs for x in pair)
+        for (a, b), (va, _), (vb, _) in zip(pairs, values[::2], values[1::2]):
+            if va == vb:
+                continue
+            log_c = _log_fraction(Fraction(abs(vb - va), scale)) - alpha * _log_fraction(Fraction(b - a, denom))
+            max_log_c = max(max_log_c, log_c)
+            if log_c > log4:
+                steep.append(f"x={Fraction(a, denom)}, y={Fraction(b, denom)}")
     measured = math.exp(max_log_c) if max_log_c > -math.inf else 0.0
-    checks.append(
-        PropertyCheck(
-            name="holder",
-            passed=violations == 0,
-            detail=(
-                f"measured constant {measured:.6f} against bound 4 with exponent "
-                f"ln2/ln{spec.base}, {violations} violations over {samples} pairs"
-            ),
-            witness=witness,
-        )
-    )
 
-    violations = 0
-    witness = None
-    for _ in range(shift_samples):
-        r = rng.randint(1, 6)
-        t = Fraction(rng.randrange(spec.base**r), spec.base**r)
-        if phi_exact(spec, t + 1) != phi_exact(spec, t) + 1:
-            violations += 1
-            if witness is None:
-                witness = f"t={t}"
-    checks.append(
-        PropertyCheck(
-            name="shift",
-            passed=violations == 0,
-            detail=f"{violations} violations over {shift_samples} terminating rationals",
-            witness=witness,
-        )
-    )
+    unshifted = []
+    one = spec._den**SHIFT_DIGITS
+    for start in range(0, shift_samples, VERIFY_CHUNK):
+        ts = [_terminating(rng, spec.base) for _ in range(min(VERIFY_CHUNK, shift_samples - start))]
+        values = phi_scaled(spec, [(k + shift, m) for k, m in ts for shift in (0, m)], SHIFT_DIGITS)
+        unshifted += [f"t={Fraction(k, m)}" for (k, m), (v, _, _), (v1, _, _) in zip(ts, values[::2], values[1::2])
+                      if v1 != v + one]
 
-    violations = 0
-    witness = None
-    for x, v in zip(points + [ZERO, ONE], values + [phi_eval(spec, ZERO, depth), phi_eval(spec, ONE, depth)]):
-        if v.value < 0 or v.upper > 1:
-            violations += 1
-            if witness is None:
-                witness = f"x={x}"
-    checks.append(
-        PropertyCheck(
-            name="range",
-            passed=violations == 0,
-            detail=f"{violations} range escapes from [0, 1] over {samples + 2} points",
-            witness=witness,
-        )
+    checks = (
+        _from_witnesses("monotone", disorder,
+                        f"{len(disorder)} violations over {samples - 1} sorted adjacent pairs"),
+        _from_witnesses("holder", steep, f"measured constant {measured:.6f} against bound 4 with exponent "
+                        f"ln2/ln{spec.base}, {len(steep)} violations over {samples} pairs"),
+        _from_witnesses("shift", unshifted,
+                        f"{len(unshifted)} violations over {shift_samples} terminating rationals"),
+        _from_witnesses("range", escapes, f"{len(escapes)} range escapes from [0, 1] over {samples + 2} points"),
     )
-
-    return PropertyReport(checks=tuple(checks), samples=samples, depth=depth, seed=seed)
+    return PropertyReport(checks=checks, samples=samples, depth=depth, seed=seed)

@@ -394,8 +394,6 @@ def _certify(
     Raises SeparationFailure (witness attached) if the points stay
     unseparated up to the depth cap and separation is required.
     """
-    if samples.d != params.d:
-        raise DomainError(f"samples have d = {samples.d}, parameters have d = {params.d}")
     system, verdict = certify_separation(params, inner, samples.groups, depth)
     if require_separation and not verdict.separated:
         raise SeparationFailure(

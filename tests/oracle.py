@@ -13,13 +13,19 @@ merge_report, save and load work on Fraction knot tables read off the
 integer outer function (`tables`), as the library did before knots stayed
 integers from the fit to the file; KnotTable and outer_from_tables are that
 hand-built form.  parse_rational is the Fraction parse the library's fast
-path must agree with.  All of it is deliberately slow and simple.
+path must agree with.  check_ranges and verify_inner are the property checks
+as they were before they read the inner kernel in closed form and in chunks:
+a sweep over every grid point, and a suite that reads phi once per value.
+All of it is deliberately slow and simple.
 """
 
 from __future__ import annotations
 
 import io
+import itertools
 import json
+import math
+import random
 import re
 import sys
 from bisect import bisect_left
@@ -38,11 +44,11 @@ from ksnet.errors import (
     ModelFormatError,
     ParameterError,
 )
-from ksnet.hashmaps import BranchValue, HashParams, check_dims
-from ksnet.inner import InnerSpec, InnerValue
+from ksnet.hashmaps import BranchRange, BranchValue, HashParams, RangeReport, check_dims
+from ksnet.inner import InnerSpec, InnerValue, PropertyCheck, PropertyReport
 from ksnet.network import FORMAT_VERSION, assemble
 from ksnet.outer import BranchStats, ClassReport, OuterFunction, common_unit
-from ksnet.rationals import ONE, ZERO
+from ksnet.rationals import ONE, ZERO, grid_points
 
 
 @dataclass(frozen=True)
@@ -119,6 +125,134 @@ def psi_eval(params, inner, x, q: int, depth: int) -> BranchValue:
         value += lam * iv.value
         error += lam * iv.error_bound + tail * iv.upper
     return BranchValue(q=q, value=value, error_bound=error)
+
+
+def phi_exact(spec, x) -> Fraction:
+    """phi at a terminating x in [0, 2): phi_eval at the fewest digits that read all of x."""
+    x = Fraction(x)
+    den, depth = x.denominator, 0
+    while den > 1:
+        g = math.gcd(den, spec.base)
+        if g == 1:
+            raise DomainError(f"{x} does not terminate in base {spec.base}")
+        den //= g
+        depth += 1
+    return phi_eval(spec, x, depth).value
+
+
+def check_ranges(params, inner, probe_level: int, depth: int, limit: int | None = 10) -> RangeReport:
+    """The per-point sweep: every level-`probe_level` grid point through every branch.
+
+    Branch values are integer numerators over lcm(lam, lam-tail
+    denominators) * den**depth, summed per point from phi_eval's values,
+    which are read once per distinct branch input.  At most `limit`
+    violations are listed, in grid order (None lists them all).
+    """
+    axis = grid_points(probe_level, params.gamma)
+    lcm = math.lcm(*(v.denominator for v in params.lam + params.lam_tails))
+    lam = [int(v * lcm) for v in params.lam]
+    tail = [int(t * lcm) for t in params.lam_tails]
+    scale = inner._den**depth
+    unit = lcm * scale
+    phi = {}
+    for q in range(params.branch_count):
+        for x in axis:
+            iv = phi_eval(inner, x + params.a * q, depth)
+            phi[q, x] = int(iv.value * scale), int(iv.error_bound * scale)
+    width = 2 * params.d
+    lo, hi, violations = {}, {}, []
+    for point in itertools.product(axis, repeat=params.d):
+        for q, b in enumerate(params.b):
+            value, window = b * unit, 0
+            for lam_p, tail_p, x in zip(lam, tail, point):
+                v, w = phi[q, x]
+                value += lam_p * v
+                window += lam_p * w + tail_p * (v + w)
+            if value < b * unit or value + window > (b + width) * unit:
+                violations.append(f"q={q}, x={point}, value={Fraction(value, unit)}")
+            lo[q] = min(lo.get(q, value), value)
+            hi[q] = max(hi.get(q, value + window), value + window)
+    branches = tuple(
+        BranchRange(q, b, b + width, Fraction(lo[q], unit), Fraction(hi[q], unit)) for q, b in enumerate(params.b)
+    )
+    min_gap = Fraction(min(lo[q + 1] - hi[q] for q in range(params.branch_count - 1)), unit)
+    return RangeReport(
+        d=params.d,
+        gamma=params.gamma,
+        probe_level=probe_level,
+        points_checked=len(axis) ** params.d,
+        branches=branches,
+        violations=tuple(violations[:limit]),
+        min_gap=min_gap,
+        passed=not violations and min_gap >= 1,
+    )
+
+
+def _log_fraction(x: Fraction) -> float:
+    return math.log(x.numerator) - math.log(x.denominator)
+
+
+def verify_inner(spec, samples: int, depth: int, seed: int, shift_samples: int | None = None) -> PropertyReport:
+    """The per-value property suite: one phi_eval or phi_exact call per value, one count-and-witness loop
+    per property, the inputs drawn as the library draws them."""
+    if samples < 2:
+        raise DomainError(f"need at least 2 samples, got {samples}")
+    if shift_samples is None:
+        shift_samples = max(1, samples // 10)
+    rng = random.Random(seed)
+    denom = 2**53
+    points = sorted(Fraction(rng.randrange(denom + 1), denom) for _ in range(samples))
+    values = [phi_eval(spec, x, depth) for x in points]
+    checks = []
+
+    violations, witness = 0, None
+    for (x, vx), (y, vy) in zip(zip(points, values), zip(points[1:], values[1:])):
+        if x != y and vx.value > vy.value + vx.error_bound + vy.error_bound:
+            violations += 1
+            witness = witness or f"x={x}, y={y}"
+    checks.append(PropertyCheck("monotone", violations == 0,
+                                f"{violations} violations over {samples - 1} sorted adjacent pairs", witness))
+
+    alpha = math.log(2) / math.log(spec.base)
+    violations, witness, max_log_c = 0, None, -math.inf
+    for _ in range(samples):
+        a = Fraction(rng.randrange(denom + 1), denom)
+        b = Fraction(rng.randrange(denom + 1), denom)
+        if a == b:
+            continue
+        a, b = min(a, b), max(a, b)
+        dphi = phi_eval(spec, b, depth).value - phi_eval(spec, a, depth).value
+        if dphi == 0:
+            continue
+        log_c = _log_fraction(abs(dphi)) - alpha * _log_fraction(b - a)
+        max_log_c = max(max_log_c, log_c)
+        if log_c > math.log(4):
+            violations += 1
+            witness = witness or f"x={a}, y={b}"
+    measured = math.exp(max_log_c) if max_log_c > -math.inf else 0.0
+    checks.append(PropertyCheck("holder", violations == 0, (
+        f"measured constant {measured:.6f} against bound 4 with exponent "
+        f"ln2/ln{spec.base}, {violations} violations over {samples} pairs"
+    ), witness))
+
+    violations, witness = 0, None
+    for _ in range(shift_samples):
+        r = rng.randint(1, 6)
+        t = Fraction(rng.randrange(spec.base**r), spec.base**r)
+        if phi_exact(spec, t + 1) != phi_exact(spec, t) + 1:
+            violations += 1
+            witness = witness or f"t={t}"
+    checks.append(PropertyCheck("shift", violations == 0,
+                                f"{violations} violations over {shift_samples} terminating rationals", witness))
+
+    violations, witness = 0, None
+    for x, v in zip(points + [ZERO, ONE], values + [phi_eval(spec, ZERO, depth), phi_eval(spec, ONE, depth)]):
+        if v.value < 0 or v.upper > 1:
+            violations += 1
+            witness = witness or f"x={x}"
+    checks.append(PropertyCheck("range", violations == 0,
+                                f"{violations} range escapes from [0, 1] over {samples + 2} points", witness))
+    return PropertyReport(checks=tuple(checks), samples=samples, depth=depth, seed=seed)
 
 
 def build_incidence(params, inner, points, depth: int):

@@ -165,6 +165,9 @@ def test_check_ranges_level_2():
         assert br.lo <= br.observed_lo <= br.observed_hi <= br.hi
     doc = report.to_jsonable()
     assert doc["passed"] is True and len(doc["branches"]) == 5
+    for level in (0, -1):
+        with pytest.raises(DomainError, match=f"level must be >= 1, got {level}"):
+            check_ranges(P26, SPEC6, probe_level=level, depth=30)
 
 
 def test_incidence_single_point():

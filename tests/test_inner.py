@@ -150,6 +150,10 @@ def test_verify_inner_passes():
     holder = next(c for c in doc["checks"] if c["name"] == "holder")
     assert holder["passed"] is True
     assert "bound 4" in holder["detail"]
+    with pytest.raises(DomainError, match="need at least 2 samples, got 1"):
+        verify_inner(SPEC6, samples=1)
+    with pytest.raises(DomainError, match="depth must be >= 1, got 0"):
+        verify_inner(SPEC6, samples=10, depth=0)
 
 
 def test_verify_inner_other_base():

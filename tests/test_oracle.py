@@ -13,8 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ksnet.errors import DomainError
-from ksnet.hashmaps import branches_scaled, build_incidence, check_point, make_params, psi_eval
-from ksnet.inner import InnerSpec, default_inner_spec, phi_eval
+from ksnet.hashmaps import branches_scaled, build_incidence, check_point, check_ranges, make_params, psi_eval
+from ksnet.inner import VERIFY_CHUNK, InnerSpec, default_inner_spec, phi_eval, verify_inner
 from ksnet.network import FastEvaluator, _plan, assemble, evaluate, load, save
 from ksnet.outer import KnotLookup, SampleSet, fit_exact
 from oracle import KnotTable, outer_from_tables
@@ -282,3 +282,72 @@ def test_no_knots_is_a_domain_error():
         evaluate(model, (Fraction(1, 2), Fraction(1, 3)))
     with pytest.raises(DomainError, match="no knots"):
         oracle.evaluate(model, (Fraction(1, 2), Fraction(1, 3)), 30)
+
+
+PROPERTY_DEPTHS = (1, 2, 30, 240)
+
+
+def _other_weights(base):
+    """Weights 1/3, 1/4 and the rest split evenly: a weight denominator other than the default's."""
+    rest = Fraction(5, 12 * (base - 2))
+    return InnerSpec(base=base, weights=(Fraction(1, 3), Fraction(1, 4)) + (rest,) * (base - 2))
+
+
+def _unordered(base):
+    """The default spec with the cells of digits 1 .. base-1 in reverse order, so phi is not monotone.
+    Every cell stays inside [0, 1] and digit 0 at 0, as the kernel needs."""
+    spec = default_inner_spec(base)
+    object.__setattr__(spec, "_cnum", (0,) + spec._cnum[:0:-1])
+    return spec
+
+
+@st.composite
+def range_sweeps(draw):
+    """(params, inner, probe level, depth) for d in {2, 3} and gamma in {2d+2, 2d+3}.  Level 2 is drawn
+    for d = 2 only: its grids have at most 50**2 points, d = 3 ones at least 65**3 for the per-point oracle."""
+    d = draw(st.sampled_from([2, 3]))
+    gamma = 2 * d + 2 + draw(st.integers(0, 1))
+    level = draw(st.integers(1, 2 if d == 2 else 1))
+    inner = draw(st.sampled_from([default_inner_spec, _other_weights]))(gamma)
+    return make_params(d, gamma), inner, level, draw(st.sampled_from(PROPERTY_DEPTHS))
+
+
+@given(range_sweeps())
+@settings(max_examples=30, deadline=None)
+def test_check_ranges_matches_the_per_point_sweep(case):
+    params, inner, level, depth = case
+    got = check_ranges(params, inner, probe_level=level, depth=depth)
+    assert got.to_jsonable() == oracle.check_ranges(params, inner, level, depth).to_jsonable()
+
+
+@pytest.mark.parametrize("d, gamma, level", [(2, 6, 2), (3, 8, 1)])
+def test_a_forced_branch_escape_is_listed_at_grid_points_that_leave(d, gamma, level):
+    """lam_2 = 6 pushes every branch past b_q + 2d; the observed range must be the sweep's, and every
+    listed point a grid point whose window leaves its interval (the sweep lists them all)."""
+    params, inner = make_params(d, gamma), default_inner_spec(gamma)
+    params.__dict__["lam"] = (Fraction(1), Fraction(6)) + params.lam[2:]  # read by _lam_scaled, not yet cached
+    got = check_ranges(params, inner, probe_level=level, depth=30)
+    want = oracle.check_ranges(params, inner, level, 30, limit=None)
+    assert not got.passed and got.violations
+    assert (got.branches, got.min_gap, got.points_checked) == (want.branches, want.min_gap, want.points_checked)
+    assert set(got.violations) <= set(want.violations)
+
+
+@given(st.sampled_from([default_inner_spec(6), default_inner_spec(8), ODD_SPEC6, _other_weights(7)])
+       | st.builds(_unordered, st.sampled_from([6, 7])),
+       st.integers(2, 40), st.sampled_from(PROPERTY_DEPTHS), st.integers(0, 2**32),
+       st.none() | st.integers(1, 12), st.sampled_from([1, 2, 3, 7, VERIFY_CHUNK]))
+@settings(max_examples=40, deadline=None)
+def test_verify_inner_matches_the_per_value_suite(spec, samples, depth, seed, shift_samples, chunk):
+    """Chunks of 1, 2, 3 and 7 samples cross many chunk boundaries; an unordered spec fails with witnesses."""
+    with mock.patch("ksnet.inner.VERIFY_CHUNK", chunk):
+        got = verify_inner(spec, samples, depth, seed, shift_samples)
+    assert got.to_jsonable() == oracle.verify_inner(spec, samples, depth, seed, shift_samples).to_jsonable()
+
+
+def test_an_unordered_spec_fails_with_the_per_value_witnesses():
+    spec = _unordered(6)
+    with mock.patch("ksnet.inner.VERIFY_CHUNK", 7):
+        got = verify_inner(spec, samples=40, depth=30, seed=5).to_jsonable()
+    assert got == oracle.verify_inner(spec, samples=40, depth=30, seed=5).to_jsonable()
+    assert [c["name"] for c in got["checks"] if not c["passed"]] == ["monotone"]

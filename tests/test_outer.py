@@ -287,7 +287,7 @@ def test_finalized_iterative_fit_saves_the_exact_fit_model(den, n, depth):
 def test_both_fits_refuse_samples_of_another_d():
     samples = _random_samples(2, 5, lambda p: p[0])
     for fit in (fit_exact, fit_iterative):
-        with pytest.raises(DomainError, match="samples have d = 2, parameters have d = 3"):
+        with pytest.raises(DomainError, match="points have d = 2, parameters have d = 3"):
             fit(samples, make_params(3, 8), default_inner_spec(8))
 
 
