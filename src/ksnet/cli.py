@@ -19,6 +19,7 @@ import argparse
 import csv
 import datetime
 import io
+import itertools
 import json
 import math
 import random
@@ -181,22 +182,23 @@ def _parse_cell(cell: str, row_no: int, col_no: int) -> Fraction:
 def _read_table(path: str, width: int, columns: str) -> list[tuple[Fraction, ...]]:
     """The parsed data rows of a CSV whose header has `width` cells, described by `columns`.
 
-    Each row is read by one plain_ratios guard, or, when it says None, one
-    cell at a time, so that the first bad cell is named.
+    Each distinct cell text becomes one Fraction, however often it repeats:
+    all of them are read by one plain_ratios guard, or, when it says None,
+    one at a time in file order, so that the first bad row or cell is named.
     """
     rows = _read_csv_rows(path)
     if len(rows[0]) != width:
         raise InputError(f"{path}: expected {columns}, got {len(rows[0])}")
-    table = []
+    texts = list(dict.fromkeys(itertools.chain.from_iterable(rows[1:])))
+    ratios = plain_ratios(texts)
+    cells = {} if ratios is None else dict(zip(texts, map(Fraction, *ratios)))
     for row_no, row in enumerate(rows[1:], start=1):
         if len(row) != width:
             raise InputError(f"row {row_no}: expected {width} cells, got {len(row)}")
-        ratios = plain_ratios(row)
-        if ratios is None:
-            table.append(tuple(_parse_cell(cell, row_no, c + 1) for c, cell in enumerate(row)))
-        else:
-            table.append(tuple(map(Fraction, *ratios)))
-    return table
+        for c, cell in enumerate(row):
+            if cell not in cells:
+                cells[cell] = _parse_cell(cell, row_no, c + 1)
+    return [tuple(map(cells.__getitem__, row)) for row in rows[1:]]
 
 
 def _read_samples(path: str, d: int) -> SampleSet:

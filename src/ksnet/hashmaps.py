@@ -436,10 +436,13 @@ class InnerTable:
 class IncidenceSystem:
     """Points against distinct branch values: the solvability object of a fit.
 
-    Knot i is the value knots[i] / unit.  rows[j] is the increasing tuple of
-    the 2d+1 knot ids point j hits, one per branch: the branch ranges are
-    disjoint and increasing, so every entry of the matrix is 0 or 1 and every
-    row sums to 2d+1.  The fits and linsolve rely on this.
+    Knot i is the value knots[i] / unit.  Branch q holds the sorted knots
+    starts[q] .. starts[q + 1] - 1, and columns[q][j] is the knot id point j
+    hits in branch q.  The branch ranges are disjoint and increasing, so
+    every entry of the matrix is 0 or 1 and every row sums to 2d+1; the fits
+    and linsolve rely on this.  rows[j], the increasing tuple of point j's
+    knot ids, and the components are derived on first use, so a system of
+    singletons never builds them.
     """
 
     points: tuple[tuple[Fraction, ...], ...]
@@ -447,8 +450,8 @@ class IncidenceSystem:
     d: int
     unit: int
     knots: tuple[int, ...]
-    knot_branch: tuple[int, ...]
-    rows: tuple[tuple[int, ...], ...]
+    starts: tuple[int, ...]
+    columns: tuple[tuple[int, ...], ...]
 
     @property
     def n_points(self) -> int:
@@ -457,6 +460,20 @@ class IncidenceSystem:
     @property
     def knot_count(self) -> int:
         return len(self.knots)
+
+    @property
+    def singletons(self) -> bool:
+        """Whether no two points share a knot.  A branch holds at most n_points distinct
+        values, so that is knot_count == n_points * (2d+1): every row owns its columns."""
+        return self.knot_count == self.n_points * len(self.columns)
+
+    @cached_property
+    def knot_branch(self) -> tuple[int, ...]:
+        return tuple(q for q, (lo, hi) in enumerate(zip(self.starts, self.starts[1:])) for _ in range(lo, hi))
+
+    @cached_property
+    def rows(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(zip(*self.columns))
 
     @cached_property
     def components(self) -> list[list[int]]:
@@ -491,7 +508,7 @@ def build_incidence(
     unit = params.unit(inner, depth)
     lam_num = params._lam_scaled[1]
     knots: list[int] = []
-    knot_branch: list[int] = []
+    starts = [0]
     columns = []
     for q, b in enumerate(params.b):
         column = [b * unit] * n
@@ -505,17 +522,17 @@ def build_incidence(
                 "ranges must be disjoint"
             )
         index = {v: i for i, v in enumerate(distinct, start=len(knots))}
-        columns.append([index[v] for v in column])
+        columns.append(tuple(map(index.__getitem__, column)))
         knots.extend(distinct)
-        knot_branch.extend([q] * len(distinct))
+        starts.append(len(knots))
     return IncidenceSystem(
         points=groups.points,
         depth=depth,
         d=params.d,
         unit=unit,
         knots=tuple(knots),
-        knot_branch=tuple(knot_branch),
-        rows=tuple(zip(*columns)),
+        starts=tuple(starts),
+        columns=tuple(columns),
     )
 
 
@@ -553,9 +570,14 @@ def separation_check(system: IncidenceSystem, stop: bool = False) -> SeparationV
 
     With `stop`, a system that is not separated gets the partial rank and
     witness of an elimination that ended at its first dependency
-    (left_kernel_vector); a separated one gets the full answer.
+    (left_kernel_vector); a separated one gets the full answer.  A system of
+    singletons has rank n_points and no witness at once: rows with disjoint
+    supports are independent.
     """
-    rank, kernel = left_kernel_vector(system.rows, system.components, stop)
+    if system.singletons:
+        rank, kernel = system.n_points, None
+    else:
+        rank, kernel = left_kernel_vector(system.rows, system.components, stop)
     return SeparationVerdict(
         separated=kernel is None,
         rank=rank,

@@ -6,10 +6,12 @@ exact, so rank decisions and kernel vectors are certificates, not estimates.
 
 Rows linked through shared columns form connected components.  Components
 touch disjoint columns, so no linear dependency spans two of them and every
-question is answered per component.  The incidence systems of a fit are
-almost all singletons: only truncation makes a few points share knots.  A
-lone row has rank 1 and needs no elimination; the reduced-pivot elimination,
-quadratic in its rows, runs only on the components with more than one row.
+question is answered per component.  Only truncation makes points share
+knots, so a fit's incidence system is usually all singletons; such a system
+is certified by a count (hashmaps.separation_check) and never comes here.
+In the others a lone row has rank 1 and needs no elimination; the
+reduced-pivot elimination, quadratic in its rows, runs only on the
+components with more than one row.
 """
 
 from __future__ import annotations

@@ -11,10 +11,10 @@ per model and cached on it) holds all knot positions as integers in one
 sorted array, and all knot values as integer numerators over one value
 denominator G, the lcm of their denominators (G = 1, with per-knot
 denominators, when G would pass the plan's bit limit).  Each branch costs
-one knot search.  When its error window lies strictly between two knots,
-the error term is the closed form |g1 - g0| * window / dy, over the same
-denominator as the interpolated value; any other window is scanned knot by
-knot.  w and the error bound accumulate on one running denominator, and
+one knot search.  When its error window starts on or after a knot and ends
+before the next knot of its branch, the error term is the closed form
+|g1 - g0| * window / dy, over the same denominator as the interpolated
+value; any other window is scanned knot by knot.  w and the error bound accumulate on one running denominator, and
 only the final w and error bound become Fractions, where G is applied.  The
 float path is the exact result rounded to the nearest double, with a bound
 that also covers that rounding.
@@ -211,6 +211,8 @@ def save(model: KNetModel, sink=None) -> bytes:
     """Serialize to canonical JSON bytes; optionally also write them to a path or file.
 
     The bytes are json.dumps(document, indent=2) + newline, with the knots written by hand.
+    A fit repeats each value in every branch, so one literal is written per
+    distinct (numerator, denominator) pair; positions are all distinct.
     """
     params, outer, unit = model.params, model.outer, model.outer.unit
     doc = {
@@ -227,12 +229,14 @@ def save(model: KNetModel, sink=None) -> bytes:
     head, _, tail = json.dumps(doc, indent=2).partition('"branches": []')
     out = io.BytesIO()
     out.write(f'{head}"branches": ['.encode())
+    values: dict[tuple[int, int], str] = {}  # value literals by (numerator, denominator)
     for q, (ys, gn, gd) in enumerate(zip(outer.ys, outer.gn, outer.gd)):
         out.write(f'{"," if q else ""}\n    {{\n      "q": {q},\n      "knots": ['.encode())
         if ys:
             out.write(",".join(
-                f'\n        {{\n          "y": "{_literal(y, unit)}",\n          "g": "{_literal(n, m)}"\n        }}'
-                for y, n, m in zip(ys, gn, gd)
+                f'\n        {{\n          "y": "{_literal(y, unit)}",\n'
+                f'          "g": "{values.get(g) or values.setdefault(g, _literal(*g))}"\n        }}'
+                for y, g in zip(ys, zip(gn, gd))
             ).encode())
             out.write(b"\n      ")
         out.write(b"]\n    }")

@@ -13,8 +13,11 @@ deterministic.  fit_iterative walks the classic damped residual iteration
 on the same samples and then (by default) hands the knots to the exact
 solver, so the constructive route ends at the same zero-residual guarantee.
 Both take a checked SampleSet (grid_samples builds one from a target on a
-uniform grid) and run per connected component of the incidence matrix, with
-a closed form for every point that shares no knot.
+uniform grid).  When no two points share a knot, both scatter each point's
+closed-form value over the incidence build's branch columns; otherwise they
+run per connected component of the incidence matrix, with the same closed
+form for every point that shares no knot.  The filled tables are re-checked
+against every target.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ import sys
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import mul
+from operator import lt, mul
 
 from .errors import (
     DomainError,
@@ -105,7 +108,7 @@ class OuterFunction:
         for q, (b, ys, gn, gd) in enumerate(zip(self.b, self.ys, self.gn, self.gd)):
             if not len(ys) == len(gn) == len(gd):
                 raise ParameterError(f"branch {q}: {len(ys)} knots but {len(gn)} values")
-            if any(a >= c for a, c in zip(ys, ys[1:])):
+            if not all(map(lt, ys, ys[1:])):
                 raise ParameterError(f"branch {q}: knots must be strictly increasing")
             if ys and (ys[0] < b * self.unit or ys[-1] > (b + width) * self.unit):
                 raise ParameterError(f"branch {q} knots must lie in [{b}, {b + width}]")
@@ -159,11 +162,11 @@ class KnotLookup:
     def _find(self, y: int) -> tuple[int, bool]:
         """(i, between) for y / scale, from one search.
 
-        between means ys[i - 1] < y < ys[i] are knots of the branch interval
-        that holds y.  Otherwise the outer function at y is knot i's value: an
-        exact knot, a clamp to the branch's end knot, or, outside every branch
-        interval and in a branch with no knots, the globally nearest knot,
-        ties toward the smaller one.
+        between means ys[i - 1] <= y < ys[i] are knots of the branch interval
+        that holds y.  Otherwise the outer function at y is knot i's value: the
+        last knot of its branch, a clamp to the branch's end knot, or, outside
+        every branch interval and in a branch with no knots, the globally
+        nearest knot, ties toward the smaller one.
         """
         ys = self.ys
         q = y // self.step if y >= 0 else -1
@@ -173,7 +176,9 @@ class KnotLookup:
                 i = bisect_left(ys, y, lo, hi)
                 if i == hi:
                     return hi - 1, False
-                return i, lo < i and y < ys[i]
+                if y == ys[i]:
+                    return (i + 1, True) if i + 1 < hi else (i, False)
+                return i, lo < i
         i = bisect_left(ys, y)
         return min((j for j in (i - 1, i) if 0 <= j < len(ys)), key=lambda j: (abs(ys[j] - y), ys[j])), False
 
@@ -207,11 +212,12 @@ class KnotLookup:
         """g(y) and deviation(y, y + width), as numerators over one denominator m
         (values n / (m * value_den)).
 
-        When the window [y, y + width] lies strictly between two knots of one
-        branch, the outer function is linear on it, and the deviation is the
-        closed form |g1 - g0| * width / dy over the denominator of g(y).  A
-        window that reaches or crosses a knot, starts on one, or lies past the
-        knots of its branch is scanned by deviation.
+        When the window [y, y + width] starts on or after a knot and ends
+        before the next knot of its branch, the outer function is linear on
+        it, and the deviation is the closed form |g1 - g0| * width / dy over
+        the denominator of g(y).  A window that reaches or crosses a knot,
+        starts on a branch's last knot, or lies past the knots of its branch
+        is scanned by deviation.
         """
         ys, gn, gd = self.ys, self.gn, self.gd
         i, between = self._find(y)
@@ -331,6 +337,14 @@ def _reduced(num: int, den: int) -> tuple[int, int]:
     return num // c, den // c
 
 
+def _share(t: Fraction, share_n: int, share_d: int) -> tuple[int, int]:
+    """t * share_n / share_d in lowest terms, for t and share_n / share_d in lowest terms:
+    the value of every knot of a point that shares none."""
+    num, den = t.as_integer_ratio()
+    c, e = math.gcd(num, share_d), math.gcd(share_n, den)
+    return (num // c) * (share_n // e), (den // e) * (share_d // c)
+
+
 def _min_norm_solution(system: IncidenceSystem, targets) -> dict[int, tuple[int, int]]:
     """g = M^T (M M^T)^-1 f, one connected component of M at a time, as reduced
     (numerator, denominator > 0) pairs.
@@ -345,11 +359,7 @@ def _min_norm_solution(system: IncidenceSystem, targets) -> dict[int, tuple[int,
     g: dict[int, tuple[int, int]] = {}
     for comp in system.components:
         if len(comp) == 1:
-            t = targets[comp[0]]
-            c = math.gcd(t.numerator, branch_count)
-            value = t.numerator // c, t.denominator * (branch_count // c)
-            for col in rows[comp[0]]:
-                g[col] = value
+            g.update(dict.fromkeys(rows[comp[0]], _share(targets[comp[0]], 1, branch_count)))
             continue
         local = {j: k for k, j in enumerate(comp)}
         buckets = _column_buckets(rows, comp)
@@ -369,19 +379,25 @@ def _min_norm_solution(system: IncidenceSystem, targets) -> dict[int, tuple[int,
     return g
 
 
-def _outer_from_knots(params: HashParams, system: IncidenceSystem, g: dict[int, tuple[int, int]]) -> OuterFunction:
-    tables = [([], [], []) for _ in range(params.branch_count)]
-    for col, y in enumerate(system.knots):
-        for column, v in zip(tables[system.knot_branch[col]], (y, *g.get(col, (0, 1)))):
-            column.append(v)
-    return OuterFunction(params.d, system.unit, *(tuple(map(tuple, v)) for v in zip(*tables)))
+def _outer_table(params: HashParams, system: IncidenceSystem, values) -> OuterFunction:
+    """The outer function whose knot k is system.knots[k] / unit with value values[k]
+    (values a list or dict by knot id): one slice of each per branch."""
+    if isinstance(values, dict):
+        values = list(map(values.__getitem__, range(system.knot_count)))
+    spans = list(zip(system.starts, system.starts[1:]))
+    gn, gd = zip(*(zip(*values[lo:hi]) for lo, hi in spans))
+    return OuterFunction(params.d, system.unit, tuple(system.knots[lo:hi] for lo, hi in spans), gn, gd)
 
 
-def _verify_zero_residual(system: IncidenceSystem, targets, g: dict[int, tuple[int, int]]) -> None:
-    for j, (row, t) in enumerate(zip(system.rows, targets)):
-        num, den = 0, 1
-        for col in row:
-            num, den = add_ratios(num, den, *g[col])
+def _verify_zero_residual(system: IncidenceSystem, targets, values) -> None:
+    """Each point's knot values (values[k] by knot id, list or dict), summed exactly
+    branch column by branch column, must give its target."""
+    first, *rest = system.columns
+    sums = list(map(values.__getitem__, first))
+    for column in rest:  # add_ratios, inline
+        sums = [(a + c, b) if b == d else (a * d + c * b, b * d)
+                for (a, b), (c, d) in zip(sums, map(values.__getitem__, column))]
+    for j, ((num, den), t) in enumerate(zip(sums, targets)):
         if num * t.denominator != t.numerator * den:
             raise InternalInvariantError(f"exact solve left a nonzero residual at point {j}")
 
@@ -405,10 +421,21 @@ def _certify(
 
 
 def _exact_finish(params: HashParams, system: IncidenceSystem, targets) -> OuterFunction:
-    """The minimum-norm knot values of a separated system, re-checked to reproduce every target."""
-    g = _min_norm_solution(system, targets)
-    _verify_zero_residual(system, targets, g)
-    return _outer_from_knots(params, system, g)
+    """The minimum-norm knot values of a separated system, with the tables they fill
+    read back and re-checked to reproduce every target.  In a system of
+    singletons each point's f / (2d+1) is scattered over its branch columns."""
+    if system.singletons:
+        lone = [_share(t, 1, 2 * system.d + 1) for t in targets]
+        values: list | dict = [None] * system.knot_count
+        for column in system.columns:
+            for k, v in zip(column, lone):
+                values[k] = v
+    else:
+        values = _min_norm_solution(system, targets)
+    outer = _outer_table(params, system, values)
+    filled = list(zip(itertools.chain.from_iterable(outer.gn), itertools.chain.from_iterable(outer.gd)))
+    _verify_zero_residual(system, targets, filled)
+    return outer
 
 
 def fit_exact(
@@ -452,7 +479,8 @@ def run_damped_iteration(
     residual by exactly 1 - damping, and after k rounds its knots hold
     f * (1 - (1 - damping)^k) / (2d+1).  Only points in shared-knot
     components are iterated; singletons enter each round's sup through their
-    largest |f|, and cannot raise the sum of squares.
+    largest |f|, and cannot raise the sum of squares.  In a system of
+    singletons every point is one, and no components are found.
 
     All of it runs on integers over one denominator.  With damping p/s and K
     the lcm of the shared-knot hit counts, a knot hit by h points moves by
@@ -462,22 +490,25 @@ def run_damped_iteration(
     run that would pass ITERATION_WORK_CAP raises ParameterError.
     """
     branch_count = 2 * system.d + 1
-    rows = system.rows
-    alone: list[int] = []
-    shared: list[int] = []
-    for comp in system.components:
-        (alone if len(comp) == 1 else shared).extend(comp)
+    alone, shared = range(system.n_points), []
+    if not system.singletons:
+        alone = []
+        for comp in system.components:
+            (alone if len(comp) == 1 else shared).extend(comp)
+    rows = system.rows if shared else ()  # derived only when points share knots
     buckets = _column_buckets(rows, shared)
     collisions = sum(len(hits) - 1 for hits in buckets.values())
     p, s = damping.numerator, damping.denominator
     hits_lcm = math.lcm(*map(len, buckets.values()))
     step, alone_step = s * hits_lcm * branch_count, (s - p) * hits_lcm * branch_count
     spread = [(col, hits, p * (hits_lcm // len(hits))) for col, hits in buckets.items()]
-    lone = [targets[j] for j in alone]
-    top = max(max(lone, default=ZERO), -min(lone, default=ZERO))  # the singletons' largest |f|
-    den = math.lcm(top.denominator, *(targets[j].denominator for j in shared))
+    top_n, top_d = 0, 1  # the singletons' largest |f|, compared as integer cross-products
+    for t_num, t_den in (targets[j].as_integer_ratio() for j in alone):
+        if abs(t_num) * top_d > top_n * t_den:
+            top_n, top_d = abs(t_num), t_den
+    den = math.lcm(top_d, *(targets[j].denominator for j in shared))
     residual = {j: targets[j].numerator * (den // targets[j].denominator) for j in shared}
-    alone_top = top.numerator * (den // top.denominator)
+    alone_top = top_n * (den // top_d)
     g = dict.fromkeys(buckets, 0)
     sup = max(alone_top, max(map(abs, residual.values()), default=0))
     sumsq = sum(r * r for r in residual.values())
@@ -513,12 +544,9 @@ def run_damped_iteration(
     values = {col: _reduced(v, den) for col, v in g.items()}
     rounds = len(history)
     share_n, share_d = _reduced(s**rounds - (s - p) ** rounds, s**rounds * branch_count)
-    for j in alone:
-        t = targets[j]
-        c, e = math.gcd(t.numerator, share_d), math.gcd(share_n, t.denominator)
-        value = (t.numerator // c) * (share_n // e), (t.denominator // e) * (share_d // c)
-        for col in rows[j]:
-            values[col] = value
+    lone = [_share(targets[j], share_n, share_d) for j in alone]
+    for column in system.columns:
+        values.update(zip(map(column.__getitem__, alone), lone))
     return values, history, collisions, Fraction(sup, den)
 
 
@@ -573,7 +601,7 @@ def fit_iterative(
     if finalize:
         outer, residual_max = _exact_finish(params, system, samples.targets), ZERO
     else:
-        outer, residual_max = _outer_from_knots(params, system, g), sup
+        outer, residual_max = _outer_table(params, system, g), sup
     return outer, FitReport(mode="iterative", residual_max=residual_max, knot_count=system.knot_count,
                             iterations=len(history), convergence_history=tuple(history), separation=verdict,
                             depth=system.depth, collision_count=collisions)

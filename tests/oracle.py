@@ -9,11 +9,15 @@ incidence system as one block, as the library did before it split systems
 into connected components: a global elimination in input order, a global
 gram matrix, and a damped iteration that updates every point every round.
 Tests require identical ranks, witnesses, knot values and histories.
-merge_report, save and load work on Fraction knot tables read off the
-integer outer function (`tables`), as the library did before knots stayed
-integers from the fit to the file; KnotTable and outer_from_tables are that
-hand-built form.  parse_rational is the Fraction parse the library's fast
-path must agree with.  check_ranges and verify_inner are the property checks
+component_solution, outer_from_knots, certify and the two fits are the fit
+as it ran before systems whose points share no knot took a closed form:
+components and a per-component solve on every system, every certificate by
+elimination, and tables filled one knot at a time.  merge_report, save and
+load work on Fraction knot tables read off the integer outer function
+(`tables`), as the library did before knots stayed integers from the fit to
+the file; KnotTable and outer_from_tables are that hand-built form.
+parse_rational is the Fraction parse the library's fast path must agree
+with.  check_ranges and verify_inner are the property checks
 as they were before they read the inner kernel in closed form and in chunks:
 a sweep over every grid point, and a suite that reads phi once per value.
 All of it is deliberately slow and simple.
@@ -43,11 +47,16 @@ from ksnet.errors import (
     IterationDiverged,
     ModelFormatError,
     ParameterError,
+    SeparationFailure,
 )
-from ksnet.hashmaps import BranchRange, BranchValue, HashParams, RangeReport, check_dims
+from ksnet.hashmaps import (
+    DEPTH_CAP, BranchRange, BranchValue, HashParams, RangeReport, SeparationVerdict, check_dims,
+)
+from ksnet.hashmaps import build_incidence as build_incidence_system
+from ksnet.linsolve import solve_square
 from ksnet.inner import InnerSpec, InnerValue, PropertyCheck, PropertyReport
 from ksnet.network import FORMAT_VERSION, assemble
-from ksnet.outer import BranchStats, ClassReport, OuterFunction, common_unit
+from ksnet.outer import BranchStats, ClassReport, FitReport, OuterFunction, common_unit
 from ksnet.rationals import ONE, ZERO, grid_points
 
 
@@ -452,6 +461,86 @@ def run_damped_iteration(system, targets, damping, tolerance, max_iter):
         if sup <= tolerance:
             break
     return g, history, collisions, sup
+
+
+def component_solution(system, targets) -> dict:
+    """The min-norm solve one connected component at a time, on every system, as
+    reduced (numerator, denominator) pairs by knot: a lone point's knots get
+    f / (2d+1), each larger component solves its integer gram matrix."""
+    rows, branch_count = system.rows, 2 * system.d + 1
+    g = {}
+    for comp in system.components:
+        if len(comp) == 1:
+            t = targets[comp[0]]
+            c = math.gcd(t.numerator, branch_count)
+            for col in rows[comp[0]]:
+                g[col] = t.numerator // c, t.denominator * (branch_count // c)
+            continue
+        local = {j: k for k, j in enumerate(comp)}
+        buckets = {}
+        for j in comp:
+            for col in rows[j]:
+                buckets.setdefault(col, []).append(j)
+        gram = [{} for _ in comp]
+        for hits in buckets.values():
+            for j in hits:
+                for k in hits:
+                    gram[local[j]][local[k]] = gram[local[j]].get(local[k], 0) + 1
+        den = math.lcm(*(targets[j].denominator for j in comp))
+        u = solve_square(gram, [targets[j].numerator * (den // targets[j].denominator) for j in comp])
+        for col, hits in buckets.items():
+            value = sum((Fraction(*u[local[j]]) for j in hits), ZERO) / den
+            g[col] = value.numerator, value.denominator
+    return g
+
+
+def outer_from_knots(params, system, g) -> OuterFunction:
+    """The outer function of knot values g (pairs by knot id), filled one knot at a time."""
+    tables = [([], [], []) for _ in range(params.branch_count)]
+    for col, y in enumerate(system.knots):
+        for column, v in zip(tables[system.knot_branch[col]], (y, *g.get(col, (0, 1)))):
+            column.append(v)
+    return OuterFunction(params.d, system.unit, *(tuple(map(tuple, v)) for v in zip(*tables)))
+
+
+def certify(params, inner, points, depth: int, depth_cap: int = DEPTH_CAP):
+    """The system and verdict of certify_separation: fresh builds at doubling depths,
+    each decided by the global elimination."""
+    current, retries = min(depth, depth_cap), 0
+    while True:
+        system = build_incidence_system(params, inner, points, current)
+        rank, witness = left_kernel_vector(system.rows)
+        if witness is None or current >= depth_cap:
+            return system, SeparationVerdict(witness is None, rank, system.n_points, system.knot_count, current,
+                                             retries, witness)
+        current, retries = min(2 * current, depth_cap), retries + 1
+
+
+def fit_exact(samples, params, inner, depth: int = 30):
+    """fit_exact through certify, component_solution and outer_from_knots."""
+    system, verdict = certify(params, inner, samples.points, depth)
+    if not verdict.separated:
+        raise SeparationFailure("unseparated", witness=verdict.witness)
+    outer = outer_from_knots(params, system, component_solution(system, samples.targets))
+    return outer, FitReport(mode="exact", residual_max=ZERO, knot_count=system.knot_count, iterations=0,
+                            convergence_history=(), separation=verdict, depth=system.depth)
+
+
+def fit_iterative(samples, params, inner, depth, max_iter, tolerance, damping, finalize):
+    """fit_iterative through certify, the global damped loop and, with finalize,
+    component_solution; the tables are filled by outer_from_knots."""
+    system, verdict = certify(params, inner, samples.points, depth)
+    if finalize and not verdict.separated:
+        raise SeparationFailure("unseparated", witness=verdict.witness)
+    g, history, collisions, sup = run_damped_iteration(system, samples.targets, damping, tolerance, max_iter)
+    if finalize:
+        g, residual = component_solution(system, samples.targets), ZERO
+    else:
+        g, residual = {k: (v.numerator, v.denominator) for k, v in g.items()}, sup
+    outer = outer_from_knots(params, system, g)
+    return outer, FitReport(mode="iterative", residual_max=residual, knot_count=system.knot_count,
+                            iterations=len(history), convergence_history=tuple(history), separation=verdict,
+                            depth=system.depth, collision_count=collisions)
 
 
 def merge_report(outer: OuterFunction) -> ClassReport:

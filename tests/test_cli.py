@@ -204,6 +204,23 @@ def test_csv_tables_read_as_one_cell_at_a_time(tmp_path, rows, error):
         assert str(exc.value) == error
 
 
+def test_csv_cells_are_read_once_per_distinct_text(tmp_path, capsys):
+    """A repeated cell text becomes one Fraction.  1/2 and 2/4 are two texts of
+    one value: in one column they group as one coordinate, and a row that
+    repeats a point in other spellings is still refused as a duplicate."""
+    _write_csv(tmp_path / "s.csv", ["x1", "x2", "f"], [["1/2", "1/3", "1"], ["2/4", "2/3", "2"], ["1/2", "0", "1"]])
+    table = cli._read_table(str(tmp_path / "s.csv"), 3, "")
+    want = (["1/2", "1/3", "1"], ["1/2", "2/3", "2"], ["1/2", "0", "1"])
+    assert table == [tuple(map(parse_rational, row)) for row in want]
+    assert table[0][0] is table[2][0] and table[0][2] is table[2][2]
+    samples = cli._read_samples(str(tmp_path / "s.csv"), 2)
+    assert samples.groups.values[0] == [(1, 2)] and samples.groups.ids[0] == [0, 0, 0]
+    _write_csv(tmp_path / "dup.csv", ["x1", "x2", "f"], [["1/2", "1/3", "1"], ["0", "1", "2"], ["2/4", "2/6", "3"]])
+    rc = main(["fit", "--in", str(tmp_path / "dup.csv"), "--model", str(tmp_path / "m.json")])
+    assert rc == EXIT_INPUT
+    assert capsys.readouterr().err == "error: duplicate point: rows 1 and 3 coincide\n"
+
+
 def test_iterative_fit_requires_full_grid(tmp_path, capsys):
     axis = [Fraction(j, 6) for j in range(7)]
     rows = [

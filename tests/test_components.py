@@ -21,10 +21,10 @@ from ksnet.errors import InternalInvariantError
 from ksnet.hashmaps import build_incidence, certify_separation, make_params
 from ksnet.inner import default_inner_spec
 from ksnet.linsolve import components, left_kernel_vector
+from ksnet.network import assemble, save
 from ksnet.outer import (
     SampleSet,
     _min_norm_solution,
-    _outer_from_knots,
     fit_exact,
     fit_iterative,
     grid_samples,
@@ -254,7 +254,7 @@ def test_unfinalized_iterative_fit_matches_global_loop(damping):
     )
     assert report.convergence_history == tuple(history)
     assert (report.collision_count, report.residual_max) == (collisions, sup)
-    assert fitted == _outer_from_knots(P26, system, {col: (v.numerator, v.denominator) for col, v in g.items()})
+    assert fitted == oracle.outer_from_knots(P26, system, {k: (v.numerator, v.denominator) for k, v in g.items()})
 
 
 def _counting(monkeypatch, module, name, record):
@@ -271,13 +271,15 @@ def test_all_singleton_fit_eliminates_nothing(monkeypatch):
     rng = random.Random(7)
     pts = sorted({tuple(Fraction(rng.getrandbits(50), 2**50) for _ in range(2)) for _ in range(200)})
     samples = SampleSet(points=tuple(pts), targets=tuple(x * y for x, y in pts))
-    eliminated, solves = [], []
+    eliminated, solves, found, certified = [], [], [], []
     _counting(monkeypatch, linsolve, "_eliminate", eliminated)
     _counting(monkeypatch, outer, "solve_square", solves)
+    _counting(monkeypatch, hashmaps, "components", found)
+    _counting(monkeypatch, hashmaps, "left_kernel_vector", certified)
     _, report = fit_exact(samples, P26, SPEC6)
     assert report.knot_count == 5 * len(pts)
     assert report.separation.rank == len(pts)
-    assert eliminated == [] and solves == []
+    assert eliminated == [] and solves == [] and found == [] and certified == []
 
 
 def test_near_twin_pairs_eliminate_only_their_components(monkeypatch):
@@ -293,3 +295,47 @@ def test_near_twin_pairs_eliminate_only_their_components(monkeypatch):
     assert [len(rows) for rows, *_ in eliminated] == [2] * len(twins)
     assert rank == len(pts) - len(twins)
     assert (rank, witness) == oracle.left_kernel_vector(system.rows)
+
+
+@st.composite
+def fit_samples(draw):
+    """Sample sets and fit depths: random dyadics at depth 30, which share no knot,
+    or at depth 1-3 boundary straddlers (separated, sharing knots), near-twins
+    and coarse grid points, which share knots until a retry separates them."""
+    targets = st.builds(Fraction, st.integers(-50, 50), st.integers(1, 7))
+    if draw(st.booleans()):
+        points = {(_coord(draw), _coord(draw)) for _ in range(draw(st.integers(1, 10)))}
+        depth = 30
+    else:
+        depth = draw(st.integers(1, 3))
+        step = Fraction(1, 6 ** (depth + 3))
+        points = set()
+        for _ in range(draw(st.integers(0, 3))):
+            edge = Fraction(draw(st.integers(1, 6**depth - 1)), 6**depth)
+            other = Fraction(draw(st.integers(0, 36)), 36)
+            points.update({(edge - step, other), (edge + step, other)})
+        coarse = st.builds(Fraction, st.integers(0, 6**2), st.just(6**2))
+        points.update(draw(st.sets(st.tuples(coarse, coarse), min_size=0 if points else 1, max_size=6)))
+        if draw(st.booleans()):
+            x = min(points)
+            points.add((x[0] + Fraction(1, 6**12) if x[0] < 1 else x[0] - Fraction(1, 6**12), x[1]))
+    order = draw(st.permutations(sorted(points)))
+    return SampleSet(points=tuple(order), targets=tuple(draw(targets) for _ in order)), depth
+
+
+@settings(max_examples=45, deadline=None)
+@given(fit_samples(), st.sampled_from(["exact", "iterative", "unfinalized"]),
+       st.sampled_from([Fraction(1), Fraction(1, 2), Fraction(1, 3)]), st.integers(1, 12))
+def test_fits_match_the_component_pipeline(case, mode, damping, max_iter):
+    """Model bytes and reports of both fits equal those of the pipeline that finds
+    components, eliminates and fills tables knot by knot on every system."""
+    samples, depth = case
+    if mode == "exact":
+        got, want = fit_exact(samples, P26, SPEC6, depth), oracle.fit_exact(samples, P26, SPEC6, depth)
+    else:
+        args = depth, max_iter, Fraction(1, 10**6), damping, mode == "iterative"
+        got = fit_iterative(samples, P26, SPEC6, *args)
+        want = oracle.fit_iterative(samples, P26, SPEC6, *args)
+    assert got[1].to_jsonable() == want[1].to_jsonable()
+    meta = {"depth": got[1].depth}
+    assert save(assemble(SPEC6, P26, got[0], meta)) == oracle.save(assemble(SPEC6, P26, want[0], meta))

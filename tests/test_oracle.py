@@ -3,6 +3,7 @@
 import math
 import random
 import re
+from bisect import bisect_left
 from contextlib import nullcontext
 from fractions import Fraction
 from unittest import mock
@@ -234,7 +235,9 @@ def test_evaluate_matches_oracle_on_every_window_case(network, data, depth, resp
     knot, past a branch's knots, and empty branches that fall back to the
     nearest knot.  Values have unrelated denominators; with `respell` the model
     is loaded with values like "2/4", and with `fallback` PLAN_BITS_LIMIT leaves
-    room for the positions but not for one value denominator."""
+    room for the positions but not for one value denominator.  A window that
+    starts on a knot and ends before the next knot of its branch takes the
+    closed form: deviation, the knot scan, never sees it."""
     params, inner = network
     point = tuple(data.draw(unit_coords(params.gamma)) for _ in range(params.d))
     unit = params.unit(inner, depth)
@@ -265,13 +268,26 @@ def test_evaluate_matches_oracle_on_every_window_case(network, data, depth, resp
     scale_bits = math.lcm(unit, model.outer.unit).bit_length()
     assert not fallback or value_den.bit_length() > scale_bits
     limit = model.outer.knot_count * scale_bits
+    scans = []
+    deviation = KnotLookup.deviation
+
+    def spy(plan, lo, hi, g):
+        scans.append((plan, lo, hi))
+        return deviation(plan, lo, hi, g)
+
     with mock.patch("ksnet.outer.PLAN_BITS_LIMIT", limit) if fallback else nullcontext():
-        got = evaluate(model, point, depth=depth, with_branches=True)
-        wf, errf = FastEvaluator(model).evaluate(point, depth)
+        with mock.patch.object(KnotLookup, "deviation", spy):
+            got = evaluate(model, point, depth=depth, with_branches=True)
+            wf, errf = FastEvaluator(model).evaluate(point, depth)
         assert _plan(model, depth).value_den == (1 if fallback else value_den)
     assert got == oracle.evaluate(model, point, depth)
     w, err = got[:2]
     assert wf == float(w) and Fraction(errf) >= err + abs(Fraction(wf) - w)
+    for plan, lo, hi in scans:  # a window from a knot to before the next knot of its branch is closed form
+        i = bisect_left(plan.ys, lo)
+        if i < len(plan.ys) and plan.ys[i] == lo:
+            end = next(e for s, e in plan.spans if s <= i < e)
+            assert i + 1 == end or hi >= plan.ys[i + 1], "a window between two knots was scanned"
 
 
 def test_no_knots_is_a_domain_error():

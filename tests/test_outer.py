@@ -1,5 +1,6 @@
 """Outer function: interpolation, exact fitting, damped iteration."""
 
+import dataclasses
 import os
 import random
 import subprocess
@@ -21,6 +22,7 @@ from ksnet.errors import (
 )
 from ksnet.hashmaps import build_incidence, make_params, separation_check
 from ksnet.inner import default_inner_spec
+from ksnet import outer as outer_module
 from ksnet.network import assemble, evaluate, save
 from ksnet.outer import (
     KnotLookup,
@@ -155,6 +157,35 @@ def test_residual_recheck_sums_knot_values_exactly():
         targets[j] += Fraction(1, targets[j].denominator * 10**40)
         with pytest.raises(InternalInvariantError, match=f"point {j}"):
             _verify_zero_residual(system, targets, g)
+
+
+@pytest.mark.parametrize("shared", [False, True], ids=["singletons", "shared"])
+def test_residual_recheck_reads_the_filled_tables(monkeypatch, shared):
+    """One knot value changed in the tables a fit fills, after the solve, fails the
+    re-check, on a system of singletons and on one whose points share knots."""
+    if shared:
+        step = Fraction(1, 6**5)
+        points = tuple((Fraction(7, 36) + i * step, Fraction(13, 36) + k * step) for i in (-1, 1) for k in (-1, 1))
+        samples, depth = SampleSet(points=points, targets=(1, 2, 3, 5)), 2
+    else:
+        samples, depth = _random_samples(4, 30, lambda p: p[0] - p[1]), 30
+    assert build_incidence(P26, SPEC6, samples.points, depth).singletons is not shared
+    fill = outer_module._outer_table
+
+    def corrupt(*args):
+        table = fill(*args)
+        gn = [list(values) for values in table.gn]
+        gn[2][0] += 1
+        return dataclasses.replace(table, gn=tuple(map(tuple, gn)))
+
+    monkeypatch.setattr(outer_module, "_outer_table", corrupt)
+    with pytest.raises(InternalInvariantError, match="nonzero residual"):
+        fit_exact(samples, P26, SPEC6, depth)
+    with pytest.raises(InternalInvariantError, match="nonzero residual"):
+        fit_iterative(samples, P26, SPEC6, depth, max_iter=3)
+    monkeypatch.undo()
+    _, report = fit_exact(samples, P26, SPEC6, depth)
+    assert (report.residual_max, report.depth) == (0, depth)
 
 
 def test_fit_exact_is_minimum_norm():
