@@ -440,9 +440,9 @@ class IncidenceSystem:
     starts[q] .. starts[q + 1] - 1, and columns[q][j] is the knot id point j
     hits in branch q.  The branch ranges are disjoint and increasing, so
     every entry of the matrix is 0 or 1 and every row sums to 2d+1; the fits
-    and linsolve rely on this.  rows[j], the increasing tuple of point j's
-    knot ids, and the components are derived on first use, so a system of
-    singletons never builds them.
+    and linsolve rely on this.  row(j), the increasing tuple of point j's
+    knot ids, is built on demand, and the components of points that share
+    knots are found from the columns on first use.
     """
 
     points: tuple[tuple[Fraction, ...], ...]
@@ -461,24 +461,36 @@ class IncidenceSystem:
     def knot_count(self) -> int:
         return len(self.knots)
 
-    @property
-    def singletons(self) -> bool:
-        """Whether no two points share a knot.  A branch holds at most n_points distinct
-        values, so that is knot_count == n_points * (2d+1): every row owns its columns."""
-        return self.knot_count == self.n_points * len(self.columns)
-
-    @cached_property
-    def knot_branch(self) -> tuple[int, ...]:
-        return tuple(q for q, (lo, hi) in enumerate(zip(self.starts, self.starts[1:])) for _ in range(lo, hi))
+    def row(self, j: int) -> tuple[int, ...]:
+        return tuple(column[j] for column in self.columns)
 
     @cached_property
     def rows(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(zip(*self.columns))
+        return tuple(map(self.row, range(self.n_points)))
 
     @cached_property
-    def components(self) -> list[list[int]]:
-        """linsolve.components of the rows, computed once for the certificate and the solves."""
-        return components(self.rows)
+    def components(self) -> list[dict[int, tuple[int, ...]]]:
+        """The connected components of more than one point, each as {point: row} in input order.
+
+        A point is linked when it hits a knot id that another point hits in
+        the same column, and only the rows of linked points go to
+        linsolve.components.  A branch holds at most n_points knots, and one
+        with exactly n_points repeats no id, so its column is not read: a
+        system whose points share no knot costs one comparison per branch
+        and builds no row.
+        """
+        linked: set[int] = set()
+        for column, lo, hi in zip(self.columns, self.starts, self.starts[1:]):
+            if hi - lo < self.n_points:
+                first: dict[int, int] = {}
+                for j, k in enumerate(column):
+                    i = first.setdefault(k, j)
+                    if i != j:
+                        linked.update((i, j))
+        if not linked:
+            return []
+        points = sorted(linked)
+        return [{points[i]: row for i, row in comp.items()} for comp in components(list(map(self.row, points)))]
 
 
 def build_incidence(
@@ -541,8 +553,8 @@ class SeparationVerdict:
     """Exact rank certificate for an incidence system.
 
     Not separated comes with a witness: point weights, first nonzero scaled
-    to +1, that cancel every branch equation (two coincident generating
-    points yield (1, -1)).
+    to +1, that cancel every branch equation (two points whose rows coincide
+    at this depth yield (1, -1)).
     """
 
     separated: bool
@@ -568,16 +580,13 @@ class SeparationVerdict:
 def separation_check(system: IncidenceSystem, stop: bool = False) -> SeparationVerdict:
     """Decide full row rank of the incidence matrix by exact elimination.
 
-    With `stop`, a system that is not separated gets the partial rank and
-    witness of an elimination that ended at its first dependency
-    (left_kernel_vector); a separated one gets the full answer.  A system of
-    singletons has rank n_points and no witness at once: rows with disjoint
-    supports are independent.
+    The rank is the points that share no knot plus the ranks of the
+    components, each eliminated on its own (left_kernel_vector).  With
+    `stop`, a system that is not separated gets the partial rank and witness
+    of an elimination that ended at its first dependency: the lone points
+    and the pivots found until then.  A separated one gets the full answer.
     """
-    if system.singletons:
-        rank, kernel = system.n_points, None
-    else:
-        rank, kernel = left_kernel_vector(system.rows, system.components, stop)
+    rank, kernel = left_kernel_vector(system.n_points, system.components, stop)
     return SeparationVerdict(
         separated=kernel is None,
         rank=rank,

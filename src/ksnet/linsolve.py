@@ -6,12 +6,9 @@ exact, so rank decisions and kernel vectors are certificates, not estimates.
 
 Rows linked through shared columns form connected components.  Components
 touch disjoint columns, so no linear dependency spans two of them and every
-question is answered per component.  Only truncation makes points share
-knots, so a fit's incidence system is usually all singletons; such a system
-is certified by a count (hashmaps.separation_check) and never comes here.
-In the others a lone row has rank 1 and needs no elimination; the
-reduced-pivot elimination, quadratic in its rows, runs only on the
-components with more than one row.
+question is answered per component.  A row alone in its columns has rank 1
+and is counted, not eliminated; the reduced-pivot elimination, quadratic in
+its rows, runs only on the components of more than one row.
 """
 
 from __future__ import annotations
@@ -23,11 +20,11 @@ from .errors import InternalInvariantError
 from .rationals import ZERO
 
 
-def components(rows) -> list[list[int]]:
-    """Row indices grouped into connected components, each in input order.
+def components(rows) -> list[dict[int, tuple[int, ...]]]:
+    """The connected components of more than one row, each as {row index: row} in input order.
 
     Two rows are connected when they hit a common column; components are
-    listed by their first row.
+    listed by their first row, and rows that share no column are left out.
     """
     parent = list(range(len(rows)))
 
@@ -45,10 +42,10 @@ def components(rows) -> list[list[int]]:
                 a, b = find(first), find(idx)
                 if a != b:
                     parent[max(a, b)] = min(a, b)  # roots stay the smallest row index
-    groups: dict[int, list[int]] = {}
-    for idx in range(len(rows)):
-        groups.setdefault(find(idx), []).append(idx)
-    return list(groups.values())
+    groups: dict[int, dict[int, tuple[int, ...]]] = {}
+    for idx, row in enumerate(rows):
+        groups.setdefault(find(idx), {})[idx] = row
+    return [comp for comp in groups.values() if len(comp) > 1]
 
 
 def _cancel(row: dict, trans: dict, pivot: dict, ptrans: dict, col: int) -> None:
@@ -107,36 +104,35 @@ def _eliminate(rows, stop: bool = False) -> tuple[dict[int, tuple[dict, dict]], 
     return pivots, first, kernel
 
 
-def left_kernel_vector(rows, comps=None, stop: bool = False) -> tuple[int, tuple[Fraction, ...] | None]:
-    """Rank of the stacked incidence rows, plus a left-kernel witness if they are dependent.
+def left_kernel_vector(n: int, comps, stop: bool = False) -> tuple[int, tuple[Fraction, ...] | None]:
+    """Rank of n stacked incidence rows, plus a left-kernel witness if they are dependent.
 
-    The rank is summed over connected components (`comps`, if the caller
-    already has components(rows)).  The witness is the one
-    elimination in input order would find first: the dependency of the
-    lowest-indexed row that is a combination of earlier rows, scaled so its
-    first nonzero entry is +1.  Rows before that one are independent, so the
-    combination is unique, and it lives inside that row's component.
+    `comps` are the components of more than one row, as components(rows)
+    gives them.  Every other row is alone in its columns: it adds 1 to the
+    rank and is never read.  The witness is the one elimination in input
+    order would find first: the dependency of the lowest-indexed row that is
+    a combination of earlier rows, scaled so its first nonzero entry is +1.
+    Rows before that one are independent, so the combination is unique, and
+    it lives inside that row's component.
 
     With `stop`, the elimination ends at the first dependency it meets.  An
     independent stack gets the same answer; a dependent one gets a witness
-    of it and the rank of the rows eliminated until then, which only tell
-    that it is dependent.
+    of it and a partial rank, the lone rows plus the pivots found until
+    then, which only tells that it is dependent.
     """
-    rank, first, kernel = 0, len(rows), None
-    for comp in components(rows) if comps is None else comps:
-        if len(comp) == 1:
-            rank += 1
-            continue
-        pivots, sub_first, sub_kernel = _eliminate([dict.fromkeys(rows[j], 1) for j in comp], stop)
+    rank, first, kernel = n - sum(map(len, comps)), n, None
+    for comp in comps:
+        index = list(comp)
+        pivots, sub_first, sub_kernel = _eliminate([dict.fromkeys(row, 1) for row in comp.values()], stop)
         rank += len(pivots)
-        if sub_kernel is not None and comp[sub_first] < first:
-            first, kernel = comp[sub_first], {comp[k]: t for k, t in sub_kernel.items()}
+        if sub_kernel is not None and index[sub_first] < first:
+            first, kernel = index[sub_first], {index[k]: t for k, t in sub_kernel.items()}
             if stop:
                 break
     if kernel is None:
         return rank, None
     lead = kernel[min(kernel)]
-    return rank, tuple(Fraction(kernel[j], lead) if j in kernel else ZERO for j in range(len(rows)))
+    return rank, tuple(Fraction(kernel[j], lead) if j in kernel else ZERO for j in range(n))
 
 
 def solve_square(rows, rhs) -> list[tuple[int, int]]:

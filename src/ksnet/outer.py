@@ -13,11 +13,10 @@ deterministic.  fit_iterative walks the classic damped residual iteration
 on the same samples and then (by default) hands the knots to the exact
 solver, so the constructive route ends at the same zero-residual guarantee.
 Both take a checked SampleSet (grid_samples builds one from a target on a
-uniform grid).  When no two points share a knot, both scatter each point's
-closed-form value over the incidence build's branch columns; otherwise they
-run per connected component of the incidence matrix, with the same closed
-form for every point that shares no knot.  The filled tables are re-checked
-against every target.
+uniform grid).  Both scatter each point's closed-form value over the
+incidence build's branch columns, then write over it the knots of the
+connected components of points that share knots, each solved or iterated
+on its own.  The filled tables are re-checked against every target.
 """
 
 from __future__ import annotations
@@ -52,8 +51,8 @@ CLASS_TAGS = ("continuous", "bounded-discontinuous", "unbounded")
 # denominator that grows with every knot; those are refused, not stored.
 PLAN_BITS_LIMIT = 1 << 27
 # Work the damped iteration may do, in bit operations: each round multiplies
-# the numerator of every iterated row (each shared-knot point, and the
-# singletons' largest |f|) by the round's factor, which costs the bits of the
+# the numerator of every iterated row (each shared-knot point, and the lone
+# points' largest |f|) by the round's factor, which costs the bits of the
 # denominator times those of the factor, plus 2**15 for handling the row.
 # Runs that reach the cap take 0.1-0.6 s on a 2-vCPU VM.
 ITERATION_WORK_CAP = 4 * 10**9
@@ -323,11 +322,11 @@ class FitReport:
         }
 
 
-def _column_buckets(rows, indices) -> dict[int, list[int]]:
-    """knot -> the points among `indices` that hit it."""
+def _column_buckets(rows) -> dict[int, list[int]]:
+    """knot -> the points that hit it, for rows given as {point: row}."""
     buckets: dict[int, list[int]] = {}
-    for j in indices:
-        for col in rows[j]:
+    for j, row in rows.items():
+        for col in row:
             buckets.setdefault(col, []).append(j)
     return buckets
 
@@ -345,24 +344,34 @@ def _share(t: Fraction, share_n: int, share_d: int) -> tuple[int, int]:
     return (num // c) * (share_n // e), (den // e) * (share_d // c)
 
 
-def _min_norm_solution(system: IncidenceSystem, targets) -> dict[int, tuple[int, int]]:
+def _fill(system: IncidenceSystem, targets, share: tuple[int, int], shared: dict) -> list[tuple[int, int]]:
+    """Knot values by knot id: each point's target times `share` (a reduced pair) on
+    every knot it hits, read from the branch columns, then `shared`, the values
+    of the knots of points in components ({knot: value}), written over them."""
+    lone = [_share(t, *share) for t in targets]
+    values = [None] * system.knot_count
+    for column in system.columns:
+        for k, v in zip(column, lone):
+            values[k] = v
+    for k, v in shared.items():
+        values[k] = v
+    return values
+
+
+def _min_norm_solution(system: IncidenceSystem, targets) -> list[tuple[int, int]]:
     """g = M^T (M M^T)^-1 f, one connected component of M at a time, as reduced
-    (numerator, denominator > 0) pairs.
+    (numerator, denominator > 0) pairs by knot id.
 
     M M^T is block diagonal over the components, and its entry (j, k) is the
     number of knots points j and k share.  A point that shares no knot has
     the 1x1 block 2d+1, so its knots get g = f / (2d+1) with no solve.  Each
-    component of several points solves its own integer gram matrix exactly,
-    for its targets over one denominator; each knot's value is reduced once.
+    component solves its own integer gram matrix exactly, for its targets
+    over one denominator; each knot's value is reduced once.
     """
-    rows, branch_count = system.rows, 2 * system.d + 1
     g: dict[int, tuple[int, int]] = {}
     for comp in system.components:
-        if len(comp) == 1:
-            g.update(dict.fromkeys(rows[comp[0]], _share(targets[comp[0]], 1, branch_count)))
-            continue
         local = {j: k for k, j in enumerate(comp)}
-        buckets = _column_buckets(rows, comp)
+        buckets = _column_buckets(comp)
         gram: list[dict[int, int]] = [{} for _ in comp]
         for hits in buckets.values():
             for j in hits:
@@ -376,22 +385,20 @@ def _min_norm_solution(system: IncidenceSystem, targets) -> dict[int, tuple[int,
             for j in hits:
                 num, c = add_ratios(num, c, *u[local[j]])
             g[col] = _reduced(num, c * den)
-    return g
+    return _fill(system, targets, (1, 2 * system.d + 1), g)
 
 
-def _outer_table(params: HashParams, system: IncidenceSystem, values) -> OuterFunction:
-    """The outer function whose knot k is system.knots[k] / unit with value values[k]
-    (values a list or dict by knot id): one slice of each per branch."""
-    if isinstance(values, dict):
-        values = list(map(values.__getitem__, range(system.knot_count)))
+def _outer_table(params: HashParams, system: IncidenceSystem, values: list) -> OuterFunction:
+    """The outer function whose knot k is system.knots[k] / unit with value values[k]:
+    one slice of each per branch."""
     spans = list(zip(system.starts, system.starts[1:]))
     gn, gd = zip(*(zip(*values[lo:hi]) for lo, hi in spans))
     return OuterFunction(params.d, system.unit, tuple(system.knots[lo:hi] for lo, hi in spans), gn, gd)
 
 
-def _verify_zero_residual(system: IncidenceSystem, targets, values) -> None:
-    """Each point's knot values (values[k] by knot id, list or dict), summed exactly
-    branch column by branch column, must give its target."""
+def _verify_zero_residual(system: IncidenceSystem, targets, values: list) -> None:
+    """Each point's knot values (values[k] by knot id), summed exactly branch column
+    by branch column, must give its target."""
     first, *rest = system.columns
     sums = list(map(values.__getitem__, first))
     for column in rest:  # add_ratios, inline
@@ -422,17 +429,8 @@ def _certify(
 
 def _exact_finish(params: HashParams, system: IncidenceSystem, targets) -> OuterFunction:
     """The minimum-norm knot values of a separated system, with the tables they fill
-    read back and re-checked to reproduce every target.  In a system of
-    singletons each point's f / (2d+1) is scattered over its branch columns."""
-    if system.singletons:
-        lone = [_share(t, 1, 2 * system.d + 1) for t in targets]
-        values: list | dict = [None] * system.knot_count
-        for column in system.columns:
-            for k, v in zip(column, lone):
-                values[k] = v
-    else:
-        values = _min_norm_solution(system, targets)
-    outer = _outer_table(params, system, values)
+    read back and re-checked to reproduce every target."""
+    outer = _outer_table(params, system, _min_norm_solution(system, targets))
     filled = list(zip(itertools.chain.from_iterable(outer.gn), itertools.chain.from_iterable(outer.gd)))
     _verify_zero_residual(system, targets, filled)
     return outer
@@ -470,51 +468,45 @@ def run_damped_iteration(
     residual.  The sup residual may wiggle when points share knots, but the
     sum of squared residuals never grows for damping in (0, 1] (the update
     matrix has spectrum in [0, 1]); arithmetic is exact, so a rising sum of
-    squares indicates a modeling bug and aborts.  Returns (knot values as
-    reduced (numerator, denominator > 0) pairs, sup-residual history,
-    collision count, final sup).
+    squares indicates a modeling bug and aborts.  Returns (the values of the
+    knots of points in components, as reduced (numerator, denominator > 0)
+    pairs by knot, sup-residual history, collision count, final sup).
 
-    A point that shares no knot (a singleton component of the incidence
-    matrix) has a closed form: its row sums to 2d+1, so each round scales its
+    Only the points of the components are iterated.  A point that shares no
+    knot has a closed form: its row sums to 2d+1, so each round scales its
     residual by exactly 1 - damping, and after k rounds its knots hold
-    f * (1 - (1 - damping)^k) / (2d+1).  Only points in shared-knot
-    components are iterated; singletons enter each round's sup through their
-    largest |f|, and cannot raise the sum of squares.  In a system of
-    singletons every point is one, and no components are found.
+    f * (1 - (1 - damping)^k) / (2d+1), which the caller fills in.  Such
+    points enter each round's sup through their largest |f|, and cannot
+    raise the sum of squares.
 
     All of it runs on integers over one denominator.  With damping p/s and K
     the lcm of the shared-knot hit counts, a knot hit by h points moves by
     p (K/h) times their residual sum, so each round multiplies the
-    denominator by s K (2d+1) and the singletons' largest |f| by
+    denominator by s K (2d+1) and the lone points' largest |f| by
     (s - p) K (2d+1).  Each round's work is added up before it runs, and a
     run that would pass ITERATION_WORK_CAP raises ParameterError.
     """
     branch_count = 2 * system.d + 1
-    alone, shared = range(system.n_points), []
-    if not system.singletons:
-        alone = []
-        for comp in system.components:
-            (alone if len(comp) == 1 else shared).extend(comp)
-    rows = system.rows if shared else ()  # derived only when points share knots
-    buckets = _column_buckets(rows, shared)
+    rows = {j: row for comp in system.components for j, row in comp.items()}
+    buckets = _column_buckets(rows)
     collisions = sum(len(hits) - 1 for hits in buckets.values())
     p, s = damping.numerator, damping.denominator
     hits_lcm = math.lcm(*map(len, buckets.values()))
     step, alone_step = s * hits_lcm * branch_count, (s - p) * hits_lcm * branch_count
     spread = [(col, hits, p * (hits_lcm // len(hits))) for col, hits in buckets.items()]
-    top_n, top_d = 0, 1  # the singletons' largest |f|, compared as integer cross-products
-    for t_num, t_den in (targets[j].as_integer_ratio() for j in alone):
+    top_n, top_d = 0, 1  # the lone points' largest |f|, compared as integer cross-products
+    for t_num, t_den in (t.as_integer_ratio() for j, t in enumerate(targets) if j not in rows):
         if abs(t_num) * top_d > top_n * t_den:
             top_n, top_d = abs(t_num), t_den
-    den = math.lcm(top_d, *(targets[j].denominator for j in shared))
-    residual = {j: targets[j].numerator * (den // targets[j].denominator) for j in shared}
+    den = math.lcm(top_d, *(targets[j].denominator for j in rows))
+    residual = {j: targets[j].numerator * (den // targets[j].denominator) for j in rows}
     alone_top = top_n * (den // top_d)
     g = dict.fromkeys(buckets, 0)
     sup = max(alone_top, max(map(abs, residual.values()), default=0))
     sumsq = sum(r * r for r in residual.values())
     tol_n, tol_d = tolerance.numerator, tolerance.denominator
     tol_bits = tol_n.bit_length() - tol_d.bit_length() + 2  # a nonzero sup / den > tolerance past this
-    work, iterated, step_bits = 0, len(shared) + 1, step.bit_length()
+    work, iterated, step_bits = 0, len(rows) + 1, step.bit_length()
     history: list[float] = []
     for round_no in range(1, max_iter + 1):
         work += iterated * (den.bit_length() * step_bits + 2**15)
@@ -526,8 +518,8 @@ def run_damped_iteration(
         delta = {col: w * sum(residual[j] for j in hits) for col, hits, w in spread}
         for col, dv in delta.items():
             g[col] = g[col] * step + dv
-        for j in shared:
-            residual[j] = residual[j] * step - sum(delta[col] for col in rows[j])
+        for j, row in rows.items():
+            residual[j] = residual[j] * step - sum(delta[col] for col in row)
         alone_top *= alone_step
         den *= step
         sup = max(alone_top, max(map(abs, residual.values()), default=0))
@@ -541,13 +533,7 @@ def run_damped_iteration(
         history.append(_approx(sup, den))
         if not sup or sup.bit_length() - den.bit_length() < tol_bits and sup * tol_d <= tol_n * den:
             break
-    values = {col: _reduced(v, den) for col, v in g.items()}
-    rounds = len(history)
-    share_n, share_d = _reduced(s**rounds - (s - p) ** rounds, s**rounds * branch_count)
-    lone = [_share(targets[j], share_n, share_d) for j in alone]
-    for column in system.columns:
-        values.update(zip(map(column.__getitem__, alone), lone))
-    return values, history, collisions, Fraction(sup, den)
+    return {col: _reduced(v, den) for col, v in g.items()}, history, collisions, Fraction(sup, den)
 
 
 def grid_samples(f, params: HashParams, grid_level: int) -> SampleSet:
@@ -601,7 +587,9 @@ def fit_iterative(
     if finalize:
         outer, residual_max = _exact_finish(params, system, samples.targets), ZERO
     else:
-        outer, residual_max = _outer_table(params, system, g), sup
+        p, s, k = damping.numerator, damping.denominator, len(history)
+        share = _reduced(s**k - (s - p) ** k, s**k * (2 * system.d + 1))
+        outer, residual_max = _outer_table(params, system, _fill(system, samples.targets, share, g)), sup
     return outer, FitReport(mode="iterative", residual_max=residual_max, knot_count=system.knot_count,
                             iterations=len(history), convergence_history=tuple(history), separation=verdict,
                             depth=system.depth, collision_count=collisions)

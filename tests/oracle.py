@@ -12,7 +12,10 @@ Tests require identical ranks, witnesses, knot values and histories.
 component_solution, outer_from_knots, certify and the two fits are the fit
 as it ran before systems whose points share no knot took a closed form:
 components and a per-component solve on every system, every certificate by
-elimination, and tables filled one knot at a time.  merge_report, save and
+elimination, and tables filled one knot at a time.  They find components
+with their own union-find over the incidence rows and read knot branches
+off `starts` (knot_branches), so a wrong component finder in the library
+shows as a different model.  merge_report, save and
 load work on Fraction knot tables read off the integer outer function
 (`tables`), as the library did before knots stayed integers from the fit to
 the file; KnotTable and outer_from_tables are that hand-built form.
@@ -463,13 +466,38 @@ def run_damped_iteration(system, targets, damping, tolerance, max_iter):
     return g, history, collisions, sup
 
 
+def components(system) -> list[list[int]]:
+    """Every connected component of the incidence rows, one point or more, each in
+    point order and listed by first point: a union-find over _column_buckets."""
+    parent = list(range(system.n_points))
+
+    def root(j):
+        while parent[j] != j:
+            j = parent[j]
+        return j
+
+    for hits in _column_buckets(system).values():
+        for j in hits[1:]:
+            a, b = sorted((root(hits[0]), root(j)))
+            parent[b] = a
+    groups = {}
+    for j in range(system.n_points):
+        groups.setdefault(root(j), []).append(j)
+    return list(groups.values())
+
+
+def knot_branches(starts) -> tuple[int, ...]:
+    """The branch of every knot id, from the branch boundaries `starts`."""
+    return tuple(q for q, (lo, hi) in enumerate(zip(starts, starts[1:])) for _ in range(lo, hi))
+
+
 def component_solution(system, targets) -> dict:
     """The min-norm solve one connected component at a time, on every system, as
     reduced (numerator, denominator) pairs by knot: a lone point's knots get
     f / (2d+1), each larger component solves its integer gram matrix."""
     rows, branch_count = system.rows, 2 * system.d + 1
     g = {}
-    for comp in system.components:
+    for comp in components(system):
         if len(comp) == 1:
             t = targets[comp[0]]
             c = math.gcd(t.numerator, branch_count)
@@ -497,8 +525,8 @@ def component_solution(system, targets) -> dict:
 def outer_from_knots(params, system, g) -> OuterFunction:
     """The outer function of knot values g (pairs by knot id), filled one knot at a time."""
     tables = [([], [], []) for _ in range(params.branch_count)]
-    for col, y in enumerate(system.knots):
-        for column, v in zip(tables[system.knot_branch[col]], (y, *g.get(col, (0, 1)))):
+    for col, (y, q) in enumerate(zip(system.knots, knot_branches(system.starts))):
+        for column, v in zip(tables[q], (y, *g.get(col, (0, 1)))):
             column.append(v)
     return OuterFunction(params.d, system.unit, *(tuple(map(tuple, v)) for v in zip(*tables)))
 

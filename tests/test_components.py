@@ -1,9 +1,10 @@
 """Per-component solves against the global oracles, and where elimination runs.
 
-The library splits every incidence system into connected components and
-solves singletons in closed form; tests/oracle.py keeps the global
-elimination, the global gram solve and the global damped loop.  Ranks,
-witnesses, knot values, histories and collision counts must be identical.
+The library finds the connected components of the points that share knots,
+from the branch columns, and fills every other point in closed form;
+tests/oracle.py keeps the global elimination, the global gram solve and the
+global damped loop.  Ranks, witnesses, knot values, histories and collision
+counts must be identical.
 """
 
 import math
@@ -34,6 +35,11 @@ from ksnet.outer import (
 SPEC6 = default_inner_spec(6)
 P26 = make_params(2, 6)
 BITS = 40
+
+
+def _kernel(rows):
+    """left_kernel_vector of the stacked rows, over their components."""
+    return left_kernel_vector(len(rows), components(rows))
 
 
 def _coord(draw, top=2**BITS):
@@ -86,24 +92,24 @@ def test_incidence_rank_and_witness_match_global_elimination(case, data):
     # copies of rows anywhere: a repeated row depends on its original, before or after it
     for _ in range(data.draw(st.integers(0, 2))):
         rows.insert(data.draw(st.integers(0, len(rows))), data.draw(st.sampled_from(system.rows)))
-    assert left_kernel_vector(rows) == oracle.left_kernel_vector(rows)
+    assert _kernel(rows) == oracle.left_kernel_vector(rows)
 
 
 @settings(max_examples=80, deadline=None)
 @given(sparse_rows)
 def test_sparse_rank_and_witness_match_global_elimination(rows):
-    assert left_kernel_vector(rows) == oracle.left_kernel_vector(rows)
+    assert _kernel(rows) == oracle.left_kernel_vector(rows)
 
 
 def test_first_dependency_in_a_later_component_wins():
     # components {0, 4} and {1, 2, 3, 5}: row 4 repeats row 0, row 5 = row 1 + row 2 - row 3
     rows = [(0,), (1, 2), (3, 4), (1, 3), (0,), (2, 4)]
-    assert components(rows) == [[0, 4], [1, 2, 3, 5]]
-    rank, witness = left_kernel_vector(rows)
+    assert components(rows) == [{0: (0,), 4: (0,)}, {1: (1, 2), 2: (3, 4), 3: (1, 3), 5: (2, 4)}]
+    rank, witness = _kernel(rows)
     assert (rank, witness) == oracle.left_kernel_vector(rows)
     assert witness == (1, 0, 0, 0, -1, 0)
     rows[4], rows[5] = rows[5], rows[4]
-    assert left_kernel_vector(rows) == oracle.left_kernel_vector(rows) == (4, (0, 1, 1, -1, -1, 0))
+    assert _kernel(rows) == oracle.left_kernel_vector(rows) == (4, (0, 1, 1, -1, -1, 0))
 
 
 def _random_points(seed, n, bits):
@@ -120,7 +126,7 @@ def test_large_dependent_component_matches_global_elimination():
     global Fraction elimination's."""
     system = build_incidence(P26, SPEC6, _random_points(1, 160, 6), 1)
     assert [len(comp) for comp in system.components] == [160]
-    rank, witness = left_kernel_vector(system.rows)
+    rank, witness = _kernel(system.rows)
     assert witness is not None
     assert (rank, witness) == oracle.left_kernel_vector(system.rows)
 
@@ -133,7 +139,7 @@ def _certify(points, depth, cap, full):
         build, kernel = hashmaps.build_incidence, hashmaps.left_kernel_vector
         patch.setattr(hashmaps, "build_incidence", lambda *a: depths.append(a[3]) or build(*a))
         if full:
-            patch.setattr(hashmaps, "left_kernel_vector", lambda rows, comps, stop: kernel(rows, comps))
+            patch.setattr(hashmaps, "left_kernel_vector", lambda n, comps, stop: kernel(n, comps))
         system, verdict = certify_separation(P26, SPEC6, points, depth, depth_cap=cap)
     return depths, system, verdict
 
@@ -189,7 +195,9 @@ def test_coupled_gram_solve_matches_sympy():
 
 
 def _reduced_values(pairs):
-    """Knot values as Fractions, after checking each pair is in lowest terms with a positive denominator."""
+    """Knot values ({knot: pair}, or a list by knot id) as Fractions by knot, after checking
+    each pair is in lowest terms with a positive denominator."""
+    pairs = pairs if isinstance(pairs, dict) else dict(enumerate(pairs))
     assert all(den > 0 and math.gcd(num, den) == 1 for num, den in pairs.values())
     return {col: Fraction(*value) for col, value in pairs.items()}
 
@@ -217,10 +225,18 @@ def test_min_norm_matches_global_gram_solve(case):
     st.integers(min_value=1, max_value=25),
 )
 def test_damped_iteration_matches_global_loop(case, damping, tolerance, max_iter):
+    """The iterated knots are those of the points that share one, with the global
+    loop's values; every other knot holds its point's f (1 - (1 - damping)^k) / (2d+1)."""
     system, targets = case
     g, *rest = run_damped_iteration(system, targets, damping, tolerance, max_iter)
-    want = oracle.run_damped_iteration(system, targets, damping, tolerance, max_iter)
-    assert (_reduced_values(g), *rest) == want
+    want, *want_rest = oracle.run_damped_iteration(system, targets, damping, tolerance, max_iter)
+    assert rest == want_rest
+    buckets = oracle._column_buckets(system)
+    lone = [j for j, row in enumerate(system.rows) if all(len(buckets[k]) == 1 for k in row)]
+    assert set(g) == set(want) - {k for j in lone for k in system.rows[j]}
+    assert _reduced_values(g) == {k: want[k] for k in g}
+    share = (1 - (1 - damping) ** len(rest[0])) / (2 * system.d + 1)
+    assert all(want[k] == targets[j] * share for j in lone for k in system.rows[j])
 
 
 def test_tolerance_stops_the_iteration_where_the_global_loop_does():
@@ -267,7 +283,18 @@ def _counting(monkeypatch, module, name, record):
     monkeypatch.setattr(module, name, spy)
 
 
+def _rows_built(monkeypatch):
+    """A list that gets an entry for every incidence row built."""
+    built = []
+    row = hashmaps.IncidenceSystem.row
+    monkeypatch.setattr(hashmaps.IncidenceSystem, "row", lambda self, j: built.append(j) or row(self, j))
+    return built
+
+
 def test_all_singleton_fit_eliminates_nothing(monkeypatch):
+    """A system whose points share no knot is certified by one left_kernel_vector call
+    that gets no component, and fitted in both modes without building a row,
+    finding components, eliminating or solving."""
     rng = random.Random(7)
     pts = sorted({tuple(Fraction(rng.getrandbits(50), 2**50) for _ in range(2)) for _ in range(200)})
     samples = SampleSet(points=tuple(pts), targets=tuple(x * y for x, y in pts))
@@ -276,10 +303,16 @@ def test_all_singleton_fit_eliminates_nothing(monkeypatch):
     _counting(monkeypatch, outer, "solve_square", solves)
     _counting(monkeypatch, hashmaps, "components", found)
     _counting(monkeypatch, hashmaps, "left_kernel_vector", certified)
+    built = _rows_built(monkeypatch)
     _, report = fit_exact(samples, P26, SPEC6)
     assert report.knot_count == 5 * len(pts)
     assert report.separation.rank == len(pts)
-    assert eliminated == [] and solves == [] and found == [] and certified == []
+    assert certified == [(len(pts), [], True)]
+    for finalize in (True, False):
+        _, report = fit_iterative(samples, P26, SPEC6, max_iter=4, finalize=finalize)
+        assert (report.separation.rank, report.collision_count, report.iterations) == (len(pts), 0, 4)
+    assert [comps for _, comps, _ in certified] == [[]] * 3
+    assert eliminated == [] and solves == [] and found == [] and built == []
 
 
 def test_near_twin_pairs_eliminate_only_their_components(monkeypatch):
@@ -291,10 +324,40 @@ def test_near_twin_pairs_eliminate_only_their_components(monkeypatch):
     system = build_incidence(P26, SPEC6, pts, 30)
     eliminated = []
     _counting(monkeypatch, linsolve, "_eliminate", eliminated)
-    rank, witness = left_kernel_vector(system.rows)
+    rank, witness = left_kernel_vector(system.n_points, system.components)
     assert [len(rows) for rows, *_ in eliminated] == [2] * len(twins)
     assert rank == len(pts) - len(twins)
     assert (rank, witness) == oracle.left_kernel_vector(system.rows)
+    # linsolve.components over all the rows leaves the lone ones out too
+    eliminated.clear()
+    assert _kernel(system.rows) == (rank, witness)
+    assert [len(rows) for rows, *_ in eliminated] == [2] * len(twins)
+
+
+def test_the_finder_reads_only_the_rows_of_near_twins(monkeypatch):
+    """The fit_scatter shape: near-twins among lone 50-bit points.  At depth 30 each
+    twin pair shares all its knots, and the finder builds and links only the
+    twins' rows; at depth 60 every point is alone and it reads none."""
+    rng = random.Random(5)
+    pts = list({tuple(Fraction(rng.getrandbits(50), 2**50) for _ in range(2)) for _ in range(60)})
+    twins = [(x + Fraction(1, 6**40), y) for x, y in pts[:3]]
+    pts += twins
+    rng.shuffle(pts)
+    pairs = sorted(sorted((pts.index((x - Fraction(1, 6**40), y)), pts.index((x, y)))) for x, y in twins)
+    found = []
+    _counting(monkeypatch, hashmaps, "components", found)
+    built = _rows_built(monkeypatch)
+    system = build_incidence(P26, SPEC6, pts, 30)
+    comps = system.components
+    linked = sorted(j for pair in pairs for j in pair)
+    assert sorted(built) == linked
+    rows = tuple(zip(*system.columns))
+    assert found == [([rows[j] for j in linked],)]
+    assert comps == [{j: rows[j] for j in pair} for pair in pairs]
+    found.clear()
+    built.clear()
+    assert build_incidence(P26, SPEC6, pts, 60).components == []
+    assert found == [] and built == []
 
 
 @st.composite

@@ -41,8 +41,8 @@ def _chain(params, inner, points, chain):
 def _oracle_equal(system, params, inner, points):
     knots, knot_branch, rows = oracle.build_incidence(params, inner, points, system.depth)
     assert system.unit == params.unit(inner, system.depth)
-    assert (tuple(Fraction(k, system.unit) for k in system.knots), system.knot_branch, system.rows) == (
-        knots, knot_branch, rows)
+    assert (tuple(Fraction(k, system.unit) for k in system.knots), oracle.knot_branches(system.starts),
+            system.rows) == (knots, knot_branch, rows)
 
 
 @pytest.mark.parametrize("spec", [SPEC6, ODD_SPEC6, default_inner_spec(20), default_inner_spec(70)],
@@ -199,10 +199,12 @@ def test_a_fit_checks_its_samples_once(monkeypatch, tmp_path):
 
 def test_components_are_found_once_per_system(monkeypatch):
     """The certificate, the damped iteration and the min-norm solve share them, and
-    a system whose points share no knot never finds them: the level-1 grid at
-    depth 30, and the depth-60 retry of near-twins, whose depth-30 system
-    shares knots and finds them once.  Boundary straddlers at depth 2 stay
-    separated with shared knots, so all three stages run on one finding."""
+    only the rows of points that share a knot are linked: a system whose
+    points share none passes no row, as the level-1 grid at depth 30 and the
+    depth-60 retry of near-twins do, and the near-twins' depth-30 system
+    passes their 2 rows once.  Boundary straddlers at depth 2 stay separated
+    with shared knots, so all three stages run on one finding of their 6
+    rows; the seventh point is alone."""
     calls = []
     monkeypatch.setattr(hashmaps, "components", lambda rows: calls.append(len(rows)) or linsolve.components(rows))
     _, report = fit_iterative(grid_samples(lambda p: p[0] * p[1], P26, 1), P26, SPEC6, max_iter=5)
@@ -212,14 +214,14 @@ def test_components_are_found_once_per_system(monkeypatch):
     points = (x, (x[0] + Fraction(1, 6**40), x[1]), (Fraction(1, 2), Fraction(2, 7)), (Fraction(1, 5), Fraction(1)))
     _, report = fit_exact(SampleSet(points=points, targets=(1, 2, 3, 4)), P26, SPEC6)
     assert (report.separation.retries, report.depth) == (1, 60)
-    assert calls == [4]
+    assert calls == [2]
     step = Fraction(1, 6**5)
     points = tuple((Fraction(7, 36) + i * step, Fraction(13, 36) + k * step) for i in (-1, 1) for k in (-1, 1))
     points += ((Fraction(29, 36) - step, Fraction(1, 5)), (Fraction(29, 36) + step, Fraction(1, 5)), x)
     calls.clear()
     _, report = fit_iterative(SampleSet(points=points, targets=tuple(range(7))), P26, SPEC6, depth=2, max_iter=5)
     assert report.residual_max == 0 and report.separation.retries == 0 and report.collision_count > 0
-    assert calls == [7]
+    assert calls == [6]
 
 
 def _write(path, header, rows):

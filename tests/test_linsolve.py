@@ -7,7 +7,12 @@ import pytest
 import sympy
 
 from ksnet.errors import InternalInvariantError
-from ksnet.linsolve import left_kernel_vector, solve_square
+from ksnet.linsolve import components, left_kernel_vector, solve_square
+
+
+def _kernel(rows):
+    """left_kernel_vector of the stacked rows, over their components."""
+    return left_kernel_vector(len(rows), components(rows))
 
 
 def _random_incidence_rows(rng, n, m, density=0.4):
@@ -36,26 +41,26 @@ def _dense(rows, m):
 
 def test_duplicate_rows_witness():
     row = (0, 3)
-    rank, witness = left_kernel_vector([row, row])
+    rank, witness = _kernel([row, row])
     assert rank == 1
     assert witness == (Fraction(1), Fraction(-1))
 
 
 def test_independent_rows_have_no_witness():
     rows = [(0,), (1,), (2,)]
-    rank, witness = left_kernel_vector(rows)
+    rank, witness = _kernel(rows)
     assert rank == 3 and witness is None
 
 
 def test_known_dependency():
     # row0 + row1 hit columns 0-3 once each, and so do row2 + row3
     rows = [(0, 1), (2, 3), (0, 2), (1, 3)]
-    rank, witness = left_kernel_vector(rows)
+    rank, witness = _kernel(rows)
     assert rank == 3
     assert witness == (Fraction(1), Fraction(1), Fraction(-1), Fraction(-1))
     # row0 + row1 + row2 hit columns 0-2 twice each, as does 2 row3
     rows = [(0, 1), (1, 2), (0, 2), (0, 1, 2)]
-    rank, witness = left_kernel_vector(rows)
+    rank, witness = _kernel(rows)
     assert rank == 3
     assert witness == (Fraction(1), Fraction(1), Fraction(1), Fraction(-2))
 
@@ -65,7 +70,7 @@ def test_rank_matches_sympy(seed):
     rng = random.Random(seed)
     n, m = rng.randint(2, 8), rng.randint(2, 8)
     rows = _random_incidence_rows(rng, n, m)
-    rank, witness = left_kernel_vector(rows)
+    rank, witness = _kernel(rows)
     assert rank == sympy.Matrix(_dense([dict.fromkeys(row, 1) for row in rows], m)).rank()
     if witness is None:
         assert rank == n

@@ -150,7 +150,7 @@ def test_residual_recheck_sums_knot_values_exactly():
     samples = _random_samples(4, 30, lambda p: 1 / (p[0] + p[1] + Fraction(1, 1000)))
     system = build_incidence(P26, SPEC6, samples.points, 30)
     g = _min_norm_solution(system, samples.targets)
-    assert len({den for _, den in g.values()}) > 1
+    assert len({den for _, den in g}) > 1
     _verify_zero_residual(system, samples.targets, g)
     for j in (0, 17, 29):
         targets = list(samples.targets)
@@ -169,7 +169,7 @@ def test_residual_recheck_reads_the_filled_tables(monkeypatch, shared):
         samples, depth = SampleSet(points=points, targets=(1, 2, 3, 5)), 2
     else:
         samples, depth = _random_samples(4, 30, lambda p: p[0] - p[1]), 30
-    assert build_incidence(P26, SPEC6, samples.points, depth).singletons is not shared
+    assert bool(build_incidence(P26, SPEC6, samples.points, depth).components) is shared
     fill = outer_module._outer_table
 
     def corrupt(*args):
@@ -414,7 +414,7 @@ def test_the_fit_runs_on_integers(monkeypatch):
     assert counts[0] == counts[1] <= 2
     samples = _random_samples(7, 30, lambda p: p[0] / (1 + p[1]))
     system = build_incidence(P26, SPEC6, samples.points, 30)
-    assert all(len(comp) == 1 for comp in system.components)
+    assert system.components == []
 
     def solve_and_check(system, targets):
         _verify_zero_residual(system, targets, _min_norm_solution(system, targets))
@@ -427,7 +427,7 @@ def test_the_fit_runs_on_integers(monkeypatch):
     straddlers += [(Fraction(29, 36) + i * step, Fraction(1, 5)) for i in (-1, 1)]
     samples = SampleSet(points=tuple(straddlers) + lone, targets=tuple(x / (1 + y) for x, y in straddlers + list(lone)))
     system = build_incidence(P26, SPEC6, samples.points, depth=2)
-    assert sorted(map(len, system.components))[-2:] == [2, 4]
+    assert sorted(map(len, system.components)) == [2, 4]
     assert separation_check(system).separated
     assert _fractions_built(monkeypatch, solve_and_check, system, samples.targets) == 0
 
@@ -449,7 +449,7 @@ points = set()
 while len(points) < 300:
     points.add((Fraction(rng.getrandbits(6), 64), Fraction(rng.getrandbits(6), 64)))
 system = build_incidence(make_params(2, 6), default_inner_spec(6), sorted(points), 1)
-assert sum(len(comp) for comp in system.components if len(comp) > 1) > 250
+assert sum(map(len, system.components)) > 250
 try:
     run_damped_iteration(system, [x * y for x, y in system.points], Fraction(1, 1000), Fraction(1, 10**6), 10**6)
 except ParameterError as exc:
