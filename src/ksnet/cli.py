@@ -261,15 +261,15 @@ def cmd_fit(config: JobConfig) -> int:
                 f"grid point, but that grid has more points than the {samples.n} "
                 "rows given; targets are missing"
             )
-        # no more grid points than rows (checked above), and every row a distinct
-        # grid point: the rows are the whole grid
+        # no more grid points than rows (checked above), and every row a distinct grid
+        # point: the rows are the whole grid.  Each distinct coordinate is tested once.
         scale = config.gamma**config.grid_level
-        for row_no, point in enumerate(samples.points, start=1):
-            if any(scale % c.denominator for c in point):
-                raise InputError(
-                    f"row {row_no}: ({', '.join(map(str, point))}) is not a "
-                    f"level-{config.grid_level} grid point"
-                )
+        off = [ids.index(g) for values, ids in zip(samples.groups.values, samples.groups.ids)
+               for g, (_, m) in enumerate(values) if scale % m]
+        if off:
+            row = min(off)  # the first row that holds an off-grid coordinate
+            raise InputError(f"row {row + 1}: ({', '.join(map(str, samples.points[row]))}) is not a "
+                             f"level-{config.grid_level} grid point")
         outer_fn, fit_rep = fit_iterative(samples, params, inner, depth=config.depth, max_iter=config.max_iter,
                                           tolerance=config.tolerance, damping=config.damping)
     elapsed_ms = (time.perf_counter() - started) * 1000.0

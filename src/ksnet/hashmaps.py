@@ -465,10 +465,6 @@ class IncidenceSystem:
         return tuple(column[j] for column in self.columns)
 
     @cached_property
-    def rows(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(map(self.row, range(self.n_points)))
-
-    @cached_property
     def components(self) -> list[dict[int, tuple[int, ...]]]:
         """The connected components of more than one point, each as {point: row} in input order.
 

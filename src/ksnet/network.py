@@ -28,7 +28,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, partial
-from operator import itemgetter, mul
+from itertools import chain, repeat
+from operator import floordiv, itemgetter, mul
 from pathlib import Path
 
 from .errors import AssemblyError, DomainError, InputError, ModelFormatError, ParameterError, PointError
@@ -210,9 +211,11 @@ def _literal(num: int, den: int) -> str:
 def save(model: KNetModel, sink=None) -> bytes:
     """Serialize to canonical JSON bytes; optionally also write them to a path or file.
 
-    The bytes are json.dumps(document, indent=2) + newline, with the knots written by hand.
-    A fit repeats each value in every branch, so one literal is written per
-    distinct (numerator, denominator) pair; positions are all distinct.
+    The bytes are json.dumps(document, indent=2) + newline, with the knots written by hand,
+    a branch at a time.  A fit repeats each value in every branch, so one
+    literal is spelled per distinct (numerator, denominator) pair.  A position
+    y / unit is y // c over unit // c, c = gcd(y, unit): the gcds of a branch
+    come from one map, and each denominator text is spelled once per distinct gcd.
     """
     params, outer, unit = model.params, model.outer, model.outer.unit
     doc = {
@@ -230,14 +233,18 @@ def save(model: KNetModel, sink=None) -> bytes:
     out = io.BytesIO()
     out.write(f'{head}"branches": ['.encode())
     values: dict[tuple[int, int], str] = {}  # value literals by (numerator, denominator)
+    over: dict[int, str] = {}  # position denominator texts by gcd with the unit
     for q, (ys, gn, gd) in enumerate(zip(outer.ys, outer.gn, outer.gd)):
         out.write(f'{"," if q else ""}\n    {{\n      "q": {q},\n      "knots": ['.encode())
         if ys:
-            out.write(",".join(
-                f'\n        {{\n          "y": "{_literal(y, unit)}",\n'
-                f'          "g": "{values.get(g) or values.setdefault(g, _literal(*g))}"\n        }}'
-                for y, g in zip(ys, zip(gn, gd))
-            ).encode())
+            gcds = list(map(math.gcd, ys, repeat(unit)))
+            over.update((c, "" if c == unit else f"/{unit // c}") for c in set(gcds).difference(over))
+            pairs = list(zip(gn, gd))
+            values.update((g, _literal(*g)) for g in set(pairs).difference(values))
+            texts = zip(repeat('\n        {\n          "y": "'), map(str, map(floordiv, ys, gcds)),
+                        map(over.__getitem__, gcds), repeat('",\n          "g": "'),
+                        map(values.__getitem__, pairs), repeat('"\n        },'))
+            out.write("".join(chain.from_iterable(texts))[:-1].encode())  # no comma after the last knot
             out.write(b"\n      ")
         out.write(b"]\n    }")
     out.write(f"\n  ]{tail}\n".encode())

@@ -28,7 +28,8 @@ import sys
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import lt, mul
+from itertools import compress, count, repeat
+from operator import ge, lt, mul, sub, truediv
 
 from .errors import (
     DomainError,
@@ -89,6 +90,18 @@ def common_unit(denominators, knot_count: int) -> int:
     return unit
 
 
+def over_one_denominator(gn, gd) -> tuple[int, list[int], list[int]] | None:
+    """The values gn[k] / gd[k] as (G, numerators over G, all-ones denominators), G the
+    common_unit of the gd; None when common_unit refuses G."""
+    dens = set(gd)
+    try:
+        den = common_unit(dens, len(gd))
+    except DomainError:
+        return None
+    factors = {m: den // m for m in dens}
+    return den, list(map(mul, gn, map(factors.__getitem__, gd))), [1] * len(gd)
+
+
 @dataclass(frozen=True)
 class OuterFunction:
     """Per-branch knot tables over the disjoint intervals [b_q, b_q + 2d]: knot k of
@@ -131,8 +144,8 @@ class KnotLookup:
 
     Knot values are integer numerators `gn` over one denominator
     value_den = lcm of the value denominators, with every `gd` = 1, when
-    value_den's bits times the knot count stay within PLAN_BITS_LIMIT (the
-    common_unit rule).  Otherwise value_den = 1 and `gd` keeps the per-knot
+    value_den's bits times the knot count stay within PLAN_BITS_LIMIT
+    (over_one_denominator).  Otherwise value_den = 1 and `gd` keeps the per-knot
     denominators; the same code serves both.  A lookup returns (n, m) for the
     value n / (m * value_den), so value_den is applied once, by the caller.
     """
@@ -142,17 +155,8 @@ class KnotLookup:
         self.lift = scale // unit
         knots, factor = itertools.chain.from_iterable(outer.ys), scale // outer.unit
         self.ys = list(knots) if factor == 1 else [y * factor for y in knots]
-        self.gn = list(itertools.chain.from_iterable(outer.gn))
-        self.gd = list(itertools.chain.from_iterable(outer.gd))
-        dens = set(self.gd)
-        try:
-            self.value_den = common_unit(dens, len(self.gd))
-        except DomainError:
-            self.value_den = 1
-        else:
-            factors = {m: self.value_den // m for m in dens}
-            self.gn = list(map(mul, self.gn, map(factors.__getitem__, self.gd)))
-            self.gd = [1] * len(self.gd)
+        gn, gd = list(itertools.chain.from_iterable(outer.gn)), list(itertools.chain.from_iterable(outer.gd))
+        self.value_den, self.gn, self.gd = over_one_denominator(gn, gd) or (1, gn, gd)
         self.step = (2 * outer.d + 1) * scale
         self.tops = [(b + 2 * outer.d) * scale for b in outer.b]
         ends = list(itertools.accumulate(map(len, outer.ys)))
@@ -278,11 +282,12 @@ class SampleSet:
         return len(self.points[0])
 
     def canonical_hash(self) -> str:
-        lines = [
-            ",".join(map(str, p)) + ";" + str(t)
-            for p, t in zip(self.points, self.targets)
-        ]
-        return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+        """sha256 of the lines 'x1,...,xd;f' of the points, each number as str(Fraction);
+        each distinct coordinate of an axis is spelled once, from `groups`."""
+        columns = [map([f"{n}/{m}" if m != 1 else str(n) for n, m in values].__getitem__, ids)
+                   for values, ids in zip(self.groups.values, self.groups.ids)]
+        line = ",".join(["{}"] * len(columns)) + ";{}"
+        return hashlib.sha256("\n".join(map(line.format, *columns, map(str, self.targets))).encode()).hexdigest()
 
 
 def _approx(num: int, den: int) -> float:
@@ -609,9 +614,7 @@ class BranchStats:
         return {
             "q": self.q,
             "knot_count": self.knot_count,
-            "value_range": None
-            if self.value_lo is None
-            else [str(self.value_lo), str(self.value_hi)],
+            "value_range": None if self.value_lo is None else [str(self.value_lo), str(self.value_hi)],
             "max_jump": str(self.max_jump),
             "max_jump_ratio": self.max_jump_ratio,
             "min_spacing": None if self.min_spacing is None else str(self.min_spacing),
@@ -640,9 +643,7 @@ class ClassReport:
     def to_jsonable(self) -> dict:
         return {
             "total_knots": self.total_knots,
-            "value_range": None
-            if self.value_lo is None
-            else [str(self.value_lo), str(self.value_hi)],
+            "value_range": None if self.value_lo is None else [str(self.value_lo), str(self.value_hi)],
             "max_abs_value": str(self.max_abs_value),
             "max_jump": str(self.max_jump),
             "max_jump_ratio": self.max_jump_ratio,
@@ -651,47 +652,45 @@ class ClassReport:
         }
 
 
+def _max_ratio(jumps: list, gaps: list[int], num: int, den: int) -> float:
+    """max(jumps[k] / gaps[k]) * num / den rounded to the nearest double (inf past the
+    double range), for gaps[k] >= 1.  A jump and a gap each rounded to a double
+    give a quotient within three roundings of the exact one when the largest
+    is normal, so only quotients within 1e-9 of the largest are compared
+    exactly (all of them otherwise), and the largest is divided once."""
+    if not any(jumps):
+        return 0.0
+    try:
+        approx = list(map(truediv, map(float, jumps), map(float, gaps)))
+        top = max(approx)
+    except OverflowError:  # a jump past the double range
+        top = 0.0
+    keep = compress(count(), map(ge, approx, repeat(top * (1 - 1e-9)))) if top > 1e-300 else range(len(jumps))
+    k = max(keep, key=lambda k: Fraction(jumps[k], gaps[k]))
+    try:
+        return float(jumps[k] * num / (gaps[k] * den))  # int / int rounds correctly
+    except OverflowError:
+        return math.inf
+
+
 def merge_report(outer: OuterFunction) -> ClassReport:
     """Knot-table statistics per branch and overall.
 
-    Jump ratios are compared exactly, as integer cross-products, and only a
-    branch's largest is divided: int / int rounds correctly, and rounding
-    keeps order, so that is the largest rounded ratio (inf past the double
-    range).
+    Each branch's values go over one denominator (over_one_denominator, or as
+    Fractions over 1 where it refuses one), so its low, high, largest jump and
+    smallest spacing are C-level min and max over differences.  _max_ratio
+    rounds the largest jump ratio, which is the largest rounded one.
     """
     stats = []
     for q, (ys, gn, gd) in enumerate(zip(outer.ys, outer.gn, outer.gd)):
         if not ys:
             stats.append(BranchStats(q, 0, None, None, ZERO, 0.0, None))
             continue
-        lo, hi, jump, steep = 0, 0, (0, 1), (0, 1)
-        for k in range(1, len(ys)):
-            if gn[k] * gd[lo] < gn[lo] * gd[k]:
-                lo = k
-            if gn[k] * gd[hi] > gn[hi] * gd[k]:
-                hi = k
-            step = ratio_gap(gn[k], gd[k], gn[k - 1], gd[k - 1])
-            if step[0] * jump[1] > jump[0] * step[1]:
-                jump = step
-            slope = step[1] * (ys[k] - ys[k - 1])
-            if step[0] * steep[1] > steep[0] * slope:
-                steep = step[0], slope
-        try:
-            ratio = steep[0] * outer.unit / steep[1]
-        except OverflowError:
-            ratio = float("inf")
-        spacing = min((c - a for a, c in zip(ys, ys[1:])), default=None)
-        stats.append(
-            BranchStats(
-                q=q,
-                knot_count=len(ys),
-                value_lo=Fraction(gn[lo], gd[lo]),
-                value_hi=Fraction(gn[hi], gd[hi]),
-                max_jump=Fraction(*jump),
-                max_jump_ratio=ratio,
-                min_spacing=None if spacing is None else Fraction(spacing, outer.unit),
-            )
-        )
+        den, values, _ = over_one_denominator(gn, gd) or (1, list(map(Fraction, gn, gd)), None)
+        jumps, gaps = list(map(abs, map(sub, values[1:], values))), list(map(sub, ys[1:], ys))
+        stats.append(BranchStats(q, len(ys), Fraction(min(values), den), Fraction(max(values), den),
+                                 Fraction(max(jumps, default=0), den), _max_ratio(jumps, gaps, outer.unit, den),
+                                 Fraction(min(gaps), outer.unit) if gaps else None))
     populated = [s for s in stats if s.knot_count]
     spacings = [s.min_spacing for s in populated if s.min_spacing is not None]
     return ClassReport(
@@ -699,9 +698,7 @@ def merge_report(outer: OuterFunction) -> ClassReport:
         total_knots=sum(s.knot_count for s in stats),
         value_lo=min((s.value_lo for s in populated), default=None),
         value_hi=max((s.value_hi for s in populated), default=None),
-        max_abs_value=max(
-            (max(abs(s.value_lo), abs(s.value_hi)) for s in populated), default=ZERO
-        ),
+        max_abs_value=max((max(abs(s.value_lo), abs(s.value_hi)) for s in populated), default=ZERO),
         max_jump=max((s.max_jump for s in populated), default=ZERO),
         max_jump_ratio=max((s.max_jump_ratio for s in populated), default=0.0),
         min_spacing=min(spacings, default=None),

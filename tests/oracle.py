@@ -23,11 +23,14 @@ parse_rational is the Fraction parse the library's fast path must agree
 with.  check_ranges and verify_inner are the property checks
 as they were before they read the inner kernel in closed form and in chunks:
 a sweep over every grid point, and a suite that reads phi once per value.
+rows spells out a system's incidence rows, and sample_hash spells the sample
+hash point by point, not once per distinct coordinate.
 All of it is deliberately slow and simple.
 """
 
 from __future__ import annotations
 
+import hashlib
 import io
 import itertools
 import json
@@ -356,13 +359,18 @@ def evaluate(model, x, depth: int):
     return w, error, tuple(contributions)
 
 
+def rows(system) -> tuple[tuple[int, ...], ...]:
+    """The incidence rows of a system: each point's increasing tuple of knot ids."""
+    return tuple(map(system.row, range(system.n_points)))
+
+
 def dense(system) -> list[list[int]]:
     """The incidence matrix of a system as dense rows."""
-    return [[row.count(col) for col in range(system.knot_count)] for row in system.rows]
+    return [[row.count(col) for col in range(system.knot_count)] for row in rows(system)]
 
 
 def row_sums(system) -> list[int]:
-    return [len(row) for row in system.rows]
+    return [len(row) for row in rows(system)]
 
 
 def _sub_scaled(target: dict, source: dict, factor: Fraction) -> None:
@@ -413,7 +421,7 @@ def left_kernel_vector(rows):
 
 def _column_buckets(system):
     buckets = {}
-    for j, row in enumerate(system.rows):
+    for j, row in enumerate(rows(system)):
         for col in row:
             buckets.setdefault(col, []).append(j)
     return buckets
@@ -438,7 +446,7 @@ def min_norm_solution(system, targets):
 
 def run_damped_iteration(system, targets, damping, tolerance, max_iter):
     """The damped residual iteration, every point and every knot updated each round."""
-    branch_count = 2 * system.d + 1
+    branch_count, incidence = 2 * system.d + 1, rows(system)
     buckets = _column_buckets(system)
     collisions = sum(len(hits) - 1 for hits in buckets.values())
     g = {col: ZERO for col in buckets}
@@ -453,7 +461,7 @@ def run_damped_iteration(system, targets, damping, tolerance, max_iter):
             delta[col] = damping * total / (len(hits) * branch_count)
         for col, dv in delta.items():
             g[col] += dv
-        for j, row in enumerate(system.rows):
+        for j, row in enumerate(incidence):
             residual[j] -= sum(delta[col] for col in row)
         new_sumsq = sum((r * r for r in residual), ZERO)
         if new_sumsq > sumsq:
@@ -495,19 +503,19 @@ def component_solution(system, targets) -> dict:
     """The min-norm solve one connected component at a time, on every system, as
     reduced (numerator, denominator) pairs by knot: a lone point's knots get
     f / (2d+1), each larger component solves its integer gram matrix."""
-    rows, branch_count = system.rows, 2 * system.d + 1
+    incidence, branch_count = rows(system), 2 * system.d + 1
     g = {}
     for comp in components(system):
         if len(comp) == 1:
             t = targets[comp[0]]
             c = math.gcd(t.numerator, branch_count)
-            for col in rows[comp[0]]:
+            for col in incidence[comp[0]]:
                 g[col] = t.numerator // c, t.denominator * (branch_count // c)
             continue
         local = {j: k for k, j in enumerate(comp)}
         buckets = {}
         for j in comp:
-            for col in rows[j]:
+            for col in incidence[j]:
                 buckets.setdefault(col, []).append(j)
         gram = [{} for _ in comp]
         for hits in buckets.values():
@@ -537,7 +545,7 @@ def certify(params, inner, points, depth: int, depth_cap: int = DEPTH_CAP):
     current, retries = min(depth, depth_cap), 0
     while True:
         system = build_incidence_system(params, inner, points, current)
-        rank, witness = left_kernel_vector(system.rows)
+        rank, witness = left_kernel_vector(rows(system))
         if witness is None or current >= depth_cap:
             return system, SeparationVerdict(witness is None, rank, system.n_points, system.knot_count, current,
                                              retries, witness)
@@ -569,6 +577,13 @@ def fit_iterative(samples, params, inner, depth, max_iter, tolerance, damping, f
     return outer, FitReport(mode="iterative", residual_max=residual, knot_count=system.knot_count,
                             iterations=len(history), convergence_history=tuple(history), separation=verdict,
                             depth=system.depth, collision_count=collisions)
+
+
+def sample_hash(samples) -> str:
+    """SampleSet.canonical_hash spelled point by point: each point's coordinates
+    joined by ',', then ';' and its target, one line per point."""
+    lines = [",".join(map(str, p)) + ";" + str(t) for p, t in zip(samples.points, samples.targets)]
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
 
 
 def merge_report(outer: OuterFunction) -> ClassReport:

@@ -251,6 +251,20 @@ def test_iterative_fit_requires_full_grid(tmp_path, capsys):
     assert "missing" in capsys.readouterr().err
 
 
+def test_iterative_fit_names_the_first_row_off_the_grid(tmp_path, capsys):
+    """Rows 3 (axis 2) and 5 (axis 1) leave the level-1 grid, and row 10 repeats
+    row 3's off-grid value; the error names row 3."""
+    axis = [Fraction(j, 6) for j in range(7)]
+    points = [list(p) for p in itertools.product(axis, repeat=2)]
+    points[2][1], points[4][0], points[9][1] = Fraction(1, 7), Fraction(2, 7), Fraction(1, 7)
+    _write_csv(tmp_path / "grid.csv", ["x1", "x2", "f"], [[str(x1), str(x2), str(x1 * x2)] for x1, x2 in points])
+    rc = main(["fit", "--mode", "iterative", "--grid-level", "1", "--in", str(tmp_path / "grid.csv"),
+               "--model", str(tmp_path / "it.json")])
+    assert rc == EXIT_INPUT
+    assert "row 3: (0, 1/7) is not a level-1 grid point" in capsys.readouterr().err
+    assert not (tmp_path / "it.json").exists()
+
+
 def test_check_report_schema(tmp_path):
     out = tmp_path / "check.json"
     rc = main(

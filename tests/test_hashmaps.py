@@ -211,7 +211,7 @@ def test_every_incidence_row_hits_one_knot_per_branch():
     for params, inner, points, depth in cases:
         system = build_incidence(params, inner, points, depth)
         knot_branch = oracle.knot_branches(system.starts)
-        for row in system.rows:
+        for row in oracle.rows(system):
             assert row == tuple(sorted(set(row)))
             assert [knot_branch[col] for col in row] == list(range(params.branch_count))
         shared += system.knot_count < params.branch_count * system.n_points

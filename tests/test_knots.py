@@ -9,10 +9,13 @@ bytes of the file.
 """
 
 import gc
+import itertools
 import json
 import random
 import tracemalloc
 from fractions import Fraction
+from operator import mul
+from unittest import mock
 
 import oracle
 import pytest
@@ -23,7 +26,10 @@ from ksnet.errors import InputError, ModelFormatError
 from ksnet.hashmaps import make_params
 from ksnet.inner import default_inner_spec
 from ksnet.network import assemble, load, save
-from ksnet.outer import SampleSet, fit_exact, fit_iterative, grid_samples, merge_report
+from ksnet import outer as outer_module
+from ksnet.outer import (
+    OuterFunction, SampleSet, fit_exact, fit_iterative, grid_samples, merge_report, over_one_denominator,
+)
 from ksnet.rationals import parse_ratio, parse_rational, plain_ratios
 
 
@@ -135,36 +141,131 @@ def test_load_matches_oracle_on_any_spelling(name, seed):
 @st.composite
 def _knot_tables(draw):
     """Up to 6 knots in each branch of d = 2, at spacings from 10**-1 down to 10**-330,
-    with values up to 10**320 in size: some jump ratios pass the double range."""
+    with values up to 10**320 in size: some jump ratios pass the double range.
+
+    A branch's values are drawn one by one, or laid on a line (its slopes tie
+    exactly), or on a line whose steps are moved by -1, 0 or 1 parts in 10**17
+    (slopes a float comparison can misorder).  Some tables scale each value's
+    numerator and denominator by a common factor, as a loaded model may keep them.
+    """
     tables = []
     for b in range(0, 25, 5):
         scale = 10 ** draw(st.sampled_from([1, 6, 40, 300, 330]))
         ys = sorted(draw(st.sets(st.integers(0, 4 * scale), max_size=6)))
-        gs = [Fraction(draw(st.integers(-(10**320), 10**320) | st.integers(-50, 50)), draw(st.integers(1, 10**6)))
-              for _ in ys]
+        big = st.integers(-(10**320), 10**320) | st.integers(-50, 50)
+        shape = draw(st.sampled_from(["drawn", "line", "near line"]))
+        if shape == "drawn":
+            gs = [Fraction(draw(big), draw(st.integers(1, 10**6))) for _ in ys]
+        else:
+            slope, start = (Fraction(draw(big), draw(st.integers(1, 10**6))) for _ in range(2))
+            steps = [slope * Fraction(y1 - y0, scale) for y0, y1 in zip(ys, ys[1:])]
+            if shape == "near line":
+                steps = [step * (1 + Fraction(draw(st.integers(-1, 1)), 10**17)) for step in steps]
+            gs = list(itertools.accumulate(steps, initial=start))[:len(ys)]
         tables.append(oracle.KnotTable(ys=tuple(b + Fraction(y, scale) for y in ys), gs=tuple(gs)))
-    return oracle.outer_from_tables(2, tables)
+    outer = oracle.outer_from_tables(2, tables)
+    if draw(st.booleans()):
+        factors = [[draw(st.integers(1, 1000)) for _ in gn] for gn in outer.gn]
+        outer = OuterFunction(2, outer.unit, outer.ys,
+                              tuple(tuple(map(mul, gn, fs)) for gn, fs in zip(outer.gn, factors)),
+                              tuple(tuple(map(mul, gd, fs)) for gd, fs in zip(outer.gd, factors)))
+    return outer
 
 
 @given(_knot_tables())
-@settings(max_examples=80, deadline=None)
+@settings(max_examples=120, deadline=None)
 def test_class_report_matches_oracle_on_any_knot_table(outer):
     assert merge_report(outer) == oracle.merge_report(outer)
 
 
+@given(_knot_tables(), st.integers(1, 800))
+@settings(max_examples=40, deadline=None)
+def test_class_report_matches_oracle_where_one_denominator_is_refused(outer, bits):
+    """With PLAN_BITS_LIMIT lowered, common_unit refuses the values' common
+    denominator in some branches, which are then compared as Fractions."""
+    with mock.patch.object(outer_module, "PLAN_BITS_LIMIT", bits):
+        assert merge_report(outer) == oracle.merge_report(outer)
+
+
+def test_a_refused_denominator_leaves_the_report_unchanged():
+    tables = [oracle.KnotTable(ys=(Fraction(0), Fraction(1, 3), Fraction(2)),
+                               gs=(Fraction(1, 7), Fraction(-5, 11), Fraction(3, 13)))]
+    tables += [oracle.KnotTable(ys=(), gs=())] * 4
+    outer = oracle.outer_from_tables(2, tables)
+    want = merge_report(outer)
+    with mock.patch.object(outer_module, "PLAN_BITS_LIMIT", 8):
+        assert over_one_denominator(outer.gn[0], outer.gd[0]) is None
+        assert merge_report(outer) == want == oracle.merge_report(outer)
+
+
+def test_slopes_one_part_in_1e17_apart_take_the_exact_largest():
+    """Two slopes 1.0001 parts in 10**17 apart straddle the midpoint between
+    2**70 and the next double.  Their jumps and gaps rounded to doubles give the
+    smaller slope the larger quotient, so only an exact comparison finds the
+    larger one; it rounds up, the smaller one down."""
+    unit, gaps = 2**62, (1424823520001274940, 1298435936178584516)
+    jumps = (364754821120326423312, 332399599661717674662)
+    assert float(jumps[0]) / float(gaps[0]) > float(jumps[1]) / float(gaps[1])
+    small, large = (Fraction(j * unit, g) for j, g in zip(jumps, gaps))
+    assert small < large and float(small) < float(large)
+    tables = []
+    for order in (slice(None), slice(None, None, -1)):
+        g, j = gaps[order], jumps[order]
+        tables.append(oracle.KnotTable(ys=(Fraction(0), Fraction(g[0], unit), Fraction(g[0] + g[1], unit)),
+                                       gs=(Fraction(0), Fraction(j[0]), Fraction(j[0] + j[1]))))
+    empty = oracle.KnotTable(ys=(), gs=())
+    tables = [tables[0], empty, empty, oracle.KnotTable(ys=tuple(15 + y for y in tables[1].ys), gs=tables[1].gs), empty]
+    report = merge_report(oracle.outer_from_tables(2, tables))
+    assert report == oracle.merge_report(oracle.outer_from_tables(2, tables))
+    assert [b.max_jump_ratio for b in report.branches] == [float(large), 0.0, 0.0, float(large), 0.0]
+
+
+def test_subnormal_quotients_are_compared_exactly():
+    """Where common_unit refuses one denominator the jumps stay Fractions.  Two
+    jumps near 1e-320 over gaps of 2 and 18 units of 10**-300, slopes 6.1e-5
+    apart, divide to subnormal doubles that misorder them, so every knot of
+    the branch is compared exactly.  A one-knot branch keeps the unit at 10**300."""
+    base = Fraction(495714, 10**326)
+    jumps = (2 * base, 18 * base * (1 + Fraction(610, 10**7)))
+    table = oracle.KnotTable(ys=(Fraction(0), Fraction(2, 10**300), Fraction(20, 10**300)),
+                             gs=(Fraction(0), jumps[0], jumps[0] + jumps[1]))
+    empty, spacer = oracle.KnotTable(ys=(), gs=()), oracle.KnotTable(ys=(5 + Fraction(1, 10**300),), gs=(Fraction(1),))
+    outer = oracle.outer_from_tables(2, [table, spacer, empty, empty, empty])
+    assert outer.unit == 10**300
+    assert float(jumps[0]) / 2 > float(jumps[1]) / 18 > 0
+    with mock.patch.object(outer_module, "PLAN_BITS_LIMIT", 64):
+        assert over_one_denominator(outer.gn[0], outer.gd[0]) is None
+        report = merge_report(outer)
+    assert report == oracle.merge_report(outer)
+    assert report.max_jump_ratio == float(jumps[1] / 18 * 10**300) > float(jumps[0] / 2 * 10**300)
+
+
+def test_one_knot_and_empty_branches():
+    one = oracle.KnotTable(ys=(Fraction(5, 2),), gs=(Fraction(-7, 3),))
+    other = oracle.KnotTable(ys=(Fraction(17),), gs=(Fraction(1, 2),))
+    empty = oracle.KnotTable(ys=(), gs=())
+    for tables in ([one] + [empty] * 4, [empty] * 3 + [other, empty], [one, empty, empty, other, empty], [empty] * 5):
+        outer = oracle.outer_from_tables(2, tables)
+        report = merge_report(outer)
+        assert report == oracle.merge_report(outer)
+        assert all((b.max_jump, b.max_jump_ratio, b.min_spacing) == (0, 0.0, None) for b in report.branches)
+
+
 def test_an_overflowing_jump_ratio_reads_inf():
     """A jump of 10**10 over a gap of 10**-300 passes the double range, in one branch
-    only; the branch and overall ratios are inf, as the oracle's are."""
+    only; the branch and overall ratios are inf, as the oracle's are.  Values over
+    10**400 have jumps past the double range as integers, but a ratio inside it."""
     empty = oracle.KnotTable(ys=(), gs=())
     tables = [oracle.KnotTable(ys=(Fraction(1), 1 + Fraction(1, 10**300), Fraction(2)),
                                gs=(Fraction(0), Fraction(10**10), Fraction(1, 3))),
               empty, empty,
               oracle.KnotTable(ys=(Fraction(16), Fraction(17)), gs=(Fraction(0), Fraction(2, 3))),
-              empty]
+              oracle.KnotTable(ys=(Fraction(20), Fraction(21), Fraction(22)),
+                               gs=(Fraction(1, 10**400), Fraction(10**400 - 1, 3 * 10**400), Fraction(1, 7)))]
     outer = oracle.outer_from_tables(2, tables)
     report = merge_report(outer)
     assert report == oracle.merge_report(outer)
-    assert [b.max_jump_ratio for b in report.branches] == [float("inf"), 0.0, 0.0, 2 / 3, 0.0]
+    assert [b.max_jump_ratio for b in report.branches] == [float("inf"), 0.0, 0.0, 2 / 3, 1 / 3]
     assert report.max_jump_ratio == float("inf")
 
 
@@ -175,6 +276,7 @@ def test_unreduced_values_save_reduced():
     model = load(json.dumps(doc))
     assert (model.outer.gn[0][0], model.outer.gd[0][0]) == (-2, 4)
     assert save(model) == save(MODELS["hand_built"]) == oracle.save(model)
+    assert merge_report(model.outer) == merge_report(MODELS["hand_built"].outer) == oracle.merge_report(model.outer)
 
 
 LIMIT_CASES = ["1" * 4300, "1" * 4301, "1/" + "1" * 4298, "1/" + "1" * 4299, "-" + "9" * 4300, "1e-4299", "1e4300"]

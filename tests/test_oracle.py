@@ -55,6 +55,24 @@ def unit_coords(draw, base=6):
 
 
 @st.composite
+def sample_sets(draw):
+    """Distinct points of d = 2..4 over a few coordinates per draw, so that they
+    repeat, always with 0 and 1 (also as ints), and targets that are ints,
+    fractions or large negative integers."""
+    d = draw(st.integers(2, 4))
+    pool = draw(st.lists(unit_coords(), min_size=1, max_size=4)) + [0, 1, Fraction(0), Fraction(1)]
+    points = draw(st.lists(st.tuples(*[st.sampled_from(pool)] * d), min_size=1, max_size=40, unique=True))
+    targets = st.integers(-50, 50) | st.fractions() | st.integers(-(10**400), -(10**300))
+    return SampleSet(points=tuple(points), targets=tuple(draw(targets) for _ in points))
+
+
+@given(sample_sets())
+@settings(max_examples=80, deadline=None)
+def test_sample_hash_matches_the_per_point_formula(samples):
+    assert samples.canonical_hash() == oracle.sample_hash(samples)
+
+
+@st.composite
 def network_points(draw):
     params, inner = draw(st.sampled_from(NETWORKS))
     point = tuple(draw(unit_coords(params.gamma)) for _ in range(params.d))
@@ -88,7 +106,7 @@ def test_incidence_matches_oracle(network, data, depth):
     got = build_incidence(params, inner, points, depth)
     knots, knot_branch, rows = oracle.build_incidence(params, inner, points, depth)
     assert got.unit == params.unit(inner, depth)
-    assert (tuple(Fraction(k, got.unit) for k in got.knots), oracle.knot_branches(got.starts), got.rows) == (
+    assert (tuple(Fraction(k, got.unit) for k in got.knots), oracle.knot_branches(got.starts), oracle.rows(got)) == (
         knots, knot_branch, rows)
     assert (got.knot_count, got.d, got.n_points) == (len(knots), params.d, len(points))
 
