@@ -184,7 +184,8 @@ def _read_table(path: str, width: int, columns: str) -> list[tuple[Fraction, ...
 
     Each distinct cell text becomes one Fraction, however often it repeats:
     all of them are read by one plain_ratios guard, or, when it says None,
-    one at a time in file order, so that the first bad row or cell is named.
+    one at a time in file order, so that the first bad row or cell is named
+    (rows are walked only then, or when a row has the wrong width).
     """
     rows = _read_csv_rows(path)
     if len(rows[0]) != width:
@@ -192,12 +193,13 @@ def _read_table(path: str, width: int, columns: str) -> list[tuple[Fraction, ...
     texts = list(dict.fromkeys(itertools.chain.from_iterable(rows[1:])))
     ratios = plain_ratios(texts)
     cells = {} if ratios is None else dict(zip(texts, map(Fraction, *ratios)))
-    for row_no, row in enumerate(rows[1:], start=1):
-        if len(row) != width:
-            raise InputError(f"row {row_no}: expected {width} cells, got {len(row)}")
-        for c, cell in enumerate(row):
-            if cell not in cells:
-                cells[cell] = _parse_cell(cell, row_no, c + 1)
+    if ratios is None or not {width}.issuperset(map(len, rows)):
+        for row_no, row in enumerate(rows[1:], start=1):
+            if len(row) != width:
+                raise InputError(f"row {row_no}: expected {width} cells, got {len(row)}")
+            for c, cell in enumerate(row):
+                if cell not in cells:
+                    cells[cell] = _parse_cell(cell, row_no, c + 1)
     return [tuple(map(cells.__getitem__, row)) for row in rows[1:]]
 
 

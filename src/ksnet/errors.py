@@ -27,20 +27,20 @@ class CoincidentPoints(InputError):
         self.first, self.second = first, second
 
 
-class OutsideCube(DomainError):
-    """Coordinate `axis` (1-based) of point `index` (0-based) is `value`, outside [0, 1]."""
-
-    def __init__(self, index: int, axis: int, value):
-        super().__init__(f"point {index}: coordinate {axis} must lie in [0, 1], got {value}")
-        self.index, self.axis, self.value = index, axis, value
-
-
 class PointError(DomainError):
     """Point `index` (0-based) of a batch failed; `reason` is the message of the failure."""
 
     def __init__(self, index: int, reason: str):
         super().__init__(f"point {index}: {reason}")
         self.index, self.reason = index, reason
+
+
+class OutsideCube(PointError):
+    """Coordinate `axis` (1-based) of point `index` (0-based) is `value`, outside [0, 1]."""
+
+    def __init__(self, index: int, axis: int, value):
+        super().__init__(index, f"coordinate {axis} must lie in [0, 1], got {value}")
+        self.axis, self.value = axis, value
 
 
 class SeparationFailure(KsnetError):

@@ -21,12 +21,13 @@ values are computed, sorted and compared as integers.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
+from itertools import chain, starmap
+from operator import le
 
-from .errors import CoincidentPoints, DomainError, InternalInvariantError, OutsideCube, ParameterError
+from .errors import CoincidentPoints, DomainError, InternalInvariantError, OutsideCube, ParameterError, PointError
 from .inner import InnerSpec, phi_extend, phi_scaled
 from .linsolve import components, left_kernel_vector
 from .rationals import ONE, ZERO, digit_limit, grid_points
@@ -142,14 +143,14 @@ class HashParams:
     def a(self) -> Fraction:
         return Fraction(1, self.gamma * (self.gamma - 1))
 
-    def branch_input(self, num: int, den: int) -> tuple[int, int, int]:
-        """(n, m, step) with x + a q = (n + q step) / m for x = num/den and every branch q.
+    def branch_inputs(self, values, branches) -> list[tuple[int, int]]:
+        """x + a q as (numerator, denominator) for each q in `branches`, then each x = n/m in `values`.
 
-        x + a q = (num gamma (gamma - 1) + q den) / (den gamma (gamma - 1)),
-        so phi runs on integers and no Fraction is built.
+        x + a q = (n gamma (gamma - 1) + q m) / (m gamma (gamma - 1)), so phi
+        runs on integers and no Fraction is built.
         """
         shift = self.gamma * (self.gamma - 1)
-        return num * shift, den * shift, den
+        return [(n * shift + q * m, m * shift) for q in branches for n, m in values]
 
     @cached_property
     def b(self) -> tuple[int, ...]:
@@ -193,52 +194,17 @@ class BranchValue:
         return self.value + self.error_bound
 
 
-def check_point(params: HashParams, x) -> tuple[Fraction, ...]:
-    """x as exact coordinates, after checking it has d of them, each in [0, 1].
-
-    A coordinate n/m (m > 0) lies in [0, 1] when 0 <= n <= m, which compares
-    integers instead of Fractions.
-    """
-    point = tuple(c if type(c) is Fraction else Fraction(c) for c in x)
-    if len(point) != params.d:
-        raise DomainError(f"expected {params.d} coordinates, got {len(point)}")
-    for p, coord in enumerate(point, start=1):
-        num, den = coord.as_integer_ratio()
-        if not 0 <= num <= den:
-            raise DomainError(f"coordinate {p} must lie in [0, 1], got {coord}")
-    return point
-
-
-def branches_scaled(params: HashParams, inner: InnerSpec, point, depth: int) -> list[tuple[int, int]]:
-    """Every branch at a checked point as (value, window) numerators over params.unit(inner, depth)."""
-    lam_den, lam_num, tail_num = params._lam_scaled
-    coords = [params.branch_input(c.numerator, c.denominator) for c in point]
-    inputs = [(num + q * step, den) for q in range(params.branch_count) for num, den, step in coords]
-    phis, d = phi_scaled(inner, inputs, depth), params.d
-    base = lam_den * inner._den**depth
-    out = []
-    for q, b in enumerate(params.b):
-        value, window = b * base, 0
-        for lam, tail, (v, w, _) in zip(lam_num, tail_num, phis[q * d:(q + 1) * d]):
-            value += lam * v
-            window += lam * w + tail * (v + w)
-        out.append((value, window))
-    return out
-
-
 def psi_eval(params: HashParams, inner: InnerSpec, x, q: int, depth: int) -> BranchValue:
-    """Branch q's value at x in [0, 1]^d, truncation depth `depth`.
-
-    The error bound collects the inner truncation widths weighted by lam_p
-    plus the lam tail applied to the inner value itself; both effects only
-    add mass, so the window is one sided.
-    """
+    """Branch q's value and error bound at x in [0, 1]^d, depth `depth`; a bad x raises its reason."""
     if not 0 <= q <= 2 * params.d:
         raise DomainError(f"branch index must lie in 0..{2 * params.d}, got {q}")
-    point = check_point(params, x)
-    value, window = branches_scaled(params, inner, point, depth)[q]
-    unit = params.unit(inner, depth)
-    return BranchValue(q=q, value=Fraction(value, unit), error_bound=Fraction(window, unit))
+    try:
+        table = InnerTable(params, inner, PointGroups((x,), params.d, distinct=False))
+    except PointError as exc:
+        raise DomainError(exc.reason) from None
+    table.deepen(depth)
+    value, window = table.branches(0)[q]
+    return BranchValue(q=q, value=Fraction(value, table.unit), error_bound=Fraction(window, table.unit))
 
 
 @dataclass(frozen=True)
@@ -298,14 +264,14 @@ def check_ranges(params: HashParams, inner: InnerSpec, probe_level: int = 1, dep
     the axis value that gives it.
     """
     axis = grid_points(probe_level, params.gamma)
-    coords = [params.branch_input(c.numerator, c.denominator) for c in axis]
+    pairs = [(c.numerator, c.denominator) for c in axis]
     _, lam_num, tail_num = params._lam_scaled
     lam_sum, reach_sum = sum(lam_num), sum(lam_num) + sum(tail_num)
     width = 2 * params.d
     unit = params.unit(inner, depth)
     branches, violations, lo, hi = [], [], [], []
     for q, b in enumerate(params.b):
-        phis = phi_scaled(inner, [(n + q * step, m) for n, m, step in coords], depth)
+        phis = phi_scaled(inner, params.branch_inputs(pairs, (q,)), depth)
         low = min(range(len(axis)), key=lambda g: phis[g][0])
         high = max(range(len(axis)), key=lambda g: phis[g][0] + phis[g][1])
         lo.append(b * unit + lam_sum * phis[low][0])
@@ -329,57 +295,53 @@ def check_ranges(params: HashParams, inner: InnerSpec, probe_level: int = 1, dep
     )
 
 
-def _exact_point(point) -> tuple[Fraction, ...]:
-    point = tuple(point)
-    if all(type(c) is Fraction for c in point):
-        return point
-    return tuple(map(Fraction, point))
-
-
 class PointGroups:
-    """Distinct points of [0, 1]^d, grouped per axis by coordinate value.
+    """Points of [0, 1]^d, grouped per axis by coordinate value.
 
-    values[p] lists the distinct coordinates of axis p as (numerator,
-    denominator) pairs in order of first appearance, and ids[p][j] is the
-    place of point j's coordinate in it.  So each distinct coordinate is
-    range-checked once, and two points coincide exactly when their ids agree
-    on every axis.  Raises OutsideCube or CoincidentPoints at the first
-    point at fault, an out-of-range coordinate before a repeat at one point.
+    values[p] lists the distinct coordinates of axis p as (numerator, denominator) pairs
+    in order of first appearance, and ids[p][j] is the place of point j's coordinate in
+    it, so two points coincide exactly when their ids agree on every axis.  Every point
+    rule lives here: d coordinates, each in [0, 1], and with `distinct` (fits; queries
+    may repeat) no repeat.  The first point at fault in input order raises a PointError,
+    OutsideCube or CoincidentPoints, a bad coordinate before a repeat.
     """
 
-    def __init__(self, points, d: int):
-        self.points = tuple(map(_exact_point, points))
+    def __init__(self, points, d: int, *, distinct: bool = True):
+        self.points = tuple(map(tuple, points))
         if not self.points:
             raise DomainError("need at least one point")
-        for j, point in enumerate(self.points):
-            if len(point) != d:
-                raise DomainError(f"point {j}: expected {d} coordinates, got {len(point)}")
+        # only the points before the first one with another coordinate count are grouped
+        n = len(self.points)
+        if not {d}.issuperset(map(len, self.points)):
+            n = next(j for j, point in enumerate(self.points) if len(point) != d)
+        coords = list(chain.from_iterable(self.points[:n]))
+        if not {Fraction}.issuperset(map(type, coords)):
+            self.points = tuple(tuple(map(Fraction, point)) for point in self.points)
+            coords = list(chain.from_iterable(self.points[:n]))
+        pairs = list(map(Fraction.as_integer_ratio, coords))
+        outside = None  # (point, axis) of the first coordinate outside [0, 1]
+        if pairs and (min(pairs) < (0, 0) or not all(starmap(le, pairs))):
+            outside = divmod(next(i for i, (num, den) in enumerate(pairs) if not 0 <= num <= den), d)
         self.values: list[list[tuple[int, int]]] = []
         self.ids: list[list[int]] = []
         for p in range(d):
             index: dict[tuple[int, int], int] = {}
-            self.ids.append([
-                index.setdefault((c.numerator, c.denominator), len(index))
-                for c in map(operator.itemgetter(p), self.points)
-            ])
+            self.ids.append([index.setdefault(pair, len(index)) for pair in pairs[p::d]])
             self.values.append(list(index))
-        outside = min((
-            (ids.index(g), p)
-            for p, (values, ids) in enumerate(zip(self.values, self.ids))
-            for g, (num, den) in enumerate(values)
-            if not 0 <= num <= den
-        ), default=None)
-        keys = list(zip(*self.ids))
-        if len(set(keys)) < len(keys):
-            seen: dict[tuple[int, ...], int] = {}
-            for j, key in enumerate(keys):
-                if seen.setdefault(key, j) != j:
-                    if outside is None or outside[0] > j:
-                        raise CoincidentPoints(seen[key], j)
-                    break
+        if distinct:
+            keys = list(zip(*self.ids))
+            if len(set(keys)) < len(keys):
+                seen: dict[tuple[int, ...], int] = {}
+                for j, key in enumerate(keys):
+                    if seen.setdefault(key, j) != j:
+                        if outside is None or outside[0] > j:
+                            raise CoincidentPoints(seen[key], j)
+                        break
         if outside is not None:
             j, p = outside
             raise OutsideCube(j, p + 1, self.points[j][p])
+        if n < len(self.points):
+            raise PointError(n, f"expected {d} coordinates, got {len(self.points[n])}")
 
 
 def point_groups(points, d: int) -> PointGroups:
@@ -390,13 +352,14 @@ def point_groups(points, d: int) -> PointGroups:
 class InnerTable:
     """phi(x + a q) for every distinct coordinate x of every axis and every branch q.
 
-    value[p][q][g], window[p][q][g] and rest[p][q][g] are phi_scaled's
-    (value, window, rest) at x + a q for x = groups.values[p][g], at `depth`.
-    The branch values of every point are sums of these, so phi runs once per
-    distinct coordinate and branch, not once per point.  deepen() fills each
-    (axis, branch) list with one call of the inner kernel, phi_extend: from
-    the coordinates for a fresh table, and from the stored states for a
-    deeper one, reading only the new digits.
+    value[p], window[p] and rest[p] hold phi_scaled's (value, window, rest) at `depth`,
+    one flat sequence per axis, branch after branch: entry q * k + g is taken at x + a q
+    for x = groups.values[p][g], k = len(groups.values[p]), so branch q of axis p is the
+    slice [q k, (q + 1) k).  Every point's branch values are sums of these entries, so
+    phi runs once per distinct coordinate and branch.  deepen() fills each axis with one
+    call of the inner kernel: from the coordinates for a fresh table, from the stored
+    states for a deeper one, reading only the new digits.  Fits read all points' branch
+    columns (build_incidence), evaluation one point at a time (branches).
     """
 
     def __init__(self, params: HashParams, inner: InnerSpec, groups: PointGroups):
@@ -404,32 +367,45 @@ class InnerTable:
             raise DomainError(f"points have d = {len(groups.values)}, parameters have d = {params.d}")
         self.params, self.inner, self.groups = params, inner, groups
         self.depth = 0
-        self.value: list[list[list[int]]] = []
-        self.window: list[list[list[int]]] = []
-        self.rest: list[list[list[int]]] = []
+        self.value: list[tuple[int, ...]] = [()] * params.d
+        self.window, self.rest = [()] * params.d, [()] * params.d
 
     def deepen(self, depth: int) -> None:
         """Bring the table to `depth`: extended in place from a lower depth, else computed anew."""
         if depth < 1:
             raise DomainError(f"depth must be >= 1, got {depth}")
-        inner, more = self.inner, depth - self.depth
+        more, branches = depth - self.depth, range(len(self.params.b))
         if not more:
             return
         extend = 0 < self.depth < depth
-        if not extend:
-            axes, branch_count = len(self.groups.values), self.params.branch_count
-            self.value, self.window, self.rest = ([[None] * branch_count for _ in range(axes)] for _ in range(3))
         for p, values in enumerate(self.groups.values):
-            axis = [self.params.branch_input(n, m) for n, m in values]
-            dens = [m for _, m, _ in axis]
-            value, window, rest = self.value[p], self.window[p], self.rest[p]
-            for q in range(self.params.branch_count):
-                if extend:
-                    triples = phi_extend(inner, zip(value[q], window[q], rest[q], dens), more)
-                else:
-                    triples = phi_scaled(inner, [(n + q * step, m) for n, m, step in axis], depth)
-                value[q], window[q], rest[q] = map(list, zip(*triples))
-        self.depth = depth
+            if extend:
+                dens = [den for _, den in self.params.branch_inputs(values, branches)]
+                triples = phi_extend(self.inner, zip(self.value[p], self.window[p], self.rest[p], dens), more)
+            else:
+                triples = phi_scaled(self.inner, self.params.branch_inputs(values, branches), depth)
+            self.value[p], self.window[p], self.rest[p] = zip(*triples)
+        self.depth, self.unit = depth, self.params.unit(self.inner, depth)
+
+    def branches(self, j: int) -> list[tuple[int, int]]:
+        """Every branch at point j as (value, window) numerators over params.unit(inner, depth).
+
+        Branch q is b_q + sum_p lam_p phi(x_p + a q).  Its window adds the
+        inner windows weighted by lam_p and the lam tails applied to the upper
+        end of each inner value: both only add mass, so it is one sided.
+        """
+        _, lam_num, tail_num = self.params._lam_scaled
+        axes = [(lam, tail, values, windows, ids[j], len(coords)) for lam, tail, values, windows, ids, coords
+                in zip(lam_num, tail_num, self.value, self.window, self.groups.ids, self.groups.values)]
+        out = []
+        for q, b in enumerate(self.params.b):
+            value, window = b * self.unit, 0
+            for lam, tail, values, windows, g, k in axes:
+                v, w = values[q * k + g], windows[q * k + g]
+                value += lam * v
+                window += lam * w + tail * (v + w)
+            out.append((value, window))
+        return out
 
 
 @dataclass
@@ -496,8 +472,9 @@ def build_incidence(
 
     The points are checked and grouped per axis (PointGroups; a PointGroups
     is taken as it is), and phi runs once per distinct coordinate and branch
-    (InnerTable); branch q of point j is then b_q plus the lam-weighted sum
-    of its coordinates' entries.  Values are compared, and kept, as integer
+    (InnerTable); branch q's column is b_q plus, per axis, the lam-weighted
+    entries of the table's branch-q slice, read through the points' ids (no
+    windows: a fit needs none).  Values are compared, and kept, as integer
     numerators over one denominator, and each branch's distinct values are
     sorted on their own: the branch ranges are disjoint and increasing, so
     their concatenation is the sorted knot list.  Instead of `points`, a
@@ -512,16 +489,15 @@ def build_incidence(
     elif table.params != params or table.inner != inner:
         raise ParameterError("the table was built for other parameters or another inner function")
     table.deepen(depth)
-    groups, n = table.groups, len(table.groups.points)
-    unit = params.unit(inner, depth)
+    groups, n, unit = table.groups, len(table.groups.points), table.unit
     lam_num = params._lam_scaled[1]
     knots: list[int] = []
     starts = [0]
     columns = []
     for q, b in enumerate(params.b):
         column = [b * unit] * n
-        for lam, values, ids in zip(lam_num, table.value, groups.ids):
-            terms = [lam * v for v in values[q]]
+        for lam, values, ids, k in zip(lam_num, table.value, groups.ids, map(len, groups.values)):
+            terms = [lam * v for v in values[q * k:(q + 1) * k]]
             column = [c + terms[g] for c, g in zip(column, ids)]
         distinct = sorted(set(column))
         if knots and distinct[0] <= knots[-1]:

@@ -5,19 +5,22 @@ a metadata record.  Evaluation is the two-hidden-layer superposition: feed
 every branch value through the shared outer function and add the 2d+1
 contributions.
 
-There is one evaluation pipeline, and it is exact.  At depth k every branch
-value is an integer over one denominator, so a per-depth plan (built once
-per model and cached on it) holds all knot positions as integers in one
-sorted array, and all knot values as integer numerators over one value
-denominator G, the lcm of their denominators (G = 1, with per-knot
-denominators, when G would pass the plan's bit limit).  Each branch costs
-one knot search.  When its error window starts on or after a knot and ends
-before the next knot of its branch, the error term is the closed form
-|g1 - g0| * window / dy, over the same denominator as the interpolated
-value; any other window is scanned knot by knot.  w and the error bound accumulate on one running denominator, and
-only the final w and error bound become Fractions, where G is applied.  The
-float path is the exact result rounded to the nearest double, with a bound
-that also covers that rounding.
+There is one evaluation pipeline, and it is exact.  A batch of points (a
+single point is a batch of one) is grouped per axis (PointGroups, repeats
+allowed), and phi runs once per distinct coordinate and branch into one
+InnerTable, as in a fit.  At depth k every branch value is an integer over
+one denominator, so a per-depth plan (built once per model and cached on it)
+holds all knot positions as integers in one sorted array, and all knot
+values as integer numerators over one value denominator G, the lcm of their
+denominators (G = 1, with per-knot denominators, when G would pass the
+plan's bit limit).  Each branch costs one knot search.  When its error
+window starts on or after a knot and ends before the next knot of its
+branch, the error term is the closed form |g1 - g0| * window / dy, over the
+same denominator as the interpolated value; any other window is scanned
+knot by knot.  w and the error bound accumulate on one running denominator,
+and only the final w and error bound become Fractions, where G is applied.
+The float path is the exact result rounded to the nearest double, with a
+bound that also covers that rounding.
 """
 
 from __future__ import annotations
@@ -27,15 +30,13 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, partial
+from functools import cached_property
 from itertools import chain, repeat
 from operator import floordiv, itemgetter, mul
 from pathlib import Path
 
 from .errors import AssemblyError, DomainError, InputError, ModelFormatError, ParameterError, PointError
-from .hashmaps import (
-    DEPTH_CAP, HashParams, branch_offsets, branches_scaled, check_dims, check_point,
-)
+from .hashmaps import DEPTH_CAP, HashParams, InnerTable, PointGroups, branch_offsets, check_dims
 from .inner import InnerSpec
 from .outer import KnotLookup, OuterFunction, common_unit
 from .rationals import parse_ratio, plain_ratios
@@ -104,30 +105,34 @@ class _Plan(KnotLookup):
         self.inner = model.inner
         self.depth = depth
 
-    def sums(self, x, contributions: list | None = None) -> tuple[int, int, int]:
-        """w and the error bound at x as unreduced numerators over one denominator.
+    def sums(self, points: tuple, contributions: list | None = None) -> list[tuple[int, int, int]]:
+        """w and the error bound at every point, from one InnerTable of the points at this depth,
+        as unreduced numerators over one denominator; the first bad point raises a PointError.
 
-        Branch lookups that share a denominator add without a product, and
-        value_den joins the denominator once, at the end.  Per-branch values
-        of the outer function are appended to `contributions` when a list is
-        given.
+        Lookups that share a denominator add without a product, and value_den joins it once, at
+        the end.  Per-branch outer values are appended to `contributions` when a list is given.
         """
-        point = check_point(self.params, x)
-        if not self.ys:
-            raise DomainError("outer function has no knots")
+        groups = PointGroups(points if self.ys else points[:1], self.params.d, distinct=False)
+        if not self.ys:  # raised after point 0's own fault
+            raise PointError(0, "outer function has no knots")
+        table = InnerTable(self.params, self.inner, groups)
+        table.deepen(self.depth)
         lift, value_den = self.lift, self.value_den
-        w_num = e_num = 0
-        den = 1
-        for value, window in branches_scaled(self.params, self.inner, point, self.depth):
-            g, dev, m = self.branch(value * lift, window * lift)
-            if m == den:
-                w_num += g
-                e_num += dev
-            else:
-                w_num, e_num, den = w_num * m + g * den, e_num * m + dev * den, den * m
-            if contributions is not None:
-                contributions.append(Fraction(g, m * value_den))
-        return w_num, e_num, den * value_den
+        out = []
+        for j in range(len(points)):
+            w_num = e_num = 0
+            den = 1
+            for value, window in table.branches(j):
+                g, dev, m = self.branch(value * lift, window * lift)
+                if m == den:
+                    w_num += g
+                    e_num += dev
+                else:
+                    w_num, e_num, den = w_num * m + g * den, e_num * m + dev * den, den * m
+                if contributions is not None:
+                    contributions.append(Fraction(g, m * value_den))
+            out.append((w_num, e_num, den * value_den))
+        return out
 
 
 def _plan(model: KNetModel, depth: int | None) -> _Plan:
@@ -148,7 +153,10 @@ def evaluate(model: KNetModel, x, depth: int | None = None, with_branches: bool 
     exactly.
     """
     parts = [] if with_branches else None
-    w_num, e_num, den = _plan(model, depth).sums(x, parts)
+    try:
+        ((w_num, e_num, den),) = _plan(model, depth).sums((x,), parts)
+    except PointError as exc:
+        raise DomainError(exc.reason) from None
     w, error = Fraction(w_num, den), Fraction(e_num, den)
     if with_branches:
         return w, error, tuple(parts)
@@ -158,19 +166,41 @@ def evaluate(model: KNetModel, x, depth: int | None = None, with_branches: bool 
 def evaluate_batch(model: KNetModel, points, depth: int | None = None, numeric: str = "exact"):
     """Evaluate many points, preserving order; the first bad point aborts with a PointError.
 
-    numeric='exact' yields (Fraction, Fraction) pairs, numeric='fast' yields
-    (float, float) pairs from FastEvaluator.
+    numeric='exact' yields (Fraction, Fraction) pairs, numeric='fast' the
+    (float, float) pairs of FastEvaluator.  Points may repeat.
     """
     if numeric not in ("exact", "fast"):
         raise DomainError(f"numeric mode must be 'exact' or 'fast', got {numeric!r}")
-    evaluate_one = FastEvaluator(model).evaluate if numeric == "fast" else partial(evaluate, model)
+    points = tuple(points)
+    if not points:
+        return []
+    sums = _plan(model, depth).sums(points)
+    if numeric == "exact":
+        return [(Fraction(w_num, den), Fraction(e_num, den)) for w_num, e_num, den in sums]
     out = []
-    for j, point in enumerate(points):
+    for j, point_sums in enumerate(sums):
         try:
-            out.append(evaluate_one(point, depth))
+            out.append(_rounded(*point_sums))
         except DomainError as exc:
-            raise PointError(j, str(exc)) from exc
+            raise PointError(j, str(exc)) from None
     return out
+
+
+def _rounded(w_num: int, e_num: int, den: int) -> tuple[float, float]:
+    """w rounded to the nearest double, and the error bound plus that rounding, rounded up."""
+    try:
+        w = w_num / den  # int division rounds correctly
+        p, s = w.as_integer_ratio()
+        # bound = e + |w - exact w|, over one denominator
+        num = e_num * s + abs(p * den - w_num * s)
+        den *= s
+        bound = num / den
+    except OverflowError:
+        raise DomainError("w or its error bound lies beyond the double range; evaluate exactly") from None
+    p, s = bound.as_integer_ratio()
+    if p * den < num * s:
+        bound = math.nextafter(bound, math.inf)
+    return w, bound
 
 
 class FastEvaluator:
@@ -186,20 +216,11 @@ class FastEvaluator:
         self.model = model
 
     def evaluate(self, x, depth: int | None = None) -> tuple[float, float]:
-        w_num, e_num, den = _plan(self.model, depth).sums(x)
         try:
-            w = w_num / den  # int division rounds correctly
-            p, s = w.as_integer_ratio()
-            # bound = e + |w - exact w|, over one denominator
-            num = e_num * s + abs(p * den - w_num * s)
-            den *= s
-            bound = num / den
-        except OverflowError:
-            raise DomainError("w or its error bound lies beyond the double range; evaluate exactly") from None
-        p, s = bound.as_integer_ratio()
-        if p * den < num * s:
-            bound = math.nextafter(bound, math.inf)
-        return w, bound
+            ((w_num, e_num, den),) = _plan(self.model, depth).sums((x,))
+        except PointError as exc:
+            raise DomainError(exc.reason) from None
+        return _rounded(w_num, e_num, den)
 
 
 def _literal(num: int, den: int) -> str:

@@ -25,6 +25,8 @@ as they were before they read the inner kernel in closed form and in chunks:
 a sweep over every grid point, and a suite that reads phi once per value.
 rows spells out a system's incidence rows, and sample_hash spells the sample
 hash point by point, not once per distinct coordinate.
+check_point is the point rule of evaluation applied to one point at a time,
+which PointGroups must agree with at the first point at fault of a batch.
 All of it is deliberately slow and simple.
 """
 
@@ -123,15 +125,21 @@ def phi_eval(spec, x, depth: int) -> InnerValue:
     return InnerValue(value=value, error_bound=Fraction(prefix, scale))
 
 
-def psi_eval(params, inner, x, q: int, depth: int) -> BranchValue:
+def check_point(params, x) -> tuple[Fraction, ...]:
+    """x as exact coordinates, after checking it has d of them, each in [0, 1]."""
     point = tuple(Fraction(c) for c in x)
     if len(point) != params.d:
         raise DomainError(f"expected {params.d} coordinates, got {len(point)}")
-    if not 0 <= q <= 2 * params.d:
-        raise DomainError(f"branch index must lie in 0..{2 * params.d}, got {q}")
     for p, coord in enumerate(point, start=1):
         if not 0 <= coord <= 1:
             raise DomainError(f"coordinate {p} must lie in [0, 1], got {coord}")
+    return point
+
+
+def psi_eval(params, inner, x, q: int, depth: int) -> BranchValue:
+    if not 0 <= q <= 2 * params.d:
+        raise DomainError(f"branch index must lie in 0..{2 * params.d}, got {q}")
+    point = check_point(params, x)
     value = Fraction(params.b[q])
     error = ZERO
     shift = params.a * q

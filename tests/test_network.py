@@ -1,13 +1,19 @@
 """Model assembly, evaluation bounds, serialization, topology reporting."""
 
+import csv
 import io
 import json
 import math
 import random
 from fractions import Fraction
 
+import oracle
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from ksnet import hashmaps
+from ksnet.cli import main
 from ksnet.errors import AssemblyError, DomainError, ModelFormatError, PointError
 from ksnet.hashmaps import make_params, psi_eval
 from ksnet.inner import default_inner_spec
@@ -84,6 +90,84 @@ def test_evaluate_batch_names_offending_point():
         with pytest.raises(PointError) as caught:
             evaluate_batch(MODEL, points, numeric=numeric)
         assert (caught.value.index, caught.value.reason) == (1, "coordinate 2 must lie in [0, 1], got 3/2")
+
+
+def _refusal(point):
+    """oracle.check_point's message for the point, or None if it passes."""
+    try:
+        oracle.check_point(P26, point)
+    except DomainError as exc:
+        return str(exc)
+    return None
+
+
+inside = st.fractions(min_value=0, max_value=1, max_denominator=12)
+outside = st.sampled_from([Fraction(-1, 3), Fraction(-1), Fraction(7, 6), Fraction(3, 2), 2])
+
+
+@given(st.lists(st.lists(st.one_of(inside, inside, outside), min_size=1, max_size=3), min_size=1, max_size=8),
+       st.sampled_from(["exact", "fast"]))
+@settings(max_examples=150, deadline=None)
+def test_a_batch_names_its_first_bad_point(points, numeric):
+    """Short, long and out-of-range points mixed with good ones, repeats allowed:
+    the batch fails at the first point, in input order, that oracle.check_point
+    refuses, with the same reason."""
+    refusals = [(j, reason) for j, point in enumerate(points) if (reason := _refusal(point)) is not None]
+    if not refusals:
+        assert len(evaluate_batch(MODEL, points, numeric=numeric)) == len(points)
+        return
+    with pytest.raises(PointError) as caught:
+        evaluate_batch(MODEL, points, numeric=numeric)
+    assert (caught.value.index, caught.value.reason) == refusals[0]
+    assert str(caught.value) == f"point {refusals[0][0]}: {refusals[0][1]}"
+
+
+@pytest.mark.parametrize("point, reason", [
+    ((Fraction(1, 2),), "expected 2 coordinates, got 1"),
+    ((Fraction(1, 2),) * 3, "expected 2 coordinates, got 3"),
+    ((Fraction(1, 2), Fraction(-1, 10)), "coordinate 2 must lie in [0, 1], got -1/10"),
+    ((Fraction(3, 2), 2), "coordinate 1 must lie in [0, 1], got 3/2"),
+])
+def test_a_single_call_names_the_fault_without_an_index(point, reason):
+    assert _refusal(point) == reason
+    for call in (lambda: evaluate(MODEL, point), lambda: FastEvaluator(MODEL).evaluate(point),
+                 lambda: psi_eval(P26, SPEC6, point, 0, 30)):
+        with pytest.raises(DomainError) as caught:
+            call()
+        assert str(caught.value) == reason and not isinstance(caught.value, PointError)
+
+
+def test_repeated_and_respelled_queries(tmp_path):
+    """One value spelled 1/2, 2/4 and 0.5, and whole points repeated: every row is
+    the oracle's value at depth 2, at the stored depth and at depth 240, from
+    the library and from the command line."""
+    rows = [["1/2", "1/3"], ["2/4", "1/3"], ["0.5", "2/6"], ["1/3", "1/2"], ["1/2", "1/3"], ["0", "1"]]
+    save(MODEL, tmp_path / "m.json")
+    with open(tmp_path / "q.csv", "w", newline="") as fh:
+        csv.writer(fh).writerows([["x1", "x2"], *rows])
+    for depth in (2, None, 240):
+        want = [oracle.evaluate(MODEL, tuple(map(Fraction, row)), depth or MODEL.meta["depth"])[:2] for row in rows]
+        assert evaluate_batch(MODEL, rows, depth) == want
+        flags = [] if depth is None else ["--depth", str(depth)]
+        assert main(["eval", "--model", str(tmp_path / "m.json"), "--in", str(tmp_path / "q.csv"),
+                     "--out", str(tmp_path / "e.csv"), *flags]) == 0
+        with open(tmp_path / "e.csv", newline="") as fh:
+            assert list(csv.reader(fh))[1:] == [[str(w), str(err)] for w, err in want]
+
+
+def test_a_batch_reads_each_distinct_coordinate_once(monkeypatch):
+    """phi runs on the k_p distinct coordinates of each axis p, once per branch:
+    (2d+1) * sum k_p kernel inputs for the batch, not (2d+1) * d per point."""
+    inputs = []
+    kernel = hashmaps.phi_scaled
+    monkeypatch.setattr(hashmaps, "phi_scaled", lambda spec, items, depth: inputs.append(len(items)) or kernel(
+        spec, items, depth))
+    xs, ys = [Fraction(1, 3), Fraction(1, 7)], [Fraction(0), Fraction(2, 5), Fraction(1)]
+    points = [(xs[j % 2], ys[j % 3]) for j in range(12)]  # 6 distinct points, each twice
+    for numeric in ("exact", "fast"):
+        inputs.clear()
+        assert len(evaluate_batch(MODEL, points, numeric=numeric)) == 12
+        assert inputs == [5 * 2, 5 * 3]
 
 
 def test_error_bound_brackets_deeper_evaluation():

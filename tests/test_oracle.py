@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ksnet.errors import DomainError
-from ksnet.hashmaps import branches_scaled, build_incidence, check_point, check_ranges, make_params, psi_eval
+from ksnet.hashmaps import build_incidence, check_ranges, make_params, psi_eval
 from ksnet.inner import VERIFY_CHUNK, InnerSpec, default_inner_spec, phi_eval, verify_inner
 from ksnet.network import FastEvaluator, _plan, assemble, evaluate, load, save
 from ksnet.outer import KnotLookup, SampleSet, fit_exact
@@ -261,9 +261,10 @@ def test_evaluate_matches_oracle_on_every_window_case(network, data, depth, resp
     point = tuple(data.draw(unit_coords(params.gamma)) for _ in range(params.d))
     unit = params.unit(inner, depth)
     width = 2 * params.d
+    branches = [oracle.psi_eval(params, inner, point, q, depth) for q in range(params.branch_count)]
     positions = [
-        _window_knots(data.draw, Fraction(v, unit), Fraction(v + w, unit), Fraction(b), Fraction(b + width))
-        for b, (v, w) in zip(params.b, branches_scaled(params, inner, check_point(params, point), depth))
+        _window_knots(data.draw, v.value, v.upper, Fraction(b), Fraction(b + width))
+        for b, v in zip(params.b, branches)
     ]
     if not any(positions):
         positions[0] = [Fraction(params.b[0] + width)]
