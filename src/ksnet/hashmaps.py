@@ -194,17 +194,50 @@ class BranchValue:
         return self.value + self.error_bound
 
 
+def mix(params: HashParams, unit: int, values, windows, starts, steps) -> list[tuple[int, int]]:
+    """Every branch as (value, window) numerators over `unit` = params.unit(inner, k), where
+    phi's depth-k numerators at x_p + a q are values[p][i] and windows[p][i], i = starts[p] + q steps[p].
+
+    Branch q is b_q + sum_p lam_p phi(x_p + a q).  Its window adds the
+    inner windows weighted by lam_p and the lam tails applied to the upper
+    end of each inner value: both only add mass, so it is one sided.
+    """
+    _, lam_num, tail_num = params._lam_scaled
+    axes = list(zip(lam_num, tail_num, values, windows, starts, steps))
+    out = []
+    for q, b in enumerate(params.b):
+        value, window = b * unit, 0
+        for lam, tail, vs, ws, g, k in axes:
+            v, w = vs[g + q * k], ws[g + q * k]
+            value += lam * v
+            window += lam * w + tail * (v + w)
+        out.append((value, window))
+    return out
+
+
+def point_branches(params: HashParams, inner: InnerSpec, x, depth: int) -> list[tuple[int, int]]:
+    """Every branch at the one point x as (value, window) numerators over params.unit(inner, depth).
+
+    x is checked by checked_points, and a fault raises a DomainError with the reason alone (no
+    point index).  phi runs in one kernel call over the d coordinates and every branch, with
+    no grouping, so a single call pays for its kernel inputs and little else; batches take
+    PointGroups and InnerTable.
+    """
+    _, pairs, fault = checked_points((x,), params.d)
+    if fault is not None:
+        raise DomainError(fault.reason) if isinstance(fault, PointError) else fault
+    values, windows, _ = zip(*phi_scaled(inner, params.branch_inputs(pairs, range(params.branch_count)), depth))
+    d = params.d  # entry p + q d is axis p at branch q
+    return mix(params, params.unit(inner, depth), [values] * d, [windows] * d, range(d), [d] * d)
+
+
 def psi_eval(params: HashParams, inner: InnerSpec, x, q: int, depth: int) -> BranchValue:
     """Branch q's value and error bound at x in [0, 1]^d, depth `depth`; a bad x raises its reason."""
     if not 0 <= q <= 2 * params.d:
         raise DomainError(f"branch index must lie in 0..{2 * params.d}, got {q}")
-    try:
-        table = InnerTable(params, inner, PointGroups((x,), params.d, distinct=False))
-    except PointError as exc:
-        raise DomainError(exc.reason) from None
-    table.deepen(depth)
-    value, window = table.branches(0)[q]
-    return BranchValue(q=q, value=Fraction(value, table.unit), error_bound=Fraction(window, table.unit))
+    value, window = point_branches(params, inner, x, depth)[q]
+    unit = params.unit(inner, depth)
+    return BranchValue(q=q, value=Fraction(value, unit), error_bound=Fraction(window, unit))
 
 
 @dataclass(frozen=True)
@@ -295,36 +328,59 @@ def check_ranges(params: HashParams, inner: InnerSpec, probe_level: int = 1, dep
     )
 
 
+def checked_points(points, d: int) -> tuple[tuple, list[tuple[int, int]], Exception | None]:
+    """Every point rule but repeats: the points as tuples of Fractions, the (numerator,
+    denominator) pairs of the coordinates of the points before the first one at fault, flat,
+    and that point's fault (None when there is none).
+
+    The rules, in the order one point is checked: Fraction takes each coordinate (its own
+    error otherwise), there are d of them (PointError), each lies in [0, 1] (OutsideCube).
+    The first point at fault in input order is the one reported.
+    """
+    points = tuple(map(tuple, points))
+    if not points:
+        raise DomainError("need at least one point")
+    n, fault = len(points), None
+    if not {d}.issuperset(map(len, points)):
+        n = next(j for j, point in enumerate(points) if len(point) != d)
+        fault = PointError(n, f"expected {d} coordinates, got {len(points[n])}")
+    coords = list(chain.from_iterable(points[:n + 1]))
+    if not {Fraction}.issuperset(map(type, coords)):
+        exact = []
+        for point in points[:n + 1]:  # converted before its count is checked
+            try:
+                exact.append(tuple(map(Fraction, point)))
+            except (TypeError, ValueError, ArithmeticError) as exc:
+                n, fault = len(exact), exc
+                break
+        points = (*exact, *points[len(exact):])
+        coords = list(chain.from_iterable(points[:n]))
+    elif fault is not None:
+        del coords[n * d:]
+    pairs = list(map(Fraction.as_integer_ratio, coords))
+    if pairs and (min(pairs) < (0, 0) or not all(starmap(le, pairs))):
+        j, p = divmod(next(i for i, (num, den) in enumerate(pairs) if not 0 <= num <= den), d)
+        fault = OutsideCube(j, p + 1, points[j][p])
+        del pairs[j * d:]
+    return points, pairs, fault
+
+
 class PointGroups:
     """Points of [0, 1]^d, grouped per axis by coordinate value.
 
     values[p] lists the distinct coordinates of axis p as (numerator, denominator) pairs
     in order of first appearance, and ids[p][j] is the place of point j's coordinate in
-    it, so two points coincide exactly when their ids agree on every axis.  Every point
-    rule lives here: d coordinates, each in [0, 1], and with `distinct` (fits; queries
-    may repeat) no repeat.  The first point at fault in input order raises a PointError,
-    OutsideCube or CoincidentPoints, a bad coordinate before a repeat.
+    it, so two points coincide exactly when their ids agree on every axis.  The points
+    pass checked_points, and with `distinct` (fits; queries may repeat) no point repeats
+    an earlier one.  The first point at fault in input order raises, a bad coordinate
+    before a repeat: Fraction's own error, a PointError, OutsideCube or CoincidentPoints.
     """
 
     def __init__(self, points, d: int, *, distinct: bool = True):
-        self.points = tuple(map(tuple, points))
-        if not self.points:
-            raise DomainError("need at least one point")
-        # only the points before the first one with another coordinate count are grouped
-        n = len(self.points)
-        if not {d}.issuperset(map(len, self.points)):
-            n = next(j for j, point in enumerate(self.points) if len(point) != d)
-        coords = list(chain.from_iterable(self.points[:n]))
-        if not {Fraction}.issuperset(map(type, coords)):
-            self.points = tuple(tuple(map(Fraction, point)) for point in self.points)
-            coords = list(chain.from_iterable(self.points[:n]))
-        pairs = list(map(Fraction.as_integer_ratio, coords))
-        outside = None  # (point, axis) of the first coordinate outside [0, 1]
-        if pairs and (min(pairs) < (0, 0) or not all(starmap(le, pairs))):
-            outside = divmod(next(i for i, (num, den) in enumerate(pairs) if not 0 <= num <= den), d)
+        self.points, pairs, fault = checked_points(points, d)
         self.values: list[list[tuple[int, int]]] = []
         self.ids: list[list[int]] = []
-        for p in range(d):
+        for p in range(d):  # the points before the first one at fault
             index: dict[tuple[int, int], int] = {}
             self.ids.append([index.setdefault(pair, len(index)) for pair in pairs[p::d]])
             self.values.append(list(index))
@@ -334,14 +390,9 @@ class PointGroups:
                 seen: dict[tuple[int, ...], int] = {}
                 for j, key in enumerate(keys):
                     if seen.setdefault(key, j) != j:
-                        if outside is None or outside[0] > j:
-                            raise CoincidentPoints(seen[key], j)
-                        break
-        if outside is not None:
-            j, p = outside
-            raise OutsideCube(j, p + 1, self.points[j][p])
-        if n < len(self.points):
-            raise PointError(n, f"expected {d} coordinates, got {len(self.points[n])}")
+                        raise CoincidentPoints(seen[key], j)
+        if fault is not None:
+            raise fault
 
 
 def point_groups(points, d: int) -> PointGroups:
@@ -359,7 +410,7 @@ class InnerTable:
     phi runs once per distinct coordinate and branch.  deepen() fills each axis with one
     call of the inner kernel: from the coordinates for a fresh table, from the stored
     states for a deeper one, reading only the new digits.  Fits read all points' branch
-    columns (build_incidence), evaluation one point at a time (branches).
+    columns (build_incidence), batch evaluation one point at a time (branches, through mix).
     """
 
     def __init__(self, params: HashParams, inner: InnerSpec, groups: PointGroups):
@@ -388,24 +439,9 @@ class InnerTable:
         self.depth, self.unit = depth, self.params.unit(self.inner, depth)
 
     def branches(self, j: int) -> list[tuple[int, int]]:
-        """Every branch at point j as (value, window) numerators over params.unit(inner, depth).
-
-        Branch q is b_q + sum_p lam_p phi(x_p + a q).  Its window adds the
-        inner windows weighted by lam_p and the lam tails applied to the upper
-        end of each inner value: both only add mass, so it is one sided.
-        """
-        _, lam_num, tail_num = self.params._lam_scaled
-        axes = [(lam, tail, values, windows, ids[j], len(coords)) for lam, tail, values, windows, ids, coords
-                in zip(lam_num, tail_num, self.value, self.window, self.groups.ids, self.groups.values)]
-        out = []
-        for q, b in enumerate(self.params.b):
-            value, window = b * self.unit, 0
-            for lam, tail, values, windows, g, k in axes:
-                v, w = values[q * k + g], windows[q * k + g]
-                value += lam * v
-                window += lam * w + tail * (v + w)
-            out.append((value, window))
-        return out
+        """Every branch at point j as (value, window) numerators over params.unit(inner, depth) (mix)."""
+        return mix(self.params, self.unit, self.value, self.window, [ids[j] for ids in self.groups.ids],
+                   list(map(len, self.groups.values)))
 
 
 @dataclass

@@ -5,22 +5,26 @@ a metadata record.  Evaluation is the two-hidden-layer superposition: feed
 every branch value through the shared outer function and add the 2d+1
 contributions.
 
-There is one evaluation pipeline, and it is exact.  A batch of points (a
-single point is a batch of one) is grouped per axis (PointGroups, repeats
-allowed), and phi runs once per distinct coordinate and branch into one
-InnerTable, as in a fit.  At depth k every branch value is an integer over
-one denominator, so a per-depth plan (built once per model and cached on it)
-holds all knot positions as integers in one sorted array, and all knot
-values as integer numerators over one value denominator G, the lcm of their
-denominators (G = 1, with per-knot denominators, when G would pass the
-plan's bit limit).  Each branch costs one knot search.  When its error
-window starts on or after a knot and ends before the next knot of its
-branch, the error term is the closed form |g1 - g0| * window / dy, over the
-same denominator as the interpolated value; any other window is scanned
-knot by knot.  w and the error bound accumulate on one running denominator,
-and only the final w and error bound become Fractions, where G is applied.
-The float path is the exact result rounded to the nearest double, with a
-bound that also covers that rounding.
+Evaluation is exact.  A batch of points is grouped per axis (PointGroups,
+repeats allowed), and phi runs once per distinct coordinate and branch into
+one InnerTable, as in a fit.  A single call takes its branches from
+hashmaps.point_branches instead: one kernel call over the point's
+coordinates, with no grouping and no table, whose fixed costs one point
+cannot repay.  Both check points with hashmaps.checked_points, mix branches
+with hashmaps.mix and end in the same per-point lookups (_Plan.total).  At
+depth k every branch value is an integer over one denominator, so a
+per-depth plan (built once per model and cached on it) holds all knot
+positions as integers in one sorted array, and all knot values as integer
+numerators over one value denominator G, the lcm of their denominators
+(G = 1, with per-knot denominators, when G would pass the plan's bit
+limit).  Each branch costs one knot search.  When its error window starts
+on or after a knot and ends before the next knot of its branch, the error
+term is the closed form |g1 - g0| * window / dy, over the same denominator
+as the interpolated value; any other window is scanned knot by knot.  w and
+the error bound accumulate on one running denominator, and only the final w
+and error bound become Fractions, where G is applied.  The float path is the
+exact result rounded to the nearest double, with a bound that also covers
+that rounding.
 """
 
 from __future__ import annotations
@@ -36,7 +40,7 @@ from operator import floordiv, itemgetter, mul
 from pathlib import Path
 
 from .errors import AssemblyError, DomainError, InputError, ModelFormatError, ParameterError, PointError
-from .hashmaps import DEPTH_CAP, HashParams, InnerTable, PointGroups, branch_offsets, check_dims
+from .hashmaps import DEPTH_CAP, HashParams, InnerTable, PointGroups, branch_offsets, check_dims, point_branches
 from .inner import InnerSpec
 from .outer import KnotLookup, OuterFunction, common_unit
 from .rationals import parse_ratio, plain_ratios
@@ -105,34 +109,38 @@ class _Plan(KnotLookup):
         self.inner = model.inner
         self.depth = depth
 
-    def sums(self, points: tuple, contributions: list | None = None) -> list[tuple[int, int, int]]:
-        """w and the error bound at every point, from one InnerTable of the points at this depth,
-        as unreduced numerators over one denominator; the first bad point raises a PointError.
+    def total(self, branches, contributions: list | None = None) -> tuple[int, int, int]:
+        """w and the error bound at one point, from its branches' (value, window) numerators
+        over params.unit(inner, depth), as unreduced numerators over one denominator.
 
         Lookups that share a denominator add without a product, and value_den joins it once, at
         the end.  Per-branch outer values are appended to `contributions` when a list is given.
         """
-        groups = PointGroups(points if self.ys else points[:1], self.params.d, distinct=False)
-        if not self.ys:  # raised after point 0's own fault
-            raise PointError(0, "outer function has no knots")
+        if not self.ys:
+            raise DomainError("outer function has no knots")
+        lift, value_den = self.lift, self.value_den
+        w_num = e_num = 0
+        den = 1
+        for value, window in branches:
+            g, dev, m = self.branch(value * lift, window * lift)
+            if m == den:
+                w_num += g
+                e_num += dev
+            else:
+                w_num, e_num, den = w_num * m + g * den, e_num * m + dev * den, den * m
+            if contributions is not None:
+                contributions.append(Fraction(g, m * value_den))
+        return w_num, e_num, den * value_den
+
+    def sums(self, groups: PointGroups) -> list[tuple[int, int, int]]:
+        """total at every point of `groups`, from one InnerTable of them at this depth."""
         table = InnerTable(self.params, self.inner, groups)
         table.deepen(self.depth)
-        lift, value_den = self.lift, self.value_den
-        out = []
-        for j in range(len(points)):
-            w_num = e_num = 0
-            den = 1
-            for value, window in table.branches(j):
-                g, dev, m = self.branch(value * lift, window * lift)
-                if m == den:
-                    w_num += g
-                    e_num += dev
-                else:
-                    w_num, e_num, den = w_num * m + g * den, e_num * m + dev * den, den * m
-                if contributions is not None:
-                    contributions.append(Fraction(g, m * value_den))
-            out.append((w_num, e_num, den * value_den))
-        return out
+        return [self.total(table.branches(j)) for j in range(len(groups.points))]
+
+    def at(self, x, contributions: list | None = None) -> tuple[int, int, int]:
+        """total at the one point x (point_branches); a bad x raises a DomainError with the reason alone."""
+        return self.total(point_branches(self.params, self.inner, x, self.depth), contributions)
 
 
 def _plan(model: KNetModel, depth: int | None) -> _Plan:
@@ -153,10 +161,7 @@ def evaluate(model: KNetModel, x, depth: int | None = None, with_branches: bool 
     exactly.
     """
     parts = [] if with_branches else None
-    try:
-        ((w_num, e_num, den),) = _plan(model, depth).sums((x,), parts)
-    except PointError as exc:
-        raise DomainError(exc.reason) from None
+    w_num, e_num, den = _plan(model, depth).at(x, parts)
     w, error = Fraction(w_num, den), Fraction(e_num, den)
     if with_branches:
         return w, error, tuple(parts)
@@ -174,7 +179,14 @@ def evaluate_batch(model: KNetModel, points, depth: int | None = None, numeric: 
     points = tuple(points)
     if not points:
         return []
-    sums = _plan(model, depth).sums(points)
+    try:
+        plan = _plan(model, depth)
+        # with no knots, point 0's own fault comes first, as in a single call
+        sums = plan.sums(PointGroups(points if plan.ys else points[:1], plan.params.d, distinct=False))
+    except PointError:
+        raise
+    except DomainError as exc:  # the depth, the plan or the model: the first point cannot be evaluated
+        raise PointError(0, str(exc)) from exc
     if numeric == "exact":
         return [(Fraction(w_num, den), Fraction(e_num, den)) for w_num, e_num, den in sums]
     out = []
@@ -216,11 +228,7 @@ class FastEvaluator:
         self.model = model
 
     def evaluate(self, x, depth: int | None = None) -> tuple[float, float]:
-        try:
-            ((w_num, e_num, den),) = _plan(self.model, depth).sums((x,))
-        except PointError as exc:
-            raise DomainError(exc.reason) from None
-        return _rounded(w_num, e_num, den)
+        return _rounded(*_plan(self.model, depth).at(x))
 
 
 def _literal(num: int, den: int) -> str:

@@ -36,7 +36,9 @@ from .errors import (
     InputError,
     InternalInvariantError,
     IterationDiverged,
+    OutsideCube,
     ParameterError,
+    PointError,
     SeparationFailure,
 )
 from .hashmaps import HashParams, IncidenceSystem, PointGroups, SeparationVerdict, branch_offsets, certify_separation
@@ -246,10 +248,11 @@ class KnotLookup:
 class SampleSet:
     """Distinct sample points in [0, 1]^d with exact targets, checked by PointGroups.
 
-    class_tag is advisory metadata about the target's regularity; it changes
-    nothing in the fit, which only needs finite exact values.  The checked
-    groups are kept as `groups` (not a field), so a fit does not check the
-    points again.
+    d is the first point's coordinate count; the first point at fault in input
+    order raises, a point with another count as an InputError.  class_tag is
+    advisory metadata about the target's regularity; it changes nothing in the
+    fit, which only needs finite exact values.  The checked groups are kept as
+    `groups` (not a field), so a fit does not check the points again.
     """
 
     points: tuple[tuple[Fraction, ...], ...]
@@ -265,10 +268,13 @@ class SampleSet:
         if self.class_tag not in CLASS_TAGS:
             raise InputError(f"class_tag must be one of {CLASS_TAGS}, got {self.class_tag!r}")
         d = len(self.points[0])
-        for j, p in enumerate(self.points):
-            if len(p) != d:
-                raise InputError(f"point {j} has {len(p)} coordinates, expected {d}")
-        groups = PointGroups(self.points, d)
+        try:
+            groups = PointGroups(self.points, d)
+        except OutsideCube:
+            raise
+        except PointError as exc:  # the coordinate count, the one other PointError
+            count = len(self.points[exc.index])
+            raise InputError(f"point {exc.index} has {count} coordinates, expected {d}") from None
         object.__setattr__(self, "groups", groups)
         object.__setattr__(self, "points", groups.points)
         object.__setattr__(self, "targets", targets)

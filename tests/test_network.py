@@ -93,33 +93,43 @@ def test_evaluate_batch_names_offending_point():
 
 
 def _refusal(point):
-    """oracle.check_point's message for the point, or None if it passes."""
+    """What oracle.check_point raises for the point (Fraction's own error for a coordinate
+    it cannot take), or None if it passes."""
     try:
         oracle.check_point(P26, point)
-    except DomainError as exc:
-        return str(exc)
+    except (DomainError, TypeError, ValueError, ArithmeticError) as exc:
+        return exc
     return None
 
 
 inside = st.fractions(min_value=0, max_value=1, max_denominator=12)
 outside = st.sampled_from([Fraction(-1, 3), Fraction(-1), Fraction(7, 6), Fraction(3, 2), 2])
+unreadable = st.sampled_from([math.nan, math.inf, None, "x"])
 
 
-@given(st.lists(st.lists(st.one_of(inside, inside, outside), min_size=1, max_size=3), min_size=1, max_size=8),
+@given(st.lists(st.lists(st.one_of(inside, inside, inside, outside, unreadable), min_size=1, max_size=3),
+                min_size=1, max_size=8),
        st.sampled_from(["exact", "fast"]))
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=200, deadline=None)
 def test_a_batch_names_its_first_bad_point(points, numeric):
-    """Short, long and out-of-range points mixed with good ones, repeats allowed:
-    the batch fails at the first point, in input order, that oracle.check_point
-    refuses, with the same reason."""
-    refusals = [(j, reason) for j, point in enumerate(points) if (reason := _refusal(point)) is not None]
+    """Short, long, out-of-range and unreadable points mixed with good ones, repeats
+    allowed: the batch fails at the first point, in input order, that oracle.check_point
+    refuses, with the same reason; a coordinate Fraction cannot take raises Fraction's
+    own error, as it does for one point."""
+    refusals = [(j, exc) for j, point in enumerate(points) if (exc := _refusal(point)) is not None]
     if not refusals:
         assert len(evaluate_batch(MODEL, points, numeric=numeric)) == len(points)
         return
+    j, first = refusals[0]
+    if not isinstance(first, DomainError):
+        with pytest.raises(type(first)) as caught:
+            evaluate_batch(MODEL, points, numeric=numeric)
+        assert str(caught.value) == str(first) and not isinstance(caught.value, DomainError)
+        return
     with pytest.raises(PointError) as caught:
         evaluate_batch(MODEL, points, numeric=numeric)
-    assert (caught.value.index, caught.value.reason) == refusals[0]
-    assert str(caught.value) == f"point {refusals[0][0]}: {refusals[0][1]}"
+    assert (caught.value.index, caught.value.reason) == (j, str(first))
+    assert str(caught.value) == f"point {j}: {first}"
 
 
 @pytest.mark.parametrize("point, reason", [
@@ -129,7 +139,7 @@ def test_a_batch_names_its_first_bad_point(points, numeric):
     ((Fraction(3, 2), 2), "coordinate 1 must lie in [0, 1], got 3/2"),
 ])
 def test_a_single_call_names_the_fault_without_an_index(point, reason):
-    assert _refusal(point) == reason
+    assert str(_refusal(point)) == reason
     for call in (lambda: evaluate(MODEL, point), lambda: FastEvaluator(MODEL).evaluate(point),
                  lambda: psi_eval(P26, SPEC6, point, 0, 30)):
         with pytest.raises(DomainError) as caught:
@@ -157,7 +167,8 @@ def test_repeated_and_respelled_queries(tmp_path):
 
 def test_a_batch_reads_each_distinct_coordinate_once(monkeypatch):
     """phi runs on the k_p distinct coordinates of each axis p, once per branch:
-    (2d+1) * sum k_p kernel inputs for the batch, not (2d+1) * d per point."""
+    (2d+1) * sum k_p kernel inputs for the batch, not (2d+1) * d per point.  A
+    single call makes one kernel call over its d coordinates."""
     inputs = []
     kernel = hashmaps.phi_scaled
     monkeypatch.setattr(hashmaps, "phi_scaled", lambda spec, items, depth: inputs.append(len(items)) or kernel(
@@ -168,6 +179,11 @@ def test_a_batch_reads_each_distinct_coordinate_once(monkeypatch):
         inputs.clear()
         assert len(evaluate_batch(MODEL, points, numeric=numeric)) == 12
         assert inputs == [5 * 2, 5 * 3]
+    for call in (lambda: evaluate(MODEL, points[0]), lambda: FastEvaluator(MODEL).evaluate(points[0]),
+                 lambda: psi_eval(P26, SPEC6, points[0], 0, 30)):
+        inputs.clear()
+        call()
+        assert inputs == [5 * 2]
 
 
 def test_error_bound_brackets_deeper_evaluation():
@@ -232,9 +248,10 @@ def test_fast_bound_covers_its_own_rounding():
         assert Fraction(errf) >= err + abs(Fraction(wf) - w)
 
 
-def test_plan_refuses_knots_without_a_common_scale(monkeypatch):
+def test_plan_refuses_knots_without_a_common_scale(monkeypatch, tmp_path, capsys):
     """Knots with unrelated denominators (a hand-edited model, never a fit)
-    would need integers that grow with every knot; the plan refuses them."""
+    would need integers that grow with every knot; the plan refuses them.  A
+    batch reports the refusal at its first point, and the command line at row 1."""
     primes = (7, 11, 13, 17, 19, 23, 29, 31)
     ys = tuple(Fraction(1, 2) + Fraction(1, p) for p in primes)
     table = KnotTable(ys=tuple(sorted(ys)), gs=(Fraction(1),) * len(ys))
@@ -243,10 +260,28 @@ def test_plan_refuses_knots_without_a_common_scale(monkeypatch):
     assert evaluate(model, (Fraction(1, 2), Fraction(1, 2)))[0] == 5
     # room for knots over the depth-30 denominator itself, not for 2**30 times more
     unit_bits = P26.unit(SPEC6, 30).bit_length()
-    monkeypatch.setattr("ksnet.outer.PLAN_BITS_LIMIT", len(ys) * (unit_bits + 30))
+    limit = len(ys) * (unit_bits + 30)
+    monkeypatch.setattr("ksnet.outer.PLAN_BITS_LIMIT", limit)
     model = assemble(SPEC6, P26, model.outer)
-    with pytest.raises(DomainError, match="plan limit"):
+    with pytest.raises(DomainError, match="plan limit") as caught:
         evaluate(model, (Fraction(1, 2), Fraction(1, 2)))
+    reason = str(caught.value)
+    assert not isinstance(caught.value, PointError)
+    with pytest.raises(PointError) as caught:
+        evaluate_batch(assemble(SPEC6, P26, model.outer), [(Fraction(1, 2), Fraction(1, 2))] * 2)
+    assert (caught.value.index, caught.value.reason) == (0, reason)
+    save(model, tmp_path / "m.json")
+    (tmp_path / "q.csv").write_text("x1,x2\n1/2,1/2\n")
+    assert main(["eval", "--model", str(tmp_path / "m.json"), "--in", str(tmp_path / "q.csv")]) != 0
+    assert capsys.readouterr().err == f"error: row 1: {reason}\n"
+
+
+def test_a_batch_reports_a_bad_depth_at_its_first_point():
+    with pytest.raises(PointError) as caught:
+        evaluate_batch(MODEL, [(Fraction(1, 2), Fraction(1, 3))], depth=0)
+    assert (caught.value.index, caught.value.reason) == (0, "depth must be >= 1, got 0")
+    with pytest.raises(DomainError, match="^depth must be >= 1, got 0$"):
+        evaluate(MODEL, (Fraction(1, 2), Fraction(1, 3)), depth=0)
 
 
 def test_fast_evaluator_validates_input():
