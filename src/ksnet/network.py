@@ -25,6 +25,11 @@ the error bound accumulate on one running denominator, and only the final w
 and error bound become Fractions, where G is applied.  The float path is the
 exact result rounded to the nearest double, with a bound that also covers
 that rounding.
+
+A model file (format 2) keeps the outer function as it is held: one `unit`,
+each branch's knot positions as integers over it, and each knot's value as
+an index into one table of distinct value literals.  save is one pass of the
+JSON encoder, and load reads a branch with split and int.
 """
 
 from __future__ import annotations
@@ -35,17 +40,16 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain, repeat
-from operator import floordiv, itemgetter, mul
+from itertools import chain
 from pathlib import Path
 
 from .errors import AssemblyError, DomainError, InputError, ModelFormatError, ParameterError, PointError
 from .hashmaps import DEPTH_CAP, HashParams, InnerTable, PointGroups, branch_offsets, check_dims, point_branches
 from .inner import InnerSpec
 from .outer import KnotLookup, OuterFunction, common_unit
-from .rationals import parse_ratio, plain_ratios
+from .rationals import digit_limit, parse_ratio, plain_ratios
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -237,16 +241,27 @@ def _literal(num: int, den: int) -> str:
     return str(num // c) if den == c else f"{num // c}/{den // c}"
 
 
-def save(model: KNetModel, sink=None) -> bytes:
-    """Serialize to canonical JSON bytes; optionally also write them to a path or file.
+def _spelled(tokens) -> str:
+    """A branch's y or g, a map of token strings, joined when the JSON encoder reaches it."""
+    if type(tokens) is not map:
+        raise TypeError(f"Object of type {type(tokens).__name__} is not JSON serializable")
+    return " ".join(tokens)
 
-    The bytes are json.dumps(document, indent=2) + newline, with the knots written by hand,
-    a branch at a time.  A fit repeats each value in every branch, so one
-    literal is spelled per distinct (numerator, denominator) pair.  A position
-    y / unit is y // c over unit // c, c = gcd(y, unit): the gcds of a branch
-    come from one map, and each denominator text is spelled once per distinct gcd.
+
+def save(model: KNetModel, sink=None) -> bytes:
+    """Serialize to canonical JSON bytes, json.dumps(document, indent=2) and a newline;
+    optionally also write them to a path or file.
+
+    `unit` is outer.unit, and each branch's `y` lists its knot positions as
+    numerators over it.  `values` holds the distinct value literals in lowest
+    terms, in order of first appearance, and each branch's `g` lists its knots'
+    indices into it.
     """
-    params, outer, unit = model.params, model.outer, model.outer.unit
+    params, outer = model.params, model.outer
+    literals: dict[str, int] = {}
+    index = dict.fromkeys(zip(chain.from_iterable(outer.gn), chain.from_iterable(outer.gd)))
+    for pair in index:
+        index[pair] = str(literals.setdefault(_literal(*pair), len(literals)))
     doc = {
         "format_version": model.meta.get("format_version", FORMAT_VERSION),
         "d": params.d,
@@ -255,28 +270,19 @@ def save(model: KNetModel, sink=None) -> bytes:
         "lambda": [str(v) for v in params.lam],
         "lambda_tail": [str(t) for t in params.lam_tails],
         "b": list(params.b),
-        "branches": [],
+        "unit": str(outer.unit),
+        "values": list(literals),
+        "branches": [{"q": q, "y": map(str, ys), "g": map(index.__getitem__, zip(gn, gd))}
+                     for q, (ys, gn, gd) in enumerate(zip(outer.ys, outer.gn, outer.gd))],
         "meta": {k: v for k, v in model.meta.items() if k != "format_version"},
     }
-    head, _, tail = json.dumps(doc, indent=2).partition('"branches": []')
+    # json.dumps(doc, indent=2), streamed: each branch's y and g are spelled only
+    # when the encoder reaches them, and no chunk list is joined, so save's
+    # transient memory stays within a small multiple of the file's bytes
     out = io.BytesIO()
-    out.write(f'{head}"branches": ['.encode())
-    values: dict[tuple[int, int], str] = {}  # value literals by (numerator, denominator)
-    over: dict[int, str] = {}  # position denominator texts by gcd with the unit
-    for q, (ys, gn, gd) in enumerate(zip(outer.ys, outer.gn, outer.gd)):
-        out.write(f'{"," if q else ""}\n    {{\n      "q": {q},\n      "knots": ['.encode())
-        if ys:
-            gcds = list(map(math.gcd, ys, repeat(unit)))
-            over.update((c, "" if c == unit else f"/{unit // c}") for c in set(gcds).difference(over))
-            pairs = list(zip(gn, gd))
-            values.update((g, _literal(*g)) for g in set(pairs).difference(values))
-            texts = zip(repeat('\n        {\n          "y": "'), map(str, map(floordiv, ys, gcds)),
-                        map(over.__getitem__, gcds), repeat('",\n          "g": "'),
-                        map(values.__getitem__, pairs), repeat('"\n        },'))
-            out.write("".join(chain.from_iterable(texts))[:-1].encode())  # no comma after the last knot
-            out.write(b"\n      ")
-        out.write(b"]\n    }")
-    out.write(f"\n  ]{tail}\n".encode())
+    for chunk in json.JSONEncoder(indent=2, default=_spelled).iterencode(doc):
+        out.write(chunk.encode())
+    out.write(b"\n")
     data = out.getvalue()
     if sink is not None:
         if isinstance(sink, (str, Path)):
@@ -308,51 +314,52 @@ def _ratio_at(text, location: str) -> tuple[int, int]:
         raise ModelFormatError(str(exc), location=location) from None
 
 
+def _integers(entry: dict, key: str, i: int) -> list[int]:
+    """Branch i's `key` string as integers: tokens of 1..digit_limit() ASCII digits
+    between single spaces; an error names the field and the first bad token."""
+    text = _want(entry, key, str, f"branches[{i}]")
+    tokens, limit = text.split(" ") if text else [], digit_limit()
+    if (text.isascii() and not text.encode().translate(None, b"0123456789 ") and "" not in tokens
+            and (len(text) <= limit or max(map(len, tokens)) <= limit)):
+        return list(map(int, tokens))
+    k, token = next((k, t) for k, t in enumerate(tokens) if not (t.isascii() and t.isdigit() and len(t) <= limit))
+    raise ModelFormatError(f"token {k}: expected 1 to {limit} ASCII digits, got {token[:40]!r}",
+                           location=f"branches[{i}].{key}")
+
+
 def load(source) -> KNetModel:
-    """Parse and fully validate a model document.
+    """Parse and fully validate a format-2 model document; format 1 is refused.
 
     Accepts a path, bytes, a JSON string, or a readable file.  Any malformed
     or inconsistent content raises ModelFormatError naming the offending
     location; nothing partial is ever returned.  lambda and lambda_tail must be
-    the sums meta.series_terms defines.
-
-    The y and g literals of a branch are read together by one
-    rationals.plain_ratios guard when every one is a plain -?digits(/digits)?;
-    otherwise they are read one at a time by parse_ratio, which owns every
-    error message and location.  Plain values stay unreduced.  Knots go
-    over the stored depth's unit, or over the common_unit of all their
-    denominators when one of them does not divide it.
+    the sums meta.series_terms defines.  `values` is read by one
+    rationals.plain_ratios guard, unreduced, or where it refuses one literal at a
+    time by parse_ratio, which words every error.  A `unit` other than the
+    stored depth's must pass common_unit's plan-bit limit.
     """
-    if isinstance(source, (str, Path)) and not (isinstance(source, str) and source.lstrip().startswith("{")):
+    if isinstance(source, Path) or isinstance(source, str) and not source.lstrip().startswith("{"):
         try:
-            raw = Path(source).read_bytes()
+            source = Path(source).read_bytes()
         except OSError as exc:
             raise ModelFormatError(f"cannot read model file: {exc}") from exc
-    elif isinstance(source, (bytes, bytearray)):
-        raw = bytes(source)
-    elif isinstance(source, str):
-        raw = source.encode()
-    elif isinstance(source, io.IOBase) or hasattr(source, "read"):
-        raw = source.read()
-        if isinstance(raw, str):
-            raw = raw.encode()
-    else:
+    elif hasattr(source, "read"):
+        source = source.read()
+    if not isinstance(source, (str, bytes, bytearray)):
         raise ModelFormatError(f"cannot load a model from {type(source).__name__}")
     try:
-        doc = json.loads(raw)
+        doc = json.loads(source)
     except (ValueError, RecursionError) as exc:  # also over-long integer literals and deep nesting
         raise ModelFormatError(f"malformed JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise ModelFormatError("top level must be an object")
 
     version = _want(doc, "format_version", int, "")
-    if version > FORMAT_VERSION:
-        raise ModelFormatError(
-            f"format_version {version} is newer than the supported {FORMAT_VERSION}; upgrade the library",
-            location="format_version",
-        )
-    if version < 1:
-        raise ModelFormatError(f"unrecognized format_version {version}", location="format_version")
+    if version != FORMAT_VERSION:
+        problem = (f"is newer than the supported {FORMAT_VERSION}; upgrade the library" if version > FORMAT_VERSION
+                   else "(one object per knot) is no longer read; refit the model" if version == 1
+                   else "is unrecognized")
+        raise ModelFormatError(f"format_version {version} {problem}", location="format_version")
 
     d = _want(doc, "d", int, "")
     gamma = _want(doc, "gamma", int, "")
@@ -389,10 +396,16 @@ def load(source) -> KNetModel:
     except ValueError as exc:
         raise ModelFormatError(str(exc), location="inner_weights") from exc
     try:
-        unit = params.unit(inner, _resolve_depth(meta))
+        depth_unit = params.unit(inner, _resolve_depth(meta))
     except AssemblyError as exc:
         raise ModelFormatError(str(exc).partition(": ")[2], location="meta.depth") from None
-
+    unit = _want(doc, "unit", str, "")
+    if not (unit.isascii() and unit.isdigit() and len(unit) <= digit_limit() and int(unit)):
+        raise ModelFormatError(f"expected a positive integer of 1 to {digit_limit()} ASCII digits, got {unit[:40]!r}",
+                               location="unit")
+    unit = int(unit)
+    values = _want(doc, "values", list, "")
+    vn, vd = plain_ratios(values) or zip(*(_ratio_at(text, f"values[{k}]") for k, text in enumerate(values)))
     ys, gn, gd = [], [], []
     for i, entry in enumerate(branches):
         if not isinstance(entry, dict):
@@ -400,40 +413,26 @@ def load(source) -> KNetModel:
         q = _want(entry, "q", int, f"branches[{i}]")
         if q != i:
             raise ModelFormatError(f"branches must appear in order; got q = {q}", location=f"branches[{i}].q")
-        knots = _want(entry, "knots", list, f"branches[{i}]")
+        positions, indices = _integers(entry, "y", i), _integers(entry, "g", i)
+        if len(indices) != len(positions):
+            raise ModelFormatError(f"{len(indices)} value indices for {len(positions)} positions",
+                                   location=f"branches[{i}].g")
+        if indices and max(indices) >= len(values):
+            k = next(k for k, j in enumerate(indices) if j >= len(values))
+            raise ModelFormatError(f"token {k}: index {indices[k]} is past the {len(values)} values",
+                                   location=f"branches[{i}].g")
+        ys.append(tuple(positions))
+        gn.append(tuple(map(vn.__getitem__, indices)))
+        gd.append(tuple(map(vd.__getitem__, indices)))
+    if unit != depth_unit:
         try:
-            ratios = plain_ratios(list(map(itemgetter("y"), knots)) + list(map(itemgetter("g"), knots)))
-        except (TypeError, KeyError):
-            ratios = None
-        nums, dens = _knot_ratios(knots, i) if ratios is None else ratios
-        ys.append((nums[:len(knots)], dens[:len(knots)]))
-        gn.append(tuple(nums[len(knots):]))
-        gd.append(tuple(dens[len(knots):]))
-        knots.clear()  # frees the branch's parsed JSON before the next one is read
+            common_unit((unit,), sum(map(len, ys)))
+        except DomainError as exc:
+            raise ModelFormatError(str(exc), location="unit") from None
     try:
-        dens = set().union(*(ms for _, ms in ys))
-        if any(unit % m for m in dens):
-            unit = common_unit(dens, sum(len(ns) for ns, _ in ys))
-        factors = {m: unit // m for m in dens}
-        ys = tuple(tuple(map(mul, ns, map(factors.__getitem__, ms))) for ns, ms in ys)
-        return assemble(inner, params, OuterFunction(d, unit, ys, tuple(gn), tuple(gd)), meta=dict(meta))
+        return assemble(inner, params, OuterFunction(d, unit, tuple(ys), tuple(gn), tuple(gd)), meta=dict(meta))
     except (DomainError, ParameterError) as exc:
         raise ModelFormatError(str(exc), location="branches") from None
-
-
-def _knot_ratios(knots: list, i: int) -> tuple[list[int], list[int]]:
-    """Branch i's knot positions, then its values, one literal at a time, as numerators
-    and denominators; the first bad knot or literal raises ModelFormatError naming it."""
-    try:
-        pairs = [parse_ratio(knot["y"]) for knot in knots] + [parse_ratio(knot["g"]) for knot in knots]
-    except (TypeError, KeyError, AttributeError, InputError):
-        for k, knot in enumerate(knots):  # find the first bad entry
-            if not isinstance(knot, dict):
-                raise ModelFormatError("expected object", location=f"branches[{i}].knots[{k}]") from None
-            for key in "yg":
-                _ratio_at(knot.get(key), f"branches[{i}].knots[{k}].{key}")
-        raise
-    return [n for n, _ in pairs], [m for _, m in pairs]
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,10 @@ off `starts` (knot_branches), so a wrong component finder in the library
 shows as a different model.  merge_report, save and
 load work on Fraction knot tables read off the integer outer function
 (`tables`), as the library did before knots stayed integers from the fit to
-the file; KnotTable and outer_from_tables are that hand-built form.
+the file; KnotTable and outer_from_tables are that hand-built form.  save
+and load are an independent format-2 reference: positions y * unit, values
+numbered by first appearance of their Fractions, every literal and token
+parsed one at a time.
 parse_rational is the Fraction parse the library's fast path must agree
 with.  check_ranges and verify_inner are the property checks
 as they were before they read the inner kernel in closed form and in chunks:
@@ -83,10 +86,15 @@ class KnotTable:
                 raise ParameterError(f"knots must be strictly increasing, got {a} then {b}")
 
 
-def outer_from_tables(d: int, tables) -> OuterFunction:
-    """Hand-built KnotTables as an integer outer function over the lcm of their knot denominators."""
-    unit = common_unit({y.denominator for t in tables for y in t.ys}, sum(len(t.ys) for t in tables))
-    ys = tuple(tuple(y.numerator * (unit // y.denominator) for y in t.ys) for t in tables)
+def outer_from_tables(d: int, tables, unit: int | None = None) -> OuterFunction:
+    """Hand-built KnotTables as an integer outer function over `unit`, by default the lcm
+    of their knot denominators."""
+    if unit is None:
+        unit = common_unit({y.denominator for t in tables for y in t.ys}, sum(len(t.ys) for t in tables))
+    scaled = tuple(tuple(y * unit for y in t.ys) for t in tables)
+    if any(y.denominator != 1 for ys in scaled for y in ys):
+        raise ParameterError(f"a knot position is not an integer over {unit}")
+    ys = tuple(tuple(y.numerator for y in t) for t in scaled)
     gn = tuple(tuple(g.numerator for g in t.gs) for t in tables)
     gd = tuple(tuple(g.denominator for g in t.gs) for t in tables)
     return OuterFunction(d, unit, ys, gn, gd)
@@ -666,17 +674,18 @@ def parse_rational(text: str) -> Fraction:
 
 
 def _doc_from_model(model) -> dict:
+    """The format-2 document: positions y * unit, values numbered by first appearance."""
+    unit = model.outer.unit
+    numbers: dict[Fraction, int] = {}
     branches = []
     for q, table in enumerate(tables(model.outer)):
-        branches.append(
-            {
-                "q": q,
-                "knots": [
-                    {"y": str(y), "g": str(g)}
-                    for y, g in zip(table.ys, table.gs)
-                ],
-            }
-        )
+        positions = [y * unit for y in table.ys]
+        assert all(y.denominator == 1 for y in positions)
+        branches.append({
+            "q": q,
+            "y": " ".join(str(y.numerator) for y in positions),
+            "g": " ".join(str(numbers.setdefault(g, len(numbers))) for g in table.gs),
+        })
     return {
         "format_version": model.meta.get("format_version", FORMAT_VERSION),
         "d": model.params.d,
@@ -685,6 +694,8 @@ def _doc_from_model(model) -> dict:
         "lambda": [str(v) for v in model.params.lam],
         "lambda_tail": [str(t) for t in model.params.lam_tails],
         "b": list(model.params.b),
+        "unit": str(unit),
+        "values": [str(g) for g in numbers],
         "branches": branches,
         "meta": {k: v for k, v in model.meta.items() if k != "format_version"},
     }
@@ -746,8 +757,8 @@ def load(source):
             f"format_version {version} is newer than the supported {FORMAT_VERSION}; upgrade the library",
             location="format_version",
         )
-    if version < 1:
-        raise ModelFormatError(f"unrecognized format_version {version}", location="format_version")
+    if version < 2:
+        raise ModelFormatError(f"format_version {version} is not read", location="format_version")
 
     d = _want(doc, "d", int, "")
     gamma = _want(doc, "gamma", int, "")
@@ -792,6 +803,24 @@ def load(source):
         raise ModelFormatError(
             f"expected {expected_q} branches, got {len(branches)}", location="branches"
         )
+    limit = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
+    unit_text = _want(doc, "unit", str, "")
+    if not re.fullmatch(r"[0-9]+", unit_text) or len(unit_text) > limit or int(unit_text) == 0:
+        raise ModelFormatError(f"expected a positive integer of 1 to {limit} ASCII digits, got {unit_text[:40]!r}",
+                               location="unit")
+    unit = int(unit_text)
+    values = [_fraction_at(text, f"values[{k}]") for k, text in enumerate(_want(doc, "values", list, ""))]
+
+    def integers(entry, key, i):
+        tokens = re.split(" ", _want(entry, key, str, f"branches[{i}]"))
+        if tokens == [""]:
+            return []
+        for k, token in enumerate(tokens):
+            if not re.fullmatch(r"[0-9]{1,%d}" % limit, token):
+                raise ModelFormatError(f"token {k}: expected 1 to {limit} ASCII digits, got {token[:40]!r}",
+                                       location=f"branches[{i}].{key}")
+        return [int(token) for token in tokens]
+
     tables = []
     for i, entry in enumerate(branches):
         if not isinstance(entry, dict):
@@ -799,19 +828,25 @@ def load(source):
         q = _want(entry, "q", int, f"branches[{i}]")
         if q != i:
             raise ModelFormatError(f"branches must appear in order; got q = {q}", location=f"branches[{i}].q")
-        knots = _want(entry, "knots", list, f"branches[{i}]")
-        ys, gs = [], []
-        for k, knot in enumerate(knots):
-            if not isinstance(knot, dict):
-                raise ModelFormatError("expected object", location=f"branches[{i}].knots[{k}]")
-            ys.append(_fraction_at(knot.get("y"), f"branches[{i}].knots[{k}].y"))
-            gs.append(_fraction_at(knot.get("g"), f"branches[{i}].knots[{k}].g"))
+        ys, gs = integers(entry, "y", i), integers(entry, "g", i)
+        if len(gs) != len(ys):
+            raise ModelFormatError(f"{len(gs)} value indices for {len(ys)} positions", location=f"branches[{i}].g")
+        for k, j in enumerate(gs):
+            if j >= len(values):
+                raise ModelFormatError(f"token {k}: index {j} is past the {len(values)} values",
+                                       location=f"branches[{i}].g")
         try:
-            tables.append(KnotTable(ys=tuple(ys), gs=tuple(gs)))
+            tables.append(KnotTable(ys=tuple(Fraction(y, unit) for y in ys), gs=tuple(values[j] for j in gs)))
         except ValueError as exc:
-            raise ModelFormatError(str(exc), location=f"branches[{i}].knots") from exc
+            raise ModelFormatError(str(exc), location="branches") from exc
+    depth = meta.get("depth", 30)
+    if type(depth) is int and 1 <= depth <= DEPTH_CAP and unit != params.unit(inner, depth):
+        try:
+            common_unit((unit,), sum(len(t.ys) for t in tables))
+        except DomainError as exc:
+            raise ModelFormatError(str(exc), location="unit") from exc
     try:
-        outer = outer_from_tables(d, tuple(tables))
+        outer = outer_from_tables(d, tuple(tables), unit)
     except (ValueError, DomainError) as exc:
         raise ModelFormatError(str(exc), location="branches") from exc
     try:

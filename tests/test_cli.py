@@ -367,25 +367,32 @@ def test_a_large_shared_knot_certificate_finishes_in_time(workdir):
 
 
 def test_knots_without_a_common_denominator_evaluate_or_fail_in_time(workdir):
-    """20,000 knots in one branch whose values, then positions, have unrelated
-    100-bit denominators.  Values fall back to per-knot denominators and
-    positions are refused, each after a bounded part of their lcm; the whole
-    lcm would cost time quadratic in the knot count."""
+    """20,000 knots in one branch whose values have unrelated 100-bit
+    denominators: they fall back to per-knot denominators after a bounded part
+    of their lcm, which in whole would cost time quadratic in the knot count.
+    The same knots over a unit of 9,510 bits, not the stored depth's, would
+    pass the plan limit, and are refused."""
     _, model_path = _fit(workdir)
     rng = random.Random(5)
     dens = sorted({rng.getrandbits(100) | 1 for _ in range(20_000)}, reverse=True)
     _write_csv(workdir / "points.csv", ["x1", "x2"], [["1/2", "1/3"]])
     doc = json.loads(model_path.read_text())
-    doc["branches"][0]["knots"] = [{"y": f"{j}/{2**16}", "g": f"1/{m}"} for j, m in enumerate(dens, start=1)]
+    unit, first = int(doc["unit"]), len(doc["values"])
+    assert unit % 2**16 == 0
+    doc["values"] += [f"1/{m}" for m in dens]
+    doc["branches"][0] = {"q": 0, "y": " ".join(str(j * unit >> 16) for j in range(1, len(dens) + 1)),
+                          "g": " ".join(str(first + k) for k in range(len(dens)))}
     (workdir / "values.json").write_text(json.dumps(doc))
     done = _cli_subprocess(["eval", "--model", "values.json", "--in", "points.csv"], workdir, timeout=10)
     assert done.returncode == EXIT_OK, done.stderr
     w, err = evaluate(load(workdir / "values.json"), (Fraction(1, 2), Fraction(1, 3)))
     assert f"{w},{err}" in done.stdout
-    doc["branches"][0]["knots"] = [{"y": f"1/{m}", "g": "1"} for m in dens]
+    doc["unit"] = str(3**6000)
+    doc["branches"] = [{"q": q, "y": "", "g": ""} for q in range(5)]
+    doc["branches"][0] = {"q": 0, "y": " ".join(map(str, range(1, len(dens) + 1))), "g": " ".join("0" * len(dens))}
     (workdir / "positions.json").write_text(json.dumps(doc))
     done = _cli_subprocess(["eval", "--model", "positions.json", "--in", "points.csv"], workdir, timeout=10)
-    assert done.returncode == EXIT_INPUT and "plan limit" in done.stderr, done.stderr
+    assert done.returncode == EXIT_INPUT and "unit:" in done.stderr and "plan limit" in done.stderr, done.stderr
     assert "Traceback" not in done.stderr
 
 
@@ -398,12 +405,29 @@ def test_giant_literals_are_input_errors(workdir):
     assert "row 1, column 3" in done.stderr and "Traceback" not in done.stderr
 
     doc = json.loads(model_path.read_text())
-    doc["branches"][1]["knots"][0]["g"] = "1e999999999"
+    doc["values"][1] = "1e999999999"
     (workdir / "bad_model.json").write_text(json.dumps(doc))
     _write_csv(workdir / "points.csv", ["x1", "x2"], [["1/2", "1/2"]])
     done = _cli_subprocess(["eval", "--model", "bad_model.json", "--in", "points.csv"], workdir)
     assert done.returncode == EXIT_INPUT
-    assert "branches[1].knots[0].g" in done.stderr and "Traceback" not in done.stderr
+    assert "values[1]" in done.stderr and "Traceback" not in done.stderr
+
+
+def test_a_format_1_model_is_refused_at_its_version(workdir):
+    """A model written with one object per knot (format 1) exits 2 naming
+    format_version, and says to refit."""
+    _, model_path = _fit(workdir)
+    doc = json.loads(model_path.read_text())
+    unit, values = int(doc.pop("unit")), doc.pop("values")
+    doc["format_version"] = 1
+    doc["branches"] = [{"q": branch["q"], "knots": [{"y": str(Fraction(int(y), unit)), "g": values[int(j)]}
+                                                    for y, j in zip(branch["y"].split(), branch["g"].split())]}
+                       for branch in doc["branches"]]
+    (workdir / "v1.json").write_text(json.dumps(doc, indent=2))
+    _write_csv(workdir / "points.csv", ["x1", "x2"], [["1/2", "1/2"]])
+    done = _cli_subprocess(["eval", "--model", "v1.json", "--in", "points.csv"], workdir)
+    assert done.returncode == EXIT_INPUT
+    assert "format_version" in done.stderr and "refit" in done.stderr and "Traceback" not in done.stderr
 
 
 def test_eval_fast_builds_only_the_requested_plan(workdir, monkeypatch):
@@ -506,10 +530,10 @@ def test_eval_refuses_hostile_series_terms(workdir):
     # a consistent document for d = 2000: its 4001 branches are all present
     d, gamma = 2000, 4002
     doc = {
-        "format_version": 1, "d": d, "gamma": gamma,
+        "format_version": 2, "d": d, "gamma": gamma,
         "inner_weights": [str(w) for w in ksnet.default_inner_spec(gamma).weights],
         "lambda": ["1"] * d, "lambda_tail": ["0"] * d, "b": [(2 * d + 1) * q for q in range(2 * d + 1)],
-        "branches": [{"q": q, "knots": []} for q in range(2 * d + 1)],
+        "unit": "1", "values": [], "branches": [{"q": q, "y": "", "g": ""} for q in range(2 * d + 1)],
         "meta": {"series_terms": [0] + [1] * (d - 1)},
     }
     (workdir / "wide.json").write_text(json.dumps(doc))

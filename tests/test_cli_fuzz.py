@@ -116,11 +116,58 @@ def _paths(doc, prefix=()):
         yield from _paths(value, prefix + (key,))
 
 
+# edits inside a branch's y or g string, or of the unit
+LEAF_EDITS = ["non-digit", "sign", "empty", "double space", "past", "long", "swap", "count", "unit"]
+
+
+def _edit_leaf(draw, doc) -> None:
+    """One edit of `doc`'s unit, or of one token of a branch's y or g when some branch
+    still has both as non-empty strings: a non-digit, a sign, an empty token, a
+    doubled space, an index past the table (a position past the branch in y), a
+    token over 4,300 digits, two tokens swapped, or a token dropped or repeated."""
+    edit = draw(st.sampled_from(LEAF_EDITS))
+    if edit == "unit":
+        if isinstance(doc.get("unit"), str):
+            unit = doc["unit"]
+            doc["unit"] = draw(st.sampled_from([f"00{unit}", f"{unit}0", f"-{unit}", f"+{unit}", f" {unit}", "0", "1e9",
+                                                "1" + "0" * 4299, "9" * 4301, "7" * 9000]))
+        return
+    branches = doc.get("branches") if isinstance(doc.get("branches"), list) else []
+    spots = [b for b in branches if isinstance(b, dict) and all(isinstance(b.get(k), str) and b[k] for k in "yg")]
+    if not spots:
+        return
+    branch, key = draw(st.sampled_from(spots)), draw(st.sampled_from("yg"))
+    tokens = branch[key].split(" ")
+    k = draw(st.integers(0, len(tokens) - 1))
+    if edit == "non-digit":
+        tokens[k] = draw(st.sampled_from(["x", "١", "²", "1.5", "1/2", "0x1", "1_0", "1e3"]))
+    elif edit == "sign":
+        tokens[k] = draw(st.sampled_from("-+")) + tokens[k]
+    elif edit == "empty":
+        tokens[k] = ""
+    elif edit == "double space":
+        tokens[k] += " "
+    elif edit == "past":
+        count = len(doc["values"]) if isinstance(doc.get("values"), list) else 0
+        tokens[k] = str(count + draw(st.integers(0, 10**6))) if key == "g" else tokens[k] + "0" * draw(st.integers(1, 9))
+    elif edit == "long":
+        tokens[k] = draw(st.sampled_from(["1" + "0" * 4299, "9" * 4301, "3" * 6000]))
+    elif edit == "swap":
+        j = draw(st.integers(0, len(tokens) - 1))
+        tokens[j], tokens[k] = tokens[k], tokens[j]
+    elif draw(st.booleans()):  # count: y and g no longer pair up
+        del tokens[k]
+    else:
+        tokens.insert(k, tokens[k])
+    branch[key] = " ".join(tokens)
+
+
 @st.composite
 def mutated_model(draw, text):
     """A saved model with keys dropped, values retyped, respelled or nested 1,000-5,000
-    levels deep, or the file cut short.  The nesting is spliced into the text, since
-    json.dumps cannot encode that depth."""
+    levels deep, with up to two edits inside the unit or a branch's y and g
+    strings (_edit_leaf), or the file cut short.  The nesting is spliced into the
+    text, since json.dumps cannot encode that depth."""
     doc = json.loads(text)
     for _ in range(draw(st.integers(1, 3))):
         paths = [p for p, _ in _paths(doc) if p]
@@ -141,6 +188,8 @@ def mutated_model(draw, text):
             parent[path[-1]] = draw(st.sampled_from(INTS))
         else:
             parent[path[-1]] = NEST
+    for _ in range(draw(st.integers(0, 2))):
+        _edit_leaf(draw, doc)
     out = json.dumps(doc, indent=2)
     if NEST in out:
         levels = draw(st.integers(1000, 5000))
@@ -169,15 +218,35 @@ def test_corrupted_point_csvs_keep_the_exit_contract(base, data, numeric):
           "--out", root / "fuzzed_values.csv"])
 
 
+@st.composite
+def mutated_leaves(draw, text):
+    """A saved model with one to three _edit_leaf edits and nothing else, so that
+    load reaches the unit and the branch strings."""
+    doc = json.loads(text)
+    for _ in range(draw(st.integers(1, 3))):
+        _edit_leaf(draw, doc)
+    return json.dumps(doc, indent=2)
+
+
+def _eval_and_describe(root, model_text, numeric) -> None:
+    (root / "mutated.json").write_text(model_text)
+    _run(["eval", "--model", root / "mutated.json", "--in", root / "points.csv", "--numeric", numeric,
+          "--out", root / "mutated_values.csv"])
+    _run(["describe", "--model", root / "mutated.json", "--out", root / "mutated_describe.json"])
+
+
 @FUZZ
 @given(data=st.data())
 def test_mutated_models_keep_the_exit_contract(base, data):
     root, _, model = base
-    (root / "mutated.json").write_text(data.draw(mutated_model(model)))
-    numeric = data.draw(st.sampled_from(["exact", "fast"]))
-    _run(["eval", "--model", root / "mutated.json", "--in", root / "points.csv", "--numeric", numeric,
-          "--out", root / "mutated_values.csv"])
-    _run(["describe", "--model", root / "mutated.json", "--out", root / "mutated_describe.json"])
+    _eval_and_describe(root, data.draw(mutated_model(model)), data.draw(st.sampled_from(["exact", "fast"])))
+
+
+@FUZZ
+@given(data=st.data())
+def test_mutated_model_leaves_keep_the_exit_contract(base, data):
+    root, _, model = base
+    _eval_and_describe(root, data.draw(mutated_leaves(model)), data.draw(st.sampled_from(["exact", "fast"])))
 
 
 # Per command: flags that keep the work small, then the flags a case may replace with an extreme value.

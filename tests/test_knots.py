@@ -1,11 +1,12 @@
 """Integer knot tables against the Fraction oracle: class report, save, load, literal parsing.
 
 Knots stay integers over one unit from the fit to the file and back; the
-oracle keeps the Fraction merge_report, save and load they replaced, and
-every one must agree exactly, also where load's whole-branch fast path
-hands a literal back to the one-at-a-time parse.  save and load must also
-stay lean: their transient memory is bounded by a small multiple of the
-bytes of the file.
+oracle keeps the Fraction merge_report it replaced and a format-2 save and
+load of its own, and every one must agree exactly, also where load's
+whole-table fast path hands a value literal back to the one-at-a-time parse
+and where a branch's tokens are refused.  save and load must also stay lean:
+their transient memory is bounded by a small multiple of the bytes of the
+file.
 """
 
 import gc
@@ -101,15 +102,16 @@ def _spellings(x: Fraction, rng: random.Random) -> str:
 
 
 def _respelled(model, seed: int) -> str:
-    """The model's document with every rational literal replaced by an equivalent spelling."""
+    """The model's document with every rational literal replaced by an equivalent spelling,
+    and leading zeros before some integer tokens of the unit and the branches."""
     rng = random.Random(seed)
     doc = json.loads(oracle.save(model))
-    for key in ("inner_weights", "lambda", "lambda_tail"):
+    for key in ("inner_weights", "lambda", "lambda_tail", "values"):
         doc[key] = [_spellings(Fraction(v), rng) for v in doc[key]]
+    doc["unit"] = "0" * rng.randrange(3) + doc["unit"]
     for branch in doc["branches"]:
-        for knot in branch["knots"]:
-            knot["y"] = _spellings(Fraction(knot["y"]), rng)
-            knot["g"] = _spellings(Fraction(knot["g"]), rng)
+        for key in "yg":
+            branch[key] = " ".join("0" * rng.randrange(3) + t for t in branch[key].split(" ")) if branch[key] else ""
     return json.dumps(doc)
 
 
@@ -185,6 +187,22 @@ def test_class_report_matches_oracle_where_one_denominator_is_refused(outer, bit
     denominator in some branches, which are then compared as Fractions."""
     with mock.patch.object(outer_module, "PLAN_BITS_LIMIT", bits):
         assert merge_report(outer) == oracle.merge_report(outer)
+
+
+@given(_knot_tables(), st.integers(1, 12), st.sampled_from([None, {"depth": 2}, {"note": "hand-built"}]))
+@settings(max_examples=60, deadline=None)
+def test_save_of_load_is_the_identity_on_hand_built_models(outer, factor, meta):
+    """Empty branches, negative and unreduced values, and units that are not the
+    stored depth's (the knots' lcm, times a drawn factor): the bytes read back
+    to themselves, and are the oracle's."""
+    outer = OuterFunction(2, outer.unit * factor, tuple(tuple(y * factor for y in ys) for ys in outer.ys),
+                          outer.gn, outer.gd)
+    model = assemble(default_inner_spec(6), make_params(2, 6), outer, meta)
+    data = save(model)
+    assert data == oracle.save(model)
+    assert save(load(data)) == data == oracle.save(oracle.load(data))
+    assert _key(load(data)) == _key(model)
+    assert load(data).outer.unit == outer.unit != model.params.unit(model.inner, model.meta.get("depth", 30))
 
 
 def test_a_refused_denominator_leaves_the_report_unchanged():
@@ -271,8 +289,10 @@ def test_an_overflowing_jump_ratio_reads_inf():
 
 def test_unreduced_values_save_reduced():
     doc = json.loads(save(MODELS["hand_built"]))
-    doc["branches"][0]["knots"][0]["g"] = "-2/4"
-    doc["branches"][3]["knots"][2]["y"] = "66/4"
+    assert doc["values"][0] == "-1/2" and doc["branches"][0]["g"].startswith("0 ")
+    doc["values"][0] = "-2/4"
+    doc["values"].append("-1/2")  # a second spelling of one value, used by no knot
+    doc["branches"][3]["y"] = "0" + doc["branches"][3]["y"]
     model = load(json.dumps(doc))
     assert (model.outer.gn[0][0], model.outer.gd[0][0]) == (-2, 4)
     assert save(model) == save(MODELS["hand_built"]) == oracle.save(model)
@@ -323,44 +343,62 @@ def test_plain_ratios_of_a_list_are_the_plain_ratios_of_each_item(texts):
         assert list(zip(*got)) == [parse_ratio(text) for text in texts]
 
 
-MISSING = object()  # stands for a knot without the key
+MISSING = object()  # stands for a branch without the key
 ARABIC_INDIC = str.maketrans("0123456789", "٠١٢٣٤٥٦٧٨٩")
 # each part within the int-string limit, the literal past it together
 LONG_TOGETHER = "1" * 3000 + "/" + "7" * 3000
-REFUSED = ["5/", "/2", "1/-2", "1/+2", "1 /2", "1/ 2", "0/0", "--1/2", "1/2-3", LONG_TOGETHER, None, 5, MISSING]
+REFUSED = ["5/", "/2", "1/-2", "1/+2", "1 /2", "1/ 2", "0/0", "--1/2", "1/2-3", LONG_TOGETHER, None, 5]
 # any value is a valid outer-function value
 VALUES = ["+1/2", "1_0/3", "١/٢", "-0/7", "007/010", "-2/4", "6/9", "0"]
+# tokens refused in a branch's y or g: signs, fractions, non-ASCII digits, spaces
+# that leave an empty token, and a token past the int-string limit
+REFUSED_TOKENS = ["", "-1", "+1", "1/2", "1.0", "1e3", "١", "²", "0x1", "1_0", "1 ", " 1", "9" * 4301, None, 5, MISSING]
 
 
-def _same_position(y: Fraction, lo: Fraction, hi: Fraction) -> list[str]:
-    """Respellings of knot position y, and one position strictly between its
-    neighbours lo and hi whose denominator (a multiple of 11) divides no unit."""
-    n, m = y.numerator, y.denominator
-    moved = y + (hi - y) / 11 if hi > y else y - (y - lo) / 11
-    return [f"+{y}", f"00{n}/00{m}", str(y).translate(ARABIC_INDIC), f"{n}_0/{m}0", f"{3 * n}/{3 * m}",
-            f"-0/{m}" if n == 0 else f"{n}/{m}", str(moved)]
+def _moved(tokens: list[str], k: int, lo: int, hi: int) -> list[str]:
+    """Respellings of position token k, and a position strictly between its neighbours
+    (lo and hi when it has none), when there is room for one."""
+    y = int(tokens[k])
+    left = int(tokens[k - 1]) if k else lo
+    right = int(tokens[k + 1]) if k + 1 < len(tokens) else hi
+    moved = [str((left + y) // 2)] if left + 1 < y else [str((y + right) // 2)] if y + 1 < right else []
+    return [f"00{y}", tokens[k].translate(ARABIC_INDIC)] + moved
 
 
 @st.composite
 def _one_literal(draw):
-    """A saved model with one knot's y or g replaced by a drawn literal or dropped.
-    Positions keep their order, so every refusal is the literal's own."""
+    """A saved model with one leaf edited: a value literal, one token of a branch's y
+    or g, or the unit (respelled, or scaled with every position).  Positions keep
+    their order, so every refusal is the edited leaf's own."""
     name = draw(st.sampled_from(sorted(MODELS)))
     doc = json.loads(save(MODELS[name]))
-    spots = [(q, k) for q, branch in enumerate(doc["branches"]) for k in range(len(branch["knots"]))]
-    q, k = draw(st.sampled_from(spots))
-    knots = doc["branches"][q]["knots"]
-    key = draw(st.sampled_from("yg"))
-    if key == "g":
-        literal = draw(st.sampled_from(REFUSED + VALUES))
+    unit, values, d = int(doc["unit"]), doc["values"], doc["d"]
+    spots = [(q, k) for q, branch in enumerate(doc["branches"]) for k in range(len(branch["y"].split()))]
+    where = draw(st.sampled_from(["values", "y", "g", "unit"] if spots else ["values", "unit"]))
+    if where == "values":
+        values[draw(st.integers(0, len(values) - 1))] = draw(st.sampled_from(REFUSED + VALUES))
+    elif where == "unit":
+        factor = draw(st.sampled_from([1, 3, 11]))
+        doc["unit"] = draw(st.sampled_from([f"0{unit * factor}", str(unit * factor), str(unit + 1)] + REFUSED))
+        for branch in doc["branches"]:
+            branch["y"] = " ".join(str(int(y) * factor) for y in branch["y"].split())
     else:
-        lo = Fraction(knots[k - 1]["y"]) if k else Fraction(doc["b"][q])
-        hi = Fraction(knots[k + 1]["y"]) if k + 1 < len(knots) else Fraction(doc["b"][q] + 2 * doc["d"])
-        literal = draw(st.sampled_from(REFUSED + _same_position(Fraction(knots[k]["y"]), lo, hi)))
-    if literal is MISSING:
-        del knots[k][key]
-    else:
-        knots[k][key] = literal
+        q, k = draw(st.sampled_from(spots))
+        branch = doc["branches"][q]
+        tokens = branch[where].split(" ")
+        if where == "y":
+            b = doc["b"][q]
+            valid = _moved(tokens, k, b * unit, (b + 2 * d) * unit)
+        else:
+            valid = ["0", str(len(values) - 1), f"0{tokens[k]}"]
+        token = draw(st.sampled_from(REFUSED_TOKENS + [str(len(values)), str(10**30)] * (where == "g") + valid))
+        if token is MISSING:
+            del branch[where]
+        elif not isinstance(token, str):
+            branch[where] = token
+        else:
+            tokens[k] = token
+            branch[where] = " ".join(tokens)
     return json.dumps(doc, indent=2)
 
 
@@ -374,9 +412,10 @@ def _load_outcome(load_model, text):
 @given(_one_literal())
 @settings(max_examples=300, deadline=None)
 def test_load_matches_oracle_on_one_drawn_knot_literal(text):
-    """load reads a branch through one guard and falls back to the one-at-a-time
-    parse: it loads what the oracle loads, to the same tables and bytes, and
-    refuses what the oracle refuses, at the same location and in the same words."""
+    """load reads the values through one guard, falling back to the one-at-a-time
+    parse, and each branch with split and int: it loads what the oracle loads, to
+    the same tables and bytes, and refuses what the oracle refuses, at the same
+    location and in the same words."""
     got, want = _load_outcome(load, text), _load_outcome(oracle.load, text)
     if isinstance(want, ModelFormatError):
         assert isinstance(got, ModelFormatError), got

@@ -6,6 +6,7 @@ import json
 import math
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import oracle
 import pytest
@@ -315,22 +316,32 @@ def test_save_load_path_and_handle(tmp_path):
 
 def test_document_structure():
     doc = json.loads(save(MODEL))
-    assert doc["format_version"] == FORMAT_VERSION == 1
+    assert doc["format_version"] == FORMAT_VERSION == 2
     assert doc["d"] == 2 and doc["gamma"] == 6
     assert doc["lambda"] == ["1", "80542626049/470184984576"]
     assert doc["b"] == [0, 5, 10, 15, 20]
     assert len(doc["inner_weights"]) == 6
+    assert doc["unit"] == str(MODEL.outer.unit) == str(P26.unit(SPEC6, MODEL.meta.get("depth", 30)))
+    assert doc["values"] == list(dict.fromkeys(str(Fraction(n, m)) for gn, gd in zip(MODEL.outer.gn, MODEL.outer.gd)
+                                               for n, m in zip(gn, gd)))
     assert [br["q"] for br in doc["branches"]] == [0, 1, 2, 3, 4]
-    knot = doc["branches"][0]["knots"][0]
-    assert set(knot) == {"y", "g"}
+    for branch, ys, gn, gd in zip(doc["branches"], MODEL.outer.ys, MODEL.outer.gn, MODEL.outer.gd):
+        assert set(branch) == {"q", "y", "g"}
+        assert branch["y"] == " ".join(map(str, ys))
+        assert [doc["values"][int(j)] for j in branch["g"].split()] == [str(Fraction(n, m)) for n, m in zip(gn, gd)]
 
 
 def test_load_rejects_malformed_documents():
     blob = save(MODEL)
     with pytest.raises(ModelFormatError):
         load(blob[: len(blob) // 2])
+    with pytest.raises(ModelFormatError) as exc:  # a lone surrogate, which no encoding spells
+        load(blob.decode().replace('"1/2"', '"\ud800"', 1))
+    assert exc.value.location == "inner_weights[0]"
+    with pytest.raises(ModelFormatError, match="cannot load a model from int"):
+        load(SimpleNamespace(read=lambda: 5))
     doc = json.loads(blob)
-    doc["format_version"] = 2
+    doc["format_version"] = 3
     with pytest.raises(ModelFormatError, match="newer"):
         load(json.dumps(doc))
     doc = json.loads(blob)
@@ -345,10 +356,14 @@ def test_load_rejects_malformed_documents():
     del doc["gamma"]
     with pytest.raises(ModelFormatError, match="gamma"):
         load(json.dumps(doc))
-    doc = json.loads(blob)
-    doc["branches"][2]["knots"][0]["y"] = doc["branches"][2]["knots"][1]["y"]
-    with pytest.raises(ModelFormatError):
-        load(json.dumps(doc))
+    for q in (0, 2):  # a repeated position, then two swapped
+        doc = json.loads(blob)
+        ys = doc["branches"][q]["y"].split()
+        ys[:2] = ys[1], ys[1 - q // 2]
+        doc["branches"][q]["y"] = " ".join(ys)
+        with pytest.raises(ModelFormatError, match="strictly increasing") as exc:
+            load(json.dumps(doc))
+        assert exc.value.location == "branches"
 
 
 def test_load_names_the_offending_field():
@@ -371,6 +386,65 @@ def test_load_names_the_offending_field():
         assert exc.value.location == "meta.depth"
     with pytest.raises(AssemblyError, match="meta.depth"):
         assemble(SPEC6, P26, MODEL.outer, meta={"depth": 241})
+
+
+def test_load_names_the_offending_unit_value_or_token():
+    """unit, values[k], and the y and g strings of a branch with the index of their first bad token."""
+    blob = save(MODEL)
+
+    def token(key, k, text):
+        def edit(doc):
+            tokens = doc["branches"][1][key].split(" ")
+            tokens[k] = text
+            doc["branches"][1][key] = " ".join(tokens)
+        return edit
+
+    cases = [
+        (lambda doc: doc.__setitem__("format_version", 1), "format_version", "refit"),
+        (lambda doc: doc.__setitem__("unit", "0"), "unit", "positive integer"),
+        (lambda doc: doc.__setitem__("unit", "-6"), "unit", "positive integer"),
+        (lambda doc: doc.__setitem__("unit", "1e9"), "unit", "positive integer"),
+        (lambda doc: doc.__setitem__("unit", "9" * 4301), "unit", "positive integer"),
+        (lambda doc: doc.__setitem__("unit", 6), "unit", "expected str"),
+        (lambda doc: doc.pop("unit"), "unit", "missing"),
+        (lambda doc: doc.__setitem__("values", "0"), "values", "expected list"),
+        (lambda doc: doc["values"].__setitem__(2, "1/0"), "values[2]", "not a rational"),
+        (lambda doc: doc["values"].__setitem__(1, None), "values[1]", "expected fraction string"),
+        (token("y", 2, "-5"), "branches[1].y", "token 2"),
+        (token("y", 0, ""), "branches[1].y", "token 0"),
+        (token("y", 1, "1 "), "branches[1].y", "token 2"),
+        (token("y", 1, "1" * 4301), "branches[1].y", "token 1"),
+        (token("g", 3, "1/2"), "branches[1].g", "token 3"),
+        (token("g", 1, "99999"), "branches[1].g", "token 1: index 99999 is past"),
+        (token("g", 0, "0 0"), "branches[1].g", "value indices for"),
+        (lambda doc: doc["branches"][1].__setitem__("y", 7), "branches[1].y", "expected str"),
+        (lambda doc: doc["branches"][1].pop("g"), "branches[1].g", "missing"),
+    ]
+    for edit, location, words in cases:
+        doc = json.loads(blob)
+        edit(doc)
+        with pytest.raises(ModelFormatError) as exc:
+            load(json.dumps(doc))
+        assert exc.value.location == location and words in str(exc.value), (location, str(exc.value))
+
+
+def test_load_reads_any_unit_within_the_plan_limit(monkeypatch):
+    """A unit other than the stored depth's loads to the same values when the
+    positions are over it; past the plan limit it is refused at `unit`."""
+    doc = json.loads(save(MODEL))
+    unit = int(doc["unit"])
+    for branch in doc["branches"]:
+        branch["y"] = " ".join(str(7 * int(y)) for y in branch["y"].split())
+    doc["unit"] = f"00{7 * unit}"
+    model = load(json.dumps(doc))
+    assert model.outer.unit == 7 * unit
+    point = (Fraction(1, 3), Fraction(2, 7))
+    assert evaluate(model, point) == evaluate(MODEL, point)
+    monkeypatch.setattr("ksnet.outer.PLAN_BITS_LIMIT", (7 * unit).bit_length() * MODEL.outer.knot_count - 1)
+    with pytest.raises(ModelFormatError, match="plan limit") as exc:
+        load(json.dumps(doc))
+    assert exc.value.location == "unit"
+    assert load(save(MODEL)).outer == MODEL.outer  # the stored depth's unit is always read
 
 
 def test_load_checks_lambda_against_series_terms():
