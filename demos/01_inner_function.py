@@ -13,7 +13,7 @@ Run: python3 demos/01_inner_function.py
 import math
 from fractions import Fraction
 
-from ksnet import default_inner_spec, phi_eval, phi_exact, verify_inner
+from ksnet import default_inner_spec, phi_eval, verify_inner
 
 spec = default_inner_spec(6)
 
@@ -25,16 +25,18 @@ x = Fraction(1, 10)
 print(f"x = {x}, base-6 digits {tuple(int(x * 6**k) % 6 for k in range(1, 9))}...")
 print(f"{'depth':>5}  {'phi(x) truncation':>24}  {'window width':>14}")
 for depth in (1, 2, 4, 8, 16, 32):
-    v = phi_eval(spec, x, depth)
-    print(f"{depth:>5}  {str(v.value):>24}  {float(v.error_bound):>14.3e}")
+    value, bound = phi_eval(spec, x, depth)
+    print(f"{depth:>5}  {str(value):>24}  {float(bound):>14.3e}")
 print(f"the windows close in on 7/18 = {float(Fraction(7, 18)):.12f}")
 print()
 
+# Two digits read each of these inputs in full; the digits after them are
+# zeros, which add nothing, so the depth-2 truncation is the exact value.
 print("terminating inputs evaluate exactly:")
 for x in (Fraction(0), Fraction(1, 36), Fraction(1, 6), Fraction(5, 6), Fraction(1)):
-    print(f"  phi({str(x):>4}) = {phi_exact(spec, x)}")
+    print(f"  phi({str(x):>4}) = {phi_eval(spec, x, 2)[0]}")
 print("and the map commutes with +1:")
-print(f"  phi(1/6 + 1) = {phi_exact(spec, Fraction(7, 6))} = phi(1/6) + 1")
+print(f"  phi(1/6 + 1) = {phi_eval(spec, Fraction(7, 6), 2)[0]} = phi(1/6) + 1")
 print()
 
 alpha = math.log(2) / math.log(6)

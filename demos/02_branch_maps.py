@@ -33,8 +33,8 @@ print()
 x = (Fraction(1, 3), Fraction(2, 7))
 print(f"the five views of x = ({x[0]}, {x[1]}):")
 for q in range(params.branch_count):
-    v = psi_eval(params, spec, x, q, depth=30)
-    print(f"  branch {q}: {float(v.value):>10.6f}  (window {float(v.error_bound):.2e}, interval [{5 * q}, {5 * q + 4}])")
+    value, bound = psi_eval(params, spec, x, q, depth=30)
+    print(f"  branch {q}: {float(value):>10.6f}  (window {float(bound):.2e}, interval [{5 * q}, {5 * q + 4}])")
 print()
 
 report = check_ranges(params, spec, probe_level=2, depth=30)

@@ -20,7 +20,6 @@ from .errors import (
 )
 from .hashmaps import (
     DEFAULT_SERIES_TOLERANCE,
-    BranchValue,
     HashParams,
     IncidenceSystem,
     RangeReport,
@@ -28,27 +27,24 @@ from .hashmaps import (
     build_incidence,
     certify_separation,
     check_ranges,
-    lambda_series,
     make_params,
     psi_eval,
     separation_check,
 )
 from .inner import (
     InnerSpec,
-    InnerValue,
     PropertyReport,
     default_inner_spec,
     phi_eval,
-    phi_exact,
     verify_inner,
 )
 from .network import (
     FORMAT_VERSION,
     FastEvaluator,
     KNetModel,
-    TopologyReport,
     assemble,
     describe,
+    dot,
     evaluate,
     evaluate_batch,
     load,
@@ -73,7 +69,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AssemblyError",
-    "BranchValue",
     "ClassReport",
     "DEFAULT_SERIES_TOLERANCE",
     "DomainError",
@@ -83,7 +78,6 @@ __all__ = [
     "HashParams",
     "IncidenceSystem",
     "InnerSpec",
-    "InnerValue",
     "InputError",
     "InternalInvariantError",
     "IterationDiverged",
@@ -97,26 +91,24 @@ __all__ = [
     "SampleSet",
     "SeparationFailure",
     "SeparationVerdict",
-    "TopologyReport",
     "assemble",
     "build_incidence",
     "certify_separation",
     "check_ranges",
     "default_inner_spec",
     "describe",
+    "dot",
     "evaluate",
     "evaluate_batch",
     "fit_exact",
     "fit_iterative",
     "grid_points",
     "grid_samples",
-    "lambda_series",
     "load",
     "make_params",
     "merge_report",
     "parse_rational",
     "phi_eval",
-    "phi_exact",
     "psi_eval",
     "save",
     "separation_check",

@@ -50,7 +50,7 @@ from .hashmaps import (
     separation_check,
 )
 from .inner import default_inner_spec, verify_inner
-from .network import assemble, describe, evaluate_batch, load, save
+from .network import assemble, describe, dot, evaluate_batch, load, save
 from .outer import SampleSet, fit_exact, fit_iterative, grid_samples, merge_report
 from .rationals import parse_rational, plain_ratios
 
@@ -167,6 +167,10 @@ def _read_csv_rows(path: str) -> list[list[str]]:
             rows = [row for row in csv.reader(fh) if row]
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path}: not UTF-8 text ({exc.reason})") from None
+    except csv.Error as exc:  # a field past csv.field_size_limit(), for one
+        raise InputError(f"{path}: {exc}") from None
     if not rows:
         raise InputError(f"{path}: empty file, a header row is required")
     return rows
@@ -410,11 +414,10 @@ def cmd_bench(config: JobConfig) -> int:
 
 def cmd_describe(config: JobConfig) -> int:
     model = load(config.model_path)
-    report = describe(model)
     if config.dot:
-        _emit_text(report.dot() + "\n", config.out_path)
+        _emit_text(dot(model.params.d) + "\n", config.out_path)
     else:
-        _emit_report(report.to_jsonable(), config.out_path)
+        _emit_report(describe(model), config.out_path)
     return EXIT_OK
 
 

@@ -79,18 +79,6 @@ def series_count(p: int, d: int, gamma: int, tolerance) -> int:
     return terms
 
 
-def lambda_series(p: int, d: int, gamma: int, tolerance) -> tuple[Fraction, Fraction, int]:
-    """Truncated mixing weight lam_p with a rigorous tail bound.
-
-    lam_1 is exactly 1.  For p >= 2 the series sum_r gamma**(-(p-1)(d**r-1)/(d-1))
-    is summed until the geometric majorant of the remainder,
-    gamma**(-e(R+1)) * gamma/(gamma-1), drops to `tolerance` or below.
-    Returns (value, tail bound, number of terms summed).
-    """
-    terms = series_count(p, d, gamma, tolerance)
-    return (*lambda_partial(p, d, gamma, terms), terms)
-
-
 def check_dims(d: int, gamma: int) -> None:
     """The dimension rule of every network: d >= 2 and 2d+2 <= gamma <= GAMMA_CAP."""
     if d < 2:
@@ -181,19 +169,6 @@ def make_params(d: int, gamma: int, series_tolerance=DEFAULT_SERIES_TOLERANCE) -
     return HashParams(d, gamma, tuple(series_count(p, d, gamma, series_tolerance) for p in range(1, d + 1)))
 
 
-@dataclass(frozen=True)
-class BranchValue:
-    """A truncated branch-map value; the untruncated value lies in [value, value + error_bound]."""
-
-    q: int
-    value: Fraction
-    error_bound: Fraction
-
-    @property
-    def upper(self) -> Fraction:
-        return self.value + self.error_bound
-
-
 def mix(params: HashParams, unit: int, values, windows, starts, steps) -> list[tuple[int, int]]:
     """Every branch as (value, window) numerators over `unit` = params.unit(inner, k), where
     phi's depth-k numerators at x_p + a q are values[p][i] and windows[p][i], i = starts[p] + q steps[p].
@@ -231,13 +206,14 @@ def point_branches(params: HashParams, inner: InnerSpec, x, depth: int) -> list[
     return mix(params, params.unit(inner, depth), [values] * d, [windows] * d, range(d), [d] * d)
 
 
-def psi_eval(params: HashParams, inner: InnerSpec, x, q: int, depth: int) -> BranchValue:
-    """Branch q's value and error bound at x in [0, 1]^d, depth `depth`; a bad x raises its reason."""
+def psi_eval(params: HashParams, inner: InnerSpec, x, q: int, depth: int) -> tuple[Fraction, Fraction]:
+    """Branch q at x in [0, 1]^d, depth `depth`, as (value, error_bound): the untruncated
+    value lies in [value, value + error_bound].  A bad x raises its reason."""
     if not 0 <= q <= 2 * params.d:
         raise DomainError(f"branch index must lie in 0..{2 * params.d}, got {q}")
     value, window = point_branches(params, inner, x, depth)[q]
     unit = params.unit(inner, depth)
-    return BranchValue(q=q, value=Fraction(value, unit), error_bound=Fraction(window, unit))
+    return Fraction(value, unit), Fraction(window, unit)
 
 
 @dataclass(frozen=True)
@@ -395,11 +371,6 @@ class PointGroups:
             raise fault
 
 
-def point_groups(points, d: int) -> PointGroups:
-    """`points` checked and grouped, unless they already are a PointGroups."""
-    return points if isinstance(points, PointGroups) else PointGroups(points, d)
-
-
 class InnerTable:
     """phi(x + a q) for every distinct coordinate x of every axis and every branch q.
 
@@ -409,11 +380,13 @@ class InnerTable:
     slice [q k, (q + 1) k).  Every point's branch values are sums of these entries, so
     phi runs once per distinct coordinate and branch.  deepen() fills each axis with one
     call of the inner kernel: from the coordinates for a fresh table, from the stored
-    states for a deeper one, reading only the new digits.  Fits read all points' branch
-    columns (build_incidence), batch evaluation one point at a time (branches, through mix).
+    states for a deeper one, reading only the new digits.  The points are checked and
+    grouped (PointGroups; a PointGroups is taken as it is).  Fits read all points' branch
+    columns (incidence), batch evaluation one point at a time (branches, through mix).
     """
 
-    def __init__(self, params: HashParams, inner: InnerSpec, groups: PointGroups):
+    def __init__(self, params: HashParams, inner: InnerSpec, points):
+        groups = points if isinstance(points, PointGroups) else PointGroups(points, params.d)
         if len(groups.values) != params.d:
             raise DomainError(f"points have d = {len(groups.values)}, parameters have d = {params.d}")
         self.params, self.inner, self.groups = params, inner, groups
@@ -442,6 +415,49 @@ class InnerTable:
         """Every branch at point j as (value, window) numerators over params.unit(inner, depth) (mix)."""
         return mix(self.params, self.unit, self.value, self.window, [ids[j] for ids in self.groups.ids],
                    list(map(len, self.groups.values)))
+
+    def incidence(self, depth: int) -> IncidenceSystem:
+        """The incidence system of the points at `depth`, the table deepened in place.
+
+        Branch q's column is b_q plus, per axis, the lam-weighted entries of
+        the table's branch-q slice, read through the points' ids (no windows:
+        a fit needs none).  Values are compared, and kept, as integer
+        numerators over one denominator, and each branch's distinct values
+        are sorted on their own: the branch ranges are disjoint and
+        increasing, so their concatenation is the sorted knot list.  A retry
+        calls this again at a higher depth, which reads only the new digits.
+        """
+        self.deepen(depth)
+        params, groups, unit = self.params, self.groups, self.unit
+        n = len(groups.points)
+        lam_num = params._lam_scaled[1]
+        knots: list[int] = []
+        starts = [0]
+        columns = []
+        for q, b in enumerate(params.b):
+            column = [b * unit] * n
+            for lam, values, ids, k in zip(lam_num, self.value, groups.ids, map(len, groups.values)):
+                terms = [lam * v for v in values[q * k:(q + 1) * k]]
+                column = [c + terms[g] for c, g in zip(column, ids)]
+            distinct = sorted(set(column))
+            if knots and distinct[0] <= knots[-1]:
+                raise InternalInvariantError(
+                    f"branch {q} reaches {Fraction(distinct[0], unit)}, not above branch {q - 1}; "
+                    "ranges must be disjoint"
+                )
+            index = {v: i for i, v in enumerate(distinct, start=len(knots))}
+            columns.append(tuple(map(index.__getitem__, column)))
+            knots.extend(distinct)
+            starts.append(len(knots))
+        return IncidenceSystem(
+            points=groups.points,
+            depth=depth,
+            d=params.d,
+            unit=unit,
+            knots=tuple(knots),
+            starts=tuple(starts),
+            columns=tuple(columns),
+        )
 
 
 @dataclass
@@ -501,59 +517,10 @@ class IncidenceSystem:
         return [{points[i]: row for i, row in comp.items()} for comp in components(list(map(self.row, points)))]
 
 
-def build_incidence(
-    params: HashParams, inner: InnerSpec, points, depth: int, table: InnerTable | None = None
-) -> IncidenceSystem:
-    """Evaluate every branch at every point and tabulate hits on distinct values.
-
-    The points are checked and grouped per axis (PointGroups; a PointGroups
-    is taken as it is), and phi runs once per distinct coordinate and branch
-    (InnerTable); branch q's column is b_q plus, per axis, the lam-weighted
-    entries of the table's branch-q slice, read through the points' ids (no
-    windows: a fit needs none).  Values are compared, and kept, as integer
-    numerators over one denominator, and each branch's distinct values are
-    sorted on their own: the branch ranges are disjoint and increasing, so
-    their concatenation is the sorted knot list.  Instead of `points`, a
-    `table` from an earlier build with the same params and inner may be
-    passed (points None); it is deepened in place, not recomputed, which is
-    how certify_separation retries.
-    """
-    if table is None:
-        table = InnerTable(params, inner, point_groups(points, params.d))
-    elif points is not None:
-        raise DomainError("pass the points or a table of them, not both")
-    elif table.params != params or table.inner != inner:
-        raise ParameterError("the table was built for other parameters or another inner function")
-    table.deepen(depth)
-    groups, n, unit = table.groups, len(table.groups.points), table.unit
-    lam_num = params._lam_scaled[1]
-    knots: list[int] = []
-    starts = [0]
-    columns = []
-    for q, b in enumerate(params.b):
-        column = [b * unit] * n
-        for lam, values, ids, k in zip(lam_num, table.value, groups.ids, map(len, groups.values)):
-            terms = [lam * v for v in values[q * k:(q + 1) * k]]
-            column = [c + terms[g] for c, g in zip(column, ids)]
-        distinct = sorted(set(column))
-        if knots and distinct[0] <= knots[-1]:
-            raise InternalInvariantError(
-                f"branch {q} reaches {Fraction(distinct[0], unit)}, not above branch {q - 1}; "
-                "ranges must be disjoint"
-            )
-        index = {v: i for i, v in enumerate(distinct, start=len(knots))}
-        columns.append(tuple(map(index.__getitem__, column)))
-        knots.extend(distinct)
-        starts.append(len(knots))
-    return IncidenceSystem(
-        points=groups.points,
-        depth=depth,
-        d=params.d,
-        unit=unit,
-        knots=tuple(knots),
-        starts=tuple(starts),
-        columns=tuple(columns),
-    )
+def build_incidence(params: HashParams, inner: InnerSpec, points, depth: int) -> IncidenceSystem:
+    """Evaluate every branch at every point and tabulate hits on distinct values:
+    InnerTable(params, inner, points).incidence(depth)."""
+    return InnerTable(params, inner, points).incidence(depth)
 
 
 @dataclass(frozen=True)
@@ -624,10 +591,10 @@ def certify_separation(
     dependency; the attempt at the cap gets the full rank and witness.
     """
     current = min(depth, depth_cap)
-    table = InnerTable(params, inner, point_groups(points, params.d))
+    table = InnerTable(params, inner, points)
     retries = 0
     while True:
-        system = build_incidence(params, inner, None, current, table)
+        system = table.incidence(current)
         verdict = separation_check(system, stop=current < depth_cap)
         if verdict.separated or current >= depth_cap:
             return system, replace(verdict, retries=retries)

@@ -149,18 +149,6 @@ def default_inner_spec(base: int) -> InnerSpec:
     return InnerSpec(base=base, weights=(HALF,) + (rest,) * (base - 1))
 
 
-@dataclass(frozen=True)
-class InnerValue:
-    """A truncated inner-function value; the untruncated value lies in [value, value + error_bound]."""
-
-    value: Fraction
-    error_bound: Fraction
-
-    @property
-    def upper(self) -> Fraction:
-        return self.value + self.error_bound
-
-
 def phi_extend(spec: InnerSpec, states, more: int) -> list[tuple[int, int, int]]:
     """The inner kernel: read `more` further digits of each state, in order.
 
@@ -215,47 +203,22 @@ def phi_scaled(spec: InnerSpec, inputs, depth: int) -> list[tuple[int, int, int]
     )
 
 
-def phi_eval(spec: InnerSpec, x, depth: int) -> InnerValue:
-    """Depth-`depth` truncation of the inner function at x in [0, 2).
+def phi_eval(spec: InnerSpec, x, depth: int) -> tuple[Fraction, Fraction]:
+    """Depth-`depth` truncation of the inner function at x in [0, 2), as (value, error_bound).
 
-    The error bound is the width of the digit interval the tail lives in,
-    w(i_1)*...*w(i_k) <= 2**-depth; it collapses to 0 only when the
-    fractional part is zero (the digit sum is empty).
+    The untruncated value lies in [value, value + error_bound].  The bound is
+    the width of the digit interval the tail lives in, w(i_1)*...*w(i_k) <=
+    2**-depth; it collapses to 0 only when the fractional part is zero (the
+    digit sum is empty).  Once `depth` reaches the digit count of a
+    terminating x, the digits left are zeros, which add c(0) = 0, so value is
+    exact (the bound stays positive, covering the rest of the digit cell).
     """
     x = Fraction(x)
     if not 0 <= x < 2:
         raise DomainError(f"inner function domain is [0, 2), got {x}")
     ((value, window, _),) = phi_scaled(spec, [(x.numerator, x.denominator)], depth)
     scale = spec._den**depth
-    return InnerValue(value=Fraction(value, scale), error_bound=Fraction(window, scale))
-
-
-def phi_exact(spec: InnerSpec, x) -> Fraction:
-    """The untruncated inner-function value at a terminating rational.
-
-    Terminating means x * base**k is an integer for some k; the digit tail
-    beyond k is all zeros and contributes c(0) = 0, so the depth-k truncation
-    is already the exact value (its reported window stays positive, covering
-    the rest of the digit cell).
-    """
-    x = Fraction(x)
-    if not 0 <= x < 2:
-        raise DomainError(f"inner function domain is [0, 2), got {x}")
-    integer_part = x.numerator // x.denominator
-    frac = x - integer_part
-    if frac == 0:
-        return Fraction(integer_part)
-    den = frac.denominator
-    depth = 0
-    while den > 1:
-        g = math.gcd(den, spec.base)
-        if g == 1:
-            raise DomainError(
-                f"{x} does not terminate in base {spec.base}; use phi_eval with a depth"
-            )
-        den //= g
-        depth += 1
-    return phi_eval(spec, x, depth).value
+    return Fraction(value, scale), Fraction(window, scale)
 
 
 @dataclass(frozen=True)

@@ -89,10 +89,10 @@ def assemble(inner: InnerSpec, params: HashParams, outer: OuterFunction, meta: d
 
 
 def _resolve_depth(meta: dict, depth: int | None = None) -> int:
-    """depth if given, else meta.depth (30 when absent), which must be an int in 1..DEPTH_CAP."""
+    """depth if given, else meta.depth (30 when absent); either must be an int in 1..DEPTH_CAP."""
     if depth is not None:
-        if depth < 1:
-            raise DomainError(f"depth must be >= 1, got {depth}")
+        if type(depth) is not int or not 1 <= depth <= DEPTH_CAP:
+            raise DomainError(f"depth must be an integer in 1..{DEPTH_CAP}, got {depth!r}")
         return depth
     depth = meta.get("depth")
     if depth is not None and (type(depth) is not int or not 1 <= depth <= DEPTH_CAP):
@@ -263,7 +263,7 @@ def save(model: KNetModel, sink=None) -> bytes:
     for pair in index:
         index[pair] = str(literals.setdefault(_literal(*pair), len(literals)))
     doc = {
-        "format_version": model.meta.get("format_version", FORMAT_VERSION),
+        "format_version": FORMAT_VERSION,
         "d": params.d,
         "gamma": params.gamma,
         "inner_weights": [str(w) for w in model.inner.weights],
@@ -435,68 +435,40 @@ def load(source) -> KNetModel:
         raise ModelFormatError(str(exc), location="branches") from None
 
 
-@dataclass(frozen=True)
-class TopologyReport:
-    """Layer widths, universal constants, and knot counts of a model."""
+def describe(model: KNetModel) -> dict:
+    """The describe document: layer widths (d, d(2d+1), 2d+1, 1), the constant tables,
+    the knot count of each branch and the meta record."""
+    params, d = model.params, model.params.d
+    knot_counts = list(map(len, model.outer.ys))
+    return {
+        "d": d,
+        "gamma": params.gamma,
+        "layer_widths": [d, d * (2 * d + 1), 2 * d + 1, 1],
+        "a": str(params.a),
+        "lambda": [str(v) for v in params.lam],
+        "lambda_tail": [str(t) for t in params.lam_tails],
+        "b": list(params.b),
+        "inner_weights": [str(w) for w in model.inner.weights],
+        "knot_counts": knot_counts,
+        "total_knots": sum(knot_counts),
+        "meta": dict(model.meta),
+    }
 
-    d: int
-    gamma: int
-    layer_widths: tuple[int, int, int, int]
-    a: Fraction
-    lam: tuple[Fraction, ...]
-    lam_tails: tuple[Fraction, ...]
-    b: tuple[int, ...]
-    inner_weights: tuple[Fraction, ...]
-    knot_counts: tuple[int, ...]
-    meta: dict
 
-    def to_jsonable(self) -> dict:
-        return {
-            "d": self.d,
-            "gamma": self.gamma,
-            "layer_widths": list(self.layer_widths),
-            "a": str(self.a),
-            "lambda": [str(v) for v in self.lam],
-            "lambda_tail": [str(t) for t in self.lam_tails],
-            "b": list(self.b),
-            "inner_weights": [str(w) for w in self.inner_weights],
-            "knot_counts": list(self.knot_counts),
-            "total_knots": sum(self.knot_counts),
-            "meta": dict(self.meta),
-        }
-
-    def dot(self) -> str:
-        """Graphviz text of the network graph; inner nodes are labeled (p, q)."""
-        d = self.d
-        lines = ["digraph ksnet {", "  rankdir=LR;"]
+def dot(d: int) -> str:
+    """Graphviz text of the network graph of dimension d; inner nodes are labeled (p, q)."""
+    lines = ["digraph ksnet {", "  rankdir=LR;"]
+    for p in range(1, d + 1):
+        lines.append(f'  x{p} [label="x{p}", shape=circle];')
+    for q in range(2 * d + 1):
         for p in range(1, d + 1):
-            lines.append(f'  x{p} [label="x{p}", shape=circle];')
-        for q in range(2 * d + 1):
-            for p in range(1, d + 1):
-                lines.append(f'  h{p}_{q} [label="phi(x{p}+a*{q})", shape=box];')
-                lines.append(f"  x{p} -> h{p}_{q};")
-            lines.append(f'  z{q} [label="g(. + b{q})", shape=box];')
-            for p in range(1, d + 1):
-                lines.append(f"  h{p}_{q} -> z{q};")
-        lines.append('  w [label="w", shape=doublecircle];')
-        for q in range(2 * d + 1):
-            lines.append(f"  z{q} -> w;")
-        lines.append("}")
-        return "\n".join(lines)
-
-
-def describe(model: KNetModel) -> TopologyReport:
-    """Topology and constants: widths (d, d(2d+1), 2d+1, 1) plus the constant tables."""
-    d = model.params.d
-    return TopologyReport(
-        d=d,
-        gamma=model.params.gamma,
-        layer_widths=(d, d * (2 * d + 1), 2 * d + 1, 1),
-        a=model.params.a,
-        lam=model.params.lam,
-        lam_tails=model.params.lam_tails,
-        b=model.params.b,
-        inner_weights=model.inner.weights,
-        knot_counts=tuple(map(len, model.outer.ys)),
-        meta=dict(model.meta),
-    )
+            lines.append(f'  h{p}_{q} [label="phi(x{p}+a*{q})", shape=box];')
+            lines.append(f"  x{p} -> h{p}_{q};")
+        lines.append(f'  z{q} [label="g(. + b{q})", shape=box];')
+        for p in range(1, d + 1):
+            lines.append(f"  h{p}_{q} -> z{q};")
+    lines.append('  w [label="w", shape=doublecircle];')
+    for q in range(2 * d + 1):
+        lines.append(f"  z{q} -> w;")
+    lines.append("}")
+    return "\n".join(lines)

@@ -187,16 +187,6 @@ class KnotLookup:
         i = bisect_left(ys, y)
         return min((j for j in (i - 1, i) if 0 <= j < len(ys)), key=lambda j: (abs(ys[j] - y), ys[j])), False
 
-    def g(self, y: int) -> tuple[int, int]:
-        """The outer function at y / scale, as (n, m > 0) for n / (m * value_den).
-
-        Inside a branch interval: linear interpolation between that branch's
-        knots, clamped to its end knots.  Elsewhere, and in a branch with no
-        knots: the globally nearest knot, ties toward the smaller one.
-        """
-        num, _, den = self.branch(y, 0)
-        return num, den
-
     def deviation(self, lo: int, hi: int, g: tuple[int, int]) -> tuple[int, int]:
         """max |g(y) - g(lo)| over [lo, hi] as (n, m) for n / (m * value_den), where g = g(lo).
 
@@ -204,7 +194,8 @@ class KnotLookup:
         window ends or at knots inside the window.
         """
         ys, gn, gd = self.ys, self.gn, self.gd
-        num, den = ratio_gap(*g, *self.g(hi))
+        end, _, end_den = self.branch(hi, 0)
+        num, den = ratio_gap(*g, end, end_den)
         i = bisect_left(ys, lo)
         while i < len(ys) and ys[i] <= hi:
             n2, d2 = ratio_gap(*g, gn[i], gd[i])

@@ -61,11 +61,11 @@ from ksnet.errors import (
     SeparationFailure,
 )
 from ksnet.hashmaps import (
-    DEPTH_CAP, BranchRange, BranchValue, HashParams, RangeReport, SeparationVerdict, check_dims,
+    DEPTH_CAP, BranchRange, HashParams, RangeReport, SeparationVerdict, check_dims,
 )
 from ksnet.hashmaps import build_incidence as build_incidence_system
 from ksnet.linsolve import solve_square
-from ksnet.inner import InnerSpec, InnerValue, PropertyCheck, PropertyReport
+from ksnet.inner import InnerSpec, PropertyCheck, PropertyReport
 from ksnet.network import FORMAT_VERSION, assemble
 from ksnet.outer import BranchStats, ClassReport, FitReport, OuterFunction, common_unit
 from ksnet.rationals import ONE, ZERO, grid_points
@@ -117,7 +117,8 @@ def tables(outer) -> tuple[KnotTable, ...]:
     return _last_tables[1]
 
 
-def phi_eval(spec, x, depth: int) -> InnerValue:
+def phi_eval(spec, x, depth: int) -> tuple[Fraction, Fraction]:
+    """(value, error_bound): phi truncated after `depth` digits and the width of its digit cell."""
     x = Fraction(x)
     integer_part, rest = divmod(x.numerator, x.denominator)
     num = 0
@@ -129,8 +130,8 @@ def phi_eval(spec, x, depth: int) -> InnerValue:
     scale = spec._den**depth
     value = integer_part + Fraction(num, scale)
     if rest == 0 and num == 0:
-        return InnerValue(value=Fraction(integer_part), error_bound=ZERO)
-    return InnerValue(value=value, error_bound=Fraction(prefix, scale))
+        return Fraction(integer_part), ZERO
+    return value, Fraction(prefix, scale)
 
 
 def check_point(params, x) -> tuple[Fraction, ...]:
@@ -144,7 +145,8 @@ def check_point(params, x) -> tuple[Fraction, ...]:
     return point
 
 
-def psi_eval(params, inner, x, q: int, depth: int) -> BranchValue:
+def psi_eval(params, inner, x, q: int, depth: int) -> tuple[Fraction, Fraction]:
+    """(value, error_bound) of branch q at x: b_q + sum_p lam_p phi(x_p + a q) and its one-sided window."""
     if not 0 <= q <= 2 * params.d:
         raise DomainError(f"branch index must lie in 0..{2 * params.d}, got {q}")
     point = check_point(params, x)
@@ -152,10 +154,10 @@ def psi_eval(params, inner, x, q: int, depth: int) -> BranchValue:
     error = ZERO
     shift = params.a * q
     for lam, tail, coord in zip(params.lam, params.lam_tails, point):
-        iv = phi_eval(inner, coord + shift, depth)
-        value += lam * iv.value
-        error += lam * iv.error_bound + tail * iv.upper
-    return BranchValue(q=q, value=value, error_bound=error)
+        v, e = phi_eval(inner, coord + shift, depth)
+        value += lam * v
+        error += lam * e + tail * (v + e)
+    return value, error
 
 
 def phi_exact(spec, x) -> Fraction:
@@ -168,7 +170,7 @@ def phi_exact(spec, x) -> Fraction:
             raise DomainError(f"{x} does not terminate in base {spec.base}")
         den //= g
         depth += 1
-    return phi_eval(spec, x, depth).value
+    return phi_eval(spec, x, depth)[0]
 
 
 def check_ranges(params, inner, probe_level: int, depth: int, limit: int | None = 10) -> RangeReport:
@@ -188,8 +190,8 @@ def check_ranges(params, inner, probe_level: int, depth: int, limit: int | None 
     phi = {}
     for q in range(params.branch_count):
         for x in axis:
-            iv = phi_eval(inner, x + params.a * q, depth)
-            phi[q, x] = int(iv.value * scale), int(iv.error_bound * scale)
+            v, e = phi_eval(inner, x + params.a * q, depth)
+            phi[q, x] = int(v * scale), int(e * scale)
     width = 2 * params.d
     lo, hi, violations = {}, {}, []
     for point in itertools.product(axis, repeat=params.d):
@@ -238,7 +240,7 @@ def verify_inner(spec, samples: int, depth: int, seed: int, shift_samples: int |
 
     violations, witness = 0, None
     for (x, vx), (y, vy) in zip(zip(points, values), zip(points[1:], values[1:])):
-        if x != y and vx.value > vy.value + vx.error_bound + vy.error_bound:
+        if x != y and vx[0] > vy[0] + vx[1] + vy[1]:
             violations += 1
             witness = witness or f"x={x}, y={y}"
     checks.append(PropertyCheck("monotone", violations == 0,
@@ -252,7 +254,7 @@ def verify_inner(spec, samples: int, depth: int, seed: int, shift_samples: int |
         if a == b:
             continue
         a, b = min(a, b), max(a, b)
-        dphi = phi_eval(spec, b, depth).value - phi_eval(spec, a, depth).value
+        dphi = phi_eval(spec, b, depth)[0] - phi_eval(spec, a, depth)[0]
         if dphi == 0:
             continue
         log_c = _log_fraction(abs(dphi)) - alpha * _log_fraction(b - a)
@@ -278,7 +280,7 @@ def verify_inner(spec, samples: int, depth: int, seed: int, shift_samples: int |
 
     violations, witness = 0, None
     for x, v in zip(points + [ZERO, ONE], values + [phi_eval(spec, ZERO, depth), phi_eval(spec, ONE, depth)]):
-        if v.value < 0 or v.upper > 1:
+        if v[0] < 0 or v[0] + v[1] > 1:
             violations += 1
             witness = witness or f"x={x}"
     checks.append(PropertyCheck("range", violations == 0,
@@ -295,7 +297,7 @@ def build_incidence(params, inner, points, depth: int):
             raise InputError(f"points must be pairwise distinct; points {seen[p]} and {j} coincide")
         seen[p] = j
     values = [
-        [psi_eval(params, inner, p, q, depth).value for q in range(params.branch_count)]
+        [psi_eval(params, inner, p, q, depth)[0] for q in range(params.branch_count)]
         for p in pts
     ]
     knots = sorted({v for per_point in values for v in per_point})
@@ -365,11 +367,11 @@ def evaluate(model, x, depth: int):
     error = ZERO
     contributions = []
     for q in range(model.params.branch_count):
-        bv = psi_eval(model.params, model.inner, x, q, depth)
-        gq = g_eval(model.outer, bv.value)
+        value, bound = psi_eval(model.params, model.inner, x, q, depth)
+        gq = g_eval(model.outer, value)
         w += gq
-        if bv.error_bound:
-            lo, hi = g_range(model.outer, bv.value, bv.upper)
+        if bound:
+            lo, hi = g_range(model.outer, value, value + bound)
             error += max(hi - gq, gq - lo)
         contributions.append(gq)
     return w, error, tuple(contributions)

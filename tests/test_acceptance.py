@@ -15,11 +15,10 @@ from ksnet.errors import ModelFormatError
 from ksnet.hashmaps import (
     build_incidence,
     check_ranges,
-    lambda_series,
     make_params,
     separation_check,
 )
-from ksnet.inner import default_inner_spec, phi_exact, verify_inner
+from ksnet.inner import default_inner_spec, phi_eval, verify_inner
 from ksnet.network import FastEvaluator, evaluate, load, save
 from ksnet.outer import fit_iterative, grid_samples
 from ksnet.rationals import parse_rational
@@ -143,7 +142,7 @@ def test_criterion_06_inner_function_properties():
     ln2/ln6, the +1 shift identity, range containment, and the endpoint
     values all hold on seeded samples."""
     report = verify_inner(SPEC6, samples=10_000, depth=30, seed=606, shift_samples=1_000)
-    endpoints = phi_exact(SPEC6, Fraction(0)) == 0 and phi_exact(SPEC6, Fraction(1)) == 1
+    endpoints = phi_eval(SPEC6, Fraction(0), 1)[0] == 0 and phi_eval(SPEC6, Fraction(1), 1)[0] == 1
     ok = report.passed and endpoints
     detail = ", ".join(f"{c.name} ok" for c in report.checks)
     _report(6, ok, f"{detail} over 10000 samples (1000 shift pairs), phi(0)=0, phi(1)=1")
@@ -152,8 +151,8 @@ def test_criterion_06_inner_function_properties():
 def test_criterion_07_mixing_weights():
     """lambda_1 is exactly 1; lambda_2 sums gamma^-e over e = 1, 3, 7, 15
     with the series tail certified below 1e-18."""
-    lam1, tail1, _ = lambda_series(1, 2, 6, Fraction(1, 10**18))
-    lam2, tail2, terms = lambda_series(2, 2, 6, Fraction(1, 10**18))
+    params = make_params(2, 6, Fraction(1, 10**18))
+    (lam1, lam2), (tail1, tail2), (_, terms) = params.lam, params.lam_tails, params.series_terms
     expected = sum(Fraction(1, 6**e) for e in (1, 3, 7, 15))
     ok = (
         lam1 == 1

@@ -221,6 +221,22 @@ def test_csv_cells_are_read_once_per_distinct_text(tmp_path, capsys):
     assert capsys.readouterr().err == "error: duplicate point: rows 1 and 3 coincide\n"
 
 
+@pytest.mark.parametrize("command", ["fit", "eval"])
+def test_unreadable_csv_files_are_input_errors(workdir, capsys, command):
+    """A cell past the csv module's field limit, and a file that is not UTF-8 text, exit 2
+    with one line that names the file: no traceback, and no word of result digits."""
+    _, model_path = _fit(workdir)
+    model = str(workdir / "m.json") if command == "fit" else str(model_path)
+    (workdir / "long.csv").write_text("x1,x2,f\n1/2,1/3," + "1" * 200_000 + "\n")
+    (workdir / "latin1.csv").write_bytes(b"x1,x2,f\n1/2,1/3,\xff\n")
+    for name, words in (("long.csv", ": field larger than field limit (131072)\n"),
+                        ("latin1.csv", ": not UTF-8 text (invalid start byte)\n")):
+        path = str(workdir / name)
+        capsys.readouterr()
+        assert main([command, "--in", path, "--model", model]) == EXIT_INPUT
+        assert capsys.readouterr() == ("", f"error: {path}{words}")
+
+
 def test_iterative_fit_requires_full_grid(tmp_path, capsys):
     axis = [Fraction(j, 6) for j in range(7)]
     rows = [

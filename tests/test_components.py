@@ -136,8 +136,8 @@ def _certify(points, depth, cap, full):
     attempt's elimination runs to the end, as it did before attempts stopped early."""
     depths = []
     with pytest.MonkeyPatch.context() as patch:
-        build, kernel = hashmaps.build_incidence, hashmaps.left_kernel_vector
-        patch.setattr(hashmaps, "build_incidence", lambda *a: depths.append(a[3]) or build(*a))
+        build, kernel = hashmaps.InnerTable.incidence, hashmaps.left_kernel_vector
+        patch.setattr(hashmaps.InnerTable, "incidence", lambda table, depth: depths.append(depth) or build(table, depth))
         if full:
             patch.setattr(hashmaps, "left_kernel_vector", lambda n, comps, stop: kernel(n, comps))
         system, verdict = certify_separation(P26, SPEC6, points, depth, depth_cap=cap)

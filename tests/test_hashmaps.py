@@ -16,7 +16,6 @@ from ksnet.hashmaps import (
     certify_separation,
     check_ranges,
     lambda_partial,
-    lambda_series,
     make_params,
     psi_eval,
     separation_check,
@@ -49,12 +48,12 @@ def test_constants_d2_gamma6():
 
 def test_lambda_series_frozen_values():
     # p=2, d=2, gamma=6: exponents 1, 3, 7, 15, ...
-    lam, tail, terms = lambda_series(2, 2, 6, Fraction(1, 10**10))
-    assert (lam, terms) == (Fraction(47953, 279936), 3)
-    lam, tail, terms = lambda_series(2, 2, 6, Fraction(1, 10**18))
-    assert (lam, terms) == (Fraction(80542626049, 470184984576), 4)
-    assert lam == sum(Fraction(1, 6**e) for e in (1, 3, 7, 15))
-    assert lambda_series(1, 2, 6, Fraction(1, 10**18)) == (Fraction(1), Fraction(0), 0)
+    params = make_params(2, 6, Fraction(1, 10**10))
+    assert (params.lam[1], params.series_terms[1]) == (Fraction(47953, 279936), 3)
+    params = make_params(2, 6, Fraction(1, 10**18))
+    assert (params.lam[1], params.series_terms[1]) == (Fraction(80542626049, 470184984576), 4)
+    assert params.lam[1] == sum(Fraction(1, 6**e) for e in (1, 3, 7, 15))
+    assert (params.lam[0], params.lam_tails[0], params.series_terms[0]) == (Fraction(1), Fraction(0), 0)
 
 
 def test_lambda_series_d3():
@@ -74,9 +73,10 @@ def test_series_terms_cap_is_the_most_make_params_picks():
     assert make_params(2, 6, Fraction("1e-3186")).series_terms == (0, SERIES_TERMS_CAP) == (0, 11)
     with pytest.raises(ParameterError, match="beyond 4300 digits"):
         make_params(2, 6, Fraction("1e-3187"))
-    for p, terms in ((2, 4), (2, SERIES_TERMS_CAP)):
-        value, tail, count = lambda_series(p, 2, 6, lambda_partial(p, 2, 6, terms)[1])
-        assert (value, tail, count) == (*lambda_partial(p, 2, 6, terms), terms)
+    for terms in (4, SERIES_TERMS_CAP):
+        value, tail = lambda_partial(2, 2, 6, terms)
+        params = make_params(2, 6, tail)
+        assert (params.lam[1], params.lam_tails[1], params.series_terms[1]) == (value, tail, terms)
     for p, terms in ((1, 1), (2, 0), (2, SERIES_TERMS_CAP + 1), (2, -1)):
         with pytest.raises(ParameterError, match="series terms"):
             lambda_partial(p, 2, 6, terms)
@@ -98,8 +98,9 @@ def test_replaced_term_counts_derive_their_own_weights():
 
 def test_lambda_tail_brackets_refinement():
     """Tightening the tolerance moves the value by at most the coarse tail."""
-    coarse, coarse_tail, _ = lambda_series(2, 2, 6, Fraction(1, 10**6))
-    fine, fine_tail, _ = lambda_series(2, 2, 6, Fraction(1, 10**24))
+    coarse_params, fine_params = make_params(2, 6, Fraction(1, 10**6)), make_params(2, 6, Fraction(1, 10**24))
+    coarse, coarse_tail = coarse_params.lam[1], coarse_params.lam_tails[1]
+    fine, fine_tail = fine_params.lam[1], fine_params.lam_tails[1]
     assert coarse < fine <= coarse + coarse_tail
     assert fine_tail <= Fraction(1, 10**24)
     assert coarse_tail <= Fraction(1, 10**6)
@@ -119,30 +120,27 @@ def test_make_params_rejects():
 
 
 def test_psi_at_corners():
-    v = psi_eval(P26, SPEC6, (Fraction(0), Fraction(0)), 0, 30)
-    assert (v.value, v.error_bound) == (0, 0)
-    v = psi_eval(P26, SPEC6, (Fraction(1), Fraction(1)), 0, 30)
-    assert v.value == 1 + P26.lam[1]
+    assert psi_eval(P26, SPEC6, (Fraction(0), Fraction(0)), 0, 30) == (0, 0)
     # phi is exact at 1, so only the series tail remains
-    assert v.error_bound == P26.lam_tails[1]
+    assert psi_eval(P26, SPEC6, (Fraction(1), Fraction(1)), 0, 30) == (1 + P26.lam[1], P26.lam_tails[1])
 
 
 def test_psi_window_shrinks_and_nests():
     x = (Fraction(1, 3), Fraction(2, 7))
-    prev = psi_eval(P26, SPEC6, x, 2, 10)
+    prev, prev_bound = psi_eval(P26, SPEC6, x, 2, 10)
     for depth in (20, 40, 80):
-        cur = psi_eval(P26, SPEC6, x, 2, depth)
+        cur, bound = psi_eval(P26, SPEC6, x, 2, depth)
         # deeper truncation refines the window from inside
-        assert prev.value <= cur.value and cur.upper <= prev.upper
-        assert cur.error_bound < prev.error_bound
-        prev = cur
+        assert prev <= cur and cur + bound <= prev + prev_bound
+        assert bound < prev_bound
+        prev, prev_bound = cur, bound
 
 
 def test_psi_offsets_by_branch_base():
     x = (Fraction(1, 4), Fraction(3, 4))
     values = [psi_eval(P26, SPEC6, x, q, 30) for q in range(5)]
-    for q, v in enumerate(values):
-        assert 5 * q <= v.value <= v.upper <= 5 * q + 4
+    for q, (value, bound) in enumerate(values):
+        assert 5 * q <= value <= value + bound <= 5 * q + 4
 
 
 def test_psi_validation():

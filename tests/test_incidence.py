@@ -18,7 +18,7 @@ from test_oracle import NETWORKS, ODD_SPEC6, unit_coords
 
 from ksnet import hashmaps, linsolve
 from ksnet.cli import main
-from ksnet.errors import CoincidentPoints, DomainError, OutsideCube, ParameterError
+from ksnet.errors import CoincidentPoints, DomainError, OutsideCube
 from ksnet.hashmaps import InnerTable, PointGroups, build_incidence, certify_separation
 from ksnet.inner import default_inner_spec, phi_extend, phi_scaled
 from ksnet.hashmaps import make_params
@@ -30,9 +30,9 @@ CHAINS = [(30, 60, 120, 240), (100, 200, 240), (1, 2, 3, 240)]
 
 def _chain(params, inner, points, chain):
     """Systems along `chain` from one table, each checked against a fresh build."""
-    table = InnerTable(params, inner, PointGroups(points, params.d))
+    table = InnerTable(params, inner, points)
     for depth in chain:
-        system = build_incidence(params, inner, None, depth, table)
+        system = table.incidence(depth)
         assert table.depth == depth
         assert system == build_incidence(params, inner, points, depth)
     return system
@@ -93,8 +93,8 @@ def test_certify_separation_extends_one_table(monkeypatch):
     points = [x, (x[0] + Fraction(1, 6**40), x[1]), (Fraction(1, 2), Fraction(2, 7))]
     builds = []
     inputs = {"phi_scaled": 0, "phi_extend": 0}
-    original = hashmaps.build_incidence
-    monkeypatch.setattr(hashmaps, "build_incidence", lambda *a: builds.append(a[3]) or original(*a))
+    original = InnerTable.incidence
+    monkeypatch.setattr(InnerTable, "incidence", lambda self, depth: builds.append(depth) or original(self, depth))
     for name in inputs:
         kernel = getattr(hashmaps, name)
 
@@ -155,24 +155,19 @@ def test_depth_below_one_is_refused():
         with pytest.raises(DomainError, match="depth must be >= 1"):
             call()
     table = InnerTable(P26, SPEC6, PointGroups(points, 2))
-    build_incidence(P26, SPEC6, None, 30, table)
+    table.incidence(30)
     with pytest.raises(DomainError, match="depth must be >= 1, got 0"):
-        build_incidence(P26, SPEC6, None, 0, table)
+        table.incidence(0)
     assert table.depth == 30
 
 
 def test_a_table_is_used_only_with_its_own_parameters():
+    """Points grouped for another d are refused before any work."""
     points = [(Fraction(1, 3), Fraction(2, 7)), (Fraction(1, 2), Fraction(1))]
-    table = InnerTable(P26, SPEC6, PointGroups(points, 2))
-    with pytest.raises(DomainError, match="not both"):
-        build_incidence(P26, SPEC6, points, 30, table)
-    with pytest.raises(ParameterError, match="other parameters"):
-        build_incidence(make_params(2, 7), SPEC6, None, 30, table)
-    with pytest.raises(ParameterError, match="another inner function"):
-        build_incidence(P26, ODD_SPEC6, None, 30, table)
-    assert table.depth == 0
-    with pytest.raises(DomainError, match="points have d = 2, parameters have d = 3"):
-        certify_separation(make_params(3, 8), default_inner_spec(8), PointGroups(points, 2), 30)
+    for call in (lambda: InnerTable(make_params(3, 8), default_inner_spec(8), PointGroups(points, 2)),
+                 lambda: certify_separation(make_params(3, 8), default_inner_spec(8), PointGroups(points, 2), 30)):
+        with pytest.raises(DomainError, match="points have d = 2, parameters have d = 3"):
+            call()
 
 
 def test_a_fit_checks_its_samples_once(monkeypatch, tmp_path):

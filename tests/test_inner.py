@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from ksnet.errors import DomainError, ParameterError
 from ksnet.inner import (
-    CHUNK_TABLE_LIMIT, InnerSpec, default_inner_spec, phi_eval, phi_exact, phi_extend, phi_scaled, verify_inner,
+    CHUNK_TABLE_LIMIT, InnerSpec, default_inner_spec, phi_eval, phi_extend, phi_scaled, verify_inner,
 )
 from test_incidence import CHAINS
 from test_oracle import NETWORKS, ODD_SPEC6
@@ -56,41 +56,35 @@ def test_spec_validation():
 
 
 def test_phi_known_values():
-    v = phi_eval(SPEC6, Fraction(1, 6), 1)
-    assert (v.value, v.error_bound) == (Fraction(1, 2), Fraction(1, 10))
-    assert v.upper == Fraction(3, 5)
-    assert phi_exact(SPEC6, Fraction(0)) == 0
-    assert phi_exact(SPEC6, Fraction(1)) == 1
-    assert phi_exact(SPEC6, Fraction(5, 6)) == Fraction(9, 10)
-    # digits 0,1: c(0) + c(1) w(0) = (1/2)(1/2)
-    assert phi_exact(SPEC6, Fraction(1, 36)) == Fraction(1, 4)
+    """At the terminating digit count of x (and at any depth past it) the value is exact."""
+    assert phi_eval(SPEC6, Fraction(1, 6), 1) == (Fraction(1, 2), Fraction(1, 10))
+    # digits 0,1 of 1/36: c(0) + c(1) w(0) = (1/2)(1/2)
+    for x, digits, want in [(Fraction(0), 1, 0), (Fraction(1), 1, 1), (Fraction(5, 6), 1, Fraction(9, 10)),
+                            (Fraction(1, 36), 2, Fraction(1, 4))]:
+        for depth in (digits, digits + 3):
+            assert phi_eval(SPEC6, x, depth)[0] == want == oracle.phi_exact(SPEC6, x)
 
 
 def test_phi_shift_by_one():
-    assert phi_exact(SPEC6, Fraction(7, 6)) == Fraction(3, 2)
-    assert phi_exact(SPEC6, Fraction(1, 2) + 1) == phi_exact(SPEC6, Fraction(1, 2)) + 1
+    assert phi_eval(SPEC6, Fraction(7, 6), 1)[0] == Fraction(3, 2)
+    assert phi_eval(SPEC6, Fraction(1, 2) + 1, 1)[0] == phi_eval(SPEC6, Fraction(1, 2), 1)[0] + 1
 
 
 def test_phi_geometric_limit():
     # 1/10 has base-6 digits 0,3,3,3,... so phi(1/10) = (7/10)(1/2) * 10/9 = 7/18.
     limit = Fraction(7, 18)
     for depth in (5, 10, 30):
-        v = phi_eval(SPEC6, Fraction(1, 10), depth)
-        assert v.value <= limit <= v.upper
-        assert v.error_bound == Fraction(1, 2) * Fraction(1, 10) ** (depth - 1)
+        value, bound = phi_eval(SPEC6, Fraction(1, 10), depth)
+        assert value <= limit <= value + bound
+        assert bound == Fraction(1, 2) * Fraction(1, 10) ** (depth - 1)
 
 
 def test_phi_all_max_digits_hits_one():
     # digits 5,5,...,5: the truncation reaches 1 - 10^-k and the window closes at 1.
     k = 40
-    v = phi_eval(SPEC6, Fraction(6**k - 1, 6**k), k)
-    assert v.value == 1 - Fraction(1, 10**k)
-    assert v.upper == 1
-
-
-def test_phi_exact_requires_terminating_input():
-    with pytest.raises(DomainError):
-        phi_exact(SPEC6, Fraction(1, 10))
+    value, bound = phi_eval(SPEC6, Fraction(6**k - 1, 6**k), k)
+    assert value == 1 - Fraction(1, 10**k)
+    assert value + bound == 1
 
 
 def test_phi_domain():
@@ -104,19 +98,22 @@ def test_phi_domain():
 @settings(max_examples=300)
 def test_error_bound_contracts(x, depth):
     """The window after k digits is at most 2**-k wide."""
-    v = phi_eval(SPEC6, x, depth)
-    assert 0 <= v.error_bound <= Fraction(1, 2**depth)
-    assert 0 <= v.value <= v.upper <= 1
+    value, bound = phi_eval(SPEC6, x, depth)
+    assert 0 <= bound <= Fraction(1, 2**depth)
+    assert 0 <= value <= value + bound <= 1
 
 
 @given(st.integers(min_value=0, max_value=6**8), depths)
 @settings(max_examples=300)
 def test_truncation_brackets_exact_value(j, depth):
-    """For terminating inputs the exact value sits inside the truncation window."""
+    """For terminating inputs the exact value sits inside the truncation window,
+    and from the input's 8 digits on it is the truncation."""
     x = Fraction(j, 6**8)
-    exact = phi_exact(SPEC6, x)
-    v = phi_eval(SPEC6, x, depth)
-    assert v.value <= exact <= v.upper
+    exact = oracle.phi_exact(SPEC6, x)
+    value, bound = phi_eval(SPEC6, x, depth)
+    assert value <= exact <= value + bound
+    if depth >= 8:
+        assert value == exact
 
 
 @given(rationals_01, rationals_01, depths)
@@ -125,7 +122,7 @@ def test_monotone_truncations(x, y, depth):
     """Truncated phi preserves order because digit strings order lexicographically."""
     if x > y:
         x, y = y, x
-    assert phi_eval(SPEC6, x, depth).value <= phi_eval(SPEC6, y, depth).value
+    assert phi_eval(SPEC6, x, depth)[0] <= phi_eval(SPEC6, y, depth)[0]
 
 
 @given(rationals_01, rationals_01)
@@ -136,7 +133,7 @@ def test_holder_with_constant_four(x, y):
         return
     alpha = math.log(2) / math.log(6)
     vx, vy = phi_eval(SPEC6, x, 30), phi_eval(SPEC6, y, 30)
-    gap = abs(float(vx.value - vy.value)) - float(vx.error_bound + vy.error_bound)
+    gap = abs(float(vx[0] - vy[0])) - float(vx[1] + vy[1])
     assert gap <= 4.0 * abs(float(x - y)) ** alpha * (1 + 1e-12)
 
 
@@ -182,7 +179,7 @@ def test_kernel_matches_the_oracle_at_every_chunk_boundary(spec):
         for (num, den), (value, window, rest) in zip(inputs, phi_scaled(spec, inputs, depth), strict=True):
             want = oracle.phi_eval(spec, Fraction(num, den), depth)
             got = Fraction(value, scale), Fraction(window, scale)
-            assert got == (want.value, want.error_bound), (num, den, depth)
+            assert got == want, (num, den, depth)
             assert rest == num * spec.base**depth % den
 
 

@@ -1,6 +1,7 @@
 """Model assembly, evaluation bounds, serialization, topology reporting."""
 
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -16,13 +17,14 @@ from hypothesis import strategies as st
 from ksnet import hashmaps
 from ksnet.cli import main
 from ksnet.errors import AssemblyError, DomainError, ModelFormatError, PointError
-from ksnet.hashmaps import make_params, psi_eval
+from ksnet.hashmaps import DEPTH_CAP, make_params, psi_eval
 from ksnet.inner import default_inner_spec
 from ksnet.network import (
     FORMAT_VERSION,
     FastEvaluator,
     assemble,
     describe,
+    dot,
     evaluate,
     evaluate_batch,
     load,
@@ -70,9 +72,9 @@ def test_evaluate_decomposes_into_branches():
     assert sum(parts) == w
     # each part is the outer function applied to that branch's hash value
     for q, v in enumerate(parts):
-        y = psi_eval(P26, SPEC6, x, q, 30).value
+        y, _ = psi_eval(P26, SPEC6, x, q, 30)
         lookup = KnotLookup(MODEL.outer, y.denominator)
-        num, den = lookup.g(y.numerator * lookup.lift)
+        num, _, den = lookup.branch(y.numerator * lookup.lift, 0)
         assert Fraction(num, den * lookup.value_den) == v
 
 
@@ -278,17 +280,34 @@ def test_plan_refuses_knots_without_a_common_scale(monkeypatch, tmp_path, capsys
 
 
 def test_a_batch_reports_a_bad_depth_at_its_first_point():
-    with pytest.raises(PointError) as caught:
-        evaluate_batch(MODEL, [(Fraction(1, 2), Fraction(1, 3))], depth=0)
-    assert (caught.value.index, caught.value.reason) == (0, "depth must be >= 1, got 0")
-    with pytest.raises(DomainError, match="^depth must be >= 1, got 0$"):
-        evaluate(MODEL, (Fraction(1, 2), Fraction(1, 3)), depth=0)
+    """An explicit depth has the stored depth's rule, an int in 1..DEPTH_CAP: a bool, a float
+    or a depth past the cap is refused before any digit is read, by every evaluation."""
+    x = (Fraction(1, 2), Fraction(1, 3))
+    for depth in (0, -3, True, 2.5, DEPTH_CAP + 1, 8000):
+        reason = f"depth must be an integer in 1..{DEPTH_CAP}, got {depth!r}"
+        for numeric in ("exact", "fast"):
+            with pytest.raises(PointError) as caught:
+                evaluate_batch(MODEL, [x, x], depth=depth, numeric=numeric)
+            assert (caught.value.index, caught.value.reason) == (0, reason)
+        for call in (lambda: evaluate(MODEL, x, depth), lambda: FastEvaluator(MODEL).evaluate(x, depth)):
+            with pytest.raises(DomainError) as caught:
+                call()
+            assert str(caught.value) == reason and not isinstance(caught.value, PointError)
+    assert evaluate(MODEL, x, DEPTH_CAP)[1] <= evaluate(MODEL, x, 30)[1]
 
 
 def test_fast_evaluator_validates_input():
     fast = FastEvaluator(MODEL)
     with pytest.raises(DomainError):
         fast.evaluate((Fraction(1, 2), Fraction(2)))
+
+
+def test_save_writes_the_version_of_the_format_it_writes():
+    """A meta record that names another format_version does not relabel the file."""
+    model = dataclasses.replace(MODEL, meta={**MODEL.meta, "format_version": 1})
+    blob = save(model)
+    assert json.loads(blob)["format_version"] == FORMAT_VERSION
+    assert blob == save(MODEL) == save(load(blob))
 
 
 def test_save_load_round_trip():
@@ -482,13 +501,15 @@ def test_depth_falls_back_to_meta():
 
 
 def test_describe_topology():
-    rep = describe(MODEL)
-    assert rep.layer_widths == (2, 10, 5, 1)
-    assert rep.knot_counts == tuple(len(ys) for ys in MODEL.outer.ys)
-    doc = rep.to_jsonable()
+    doc = describe(MODEL)
+    assert list(doc) == ["d", "gamma", "layer_widths", "a", "lambda", "lambda_tail", "b", "inner_weights",
+                         "knot_counts", "total_knots", "meta"]
     assert doc["layer_widths"] == [2, 10, 5, 1]
+    assert doc["knot_counts"] == [len(ys) for ys in MODEL.outer.ys]
+    assert doc["total_knots"] == MODEL.outer.knot_count
     assert doc["a"] == "1/30"
-    assert "digraph" in rep.dot()
+    assert doc["meta"] == MODEL.meta and doc["meta"] is not MODEL.meta
+    assert "digraph" in dot(2)
 
 
 def test_describe_topology_d3():
@@ -500,5 +521,5 @@ def test_describe_topology_d3():
     ]
     samples = SampleSet(points=tuple(pts), targets=(Fraction(1), Fraction(2)))
     outer, report = fit_exact(samples, params, spec)
-    rep = describe(assemble(spec, params, outer))
-    assert rep.layer_widths == (3, 21, 7, 1)
+    assert describe(assemble(spec, params, outer))["layer_widths"] == [3, 21, 7, 1]
+    assert dot(3).count(" -> w;") == 7

@@ -189,8 +189,9 @@ def test_outer_lookup_matches_oracle(model):
     probes = _probes(model.outer)
     assert all((y * scale).denominator == 1 for y in probes)
     for k, y in enumerate(probes):
-        g = plan.g(int(y * scale))
-        value = Fraction(g[0], g[1] * plan.value_den)
+        num, _, den = plan.branch(int(y * scale), 0)
+        g = num, den
+        value = Fraction(num, den * plan.value_den)
         assert value == oracle.g_eval(model.outer, y)
         for top in probes[k : k + 4]:
             lo, hi = oracle.g_range(model.outer, y, top)
@@ -211,7 +212,7 @@ def test_g_eval_matches_oracle(model, data):
         st.fractions(min_value=-3, max_value=top + 3, max_denominator=10**12),
     ))
     lookup = KnotLookup(outer, y.denominator)
-    num, den = lookup.g(y.numerator * lookup.lift)
+    num, _, den = lookup.branch(y.numerator * lookup.lift, 0)
     assert Fraction(num, den * lookup.value_den) == oracle.g_eval(outer, y)
 
 
@@ -263,8 +264,8 @@ def test_evaluate_matches_oracle_on_every_window_case(network, data, depth, resp
     width = 2 * params.d
     branches = [oracle.psi_eval(params, inner, point, q, depth) for q in range(params.branch_count)]
     positions = [
-        _window_knots(data.draw, v.value, v.upper, Fraction(b), Fraction(b + width))
-        for b, v in zip(params.b, branches)
+        _window_knots(data.draw, value, value + bound, Fraction(b), Fraction(b + width))
+        for b, (value, bound) in zip(params.b, branches)
     ]
     if not any(positions):
         positions[0] = [Fraction(params.b[0] + width)]

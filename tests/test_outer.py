@@ -87,7 +87,7 @@ def _toy_outer():
 def g_eval(outer, y):
     """The outer function at a rational y, through the integer lookup."""
     lookup = KnotLookup(outer, y.denominator)
-    num, den = lookup.g(y.numerator * lookup.lift)
+    num, _, den = lookup.branch(y.numerator * lookup.lift, 0)
     return Fraction(num, den * lookup.value_den)
 
 
