@@ -28,7 +28,7 @@ from itertools import chain, starmap
 from operator import le
 
 from .errors import CoincidentPoints, DomainError, InternalInvariantError, OutsideCube, ParameterError, PointError
-from .inner import InnerSpec, phi_extend, phi_scaled
+from .inner import InnerSpec, check_depth, phi_extend, phi_scaled
 from .linsolve import components, left_kernel_vector
 from .rationals import ONE, ZERO, digit_limit, grid_points
 
@@ -131,14 +131,15 @@ class HashParams:
     def a(self) -> Fraction:
         return Fraction(1, self.gamma * (self.gamma - 1))
 
-    def branch_inputs(self, values, branches) -> list[tuple[int, int]]:
-        """x + a q as (numerator, denominator) for each q in `branches`, then each x = n/m in `values`.
+    def branch_inputs(self, values, branches) -> tuple[list[int], list[int]]:
+        """x + a q as (numerators, denominators) columns, for each q in `branches`, then each x = n/m in `values`.
 
         x + a q = (n gamma (gamma - 1) + q m) / (m gamma (gamma - 1)), so phi
-        runs on integers and no Fraction is built.
+        runs on integers and no Fraction is built.  The denominators do not
+        depend on q: one branch's list is repeated.
         """
         shift = self.gamma * (self.gamma - 1)
-        return [(n * shift + q * m, m * shift) for q in branches for n, m in values]
+        return [n * shift + q * m for q in branches for n, m in values], [m * shift for _, m in values] * len(branches)
 
     @cached_property
     def b(self) -> tuple[int, ...]:
@@ -201,7 +202,7 @@ def point_branches(params: HashParams, inner: InnerSpec, x, depth: int) -> list[
     _, pairs, fault = checked_points((x,), params.d)
     if fault is not None:
         raise DomainError(fault.reason) if isinstance(fault, PointError) else fault
-    values, windows, _ = zip(*phi_scaled(inner, params.branch_inputs(pairs, range(params.branch_count)), depth))
+    values, windows, _ = phi_scaled(inner, *params.branch_inputs(pairs, range(params.branch_count)), depth)
     d = params.d  # entry p + q d is axis p at branch q
     return mix(params, params.unit(inner, depth), [values] * d, [windows] * d, range(d), [d] * d)
 
@@ -280,14 +281,14 @@ def check_ranges(params: HashParams, inner: InnerSpec, probe_level: int = 1, dep
     unit = params.unit(inner, depth)
     branches, violations, lo, hi = [], [], [], []
     for q, b in enumerate(params.b):
-        phis = phi_scaled(inner, params.branch_inputs(pairs, (q,)), depth)
-        low = min(range(len(axis)), key=lambda g: phis[g][0])
-        high = max(range(len(axis)), key=lambda g: phis[g][0] + phis[g][1])
-        lo.append(b * unit + lam_sum * phis[low][0])
-        hi.append(b * unit + reach_sum * (phis[high][0] + phis[high][1]))
+        values, windows, _ = phi_scaled(inner, *params.branch_inputs(pairs, (q,)), depth)
+        low = min(range(len(axis)), key=values.__getitem__)
+        high = max(range(len(axis)), key=lambda g: values[g] + windows[g])
+        lo.append(b * unit + lam_sum * values[low])
+        hi.append(b * unit + reach_sum * (values[high] + windows[high]))
         escaped = ([low] if lo[q] < b * unit else []) + ([high] if hi[q] > (b + width) * unit else [])
         violations += [
-            f"q={q}, x={(axis[g],) * params.d}, value={Fraction(b * unit + lam_sum * phis[g][0], unit)}"
+            f"q={q}, x={(axis[g],) * params.d}, value={Fraction(b * unit + lam_sum * values[g], unit)}"
             for g in dict.fromkeys(escaped)
         ]
         branches.append(BranchRange(q, b, b + width, Fraction(lo[q], unit), Fraction(hi[q], unit)))
@@ -374,15 +375,17 @@ class PointGroups:
 class InnerTable:
     """phi(x + a q) for every distinct coordinate x of every axis and every branch q.
 
-    value[p], window[p] and rest[p] hold phi_scaled's (value, window, rest) at `depth`,
-    one flat sequence per axis, branch after branch: entry q * k + g is taken at x + a q
-    for x = groups.values[p][g], k = len(groups.values[p]), so branch q of axis p is the
-    slice [q k, (q + 1) k).  Every point's branch values are sums of these entries, so
-    phi runs once per distinct coordinate and branch.  deepen() fills each axis with one
-    call of the inner kernel: from the coordinates for a fresh table, from the stored
-    states for a deeper one, reading only the new digits.  The points are checked and
-    grouped (PointGroups; a PointGroups is taken as it is).  Fits read all points' branch
-    columns (incidence), batch evaluation one point at a time (branches, through mix).
+    value[p], window[p] and rest[p] are phi_scaled's value, window and rest columns at
+    `depth`, and den[p] the denominators of their inputs, one flat list per axis, branch
+    after branch: entry q * k + g is taken at x + a q for x = groups.values[p][g],
+    k = len(groups.values[p]), so branch q of axis p is the slice [q k, (q + 1) k).  Every
+    point's branch values are sums of these entries, so phi runs once per distinct
+    coordinate and branch.  deepen() fills each axis with one call of the inner kernel:
+    a fresh table from the branch inputs, whose denominators it keeps, a deeper one from
+    the stored columns, reading only the new digits and no input again.  The points are
+    checked and grouped (PointGroups; a PointGroups is taken as it is).  Fits read all
+    points' branch columns (incidence), batch evaluation one point at a time (branches,
+    through mix).
     """
 
     def __init__(self, params: HashParams, inner: InnerSpec, points):
@@ -391,24 +394,23 @@ class InnerTable:
             raise DomainError(f"points have d = {len(groups.values)}, parameters have d = {params.d}")
         self.params, self.inner, self.groups = params, inner, groups
         self.depth = 0
-        self.value: list[tuple[int, ...]] = [()] * params.d
-        self.window, self.rest = [()] * params.d, [()] * params.d
+        self.value: list[list[int]] = [[]] * params.d
+        self.window, self.rest, self.den = [[]] * params.d, [[]] * params.d, [[]] * params.d
 
     def deepen(self, depth: int) -> None:
         """Bring the table to `depth`: extended in place from a lower depth, else computed anew."""
-        if depth < 1:
-            raise DomainError(f"depth must be >= 1, got {depth}")
+        check_depth(depth)
         more, branches = depth - self.depth, range(len(self.params.b))
         if not more:
             return
         extend = 0 < self.depth < depth
         for p, values in enumerate(self.groups.values):
             if extend:
-                dens = [den for _, den in self.params.branch_inputs(values, branches)]
-                triples = phi_extend(self.inner, zip(self.value[p], self.window[p], self.rest[p], dens), more)
+                columns = phi_extend(self.inner, self.value[p], self.window[p], self.rest[p], self.den[p], more)
             else:
-                triples = phi_scaled(self.inner, self.params.branch_inputs(values, branches), depth)
-            self.value[p], self.window[p], self.rest[p] = zip(*triples)
+                nums, self.den[p] = self.params.branch_inputs(values, branches)
+                columns = phi_scaled(self.inner, nums, self.den[p], depth)
+            self.value[p], self.window[p], self.rest[p] = columns
         self.depth, self.unit = depth, self.params.unit(self.inner, depth)
 
     def branches(self, j: int) -> list[tuple[int, int]]:

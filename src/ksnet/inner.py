@@ -10,15 +10,17 @@ part separately gives phi(x + 1) = phi(x) + 1 for free.
 
 Evaluation runs on integers: after k digits every value and window is an
 integer over den**k, where den is the lcm of the weight denominators.  One
-kernel, phi_extend, reads the digits of a whole list of inputs.  It reads
-them one chunk at a time (30 digits for base 6), each chunk from one floor
-division, and consumes a chunk's digits in blocks of three (fewer for large
-bases) from the least significant end.  Value and window share one integer,
-x = window << shift | value, so prepending the block at position m is one
-multiply-add, x <- w * x + c * den**(3m), with both factors read off a
-positional table that InnerSpec builds once, for one chunk.  Chunks join by
-the rule a depth retry uses: value * den**k + window * value',
-window * window'.
+kernel, phi_extend, reads the digits of a whole list of inputs, as columns:
+values, windows, rests and input denominators in, values, windows and rests
+out.  It reads them one chunk at a time (30 digits for base 6), each chunk
+from one floor division, and consumes a chunk's digits in blocks of three
+(fewer for large bases) from the least significant end.  Value and window
+share one integer, x = window << shift | value, so prepending the block at
+position m is one multiply-add, x <- w * x + c * den**(3m), with both factors
+read off a positional table that InnerSpec builds once, for one chunk.  A
+chunk starts from its first block alone, one lookup in the chunk plan's list
+of pre-packed (w << shift) + c.  Chunks join by the rule a depth retry uses:
+value * den**k + window * value', window * window'.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from operator import floordiv, mod
 
 from .errors import DomainError, ParameterError
 from .rationals import ZERO
@@ -123,21 +126,29 @@ class InnerSpec:
         return chunk, (den**chunk).bit_length(), steps
 
     @cached_property
-    def _chunks(self) -> dict[int, tuple[int, int, list]]:
+    def _chunks(self) -> dict[int, tuple[int, int, int, list[int], list]]:
         """_chunk's results by k."""
         return {}
 
-    def _chunk(self, k: int) -> tuple[int, int, list]:
-        """(base**k, _den**k, steps) to read k <= chunk digits: the table's first
-        k // _block positions, then one step per digit left over."""
+    def _chunk(self, k: int) -> tuple[int, int, int, list[int], list]:
+        """(base**k, _den**k, radix, first, steps) to read k <= chunk digits: the
+        table's first k // _block positions, then one step per digit left over.
+
+        The first of these steps is packed: first[b] = (w << shift) + c is its
+        (radix, ws, cs) applied to the empty string, so a chunk starts from one
+        lookup, x = first[b]; steps are the ones after it.
+        """
         plan = self._chunks.get(k)
         if plan is None:
+            _, shift, table = self._table
             whole = k // self._block
             singles = [
                 (self.base, self._wnum, [c * self._den**j for c in self._cnum])
                 for j in range(whole * self._block, k)
             ]
-            plan = self._chunks[k] = (self.base**k, self._den**k, self._table[2][:whole] + singles)
+            (radix, ws, cs), *steps = table[:whole] + singles
+            first = [(w << shift) + c for w, c in zip(ws, cs)]
+            plan = self._chunks[k] = (self.base**k, self._den**k, radix, first, steps)
         return plan
 
 
@@ -149,58 +160,64 @@ def default_inner_spec(base: int) -> InnerSpec:
     return InnerSpec(base=base, weights=(HALF,) + (rest,) * (base - 1))
 
 
-def phi_extend(spec: InnerSpec, states, more: int) -> list[tuple[int, int, int]]:
-    """The inner kernel: read `more` further digits of each state, in order.
+def check_depth(depth) -> None:
+    """The depth rule of the kernel: an int (not a bool) of at least 1."""
+    if type(depth) is not int or depth < 1:
+        raise DomainError(f"depth must be an int >= 1, got {depth!r}")
 
-    A state (value, window, rest, den) is phi_scaled's (value, window, rest)
-    at some depth k for an input with denominator den; the result is the
-    (value, window, rest) at depth k + `more`.  The digits past k are those
-    of rest/den, so the value gains window times their own truncation:
-    v' = v * _den**more + w * phi_more(rest/den) and w' = w * w_more, one
-    chunk at a time.  An integer input (window 0) reads no digits, and a
-    terminating one (rest 0) reads only zeros, which add c(0) = 0 to the
-    value and a factor w(0) each to the window.
+
+def phi_extend(spec: InnerSpec, values, windows, rests, dens, more: int) -> tuple[list[int], list[int], list[int]]:
+    """The inner kernel: read `more` further digits of each input, as columns.
+
+    values[i], windows[i] and rests[i] are phi_scaled's (value, window, rest)
+    at some depth k for an input with denominator dens[i]; the result is the
+    value, window and rest columns at depth k + `more`.  The digits past k
+    are those of rest/den, so the value gains window times their own
+    truncation: v' = v * _den**more + w * phi_more(rest/den) and
+    w' = w * w_more, one chunk at a time.  An integer input (window 0) reads
+    no digits, and a terminating one (rest 0) reads only zeros, which add
+    c(0) = 0 to the value and a factor w(0) each to the window.
     """
-    if more < 1:
-        raise DomainError(f"depth must be >= 1, got {more}")
+    check_depth(more)
     chunk, shift, _ = spec._table
-    one, mask = 1 << shift, (1 << shift) - 1
+    mask = (1 << shift) - 1
     plans = [spec._chunk(chunk)] * (more // chunk)
     if more % chunk:
         plans.append(spec._chunk(more % chunk))
-    scale = spec._den**more
-    out = []
-    append = out.append
-    for value, window, rest, den in states:
-        if not rest:
-            append((value * scale, window and window * spec._wnum[0] ** more, 0))
-            continue
-        for digit_scale, unit, steps in plans:
-            digits, rest = divmod(rest * digit_scale, den)
-            x = one
-            for radix, ws, cs in steps:
-                block = digits % radix
-                digits //= radix
-                x = ws[block] * x + cs[block]
-            value = value * unit + window * (x & mask)
-            window *= x >> shift
-        append((value, window, rest))
-    return out
+    out_values, out_windows, out_rests = [], [], []
+    append_value, append_window, append_rest = out_values.append, out_windows.append, out_rests.append
+    for value, window, rest, den in zip(values, windows, rests, dens):
+        if rest:
+            for digit_scale, unit, lead, first, steps in plans:
+                digits, rest = divmod(rest * digit_scale, den)
+                x = first[digits % lead]
+                digits //= lead
+                for radix, ws, cs in steps:
+                    block = digits % radix
+                    digits //= radix
+                    x = ws[block] * x + cs[block]
+                value = value * unit + window * (x & mask)
+                window *= x >> shift
+        else:
+            value, window = value * spec._den**more, window and window * spec._wnum[0] ** more
+        append_value(value)
+        append_window(window)
+        append_rest(rest)
+    return out_values, out_windows, out_rests
 
 
-def phi_scaled(spec: InnerSpec, inputs, depth: int) -> list[tuple[int, int, int]]:
-    """Depth-`depth` truncation of the inner function at each num/den in [0, 2), den > 0.
+def phi_scaled(spec: InnerSpec, nums, dens, depth: int) -> tuple[list[int], list[int], list[int]]:
+    """Depth-`depth` truncation of the inner function at each nums[i]/dens[i] in [0, 2), dens[i] > 0.
 
-    Returns (value, window, rest) per (num, den) input: value and window
-    are integer numerators over spec._den**depth, and rest / den is the
-    fractional part of base**depth * num/den, the digits not read
-    (phi_extend reads on from it).  The window is w(i_1)*...*w(i_k), or 0
-    when num/den is an integer.  Each input starts at depth 0 as its
-    integer part, window 1 (0 for an integer) and its fractional part.
+    Returns the value, window and rest columns: value and window are integer
+    numerators over spec._den**depth, and rest / den is the fractional part
+    of base**depth * num/den, the digits not read (phi_extend reads on from
+    it).  The window is w(i_1)*...*w(i_k), or 0 when num/den is an integer.
+    Each input starts at depth 0 as its integer part, window 1 (0 for an
+    integer) and its fractional part.
     """
-    return phi_extend(
-        spec, [(whole, frac and 1, frac, den) for num, den in inputs for whole, frac in (divmod(num, den),)], depth
-    )
+    rests = list(map(mod, nums, dens))
+    return phi_extend(spec, list(map(floordiv, nums, dens)), [rest and 1 for rest in rests], rests, dens, depth)
 
 
 def phi_eval(spec: InnerSpec, x, depth: int) -> tuple[Fraction, Fraction]:
@@ -216,7 +233,7 @@ def phi_eval(spec: InnerSpec, x, depth: int) -> tuple[Fraction, Fraction]:
     x = Fraction(x)
     if not 0 <= x < 2:
         raise DomainError(f"inner function domain is [0, 2), got {x}")
-    ((value, window, _),) = phi_scaled(spec, [(x.numerator, x.denominator)], depth)
+    (value,), (window,), _ = phi_scaled(spec, [x.numerator], [x.denominator], depth)
     scale = spec._den**depth
     return Fraction(value, scale), Fraction(window, scale)
 
@@ -304,24 +321,24 @@ def verify_inner(
     denom, scale = 2**53, spec._den**depth
     points = sorted(rng.randrange(denom + 1) for _ in range(samples))
 
-    def phis(nums):  # (value, window) numerators of phi at num/denom for each num
-        return [(v, w) for v, w, _ in phi_scaled(spec, [(x, denom) for x in nums], depth)]
+    def phis(nums):  # value and window numerator columns of phi at num/denom for each num
+        return phi_scaled(spec, nums, [denom] * len(nums), depth)[:2]
 
-    def escaping(xs, values):  # witnesses of phi(x) leaving [0, 1]
-        return [f"x={Fraction(x, denom)}" for x, (v, w) in zip(xs, values) if v < 0 or v + w > scale]
+    def escaping(xs, values, windows):  # witnesses of phi(x) leaving [0, 1]
+        return [f"x={Fraction(x, denom)}" for x, v, w in zip(xs, values, windows) if v < 0 or v + w > scale]
 
     disorder, escapes = [], []
     for start in range(0, samples, VERIFY_CHUNK):
         xs = points[max(start - 1, 0):start + VERIFY_CHUNK]
-        values = phis(xs)
+        values, windows = phis(xs)
         disorder += [
             f"x={Fraction(x, denom)}, y={Fraction(y, denom)}"
-            for x, y, (vx, wx), (vy, wy) in zip(xs, xs[1:], values, values[1:])
+            for x, y, vx, wx, vy, wy in zip(xs, xs[1:], values, windows, values[1:], windows[1:])
             if x != y and vx > vy + wx + wy
         ]
         fresh = 1 if start else 0  # the overlap point was range-checked with the chunk before
-        escapes += escaping(xs[fresh:], values[fresh:])
-    escapes += escaping((0, denom), phis((0, denom)))
+        escapes += escaping(xs[fresh:], values[fresh:], windows[fresh:])
+    escapes += escaping((0, denom), *phis((0, denom)))
 
     alpha = math.log(2) / math.log(spec.base)
     log4 = math.log(4)
@@ -331,8 +348,8 @@ def verify_inner(
         pairs = [sorted((rng.randrange(denom + 1), rng.randrange(denom + 1)))
                  for _ in range(min(VERIFY_CHUNK, samples - start))]
         pairs = [(a, b) for a, b in pairs if a != b]
-        values = phis(x for pair in pairs for x in pair)
-        for (a, b), (va, _), (vb, _) in zip(pairs, values[::2], values[1::2]):
+        values, _ = phis([x for pair in pairs for x in pair])
+        for (a, b), va, vb in zip(pairs, values[::2], values[1::2]):
             if va == vb:
                 continue
             log_c = _log_fraction(Fraction(abs(vb - va), scale)) - alpha * _log_fraction(Fraction(b - a, denom))
@@ -345,9 +362,9 @@ def verify_inner(
     one = spec._den**SHIFT_DIGITS
     for start in range(0, shift_samples, VERIFY_CHUNK):
         ts = [_terminating(rng, spec.base) for _ in range(min(VERIFY_CHUNK, shift_samples - start))]
-        values = phi_scaled(spec, [(k + shift, m) for k, m in ts for shift in (0, m)], SHIFT_DIGITS)
-        unshifted += [f"t={Fraction(k, m)}" for (k, m), (v, _, _), (v1, _, _) in zip(ts, values[::2], values[1::2])
-                      if v1 != v + one]
+        nums, dens = [k + shift for k, m in ts for shift in (0, m)], [m for _, m in ts for _ in (0, m)]
+        values, _, _ = phi_scaled(spec, nums, dens, SHIFT_DIGITS)
+        unshifted += [f"t={Fraction(k, m)}" for (k, m), v, v1 in zip(ts, values[::2], values[1::2]) if v1 != v + one]
 
     checks = (
         _from_witnesses("monotone", disorder,

@@ -19,8 +19,8 @@ from test_oracle import NETWORKS, ODD_SPEC6, unit_coords
 from ksnet import hashmaps, linsolve
 from ksnet.cli import main
 from ksnet.errors import CoincidentPoints, DomainError, OutsideCube
-from ksnet.hashmaps import InnerTable, PointGroups, build_incidence, certify_separation
-from ksnet.inner import default_inner_spec, phi_extend, phi_scaled
+from ksnet.hashmaps import InnerTable, PointGroups, build_incidence, certify_separation, psi_eval
+from ksnet.inner import default_inner_spec, phi_eval, phi_extend, phi_scaled
 from ksnet.hashmaps import make_params
 from ksnet.outer import SampleSet, fit_exact, fit_iterative, grid_samples
 
@@ -45,17 +45,19 @@ def _oracle_equal(system, params, inner, points):
             oracle.rows(system)) == (knots, knot_branch, rows)
 
 
-@pytest.mark.parametrize("spec", [SPEC6, ODD_SPEC6, default_inner_spec(20), default_inner_spec(70)],
-                         ids=["base6", "odd6", "base20", "base70"])
+@pytest.mark.parametrize("spec", [SPEC6, ODD_SPEC6, default_inner_spec(20), default_inner_spec(70),
+                                  default_inner_spec(1000)], ids=["base6", "odd6", "base20", "base70", "base1000"])
 def test_phi_extend_reads_on_where_phi_scaled_stopped(spec):
-    """Integers (window 0), terminating inputs (rest 0), unreduced and general ones."""
+    """Integers (window 0), terminating inputs (rest 0), unreduced and general ones.  An
+    extension by 1 or 2 digits at base 6, and any at base 1000 (one-digit blocks), starts
+    its plan with a packed single-digit step."""
     base = spec.base
     inputs = [(0, 1), (1, 1), (4, 4), (1, base), (7, base**2), (base + 1, base), (2, 2 * base),
               (1, 3), (2**50 - 1, 2**50), (59, 30), (10**12 - 1, 10**12)]
-    dens = [den for _, den in inputs]
-    for k, more in [(1, 1), (2, 5), (30, 30), (100, 140), (3, 237)]:
-        states = [(*triple, den) for triple, den in zip(phi_scaled(spec, inputs, k), dens)]
-        assert phi_extend(spec, states, more) == phi_scaled(spec, inputs, k + more), (k, more)
+    nums, dens = [num for num, _ in inputs], [den for _, den in inputs]
+    for k, more in [(1, 1), (2, 5), (30, 30), (100, 140), (3, 237), (1, 2), (2, 1), (30, 1)]:
+        columns = phi_scaled(spec, nums, dens, k)
+        assert phi_extend(spec, *columns, dens, more) == phi_scaled(spec, nums, dens, k + more), (k, more)
 
 
 @pytest.mark.parametrize("chain", CHAINS, ids=lambda c: "-".join(map(str, c)))
@@ -88,26 +90,30 @@ def test_certify_separation_extends_one_table(monkeypatch):
     """The depth-30 collision of two near-twins is resolved at 60 by extending the
     table: the kernel starts from a coordinate only in the first build, once per
     distinct coordinate and branch (4 coordinates, 5 branches), and the retry
-    extends those 20 states."""
+    extends those 20 entries from the stored columns, reading no branch input
+    again (branch_inputs runs once per axis, d = 2 times, not 2d)."""
     x = (Fraction(1, 3), Fraction(2, 7))
     points = [x, (x[0] + Fraction(1, 6**40), x[1]), (Fraction(1, 2), Fraction(2, 7))]
-    builds = []
+    builds, branch_inputs = [], []
     inputs = {"phi_scaled": 0, "phi_extend": 0}
     original = InnerTable.incidence
     monkeypatch.setattr(InnerTable, "incidence", lambda self, depth: builds.append(depth) or original(self, depth))
+    reads = hashmaps.HashParams.branch_inputs
+    monkeypatch.setattr(hashmaps.HashParams, "branch_inputs", lambda self, values, branches: branch_inputs.append(
+        len(values)) or reads(self, values, branches))
     for name in inputs:
         kernel = getattr(hashmaps, name)
 
-        def counted(spec, items, depth, f=kernel, n=name):
-            items = list(items)
-            inputs[n] += len(items)
-            return f(spec, items, depth)
+        def counted(spec, first, *columns, f=kernel, n=name):
+            inputs[n] += len(first)
+            return f(spec, first, *columns)
 
         monkeypatch.setattr(hashmaps, name, counted)
     system, verdict = certify_separation(P26, SPEC6, points, 30)
     assert (verdict.separated, verdict.retries, system.depth) == (True, 1, 60)
     assert builds == [30, 60]
     assert inputs == {"phi_scaled": 20, "phi_extend": 20}
+    assert branch_inputs == [3, 1]  # the distinct coordinates of each axis, in the fresh fill only
     monkeypatch.undo()
     assert system == build_incidence(P26, SPEC6, points, 60)
 
@@ -152,13 +158,31 @@ def test_depth_below_one_is_refused():
         lambda: fit_exact(samples, P26, SPEC6, depth=0),
         lambda: fit_iterative(grid_samples(lambda p: p[0], P26, 1), P26, SPEC6, depth=0),
     ):
-        with pytest.raises(DomainError, match="depth must be >= 1"):
+        with pytest.raises(DomainError, match="depth must be an int >= 1"):
             call()
     table = InnerTable(P26, SPEC6, PointGroups(points, 2))
     table.incidence(30)
-    with pytest.raises(DomainError, match="depth must be >= 1, got 0"):
+    with pytest.raises(DomainError, match="depth must be an int >= 1, got 0"):
         table.incidence(0)
     assert table.depth == 30
+
+
+def test_every_entry_point_has_the_kernels_depth_rule():
+    """phi_eval, psi_eval, InnerTable.deepen and build_incidence refuse a depth that is
+    not an int of at least 1 (a bool included) with a DomainError naming it, before any
+    digit is read; a table keeps its depth.  A bool equal to the table's depth is refused
+    too, not taken as "already there"."""
+    x = (Fraction(1, 3), Fraction(2, 7))
+    table = InnerTable(P26, SPEC6, [x])
+    table.deepen(1)
+    for depth in (2.5, True, 0, -1):
+        for call in (lambda: phi_eval(SPEC6, x[0], depth), lambda: psi_eval(P26, SPEC6, x, 0, depth),
+                     lambda: InnerTable(P26, SPEC6, [x]).deepen(depth), lambda: table.deepen(depth),
+                     lambda: build_incidence(P26, SPEC6, [x], depth)):
+            with pytest.raises(DomainError) as caught:
+                call()
+            assert str(caught.value) == f"depth must be an int >= 1, got {depth!r}"
+        assert table.depth == 1
 
 
 def test_a_table_is_used_only_with_its_own_parameters():

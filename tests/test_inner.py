@@ -1,6 +1,7 @@
 """The monotone inner map phi: digit weights, truncation bounds, invariants."""
 
 import math
+import re
 from fractions import Fraction
 
 import oracle
@@ -149,7 +150,7 @@ def test_verify_inner_passes():
     assert "bound 4" in holder["detail"]
     with pytest.raises(DomainError, match="need at least 2 samples, got 1"):
         verify_inner(SPEC6, samples=1)
-    with pytest.raises(DomainError, match="depth must be >= 1, got 0"):
+    with pytest.raises(DomainError, match="depth must be an int >= 1, got 0"):
         verify_inner(SPEC6, samples=10, depth=0)
 
 
@@ -163,6 +164,11 @@ KERNEL_SPECS = list({inner: None for _, inner in NETWORKS} | {ODD_SPEC6: None, d
 KERNEL_DEPTHS = (1, 2, 29, 30, 31, 59, 60, 61, 120, 240)
 
 
+def _columns(inputs):
+    """The (numerators, denominators) columns of (num, den) inputs."""
+    return [num for num, _ in inputs], [den for _, den in inputs]
+
+
 def _kernel_inputs(base):
     """Integers, terminating, unreduced and general inputs, some with integer part 1."""
     return [(0, 1), (1, 1), (4, 4), (1, base), (7, base**2), (base + 1, base), (2, 2 * base), (3 * base, 9 * base),
@@ -172,11 +178,14 @@ def _kernel_inputs(base):
 @pytest.mark.parametrize("spec", KERNEL_SPECS, ids=lambda s: f"base{s.base}-den{s._den}")
 def test_kernel_matches_the_oracle_at_every_chunk_boundary(spec):
     """Value and window against the Fraction oracle's digit loop, and the rest
-    against base**depth * x mod 1, at depths on both sides of the chunk lengths."""
+    against base**depth * x mod 1, at depths on both sides of the chunk lengths,
+    and at depths whose plan starts with a packed single-digit step: below one
+    block (1 and 2 at base 6) and every depth at base 1000 (one-digit blocks)."""
     inputs = _kernel_inputs(spec.base)
+    nums, dens = _columns(inputs)
     for depth in KERNEL_DEPTHS:
         scale = spec._den**depth
-        for (num, den), (value, window, rest) in zip(inputs, phi_scaled(spec, inputs, depth), strict=True):
+        for (num, den), value, window, rest in zip(inputs, *phi_scaled(spec, nums, dens, depth), strict=True):
             want = oracle.phi_eval(spec, Fraction(num, den), depth)
             got = Fraction(value, scale), Fraction(window, scale)
             assert got == want, (num, den, depth)
@@ -186,26 +195,28 @@ def test_kernel_matches_the_oracle_at_every_chunk_boundary(spec):
 @pytest.mark.parametrize("spec", KERNEL_SPECS, ids=lambda s: f"base{s.base}-den{s._den}")
 @pytest.mark.parametrize("chain", CHAINS, ids=lambda c: "-".join(map(str, c)))
 def test_extended_results_equal_direct_ones_along_the_chains(spec, chain):
-    inputs = _kernel_inputs(spec.base)
-    dens = [den for _, den in inputs]
-    triples = phi_scaled(spec, inputs, chain[0])
+    nums, dens = _columns(_kernel_inputs(spec.base))
+    columns = phi_scaled(spec, nums, dens, chain[0])
     for before, depth in zip(chain, chain[1:]):
-        triples = phi_extend(spec, [(*t, den) for t, den in zip(triples, dens)], depth - before)
-        assert triples == phi_scaled(spec, inputs, depth), (before, depth)
+        columns = phi_extend(spec, *columns, dens, depth - before)
+        assert columns == phi_scaled(spec, nums, dens, depth), (before, depth)
 
 
 def test_the_kernel_table_does_not_grow_with_depth():
     """One positional table per spec, for one chunk; reading 240 digits adds nothing to it."""
     for spec in [*KERNEL_SPECS, default_inner_spec(10_000)]:
         spec = InnerSpec(spec.base, spec.weights)
-        phi_scaled(spec, [(1, 3)], 1)
+        phi_scaled(spec, [1], [3], 1)
         chunk, _, steps = table = spec._table
         assert sum(len(cs) for _, _, cs in steps) <= max(CHUNK_TABLE_LIMIT, spec.base), spec.base
-        phi_scaled(spec, [(1, 3), (2**50 - 1, 2**50)], 240)
+        phi_scaled(spec, [1, 2**50 - 1], [3, 2**50], 240)
         assert spec._table is table and max(spec._chunks) <= chunk
+        assert all(len(first) == radix for _, _, radix, first, _ in spec._chunks.values()), spec.base
 
 
 def test_the_kernel_refuses_depth_below_one():
-    for depth in (0, -1):
-        with pytest.raises(DomainError, match="depth must be >= 1"):
-            phi_scaled(SPEC6, [(1, 3)], depth)
+    """The kernel's one depth rule: an int, not a bool, at least 1, named when refused."""
+    for depth in (0, -1, 2.5, True):
+        for call in (lambda: phi_scaled(SPEC6, [1], [3], depth), lambda: phi_extend(SPEC6, [0], [1], [1], [3], depth)):
+            with pytest.raises(DomainError, match=re.escape(f"depth must be an int >= 1, got {depth!r}")):
+                call()

@@ -174,8 +174,8 @@ def test_a_batch_reads_each_distinct_coordinate_once(monkeypatch):
     single call makes one kernel call over its d coordinates."""
     inputs = []
     kernel = hashmaps.phi_scaled
-    monkeypatch.setattr(hashmaps, "phi_scaled", lambda spec, items, depth: inputs.append(len(items)) or kernel(
-        spec, items, depth))
+    monkeypatch.setattr(hashmaps, "phi_scaled", lambda spec, nums, dens, depth: inputs.append(len(nums)) or kernel(
+        spec, nums, dens, depth))
     xs, ys = [Fraction(1, 3), Fraction(1, 7)], [Fraction(0), Fraction(2, 5), Fraction(1)]
     points = [(xs[j % 2], ys[j % 3]) for j in range(12)]  # 6 distinct points, each twice
     for numeric in ("exact", "fast"):
