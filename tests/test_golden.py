@@ -2,7 +2,10 @@
 
 tests/golden/ holds the inputs and outputs of a 60-point exact fit and a
 level-1 iterative grid fit: the model, the fit report, exact and fast
-(--depth 45) eval CSVs, and the describe JSON.  iterative.sha256.json holds
+(--depth 45) eval CSVs, and the describe JSON.  check.json and
+check_depth1.json are two `ksnet check` reports, one where every suite passes
+and one at depth 1 with a failed separation trial and its witness.
+iterative.sha256.json holds
 the SHA-256 of the model and the fit report of five low-depth iterative grid
 fits whose rows come shuffled (the level-2, depth-1 one retries at depth 2);
 their models run to 1.2 MB, so only the digests are kept.  Regenerate all with
@@ -49,6 +52,21 @@ def _run(tag: str) -> list[str]:
     return [model, *runs]
 
 
+CHECKS = {
+    "check": ["--samples", "500", "--trials", "5", "--trial-points", "40", "--probe-level", "2"],
+    "check_depth1": ["--depth", "1", "--samples", "200", "--trials", "3", "--trial-points", "12",
+                     "--probe-level", "1"],
+}
+
+
+def _check(tag: str) -> str:
+    """Write one check report into the working directory; returns its name."""
+    out = f"{tag}.json"
+    argv = ["check", "--no-timestamp", *CHECKS[tag], "--seed", "3", "--out", out]
+    assert main(argv) == 0, argv
+    return out
+
+
 # (grid level, depth, d, gamma) of the shuffled iterative fits
 SHUFFLED = [(1, 1, 2, 6), (2, 1, 2, 6), (1, 2, 2, 6), (1, 1, 3, 8), (2, 3, 2, 7)]
 DIGESTS = GOLDEN / "iterative.sha256.json"
@@ -90,6 +108,13 @@ def test_outputs_match_goldens(tag, tmp_path, monkeypatch):
         assert (tmp_path / name).read_bytes() == (GOLDEN / name).read_bytes(), name
 
 
+@pytest.mark.parametrize("tag", sorted(CHECKS))
+def test_check_reports_match_goldens(tag, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    name = _check(tag)
+    assert (tmp_path / name).read_bytes() == (GOLDEN / name).read_bytes(), name
+
+
 @pytest.mark.parametrize("case", SHUFFLED, ids=_tag)
 def test_shuffled_iterative_fits_match_their_digests(case, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
@@ -103,6 +128,8 @@ if __name__ == "__main__":
     os.chdir(target)
     for tag in FITS:
         _run(tag)
+    for tag in CHECKS:
+        _check(tag)
     digests = {_tag(case): _iterative_digests(*case) for case in SHUFFLED}
     for name in ("grid.csv", "grid.model.json", "grid.fit.json"):
         Path(name).unlink()
