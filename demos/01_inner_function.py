@@ -42,5 +42,5 @@ print()
 alpha = math.log(2) / math.log(6)
 print(f"smoothness: |phi(x) - phi(y)| <= 4 |x - y|^{alpha:.4f}")
 report = verify_inner(spec, samples=2000, depth=30, seed=0)
-for check in report.checks:
-    print(f"  {check.name:>8}: {check.detail}")
+for check in report["checks"]:
+    print(f"  {check['name']:>8}: {check['detail']}")

@@ -38,9 +38,9 @@ for q in range(params.branch_count):
 print()
 
 report = check_ranges(params, spec, probe_level=2, depth=30)
-print(f"range sweep over {report.points_checked} grid points: "
-      f"{'clean' if report.passed else 'VIOLATIONS'}, "
-      f"closest approach between branch ranges {float(report.min_gap):.3f}")
+print(f"range sweep over {report['points_checked']} grid points: "
+      f"{'clean' if report['passed'] else 'VIOLATIONS'}, "
+      f"closest approach between branch ranges {float(Fraction(report['min_gap'])):.3f}")
 print()
 
 rng = random.Random(7)

@@ -35,9 +35,9 @@ for name, f in targets.items():
     outer, fit_rep = fit_exact(samples, params, spec)
     stats = merge_report(outer)
     print(
-        f"{name:<22} {str(fit_rep.residual_max):>8} {stats.total_knots:>6} "
-        f"{float(stats.max_abs_value):>10.3f} {float(stats.max_jump):>10.4f} "
-        f"{float(stats.min_spacing):>12.2e}"
+        f"{name:<22} {str(fit_rep.residual_max):>8} {stats['total_knots']:>6} "
+        f"{float(Fraction(stats['max_abs_value'])):>10.3f} {float(Fraction(stats['max_jump'])):>10.4f} "
+        f"{float(Fraction(stats['min_spacing'])):>12.2e}"
     )
 
 print()

@@ -22,7 +22,6 @@ from .hashmaps import (
     DEFAULT_SERIES_TOLERANCE,
     HashParams,
     IncidenceSystem,
-    RangeReport,
     SeparationVerdict,
     build_incidence,
     certify_separation,
@@ -33,7 +32,6 @@ from .hashmaps import (
 )
 from .inner import (
     InnerSpec,
-    PropertyReport,
     default_inner_spec,
     phi_eval,
     verify_inner,
@@ -51,7 +49,6 @@ from .network import (
     save,
 )
 from .outer import (
-    ClassReport,
     FitReport,
     OuterFunction,
     SampleSet,
@@ -69,7 +66,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AssemblyError",
-    "ClassReport",
     "DEFAULT_SERIES_TOLERANCE",
     "DomainError",
     "FORMAT_VERSION",
@@ -86,8 +82,6 @@ __all__ = [
     "ModelFormatError",
     "OuterFunction",
     "ParameterError",
-    "PropertyReport",
-    "RangeReport",
     "SampleSet",
     "SeparationFailure",
     "SeparationVerdict",

@@ -43,13 +43,12 @@ from .errors import (
 )
 from .hashmaps import (
     DEFAULT_SERIES_TOLERANCE,
-    DEPTH_CAP,
     build_incidence,
     check_ranges,
     make_params,
     separation_check,
 )
-from .inner import default_inner_spec, verify_inner
+from .inner import DEPTH_CAP, default_inner_spec, verify_inner
 from .network import assemble, describe, dot, evaluate_batch, load, save
 from .outer import SampleSet, fit_exact, fit_iterative, grid_samples, merge_report
 from .rationals import parse_rational, plain_ratios
@@ -138,8 +137,6 @@ class JobConfig:
             raise InputError(f"{self.command} requires --in")
         if self.command in ("fit", "eval", "describe") and not self.model_path:
             raise InputError(f"{self.command} requires --model")
-        if self.command in ("fit", "check", "bench") and self.depth is None:
-            raise InputError(f"{self.command} requires --depth")
 
     def to_jsonable(self) -> dict:
         return {
@@ -296,7 +293,7 @@ def cmd_fit(config: JobConfig) -> int:
         "command": "fit",
         "config": config.to_jsonable(),
         "fit": fit_rep.to_jsonable(),
-        "class": merge_report(outer_fn).to_jsonable(),
+        "class": merge_report(outer_fn),
         "model_path": config.model_path,
     }
     if config.timestamps:
@@ -348,9 +345,9 @@ def cmd_check(config: JobConfig) -> int:
         "report_version": REPORT_VERSION,
         "command": "check",
         "config": config.to_jsonable(),
-        "passed": inner_report.passed and range_report.passed and trials_passed,
-        "inner": inner_report.to_jsonable(),
-        "ranges": range_report.to_jsonable(),
+        "passed": inner_report["passed"] and range_report["passed"] and trials_passed,
+        "inner": inner_report,
+        "ranges": range_report,
         "separation_trials": {
             "passed": trials_passed,
             "trials": config.trials,

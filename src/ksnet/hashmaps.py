@@ -28,12 +28,11 @@ from itertools import chain, starmap
 from operator import le
 
 from .errors import CoincidentPoints, DomainError, InternalInvariantError, OutsideCube, ParameterError, PointError
-from .inner import InnerSpec, check_depth, phi_extend, phi_scaled
+from .inner import DEPTH_CAP, InnerSpec, check_depth, phi_extend, phi_scaled
 from .linsolve import components, left_kernel_vector
 from .rationals import ONE, ZERO, digit_limit, grid_points
 
 DEFAULT_SERIES_TOLERANCE = Fraction(1, 10**18)
-DEPTH_CAP = 240
 # Largest digit base: the inner function holds one weight per digit, and every model file lists them.
 GAMMA_CAP = 10_000
 
@@ -217,48 +216,9 @@ def psi_eval(params: HashParams, inner: InnerSpec, x, q: int, depth: int) -> tup
     return Fraction(value, unit), Fraction(window, unit)
 
 
-@dataclass(frozen=True)
-class BranchRange:
-    q: int
-    lo: int
-    hi: int
-    observed_lo: Fraction
-    observed_hi: Fraction
-
-    def to_jsonable(self) -> dict:
-        return {
-            "q": self.q,
-            "interval": [self.lo, self.hi],
-            "observed": [str(self.observed_lo), str(self.observed_hi)],
-        }
-
-
-@dataclass(frozen=True)
-class RangeReport:
-    """Grid-sweep evidence that branch values stay in their disjoint intervals."""
-
-    d: int
-    gamma: int
-    probe_level: int
-    points_checked: int
-    branches: tuple[BranchRange, ...]
-    violations: tuple[str, ...]
-    min_gap: Fraction
-    passed: bool
-
-    def to_jsonable(self) -> dict:
-        return {
-            "passed": self.passed,
-            "probe_level": self.probe_level,
-            "points_checked": self.points_checked,
-            "min_gap": str(self.min_gap),
-            "branches": [b.to_jsonable() for b in self.branches],
-            "violations": list(self.violations),
-        }
-
-
-def check_ranges(params: HashParams, inner: InnerSpec, probe_level: int = 1, depth: int = 30) -> RangeReport:
-    """Sweep the level-`probe_level` grid of [0, 1]^d through every branch, in closed form.
+def check_ranges(params: HashParams, inner: InnerSpec, probe_level: int = 1, depth: int = 30) -> dict:
+    """Sweep the level-`probe_level` grid of [0, 1]^d through every branch, in closed form:
+    the "ranges" document of `ksnet check`.
 
     Confirms each value window [value, value + error_bound] sits inside
     [b_q, b_q + 2d] and measures the observed inter-branch gap (structurally
@@ -271,7 +231,10 @@ def check_ranges(params: HashParams, inner: InnerSpec, probe_level: int = 1, dep
     b_q + (sum (lam + tail)) max (phi + window), both extremes over the axis:
     one phi_scaled call per branch.  A branch that leaves its interval is
     listed at the grid point that takes the extreme, with every coordinate at
-    the axis value that gives it.
+    the axis value that gives it.  The document holds "passed", "probe_level",
+    "points_checked", "min_gap", per branch its "q", "interval" [b_q, b_q + 2d]
+    and "observed" [lowest value, highest window end], and the first ten
+    "violations"; exact values are fraction strings.
     """
     axis = grid_points(probe_level, params.gamma)
     pairs = [(c.numerator, c.denominator) for c in axis]
@@ -291,18 +254,17 @@ def check_ranges(params: HashParams, inner: InnerSpec, probe_level: int = 1, dep
             f"q={q}, x={(axis[g],) * params.d}, value={Fraction(b * unit + lam_sum * values[g], unit)}"
             for g in dict.fromkeys(escaped)
         ]
-        branches.append(BranchRange(q, b, b + width, Fraction(lo[q], unit), Fraction(hi[q], unit)))
+        observed = [str(Fraction(lo[q], unit)), str(Fraction(hi[q], unit))]
+        branches.append({"q": q, "interval": [b, b + width], "observed": observed})
     min_gap = Fraction(min(lo[q + 1] - hi[q] for q in range(params.branch_count - 1)), unit)
-    return RangeReport(
-        d=params.d,
-        gamma=params.gamma,
-        probe_level=probe_level,
-        points_checked=len(axis) ** params.d,
-        branches=tuple(branches),
-        violations=tuple(violations[:10]),
-        min_gap=min_gap,
-        passed=not violations and min_gap >= 1,
-    )
+    return {
+        "passed": not violations and min_gap >= 1,
+        "probe_level": probe_level,
+        "points_checked": len(axis) ** params.d,
+        "min_gap": str(min_gap),
+        "branches": branches,
+        "violations": violations[:10],
+    }
 
 
 def checked_points(points, d: int) -> tuple[tuple, list[tuple[int, int]], Exception | None]:
@@ -491,6 +453,11 @@ class IncidenceSystem:
     def knot_count(self) -> int:
         return len(self.knots)
 
+    @property
+    def collision_count(self) -> int:
+        """Knot hits past the first hit of each knot: every row hits 2d+1 distinct knots."""
+        return self.n_points * (2 * self.d + 1) - self.knot_count
+
     def row(self, j: int) -> tuple[int, ...]:
         return tuple(column[j] for column in self.columns)
 
@@ -590,8 +557,11 @@ def certify_separation(
     k to the next depth, reading only the new digits; the depth-k system is
     dropped before the next one is built.  Below the cap only "separated or
     not" is needed, so the elimination of an attempt stops at its first
-    dependency; the attempt at the cap gets the full rank and witness.
+    dependency; the attempt at the cap gets the full rank and witness.  depth
+    and depth_cap pass check_depth before any digit is read.
     """
+    check_depth(depth)
+    check_depth(depth_cap)
     current = min(depth, depth_cap)
     table = InnerTable(params, inner, points)
     retries = 0

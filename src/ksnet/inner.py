@@ -37,6 +37,8 @@ from .errors import DomainError, ParameterError
 from .rationals import ZERO
 
 HALF = Fraction(1, 2)
+# Deepest truncation anything reads: a fit's retries stop here, and every depth passes check_depth.
+DEPTH_CAP = 240
 # Digits per block: 3, or fewer when a block's base**digits strings would pass
 # BLOCK_TABLE_LIMIT (base 6: 216 of them).
 BLOCK_DIGITS = 3
@@ -161,9 +163,9 @@ def default_inner_spec(base: int) -> InnerSpec:
 
 
 def check_depth(depth) -> None:
-    """The depth rule of the kernel: an int (not a bool) of at least 1."""
-    if type(depth) is not int or depth < 1:
-        raise DomainError(f"depth must be an int >= 1, got {depth!r}")
+    """The one depth rule, of the kernel, the fits and evaluation: an int (not a bool) in 1..DEPTH_CAP."""
+    if type(depth) is not int or not 1 <= depth <= DEPTH_CAP:
+        raise DomainError(f"depth must be an integer in 1..{DEPTH_CAP}, got {depth!r}")
 
 
 def phi_extend(spec: InnerSpec, values, windows, rests, dens, more: int) -> tuple[list[int], list[int], list[int]]:
@@ -238,51 +240,17 @@ def phi_eval(spec: InnerSpec, x, depth: int) -> tuple[Fraction, Fraction]:
     return Fraction(value, scale), Fraction(window, scale)
 
 
-@dataclass(frozen=True)
-class PropertyCheck:
-    name: str
-    passed: bool
-    detail: str
-    witness: str | None = None
-
-    def to_jsonable(self) -> dict:
-        doc = {"name": self.name, "passed": self.passed, "detail": self.detail}
-        if self.witness is not None:
-            doc["witness"] = self.witness
-        return doc
-
-
-@dataclass(frozen=True)
-class PropertyReport:
-    """Outcome of the randomized inner-function property suite."""
-
-    checks: tuple[PropertyCheck, ...]
-    samples: int
-    depth: int
-    seed: int
-
-    @property
-    def passed(self) -> bool:
-        return all(c.passed for c in self.checks)
-
-    def to_jsonable(self) -> dict:
-        return {
-            "passed": self.passed,
-            "samples": self.samples,
-            "depth": self.depth,
-            "seed": self.seed,
-            "checks": [c.to_jsonable() for c in self.checks],
-        }
-
-
 def _log_fraction(x: Fraction) -> float:
     # log of arbitrarily large/small positive rationals without float overflow
     return math.log(x.numerator) - math.log(x.denominator)
 
 
-def _from_witnesses(name: str, witnesses: list[str], detail: str) -> PropertyCheck:
-    """A check that passed when it found no witness, reporting the first one it found."""
-    return PropertyCheck(name=name, passed=not witnesses, detail=detail, witness=next(iter(witnesses), None))
+def _from_witnesses(name: str, witnesses: list[str], detail: str) -> dict:
+    """A check that passed when it found no witness, with the first one it found as "witness"."""
+    check = {"name": name, "passed": not witnesses, "detail": detail}
+    if witnesses:
+        check["witness"] = witnesses[0]
+    return check
 
 
 def _terminating(rng: random.Random, base: int) -> tuple[int, int]:
@@ -297,8 +265,8 @@ def verify_inner(
     depth: int = 30,
     seed: int = 0,
     shift_samples: int | None = None,
-) -> PropertyReport:
-    """Randomized check of the inner function's contract.
+) -> dict:
+    """Randomized check of the inner function's contract: the "inner" document of `ksnet check`.
 
     (a) monotonicity over sorted random points, within truncation error;
     (b) the Holder inequality |phi(x) - phi(y)| <= 4 |x - y|**(ln 2 / ln base)
@@ -312,6 +280,9 @@ def verify_inner(
     of sorted points overlaps the one before it by one point, which links
     their adjacent pairs), and values are compared as integer numerators over
     spec._den**depth; t is read to SHIFT_DIGITS digits, which is all of it.
+    The document holds "passed", "samples", "depth", "seed" and one entry per
+    check under "checks": its "name", "passed" and "detail", and its first
+    "witness" only when it found one.
     """
     if samples < 2:
         raise DomainError(f"need at least 2 samples, got {samples}")
@@ -366,7 +337,7 @@ def verify_inner(
         values, _, _ = phi_scaled(spec, nums, dens, SHIFT_DIGITS)
         unshifted += [f"t={Fraction(k, m)}" for (k, m), v, v1 in zip(ts, values[::2], values[1::2]) if v1 != v + one]
 
-    checks = (
+    checks = [
         _from_witnesses("monotone", disorder,
                         f"{len(disorder)} violations over {samples - 1} sorted adjacent pairs"),
         _from_witnesses("holder", steep, f"measured constant {measured:.6f} against bound 4 with exponent "
@@ -374,5 +345,6 @@ def verify_inner(
         _from_witnesses("shift", unshifted,
                         f"{len(unshifted)} violations over {shift_samples} terminating rationals"),
         _from_witnesses("range", escapes, f"{len(escapes)} range escapes from [0, 1] over {samples + 2} points"),
-    )
-    return PropertyReport(checks=checks, samples=samples, depth=depth, seed=seed)
+    ]
+    passed = all(check["passed"] for check in checks)
+    return {"passed": passed, "samples": samples, "depth": depth, "seed": seed, "checks": checks}

@@ -44,8 +44,8 @@ from itertools import chain
 from pathlib import Path
 
 from .errors import AssemblyError, DomainError, InputError, ModelFormatError, ParameterError, PointError
-from .hashmaps import DEPTH_CAP, HashParams, InnerTable, PointGroups, branch_offsets, check_dims, point_branches
-from .inner import InnerSpec
+from .hashmaps import HashParams, InnerTable, PointGroups, branch_offsets, check_dims, point_branches
+from .inner import InnerSpec, check_depth
 from .outer import KnotLookup, OuterFunction, common_unit
 from .rationals import digit_limit, parse_ratio, plain_ratios
 
@@ -89,14 +89,16 @@ def assemble(inner: InnerSpec, params: HashParams, outer: OuterFunction, meta: d
 
 
 def _resolve_depth(meta: dict, depth: int | None = None) -> int:
-    """depth if given, else meta.depth (30 when absent); either must be an int in 1..DEPTH_CAP."""
+    """depth if given, else meta.depth (30 when absent); either must pass check_depth."""
     if depth is not None:
-        if type(depth) is not int or not 1 <= depth <= DEPTH_CAP:
-            raise DomainError(f"depth must be an integer in 1..{DEPTH_CAP}, got {depth!r}")
+        check_depth(depth)
         return depth
     depth = meta.get("depth")
-    if depth is not None and (type(depth) is not int or not 1 <= depth <= DEPTH_CAP):
-        raise AssemblyError(f"meta.depth: stored depth must be an integer in 1..{DEPTH_CAP}, got {depth!r}")
+    if depth is not None:
+        try:
+            check_depth(depth)
+        except DomainError as exc:
+            raise AssemblyError(f"meta.depth: stored {exc}") from None
     return depth or 30
 
 

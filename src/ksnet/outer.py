@@ -46,8 +46,6 @@ from .inner import InnerSpec
 from .linsolve import solve_square
 from .rationals import ZERO, grid_points
 
-CLASS_TAGS = ("continuous", "bounded-discontinuous", "unbounded")
-
 
 # Knot integers an outer function or lookup may hold, in bits: knots with
 # unrelated denominators (never produced by a fit) can need a common
@@ -240,15 +238,13 @@ class SampleSet:
     """Distinct sample points in [0, 1]^d with exact targets, checked by PointGroups.
 
     d is the first point's coordinate count; the first point at fault in input
-    order raises, a point with another count as an InputError.  class_tag is
-    advisory metadata about the target's regularity; it changes nothing in the
-    fit, which only needs finite exact values.  The checked groups are kept as
-    `groups` (not a field), so a fit does not check the points again.
+    order raises, a point with another count as an InputError.  The checked
+    groups are kept as `groups` (not a field), so a fit does not check the
+    points again.
     """
 
     points: tuple[tuple[Fraction, ...], ...]
     targets: tuple[Fraction, ...]
-    class_tag: str = "continuous"
 
     def __post_init__(self):
         targets = tuple(t if type(t) is Fraction else Fraction(t) for t in self.targets)
@@ -256,8 +252,6 @@ class SampleSet:
             raise InputError("sample set is empty")
         if len(self.points) != len(targets):
             raise InputError(f"{len(self.points)} points but {len(targets)} targets")
-        if self.class_tag not in CLASS_TAGS:
-            raise InputError(f"class_tag must be one of {CLASS_TAGS}, got {self.class_tag!r}")
         d = len(self.points[0])
         try:
             groups = PointGroups(self.points, d)
@@ -306,7 +300,7 @@ class FitReport:
     convergence_history: tuple[float, ...]
     separation: object
     depth: int
-    collision_count: int = 0
+    collision_count: int
 
     def to_jsonable(self) -> dict:
         return {
@@ -453,7 +447,8 @@ def fit_exact(
     system, verdict = _certify(samples, params, inner, depth)
     outer = _exact_finish(params, system, samples.targets)
     return outer, FitReport(mode="exact", residual_max=ZERO, knot_count=system.knot_count, iterations=0,
-                            convergence_history=(), separation=verdict, depth=system.depth)
+                            convergence_history=(), separation=verdict, depth=system.depth,
+                            collision_count=system.collision_count)
 
 
 def run_damped_iteration(
@@ -462,7 +457,7 @@ def run_damped_iteration(
     damping: Fraction,
     tolerance: Fraction,
     max_iter: int,
-) -> tuple[dict[int, tuple[int, int]], list[float], int, Fraction]:
+) -> tuple[dict[int, tuple[int, int]], list[float], Fraction]:
     """The residual iteration on a fixed incidence system.
 
     Each round spreads damping * residual / (2d+1) onto every knot a point
@@ -472,7 +467,7 @@ def run_damped_iteration(
     matrix has spectrum in [0, 1]); arithmetic is exact, so a rising sum of
     squares indicates a modeling bug and aborts.  Returns (the values of the
     knots of points in components, as reduced (numerator, denominator > 0)
-    pairs by knot, sup-residual history, collision count, final sup).
+    pairs by knot, sup-residual history, final sup).
 
     Only the points of the components are iterated.  A point that shares no
     knot has a closed form: its row sums to 2d+1, so each round scales its
@@ -491,7 +486,6 @@ def run_damped_iteration(
     branch_count = 2 * system.d + 1
     rows = {j: row for comp in system.components for j, row in comp.items()}
     buckets = _column_buckets(rows)
-    collisions = sum(len(hits) - 1 for hits in buckets.values())
     p, s = damping.numerator, damping.denominator
     hits_lcm = math.lcm(*map(len, buckets.values()))
     step, alone_step = s * hits_lcm * branch_count, (s - p) * hits_lcm * branch_count
@@ -535,7 +529,7 @@ def run_damped_iteration(
         history.append(_approx(sup, den))
         if not sup or sup.bit_length() - den.bit_length() < tol_bits and sup * tol_d <= tol_n * den:
             break
-    return {col: _reduced(v, den) for col, v in g.items()}, history, collisions, Fraction(sup, den)
+    return {col: _reduced(v, den) for col, v in g.items()}, history, Fraction(sup, den)
 
 
 def grid_samples(f, params: HashParams, grid_level: int) -> SampleSet:
@@ -585,7 +579,7 @@ def fit_iterative(
     if max_iter < 1:
         raise ParameterError(f"max_iter must be >= 1, got {max_iter}")
     system, verdict = _certify(samples, params, inner, depth, require_separation=finalize)
-    g, history, collisions, sup = run_damped_iteration(system, samples.targets, damping, tolerance, max_iter)
+    g, history, sup = run_damped_iteration(system, samples.targets, damping, tolerance, max_iter)
     if finalize:
         outer, residual_max = _exact_finish(params, system, samples.targets), ZERO
     else:
@@ -594,59 +588,7 @@ def fit_iterative(
         outer, residual_max = _outer_table(params, system, _fill(system, samples.targets, share, g)), sup
     return outer, FitReport(mode="iterative", residual_max=residual_max, knot_count=system.knot_count,
                             iterations=len(history), convergence_history=tuple(history), separation=verdict,
-                            depth=system.depth, collision_count=collisions)
-
-
-@dataclass(frozen=True)
-class BranchStats:
-    q: int
-    knot_count: int
-    value_lo: Fraction | None
-    value_hi: Fraction | None
-    max_jump: Fraction
-    max_jump_ratio: float
-    min_spacing: Fraction | None
-
-    def to_jsonable(self) -> dict:
-        return {
-            "q": self.q,
-            "knot_count": self.knot_count,
-            "value_range": None if self.value_lo is None else [str(self.value_lo), str(self.value_hi)],
-            "max_jump": str(self.max_jump),
-            "max_jump_ratio": self.max_jump_ratio,
-            "min_spacing": None if self.min_spacing is None else str(self.min_spacing),
-        }
-
-
-@dataclass(frozen=True)
-class ClassReport:
-    """Per-branch shape statistics: the executable face of the class trichotomy.
-
-    Bounded targets show bounded knot ranges; jump discontinuities surface as
-    adjacent-knot jumps that persist while knot spacing shrinks; unbounded
-    targets force knot magnitudes of at least max |f| / (2d+1) (pigeonhole
-    over the 2d+1 branch contributions).
-    """
-
-    branches: tuple[BranchStats, ...]
-    total_knots: int
-    value_lo: Fraction | None
-    value_hi: Fraction | None
-    max_abs_value: Fraction
-    max_jump: Fraction
-    max_jump_ratio: float
-    min_spacing: Fraction | None
-
-    def to_jsonable(self) -> dict:
-        return {
-            "total_knots": self.total_knots,
-            "value_range": None if self.value_lo is None else [str(self.value_lo), str(self.value_hi)],
-            "max_abs_value": str(self.max_abs_value),
-            "max_jump": str(self.max_jump),
-            "max_jump_ratio": self.max_jump_ratio,
-            "min_spacing": None if self.min_spacing is None else str(self.min_spacing),
-            "branches": [b.to_jsonable() for b in self.branches],
-        }
+                            depth=system.depth, collision_count=system.collision_count)
 
 
 def _max_ratio(jumps: list, gaps: list[int], num: int, den: int) -> float:
@@ -670,33 +612,43 @@ def _max_ratio(jumps: list, gaps: list[int], num: int, den: int) -> float:
         return math.inf
 
 
-def merge_report(outer: OuterFunction) -> ClassReport:
-    """Knot-table statistics per branch and overall.
+def merge_report(outer: OuterFunction) -> dict:
+    """Knot-table statistics per branch and overall: the "class" document of `ksnet fit`.
+
+    It is the executable face of the class trichotomy.  Bounded targets show
+    bounded knot ranges; jump discontinuities surface as adjacent-knot jumps
+    that persist while knot spacing shrinks; unbounded targets force knot
+    magnitudes of at least max |f| / (2d+1) (pigeonhole over the 2d+1 branch
+    contributions).  Exact values are fraction strings, jump ratios floats.
 
     Each branch's values go over one denominator (over_one_denominator, or as
     Fractions over 1 where it refuses one), so its low, high, largest jump and
     smallest spacing are C-level min and max over differences.  _max_ratio
     rounds the largest jump ratio, which is the largest rounded one.
     """
-    stats = []
+    branches, lows, highs, jumps_max, ratios, spacings = [], [], [], [], [], []
     for q, (ys, gn, gd) in enumerate(zip(outer.ys, outer.gn, outer.gd)):
+        doc = {"q": q, "knot_count": len(ys), "value_range": None, "max_jump": "0", "max_jump_ratio": 0.0,
+               "min_spacing": None}
+        branches.append(doc)
         if not ys:
-            stats.append(BranchStats(q, 0, None, None, ZERO, 0.0, None))
             continue
         den, values, _ = over_one_denominator(gn, gd) or (1, list(map(Fraction, gn, gd)), None)
         jumps, gaps = list(map(abs, map(sub, values[1:], values))), list(map(sub, ys[1:], ys))
-        stats.append(BranchStats(q, len(ys), Fraction(min(values), den), Fraction(max(values), den),
-                                 Fraction(max(jumps, default=0), den), _max_ratio(jumps, gaps, outer.unit, den),
-                                 Fraction(min(gaps), outer.unit) if gaps else None))
-    populated = [s for s in stats if s.knot_count]
-    spacings = [s.min_spacing for s in populated if s.min_spacing is not None]
-    return ClassReport(
-        branches=tuple(stats),
-        total_knots=sum(s.knot_count for s in stats),
-        value_lo=min((s.value_lo for s in populated), default=None),
-        value_hi=max((s.value_hi for s in populated), default=None),
-        max_abs_value=max((max(abs(s.value_lo), abs(s.value_hi)) for s in populated), default=ZERO),
-        max_jump=max((s.max_jump for s in populated), default=ZERO),
-        max_jump_ratio=max((s.max_jump_ratio for s in populated), default=0.0),
-        min_spacing=min(spacings, default=None),
-    )
+        lows.append(Fraction(min(values), den))
+        highs.append(Fraction(max(values), den))
+        jumps_max.append(Fraction(max(jumps, default=0), den))
+        ratios.append(_max_ratio(jumps, gaps, outer.unit, den))
+        doc.update(value_range=[str(lows[-1]), str(highs[-1])], max_jump=str(jumps_max[-1]), max_jump_ratio=ratios[-1])
+        if gaps:
+            spacings.append(Fraction(min(gaps), outer.unit))
+            doc["min_spacing"] = str(spacings[-1])
+    return {
+        "total_knots": sum(map(len, outer.ys)),
+        "value_range": [str(min(lows)), str(max(highs))] if lows else None,
+        "max_abs_value": str(max(map(abs, lows + highs), default=ZERO)),
+        "max_jump": str(max(jumps_max, default=ZERO)),
+        "max_jump_ratio": max(ratios, default=0.0),
+        "min_spacing": None if not spacings else str(min(spacings)),
+        "branches": branches,
+    }

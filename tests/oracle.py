@@ -60,14 +60,12 @@ from ksnet.errors import (
     ParameterError,
     SeparationFailure,
 )
-from ksnet.hashmaps import (
-    DEPTH_CAP, BranchRange, HashParams, RangeReport, SeparationVerdict, check_dims,
-)
+from ksnet.hashmaps import DEPTH_CAP, HashParams, SeparationVerdict, check_dims
 from ksnet.hashmaps import build_incidence as build_incidence_system
 from ksnet.linsolve import solve_square
-from ksnet.inner import InnerSpec, PropertyCheck, PropertyReport
+from ksnet.inner import InnerSpec
 from ksnet.network import FORMAT_VERSION, assemble
-from ksnet.outer import BranchStats, ClassReport, FitReport, OuterFunction, common_unit
+from ksnet.outer import FitReport, OuterFunction, common_unit
 from ksnet.rationals import ONE, ZERO, grid_points
 
 
@@ -173,8 +171,8 @@ def phi_exact(spec, x) -> Fraction:
     return phi_eval(spec, x, depth)[0]
 
 
-def check_ranges(params, inner, probe_level: int, depth: int, limit: int | None = 10) -> RangeReport:
-    """The per-point sweep: every level-`probe_level` grid point through every branch.
+def check_ranges(params, inner, probe_level: int, depth: int, limit: int | None = 10) -> dict:
+    """The per-point sweep: every level-`probe_level` grid point through every branch, as the "ranges" document.
 
     Branch values are integer numerators over lcm(lam, lam-tail
     denominators) * den**depth, summed per point from phi_eval's values,
@@ -205,29 +203,35 @@ def check_ranges(params, inner, probe_level: int, depth: int, limit: int | None 
                 violations.append(f"q={q}, x={point}, value={Fraction(value, unit)}")
             lo[q] = min(lo.get(q, value), value)
             hi[q] = max(hi.get(q, value + window), value + window)
-    branches = tuple(
-        BranchRange(q, b, b + width, Fraction(lo[q], unit), Fraction(hi[q], unit)) for q, b in enumerate(params.b)
-    )
+    branches = [
+        {"q": q, "interval": [b, b + width], "observed": [str(Fraction(lo[q], unit)), str(Fraction(hi[q], unit))]}
+        for q, b in enumerate(params.b)
+    ]
     min_gap = Fraction(min(lo[q + 1] - hi[q] for q in range(params.branch_count - 1)), unit)
-    return RangeReport(
-        d=params.d,
-        gamma=params.gamma,
-        probe_level=probe_level,
-        points_checked=len(axis) ** params.d,
-        branches=branches,
-        violations=tuple(violations[:limit]),
-        min_gap=min_gap,
-        passed=not violations and min_gap >= 1,
-    )
+    return {
+        "passed": not violations and min_gap >= 1,
+        "probe_level": probe_level,
+        "points_checked": len(axis) ** params.d,
+        "min_gap": str(min_gap),
+        "branches": branches,
+        "violations": violations[:limit],
+    }
 
 
 def _log_fraction(x: Fraction) -> float:
     return math.log(x.numerator) - math.log(x.denominator)
 
 
-def verify_inner(spec, samples: int, depth: int, seed: int, shift_samples: int | None = None) -> PropertyReport:
+def _property(name: str, violations: int, detail: str, witness: str | None) -> dict:
+    check = {"name": name, "passed": violations == 0, "detail": detail}
+    if witness is not None:
+        check["witness"] = witness
+    return check
+
+
+def verify_inner(spec, samples: int, depth: int, seed: int, shift_samples: int | None = None) -> dict:
     """The per-value property suite: one phi_eval or phi_exact call per value, one count-and-witness loop
-    per property, the inputs drawn as the library draws them."""
+    per property, the inputs drawn as the library draws them; the "inner" document."""
     if samples < 2:
         raise DomainError(f"need at least 2 samples, got {samples}")
     if shift_samples is None:
@@ -243,8 +247,8 @@ def verify_inner(spec, samples: int, depth: int, seed: int, shift_samples: int |
         if x != y and vx[0] > vy[0] + vx[1] + vy[1]:
             violations += 1
             witness = witness or f"x={x}, y={y}"
-    checks.append(PropertyCheck("monotone", violations == 0,
-                                f"{violations} violations over {samples - 1} sorted adjacent pairs", witness))
+    checks.append(_property("monotone", violations,
+                            f"{violations} violations over {samples - 1} sorted adjacent pairs", witness))
 
     alpha = math.log(2) / math.log(spec.base)
     violations, witness, max_log_c = 0, None, -math.inf
@@ -263,7 +267,7 @@ def verify_inner(spec, samples: int, depth: int, seed: int, shift_samples: int |
             violations += 1
             witness = witness or f"x={a}, y={b}"
     measured = math.exp(max_log_c) if max_log_c > -math.inf else 0.0
-    checks.append(PropertyCheck("holder", violations == 0, (
+    checks.append(_property("holder", violations, (
         f"measured constant {measured:.6f} against bound 4 with exponent "
         f"ln2/ln{spec.base}, {violations} violations over {samples} pairs"
     ), witness))
@@ -275,17 +279,18 @@ def verify_inner(spec, samples: int, depth: int, seed: int, shift_samples: int |
         if phi_exact(spec, t + 1) != phi_exact(spec, t) + 1:
             violations += 1
             witness = witness or f"t={t}"
-    checks.append(PropertyCheck("shift", violations == 0,
-                                f"{violations} violations over {shift_samples} terminating rationals", witness))
+    checks.append(_property("shift", violations,
+                            f"{violations} violations over {shift_samples} terminating rationals", witness))
 
     violations, witness = 0, None
     for x, v in zip(points + [ZERO, ONE], values + [phi_eval(spec, ZERO, depth), phi_eval(spec, ONE, depth)]):
         if v[0] < 0 or v[0] + v[1] > 1:
             violations += 1
             witness = witness or f"x={x}"
-    checks.append(PropertyCheck("range", violations == 0,
-                                f"{violations} range escapes from [0, 1] over {samples + 2} points", witness))
-    return PropertyReport(checks=tuple(checks), samples=samples, depth=depth, seed=seed)
+    checks.append(_property("range", violations,
+                            f"{violations} range escapes from [0, 1] over {samples + 2} points", witness))
+    passed = all(check["passed"] for check in checks)
+    return {"passed": passed, "samples": samples, "depth": depth, "seed": seed, "checks": checks}
 
 
 def build_incidence(params, inner, points, depth: int):
@@ -462,11 +467,15 @@ def min_norm_solution(system, targets):
     return {col: sum(u[j] for j in hits) for col, hits in buckets.items()}
 
 
+def collision_count(system) -> int:
+    """Knot hits past the first hit of each knot, counted knot by knot."""
+    return sum(len(hits) - 1 for hits in _column_buckets(system).values())
+
+
 def run_damped_iteration(system, targets, damping, tolerance, max_iter):
     """The damped residual iteration, every point and every knot updated each round."""
     branch_count, incidence = 2 * system.d + 1, rows(system)
     buckets = _column_buckets(system)
-    collisions = sum(len(hits) - 1 for hits in buckets.values())
     g = {col: ZERO for col in buckets}
     residual = [Fraction(t) for t in targets]
     sup = max((abs(r) for r in residual), default=ZERO)
@@ -489,7 +498,7 @@ def run_damped_iteration(system, targets, damping, tolerance, max_iter):
         history.append(float(sup))
         if sup <= tolerance:
             break
-    return g, history, collisions, sup
+    return g, history, sup
 
 
 def components(system) -> list[list[int]]:
@@ -577,7 +586,8 @@ def fit_exact(samples, params, inner, depth: int = 30):
         raise SeparationFailure("unseparated", witness=verdict.witness)
     outer = outer_from_knots(params, system, component_solution(system, samples.targets))
     return outer, FitReport(mode="exact", residual_max=ZERO, knot_count=system.knot_count, iterations=0,
-                            convergence_history=(), separation=verdict, depth=system.depth)
+                            convergence_history=(), separation=verdict, depth=system.depth,
+                            collision_count=collision_count(system))
 
 
 def fit_iterative(samples, params, inner, depth, max_iter, tolerance, damping, finalize):
@@ -586,7 +596,7 @@ def fit_iterative(samples, params, inner, depth, max_iter, tolerance, damping, f
     system, verdict = certify(params, inner, samples.points, depth)
     if finalize and not verdict.separated:
         raise SeparationFailure("unseparated", witness=verdict.witness)
-    g, history, collisions, sup = run_damped_iteration(system, samples.targets, damping, tolerance, max_iter)
+    g, history, sup = run_damped_iteration(system, samples.targets, damping, tolerance, max_iter)
     if finalize:
         g, residual = component_solution(system, samples.targets), ZERO
     else:
@@ -594,7 +604,7 @@ def fit_iterative(samples, params, inner, depth, max_iter, tolerance, damping, f
     outer = outer_from_knots(params, system, g)
     return outer, FitReport(mode="iterative", residual_max=residual, knot_count=system.knot_count,
                             iterations=len(history), convergence_history=tuple(history), separation=verdict,
-                            depth=system.depth, collision_count=collisions)
+                            depth=system.depth, collision_count=collision_count(system))
 
 
 def sample_hash(samples) -> str:
@@ -604,12 +614,22 @@ def sample_hash(samples) -> str:
     return hashlib.sha256("\n".join(lines).encode()).hexdigest()
 
 
-def merge_report(outer: OuterFunction) -> ClassReport:
-    """Knot-table statistics per branch and overall."""
+def _shape(lo, hi, max_jump, ratio, spacing) -> dict:
+    """value_range, max_jump, max_jump_ratio and min_spacing as the "class" document spells them."""
+    return {
+        "value_range": None if lo is None else [str(lo), str(hi)],
+        "max_jump": str(max_jump),
+        "max_jump_ratio": ratio,
+        "min_spacing": None if spacing is None else str(spacing),
+    }
+
+
+def merge_report(outer: OuterFunction) -> dict:
+    """Knot-table statistics per branch and overall, as the "class" document."""
     stats = []
     for q, table in enumerate(tables(outer)):
         if not table.ys:
-            stats.append(BranchStats(q, 0, None, None, ZERO, 0.0, None))
+            stats.append((q, 0, None, None, ZERO, 0.0, None))
             continue
         max_jump = ZERO
         ratio = 0.0
@@ -623,31 +643,20 @@ def merge_report(outer: OuterFunction) -> ClassReport:
             except OverflowError:
                 ratio = float("inf")
             spacing = gap if spacing is None else min(spacing, gap)
-        stats.append(
-            BranchStats(
-                q=q,
-                knot_count=len(table.ys),
-                value_lo=min(table.gs),
-                value_hi=max(table.gs),
-                max_jump=max_jump,
-                max_jump_ratio=ratio,
-                min_spacing=spacing,
-            )
-        )
-    populated = [s for s in stats if s.knot_count]
-    spacings = [s.min_spacing for s in populated if s.min_spacing is not None]
-    return ClassReport(
-        branches=tuple(stats),
-        total_knots=sum(s.knot_count for s in stats),
-        value_lo=min((s.value_lo for s in populated), default=None),
-        value_hi=max((s.value_hi for s in populated), default=None),
-        max_abs_value=max(
-            (max(abs(s.value_lo), abs(s.value_hi)) for s in populated), default=ZERO
-        ),
-        max_jump=max((s.max_jump for s in populated), default=ZERO),
-        max_jump_ratio=max((s.max_jump_ratio for s in populated), default=0.0),
-        min_spacing=min(spacings, default=None),
-    )
+        stats.append((q, len(table.ys), min(table.gs), max(table.gs), max_jump, ratio, spacing))
+    populated = [s for s in stats if s[1]]
+    lo = min((s[2] for s in populated), default=None)
+    hi = max((s[3] for s in populated), default=None)
+    spacings = [s[6] for s in populated if s[6] is not None]
+    return {
+        "total_knots": sum(s[1] for s in stats),
+        "value_range": None if lo is None else [str(lo), str(hi)],
+        "max_abs_value": str(max((max(abs(s[2]), abs(s[3])) for s in populated), default=ZERO)),
+        "max_jump": str(max((s[4] for s in populated), default=ZERO)),
+        "max_jump_ratio": max((s[5] for s in populated), default=0.0),
+        "min_spacing": None if not spacings else str(min(spacings)),
+        "branches": [{"q": q, "knot_count": n, **_shape(*rest)} for q, n, *rest in stats],
+    }
 
 
 _EXPONENT = re.compile(r"[eE][-+]?([\d_]*)\s*$")

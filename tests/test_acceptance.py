@@ -130,11 +130,13 @@ def test_criterion_05_branch_ranges():
     branch ranges stay at least 1 apart."""
     report = check_ranges(P26, SPEC6, probe_level=2, depth=30)
     in_range = all(
-        br.lo == 5 * q and br.hi == 5 * q + 4 and br.lo <= br.observed_lo <= br.observed_hi <= br.hi
-        for q, br in enumerate(report.branches)
+        br["interval"] == [5 * q, 5 * q + 4]
+        and 5 * q <= Fraction(br["observed"][0]) <= Fraction(br["observed"][1]) <= 5 * q + 4
+        for q, br in enumerate(report["branches"])
     )
-    ok = report.passed and not report.violations and in_range and report.min_gap >= 1
-    _report(5, ok, f"{report.points_checked} grid points, 0 violations, min gap {float(report.min_gap):.3f} >= 1")
+    min_gap = Fraction(report["min_gap"])
+    ok = report["passed"] and not report["violations"] and in_range and min_gap >= 1
+    _report(5, ok, f"{report['points_checked']} grid points, 0 violations, min gap {float(min_gap):.3f} >= 1")
 
 
 def test_criterion_06_inner_function_properties():
@@ -143,8 +145,8 @@ def test_criterion_06_inner_function_properties():
     values all hold on seeded samples."""
     report = verify_inner(SPEC6, samples=10_000, depth=30, seed=606, shift_samples=1_000)
     endpoints = phi_eval(SPEC6, Fraction(0), 1)[0] == 0 and phi_eval(SPEC6, Fraction(1), 1)[0] == 1
-    ok = report.passed and endpoints
-    detail = ", ".join(f"{c.name} ok" for c in report.checks)
+    ok = report["passed"] and endpoints
+    detail = ", ".join(f"{c['name']} ok" for c in report["checks"])
     _report(6, ok, f"{detail} over 10000 samples (1000 shift pairs), phi(0)=0, phi(1)=1")
 
 

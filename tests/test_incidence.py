@@ -19,9 +19,10 @@ from test_oracle import NETWORKS, ODD_SPEC6, unit_coords
 from ksnet import hashmaps, linsolve
 from ksnet.cli import main
 from ksnet.errors import CoincidentPoints, DomainError, OutsideCube
-from ksnet.hashmaps import InnerTable, PointGroups, build_incidence, certify_separation, psi_eval
-from ksnet.inner import default_inner_spec, phi_eval, phi_extend, phi_scaled
+from ksnet.hashmaps import InnerTable, PointGroups, build_incidence, certify_separation, check_ranges, psi_eval
+from ksnet.inner import DEPTH_CAP, default_inner_spec, phi_eval, phi_extend, phi_scaled
 from ksnet.hashmaps import make_params
+from ksnet.network import assemble, evaluate
 from ksnet.outer import SampleSet, fit_exact, fit_iterative, grid_samples
 
 P26, SPEC6 = NETWORKS[0]
@@ -158,11 +159,11 @@ def test_depth_below_one_is_refused():
         lambda: fit_exact(samples, P26, SPEC6, depth=0),
         lambda: fit_iterative(grid_samples(lambda p: p[0], P26, 1), P26, SPEC6, depth=0),
     ):
-        with pytest.raises(DomainError, match="depth must be an int >= 1"):
+        with pytest.raises(DomainError, match="depth must be an integer in 1..240"):
             call()
     table = InnerTable(P26, SPEC6, PointGroups(points, 2))
     table.incidence(30)
-    with pytest.raises(DomainError, match="depth must be an int >= 1, got 0"):
+    with pytest.raises(DomainError, match="depth must be an integer in 1..240, got 0"):
         table.incidence(0)
     assert table.depth == 30
 
@@ -181,8 +182,27 @@ def test_every_entry_point_has_the_kernels_depth_rule():
                      lambda: build_incidence(P26, SPEC6, [x], depth)):
             with pytest.raises(DomainError) as caught:
                 call()
-            assert str(caught.value) == f"depth must be an int >= 1, got {depth!r}"
+            assert str(caught.value) == f"depth must be an integer in 1..{DEPTH_CAP}, got {depth!r}"
         assert table.depth == 1
+
+
+def test_one_depth_rule_from_the_kernel_to_evaluation():
+    """phi_eval, check_ranges, both fits, certify_separation (its depth and its cap) and evaluate
+    refuse a depth past DEPTH_CAP as they refuse 2.5, True and 0, with one message: no fit runs
+    at the cap instead, and no retry runs into a cap past DEPTH_CAP."""
+    x = (Fraction(1, 3), Fraction(2, 7))
+    samples = SampleSet(points=(x, (Fraction(1, 2), Fraction(1))), targets=(Fraction(1), Fraction(2)))
+    model = assemble(SPEC6, P26, fit_exact(samples, P26, SPEC6)[0], meta={"depth": 30})
+    for depth in (DEPTH_CAP + 60, 2.5, True, 0):
+        for call in (lambda: phi_eval(SPEC6, x[0], depth), lambda: check_ranges(P26, SPEC6, 1, depth),
+                     lambda: fit_exact(samples, P26, SPEC6, depth=depth),
+                     lambda: fit_iterative(samples, P26, SPEC6, depth=depth, finalize=False),
+                     lambda: certify_separation(P26, SPEC6, samples.points, depth),
+                     lambda: certify_separation(P26, SPEC6, samples.points, 30, depth_cap=depth),
+                     lambda: evaluate(model, x, depth)):
+            with pytest.raises(DomainError) as caught:
+                call()
+            assert str(caught.value) == f"depth must be an integer in 1..{DEPTH_CAP}, got {depth!r}"
 
 
 def test_a_table_is_used_only_with_its_own_parameters():
@@ -241,6 +261,20 @@ def test_components_are_found_once_per_system(monkeypatch):
     _, report = fit_iterative(SampleSet(points=points, targets=tuple(range(7))), P26, SPEC6, depth=2, max_iter=5)
     assert report.residual_max == 0 and report.separation.retries == 0 and report.collision_count > 0
     assert calls == [6]
+
+
+def test_both_fits_count_the_straddlers_shared_knot_hits():
+    """Four straddlers of one depth-2 digit boundary, two of another and a lone point: 7 rows
+    of 5 knots hit 19 distinct knots at depth 2, so 16 hits fall on a knot already hit."""
+    step = Fraction(1, 6**5)
+    points = tuple((Fraction(7, 36) + i * step, Fraction(13, 36) + k * step) for i in (-1, 1) for k in (-1, 1))
+    points += ((Fraction(29, 36) - step, Fraction(1, 5)), (Fraction(29, 36) + step, Fraction(1, 5)),
+               (Fraction(1, 3), Fraction(2, 7)))
+    samples = SampleSet(points=points, targets=tuple(range(7)))
+    system = build_incidence(P26, SPEC6, points, 2)
+    assert (system.knot_count, system.collision_count, oracle.collision_count(system)) == (19, 16, 16)
+    for _, report in (fit_exact(samples, P26, SPEC6, depth=2), fit_iterative(samples, P26, SPEC6, depth=2)):
+        assert (report.depth, report.collision_count) == (2, 16)
 
 
 def _write(path, header, rows):

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from ksnet.errors import DomainError, ParameterError
 from ksnet.inner import (
-    CHUNK_TABLE_LIMIT, InnerSpec, default_inner_spec, phi_eval, phi_extend, phi_scaled, verify_inner,
+    CHUNK_TABLE_LIMIT, DEPTH_CAP, InnerSpec, default_inner_spec, phi_eval, phi_extend, phi_scaled, verify_inner,
 )
 from test_incidence import CHAINS
 from test_oracle import NETWORKS, ODD_SPEC6
@@ -139,24 +139,22 @@ def test_holder_with_constant_four(x, y):
 
 
 def test_verify_inner_passes():
-    report = verify_inner(SPEC6, samples=500, depth=30, seed=0)
-    assert report.passed
-    names = [c.name for c in report.checks]
+    doc = verify_inner(SPEC6, samples=500, depth=30, seed=0)
+    names = [c["name"] for c in doc["checks"]]
     assert names == ["monotone", "holder", "shift", "range"]
-    doc = report.to_jsonable()
     assert doc["passed"] is True
     holder = next(c for c in doc["checks"] if c["name"] == "holder")
     assert holder["passed"] is True
     assert "bound 4" in holder["detail"]
     with pytest.raises(DomainError, match="need at least 2 samples, got 1"):
         verify_inner(SPEC6, samples=1)
-    with pytest.raises(DomainError, match="depth must be an int >= 1, got 0"):
+    with pytest.raises(DomainError, match="depth must be an integer in 1..240, got 0"):
         verify_inner(SPEC6, samples=10, depth=0)
 
 
 def test_verify_inner_other_base():
     report = verify_inner(default_inner_spec(8), samples=200, depth=20, seed=3)
-    assert report.passed
+    assert report["passed"]
 
 
 KERNEL_SPECS = list({inner: None for _, inner in NETWORKS} | {ODD_SPEC6: None, default_inner_spec(70): None,
@@ -215,8 +213,9 @@ def test_the_kernel_table_does_not_grow_with_depth():
 
 
 def test_the_kernel_refuses_depth_below_one():
-    """The kernel's one depth rule: an int, not a bool, at least 1, named when refused."""
+    """The one depth rule: an int, not a bool, in 1..DEPTH_CAP, named when refused."""
     for depth in (0, -1, 2.5, True):
         for call in (lambda: phi_scaled(SPEC6, [1], [3], depth), lambda: phi_extend(SPEC6, [0], [1], [1], [3], depth)):
-            with pytest.raises(DomainError, match=re.escape(f"depth must be an int >= 1, got {depth!r}")):
+            reason = f"depth must be an integer in 1..{DEPTH_CAP}, got {depth!r}"
+            with pytest.raises(DomainError, match=re.escape(reason)):
                 call()
