@@ -48,7 +48,7 @@ from .hashmaps import (
     make_params,
     separation_check,
 )
-from .inner import DEPTH_CAP, default_inner_spec, verify_inner
+from .inner import check_depth, default_inner_spec, verify_inner
 from .network import assemble, describe, dot, evaluate_batch, load, save
 from .outer import SampleSet, fit_exact, fit_iterative, grid_samples, merge_report
 from .rationals import parse_rational, plain_ratios
@@ -106,8 +106,11 @@ class JobConfig:
     dot: bool = False
 
     def __post_init__(self):
-        if self.depth is not None and not 1 <= self.depth <= DEPTH_CAP:
-            raise InputError(f"--depth must lie in 1..{DEPTH_CAP}, got {self.depth}")
+        if self.depth is not None:
+            try:
+                check_depth(self.depth)
+            except DomainError as exc:
+                raise InputError(f"--depth: {exc}") from None
         if self.grid_level < 1:
             raise InputError(f"--grid-level must be >= 1, got {self.grid_level}")
         if self.tolerance <= 0:

@@ -29,7 +29,7 @@ from operator import le
 
 from .errors import CoincidentPoints, DomainError, InternalInvariantError, OutsideCube, ParameterError, PointError
 from .inner import DEPTH_CAP, InnerSpec, check_depth, phi_extend, phi_scaled
-from .linsolve import components, left_kernel_vector
+from .linsolve import left_kernel_vector
 from .rationals import ONE, ZERO, digit_limit, grid_points
 
 DEFAULT_SERIES_TOLERANCE = Fraction(1, 10**18)
@@ -209,8 +209,8 @@ def point_branches(params: HashParams, inner: InnerSpec, x, depth: int) -> list[
 def psi_eval(params: HashParams, inner: InnerSpec, x, q: int, depth: int) -> tuple[Fraction, Fraction]:
     """Branch q at x in [0, 1]^d, depth `depth`, as (value, error_bound): the untruncated
     value lies in [value, value + error_bound].  A bad x raises its reason."""
-    if not 0 <= q <= 2 * params.d:
-        raise DomainError(f"branch index must lie in 0..{2 * params.d}, got {q}")
+    if type(q) is not int or not 0 <= q <= 2 * params.d:
+        raise DomainError(f"branch index must be an integer in 0..{2 * params.d}, got {q!r}")
     value, window = point_branches(params, inner, x, depth)[q]
     unit = params.unit(inner, depth)
     return Fraction(value, unit), Fraction(window, unit)
@@ -465,25 +465,34 @@ class IncidenceSystem:
     def components(self) -> list[dict[int, tuple[int, ...]]]:
         """The connected components of more than one point, each as {point: row} in input order.
 
-        A point is linked when it hits a knot id that another point hits in
-        the same column, and only the rows of linked points go to
-        linsolve.components.  A branch holds at most n_points knots, and one
-        with exactly n_points repeats no id, so its column is not read: a
-        system whose points share no knot costs one comparison per branch
-        and builds no row.
+        One union-find over points runs during the column scan: a point that
+        hits a knot id an earlier point hit in that column joins it, and
+        roots stay the smallest point.  A branch holds at most n_points
+        knots, and one with exactly n_points repeats no id, so its column is
+        not read; only linked points get rows, so a system whose points
+        share no knot costs one comparison per branch and builds no row.
         """
-        linked: set[int] = set()
+        parent: dict[int, int] = {}  # linked point -> its parent; a root is its smallest point
+
+        def find(j: int) -> int:
+            while parent[j] != j:
+                parent[j] = parent[parent[j]]
+                j = parent[j]
+            return j
+
         for column, lo, hi in zip(self.columns, self.starts, self.starts[1:]):
             if hi - lo < self.n_points:
                 first: dict[int, int] = {}
                 for j, k in enumerate(column):
                     i = first.setdefault(k, j)
                     if i != j:
-                        linked.update((i, j))
-        if not linked:
-            return []
-        points = sorted(linked)
-        return [{points[i]: row for i, row in comp.items()} for comp in components(list(map(self.row, points)))]
+                        a, b = find(parent.setdefault(i, i)), find(parent.setdefault(j, j))
+                        if a != b:
+                            parent[max(a, b)] = min(a, b)
+        groups: dict[int, dict[int, tuple[int, ...]]] = {}
+        for j in sorted(parent):
+            groups.setdefault(find(j), {})[j] = self.row(j)
+        return list(groups.values())
 
 
 def build_incidence(params: HashParams, inner: InnerSpec, points, depth: int) -> IncidenceSystem:

@@ -264,7 +264,6 @@ def verify_inner(
     samples: int = 10_000,
     depth: int = 30,
     seed: int = 0,
-    shift_samples: int | None = None,
 ) -> dict:
     """Randomized check of the inner function's contract: the "inner" document of `ksnet check`.
 
@@ -286,8 +285,7 @@ def verify_inner(
     """
     if samples < 2:
         raise DomainError(f"need at least 2 samples, got {samples}")
-    if shift_samples is None:
-        shift_samples = max(1, samples // 10)
+    shift_samples = max(1, samples // 10)
     rng = random.Random(seed)
     denom, scale = 2**53, spec._den**depth
     points = sorted(rng.randrange(denom + 1) for _ in range(samples))

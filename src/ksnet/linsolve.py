@@ -4,8 +4,9 @@ Incidence rows are increasing tuples of the columns they hit, each entry 1;
 square systems are {column: int} dicts.  The elimination is fraction-free and
 exact, so rank decisions and kernel vectors are certificates, not estimates.
 
-Rows linked through shared columns form connected components.  Components
-touch disjoint columns, so no linear dependency spans two of them and every
+Rows linked through shared columns form connected components, which
+IncidenceSystem.components finds from the branch columns.  Components touch
+disjoint columns, so no linear dependency spans two of them and every
 question is answered per component.  A row alone in its columns has rank 1
 and is counted, not eliminated; the reduced-pivot elimination, quadratic in
 its rows, runs only on the components of more than one row.
@@ -18,34 +19,6 @@ from fractions import Fraction
 
 from .errors import InternalInvariantError
 from .rationals import ZERO
-
-
-def components(rows) -> list[dict[int, tuple[int, ...]]]:
-    """The connected components of more than one row, each as {row index: row} in input order.
-
-    Two rows are connected when they hit a common column; components are
-    listed by their first row, and rows that share no column are left out.
-    """
-    parent = list(range(len(rows)))
-
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    owner: dict = {}  # column -> first row that hits it
-    for idx, row in enumerate(rows):
-        for col in row:
-            first = owner.setdefault(col, idx)
-            if first != idx:
-                a, b = find(first), find(idx)
-                if a != b:
-                    parent[max(a, b)] = min(a, b)  # roots stay the smallest row index
-    groups: dict[int, dict[int, tuple[int, ...]]] = {}
-    for idx, row in enumerate(rows):
-        groups.setdefault(find(idx), {})[idx] = row
-    return [comp for comp in groups.values() if len(comp) > 1]
 
 
 def _cancel(row: dict, trans: dict, pivot: dict, ptrans: dict, col: int) -> None:
@@ -107,13 +80,14 @@ def _eliminate(rows, stop: bool = False) -> tuple[dict[int, tuple[dict, dict]], 
 def left_kernel_vector(n: int, comps, stop: bool = False) -> tuple[int, tuple[Fraction, ...] | None]:
     """Rank of n stacked incidence rows, plus a left-kernel witness if they are dependent.
 
-    `comps` are the components of more than one row, as components(rows)
-    gives them.  Every other row is alone in its columns: it adds 1 to the
-    rank and is never read.  The witness is the one elimination in input
-    order would find first: the dependency of the lowest-indexed row that is
-    a combination of earlier rows, scaled so its first nonzero entry is +1.
-    Rows before that one are independent, so the combination is unique, and
-    it lives inside that row's component.
+    `comps` are the components of more than one row, each {row index: row}
+    in input order, as IncidenceSystem.components gives them.  Every other
+    row is alone in its columns: it adds 1 to the rank and is never read.
+    The witness is the one elimination in input order would find first: the
+    dependency of the lowest-indexed row that is a combination of earlier
+    rows, scaled so its first nonzero entry is +1.  Rows before that one are
+    independent, so the combination is unique, and it lives inside that
+    row's component.
 
     With `stop`, the elimination ends at the first dependency it meets.  An
     independent stack gets the same answer; a dependent one gets a witness

@@ -576,8 +576,8 @@ def fit_iterative(
         raise ParameterError(f"damping must lie in (0, 1], got {damping}")
     if tolerance <= 0:
         raise ParameterError(f"tolerance must be positive, got {tolerance}")
-    if max_iter < 1:
-        raise ParameterError(f"max_iter must be >= 1, got {max_iter}")
+    if type(max_iter) is not int or max_iter < 1:
+        raise ParameterError(f"max_iter must be an integer >= 1, got {max_iter!r}")
     system, verdict = _certify(samples, params, inner, depth, require_separation=finalize)
     g, history, sup = run_damped_iteration(system, samples.targets, damping, tolerance, max_iter)
     if finalize:

@@ -15,7 +15,9 @@ components and a per-component solve on every system, every certificate by
 elimination, and tables filled one knot at a time.  They find components
 with their own union-find over the incidence rows and read knot branches
 off `starts` (knot_branches), so a wrong component finder in the library
-shows as a different model.  merge_report, save and
+shows as a different model.  row_components gives any rows' components in
+the library's shape, by a flood over shared columns, so the elimination is
+tested on rows no incidence system has.  merge_report, save and
 load work on Fraction knot tables read off the integer outer function
 (`tables`), as the library did before knots stayed integers from the fit to
 the file; KnotTable and outer_from_tables are that hand-built form.  save
@@ -145,8 +147,8 @@ def check_point(params, x) -> tuple[Fraction, ...]:
 
 def psi_eval(params, inner, x, q: int, depth: int) -> tuple[Fraction, Fraction]:
     """(value, error_bound) of branch q at x: b_q + sum_p lam_p phi(x_p + a q) and its one-sided window."""
-    if not 0 <= q <= 2 * params.d:
-        raise DomainError(f"branch index must lie in 0..{2 * params.d}, got {q}")
+    if type(q) is not int or not 0 <= q <= 2 * params.d:
+        raise DomainError(f"branch index must be an integer in 0..{2 * params.d}, got {q!r}")
     point = check_point(params, x)
     value = Fraction(params.b[q])
     error = ZERO
@@ -229,13 +231,12 @@ def _property(name: str, violations: int, detail: str, witness: str | None) -> d
     return check
 
 
-def verify_inner(spec, samples: int, depth: int, seed: int, shift_samples: int | None = None) -> dict:
+def verify_inner(spec, samples: int, depth: int, seed: int) -> dict:
     """The per-value property suite: one phi_eval or phi_exact call per value, one count-and-witness loop
     per property, the inputs drawn as the library draws them; the "inner" document."""
     if samples < 2:
         raise DomainError(f"need at least 2 samples, got {samples}")
-    if shift_samples is None:
-        shift_samples = max(1, samples // 10)
+    shift_samples = max(1, samples // 10)
     rng = random.Random(seed)
     denom = 2**53
     points = sorted(Fraction(rng.randrange(denom + 1), denom) for _ in range(samples))
@@ -519,6 +520,26 @@ def components(system) -> list[list[int]]:
     for j in range(system.n_points):
         groups.setdefault(root(j), []).append(j)
     return list(groups.values())
+
+
+def row_components(rows) -> list[dict[int, tuple[int, ...]]]:
+    """The connected components of more than one of any rows (tuples of columns), each
+    {row index: row} in input order and listed by first row, as
+    IncidenceSystem.components gives them: a flood over rows that share a column."""
+    comps, seen = [], set()
+    for start in range(len(rows)):
+        if start in seen:
+            continue
+        comp, frontier = {start}, [start]
+        while frontier:
+            cols = set(rows[frontier.pop()])
+            linked = {k for k, row in enumerate(rows) if k not in comp and cols & set(row)}
+            comp |= linked
+            frontier += linked
+        seen |= comp
+        if len(comp) > 1:
+            comps.append({k: rows[k] for k in sorted(comp)})
+    return comps
 
 
 def knot_branches(starts) -> tuple[int, ...]:

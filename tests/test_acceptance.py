@@ -143,7 +143,7 @@ def test_criterion_06_inner_function_properties():
     """Monotonicity, the Hoelder bound with constant 4 and exponent
     ln2/ln6, the +1 shift identity, range containment, and the endpoint
     values all hold on seeded samples."""
-    report = verify_inner(SPEC6, samples=10_000, depth=30, seed=606, shift_samples=1_000)
+    report = verify_inner(SPEC6, samples=10_000, depth=30, seed=606)
     endpoints = phi_eval(SPEC6, Fraction(0), 1)[0] == 0 and phi_eval(SPEC6, Fraction(1), 1)[0] == 1
     ok = report["passed"] and endpoints
     detail = ", ".join(f"{c['name']} ok" for c in report["checks"])

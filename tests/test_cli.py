@@ -356,7 +356,7 @@ def test_eval_rejects_depth_beyond_cap(workdir, capsys):
         rc = main(["eval", "--model", str(model_path), "--in", str(workdir / "points.csv"),
                    "--depth", "5000", "--numeric", numeric])
         assert rc == EXIT_INPUT
-        assert "--depth must lie in 1..240" in capsys.readouterr().err
+        assert "--depth: depth must be an integer in 1..240, got 5000" in capsys.readouterr().err
     rc = main(["eval", "--model", str(model_path), "--in", str(workdir / "points.csv"), "--depth", "240"])
     assert rc == EXIT_OK
 

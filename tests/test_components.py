@@ -21,7 +21,7 @@ from ksnet import hashmaps, linsolve, outer
 from ksnet.errors import InternalInvariantError
 from ksnet.hashmaps import build_incidence, certify_separation, make_params
 from ksnet.inner import default_inner_spec
-from ksnet.linsolve import components, left_kernel_vector
+from ksnet.linsolve import left_kernel_vector
 from ksnet.network import assemble, save
 from ksnet.outer import (
     SampleSet,
@@ -38,8 +38,8 @@ BITS = 40
 
 
 def _kernel(rows):
-    """left_kernel_vector of the stacked rows, over their components."""
-    return left_kernel_vector(len(rows), components(rows))
+    """left_kernel_vector of the stacked rows, over the oracle's row components."""
+    return left_kernel_vector(len(rows), oracle.row_components(rows))
 
 
 def _coord(draw, top=2**BITS):
@@ -79,6 +79,17 @@ def mixed_systems(draw):
     return system, targets
 
 
+@settings(max_examples=60, deadline=None)
+@given(mixed_systems())
+def test_components_are_the_oracle_union_find(case):
+    """The library's finder gives the oracle's components of more than one point,
+    listed by first point, each {point: row} in point order."""
+    system, _ = case
+    rows = oracle.rows(system)
+    want = [[(j, rows[j]) for j in comp] for comp in oracle.components(system) if len(comp) > 1]
+    assert [list(comp.items()) for comp in system.components] == want
+
+
 sparse_rows = st.lists(
     st.sets(st.integers(0, 11), min_size=1, max_size=3).map(lambda cols: tuple(sorted(cols))), max_size=12
 )
@@ -104,7 +115,7 @@ def test_sparse_rank_and_witness_match_global_elimination(rows):
 def test_first_dependency_in_a_later_component_wins():
     # components {0, 4} and {1, 2, 3, 5}: row 4 repeats row 0, row 5 = row 1 + row 2 - row 3
     rows = [(0,), (1, 2), (3, 4), (1, 3), (0,), (2, 4)]
-    assert components(rows) == [{0: (0,), 4: (0,)}, {1: (1, 2), 2: (3, 4), 3: (1, 3), 5: (2, 4)}]
+    assert oracle.row_components(rows) == [{0: (0,), 4: (0,)}, {1: (1, 2), 2: (3, 4), 3: (1, 3), 5: (2, 4)}]
     rank, witness = _kernel(rows)
     assert (rank, witness) == oracle.left_kernel_vector(rows)
     assert witness == (1, 0, 0, 0, -1, 0)
@@ -301,15 +312,15 @@ def _rows_built(monkeypatch):
 
 def test_all_singleton_fit_eliminates_nothing(monkeypatch):
     """A system whose points share no knot is certified by one left_kernel_vector call
-    that gets no component, and fitted in both modes without building a row,
-    finding components, eliminating or solving."""
+    that gets no component, and fitted in both modes without building a row
+    (the component finder builds the rows of linked points only), eliminating
+    or solving."""
     rng = random.Random(7)
     pts = sorted({tuple(Fraction(rng.getrandbits(50), 2**50) for _ in range(2)) for _ in range(200)})
     samples = SampleSet(points=tuple(pts), targets=tuple(x * y for x, y in pts))
-    eliminated, solves, found, certified = [], [], [], []
+    eliminated, solves, certified = [], [], []
     _counting(monkeypatch, linsolve, "_eliminate", eliminated)
     _counting(monkeypatch, outer, "solve_square", solves)
-    _counting(monkeypatch, hashmaps, "components", found)
     _counting(monkeypatch, hashmaps, "left_kernel_vector", certified)
     built = _rows_built(monkeypatch)
     _, report = fit_exact(samples, P26, SPEC6)
@@ -320,7 +331,7 @@ def test_all_singleton_fit_eliminates_nothing(monkeypatch):
         _, report = fit_iterative(samples, P26, SPEC6, max_iter=4, finalize=finalize)
         assert (report.separation.rank, report.collision_count, report.iterations) == (len(pts), 0, 4)
     assert [comps for _, comps, _ in certified] == [[]] * 3
-    assert eliminated == [] and solves == [] and found == [] and built == []
+    assert eliminated == [] and solves == [] and built == []
 
 
 def test_near_twin_pairs_eliminate_only_their_components(monkeypatch):
@@ -336,7 +347,7 @@ def test_near_twin_pairs_eliminate_only_their_components(monkeypatch):
     assert [len(rows) for rows, *_ in eliminated] == [2] * len(twins)
     assert rank == len(pts) - len(twins)
     assert (rank, witness) == oracle.left_kernel_vector(oracle.rows(system))
-    # linsolve.components over all the rows leaves the lone ones out too
+    # the row components of all the rows leave the lone ones out too
     eliminated.clear()
     assert _kernel(oracle.rows(system)) == (rank, witness)
     assert [len(rows) for rows, *_ in eliminated] == [2] * len(twins)
@@ -352,20 +363,15 @@ def test_the_finder_reads_only_the_rows_of_near_twins(monkeypatch):
     pts += twins
     rng.shuffle(pts)
     pairs = sorted(sorted((pts.index((x - Fraction(1, 6**40), y)), pts.index((x, y)))) for x, y in twins)
-    found = []
-    _counting(monkeypatch, hashmaps, "components", found)
     built = _rows_built(monkeypatch)
     system = build_incidence(P26, SPEC6, pts, 30)
     comps = system.components
-    linked = sorted(j for pair in pairs for j in pair)
-    assert sorted(built) == linked
+    assert built == sorted(j for pair in pairs for j in pair)
     rows = tuple(zip(*system.columns))
-    assert found == [([rows[j] for j in linked],)]
     assert comps == [{j: rows[j] for j in pair} for pair in pairs]
-    found.clear()
     built.clear()
     assert build_incidence(P26, SPEC6, pts, 60).components == []
-    assert found == [] and built == []
+    assert built == []
 
 
 @st.composite

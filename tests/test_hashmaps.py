@@ -150,6 +150,11 @@ def test_psi_validation():
         psi_eval(P26, SPEC6, (Fraction(1, 2), Fraction(3, 2)), 0, 30)
     with pytest.raises(DomainError):
         psi_eval(P26, SPEC6, (Fraction(1, 2), Fraction(1, 2)), 5, 30)
+    # a bool would read branch 1, and a float or a str would fail with a bare TypeError
+    for q in (True, 1.5, "1"):
+        with pytest.raises(DomainError) as caught:
+            psi_eval(P26, SPEC6, (Fraction(1, 2), Fraction(1, 2)), q, 30)
+        assert str(caught.value) == f"branch index must be an integer in 0..4, got {q!r}"
 
 
 def test_check_ranges_level_2():

@@ -14,9 +14,10 @@ import oracle
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_components import _rows_built
 from test_oracle import NETWORKS, ODD_SPEC6, unit_coords
 
-from ksnet import hashmaps, linsolve
+from ksnet import hashmaps
 from ksnet.cli import main
 from ksnet.errors import CoincidentPoints, DomainError, OutsideCube
 from ksnet.hashmaps import InnerTable, PointGroups, build_incidence, certify_separation, check_ranges, psi_eval
@@ -238,29 +239,29 @@ def test_a_fit_checks_its_samples_once(monkeypatch, tmp_path):
 
 def test_components_are_found_once_per_system(monkeypatch):
     """The certificate, the damped iteration and the min-norm solve share them, and
-    only the rows of points that share a knot are linked: a system whose
-    points share none passes no row, as the level-1 grid at depth 30 and the
-    depth-60 retry of near-twins do, and the near-twins' depth-30 system
-    passes their 2 rows once.  Boundary straddlers at depth 2 stay separated
-    with shared knots, so all three stages run on one finding of their 6
-    rows; the seventh point is alone."""
-    calls = []
-    monkeypatch.setattr(hashmaps, "components", lambda rows: calls.append(len(rows)) or linsolve.components(rows))
+    only the rows of points that share a knot are built, each once per
+    system: a system whose points share none builds no row, as the level-1
+    grid at depth 30 and the depth-60 retry of near-twins do, and the
+    near-twins' depth-30 system builds their 2 rows once.  Boundary
+    straddlers at depth 2 stay separated with shared knots, so all three
+    stages run on one finding, which builds their 6 rows once; the seventh
+    point is alone."""
+    built = _rows_built(monkeypatch)
     _, report = fit_iterative(grid_samples(lambda p: p[0] * p[1], P26, 1), P26, SPEC6, max_iter=5)
     assert report.residual_max == 0 and report.separation.retries == 0
-    assert calls == []
+    assert built == []
     x = (Fraction(1, 3), Fraction(2, 7))
     points = (x, (x[0] + Fraction(1, 6**40), x[1]), (Fraction(1, 2), Fraction(2, 7)), (Fraction(1, 5), Fraction(1)))
     _, report = fit_exact(SampleSet(points=points, targets=(1, 2, 3, 4)), P26, SPEC6)
     assert (report.separation.retries, report.depth) == (1, 60)
-    assert calls == [2]
+    assert built == [0, 1]
     step = Fraction(1, 6**5)
     points = tuple((Fraction(7, 36) + i * step, Fraction(13, 36) + k * step) for i in (-1, 1) for k in (-1, 1))
     points += ((Fraction(29, 36) - step, Fraction(1, 5)), (Fraction(29, 36) + step, Fraction(1, 5)), x)
-    calls.clear()
+    built.clear()
     _, report = fit_iterative(SampleSet(points=points, targets=tuple(range(7))), P26, SPEC6, depth=2, max_iter=5)
     assert report.residual_max == 0 and report.separation.retries == 0 and report.collision_count > 0
-    assert calls == [6]
+    assert built == [0, 1, 2, 3, 4, 5]
 
 
 def test_both_fits_count_the_straddlers_shared_knot_hits():

@@ -3,16 +3,17 @@
 import random
 from fractions import Fraction
 
+import oracle
 import pytest
 import sympy
 
 from ksnet.errors import InternalInvariantError
-from ksnet.linsolve import components, left_kernel_vector, solve_square
+from ksnet.linsolve import left_kernel_vector, solve_square
 
 
 def _kernel(rows):
-    """left_kernel_vector of the stacked rows, over their components."""
-    return left_kernel_vector(len(rows), components(rows))
+    """left_kernel_vector of the stacked rows, over the oracle's row components."""
+    return left_kernel_vector(len(rows), oracle.row_components(rows))
 
 
 def _random_incidence_rows(rng, n, m, density=0.4):

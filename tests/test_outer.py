@@ -295,6 +295,11 @@ def test_iterative_rejects_bad_knobs():
         fit_iterative(samples, P26, SPEC6, tolerance=Fraction(0))
     with pytest.raises(ParameterError):
         fit_iterative(samples, P26, SPEC6, max_iter=0)
+    # a bool would run one round, and a float or a str would fail inside the loop
+    for max_iter in (True, 2.5, "3"):
+        with pytest.raises(ParameterError) as caught:
+            fit_iterative(samples, P26, SPEC6, max_iter=max_iter)
+        assert str(caught.value) == f"max_iter must be an integer >= 1, got {max_iter!r}"
 
 
 @pytest.mark.parametrize("den, n, depth", [(11, 40, 1), (1024, 60, 1)])
