@@ -1,6 +1,7 @@
 """End-to-end command line behavior: formats, exit codes, determinism."""
 
 import csv
+import io
 import itertools
 import json
 import os
@@ -155,6 +156,31 @@ def test_eval_fast_mode(workdir):
     assert got[0] == ["w", "error_bound"]
     for row, src in zip(got[1:], rows):
         assert abs(float(row[0]) - float(parse_rational(src[2]))) < 1e-9
+
+
+@pytest.mark.parametrize("numeric", ["exact", "fast"])
+@pytest.mark.parametrize("to_file", [True, False], ids=["out", "stdout"])
+def test_eval_writes_the_bytes_of_csv_writer(workdir, capsys, numeric, to_file):
+    """The CSV contract: eval writes what csv.writer's default dialect writes for
+    the evaluate_batch results (str cells when exact, repr when fast), and
+    csv.reader reads the same cells back."""
+    _, model_path = _fit(workdir)
+    rng = random.Random(11)
+    fresh = [[str(Fraction(rng.getrandbits(20), 2**20)) for _ in range(2)] for _ in range(8)]
+    rows = [r[:2] for r in _sample_rows()[:4]] + fresh + [["0", "1"], ["1", "1/3"]]
+    _write_csv(workdir / "points.csv", ["x1", "x2"], rows)
+    text = str if numeric == "exact" else repr
+    points = [tuple(map(parse_rational, row)) for row in rows]
+    cells = [["w", "error_bound"]] + [[text(w), text(err)] for w, err in
+                                      ksnet.evaluate_batch(load(model_path), points, numeric=numeric)]
+    want = io.StringIO()
+    csv.writer(want).writerows(cells)
+    out = workdir / "values.csv"
+    argv = ["eval", "--model", str(model_path), "--in", str(workdir / "points.csv"), "--numeric", numeric]
+    assert main(argv + (["--out", str(out)] if to_file else [])) == EXIT_OK
+    got = out.read_bytes() if to_file else capsys.readouterr().out.encode()
+    assert got == want.getvalue().encode()
+    assert list(csv.reader(io.StringIO(got.decode(), newline=""))) == cells
 
 
 def test_eval_empty_points_gives_header_only(workdir, capsys):

@@ -298,3 +298,7 @@ def test_values_past_the_number_limits_exit_2(base, capsys):
         assert main(["eval", "--model", str(root / "huge.json"), "--in", str(root / "between.csv"),
                      "--numeric", numeric]) == 2
         assert capsys.readouterr().err.startswith(message), numeric
+    unwritten = root / "unwritten.csv"  # the text is whole before the file is opened
+    assert main(["eval", "--model", str(root / "huge.json"), "--in", str(root / "between.csv"),
+                 "--out", str(unwritten)]) == 2
+    assert not unwritten.exists()

@@ -1,8 +1,11 @@
-"""Committed artefacts: every --no-timestamp output of two small fits must stay byte for byte.
+"""Committed artefacts: every --no-timestamp output of four small fits must stay byte for byte.
 
-tests/golden/ holds the inputs and outputs of a 60-point exact fit and a
-level-1 iterative grid fit: the model, the fit report, exact and fast
-(--depth 45) eval CSVs, and the describe JSON.  check.json and
+tests/golden/ holds the inputs and outputs of a 60-point exact fit, a
+level-1 iterative grid fit (both d = 2, base 6, evaluated on queries.csv),
+and two 24-point exact fits with their own queries: d = 3 at base 8, and
+d = 2 at base 1000, where the inner kernel reads 4-digit chunks.  Each fit
+keeps the model, the fit report, exact and fast (--depth 45) eval CSVs, and
+the describe JSON.  check.json and
 check_depth1.json are two `ksnet check` reports, one where every suite passes
 and one at depth 1 with a failed separation trial and its witness.
 iterative.sha256.json holds
@@ -30,21 +33,25 @@ import pytest
 from ksnet.cli import main
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
+# tag: (samples, queries, fit flags)
 FITS = {
-    "exact60": ("exact60.csv", ["--depth", "30"]),
-    "grid1": ("grid1.csv", ["--depth", "30", "--mode", "iterative", "--grid-level", "1"]),
+    "exact60": ("exact60.csv", "queries.csv", ["--depth", "30"]),
+    "grid1": ("grid1.csv", "queries.csv", ["--depth", "30", "--mode", "iterative", "--grid-level", "1"]),
+    "d3_gamma8": ("d3_gamma8.csv", "d3_gamma8.queries.csv", ["--d", "3", "--gamma", "8", "--depth", "30"]),
+    "gamma1000": ("gamma1000.csv", "gamma1000.queries.csv", ["--gamma", "1000", "--depth", "30"]),
 }
+INPUTS = sorted({name for samples, queries, _ in FITS.values() for name in (samples, queries)})
 
 
 def _run(tag: str) -> list[str]:
     """Write every artefact of one fit into the working directory, which holds
     the inputs (reports record paths, so they are relative); returns the names."""
-    samples, flags = FITS[tag]
+    samples, queries, flags = FITS[tag]
     model = f"{tag}.model.json"
     runs = {
         f"{tag}.fit.json": ["fit", "--no-timestamp", "--seed", "3", *flags, "--in", samples, "--model", model],
-        f"{tag}.exact.csv": ["eval", "--model", model, "--in", "queries.csv"],
-        f"{tag}.fast45.csv": ["eval", "--model", model, "--in", "queries.csv", "--numeric", "fast", "--depth", "45"],
+        f"{tag}.exact.csv": ["eval", "--model", model, "--in", queries],
+        f"{tag}.fast45.csv": ["eval", "--model", model, "--in", queries, "--numeric", "fast", "--depth", "45"],
         f"{tag}.describe.json": ["describe", "--model", model],
     }
     for out, argv in runs.items():
@@ -96,8 +103,19 @@ def _tag(case) -> str:
 
 
 def _inputs_into(directory: Path) -> None:
-    for name in [samples for samples, _ in FITS.values()] + ["queries.csv"]:
+    for name in INPUTS:
         shutil.copyfile(GOLDEN / name, directory / name)
+
+
+def regenerate(target: Path) -> list[str]:
+    """Write every golden output into `target`, the working directory, which
+    holds the inputs; returns the names written."""
+    written = [name for tag in FITS for name in _run(tag)] + [_check(tag) for tag in CHECKS]
+    digests = {_tag(case): _iterative_digests(*case) for case in SHUFFLED}
+    for name in ("grid.csv", "grid.model.json", "grid.fit.json"):
+        Path(name).unlink()
+    (target / DIGESTS.name).write_text(json.dumps(digests, indent=2) + "\n")
+    return written + [DIGESTS.name]
 
 
 @pytest.mark.parametrize("tag", sorted(FITS))
@@ -121,16 +139,22 @@ def test_shuffled_iterative_fits_match_their_digests(case, tmp_path, monkeypatch
     assert _iterative_digests(*case) == json.loads(DIGESTS.read_text())[_tag(case)]
 
 
+def test_every_golden_file_is_an_input_or_a_compared_output(tmp_path, monkeypatch):
+    """The tests above copy INPUTS and compare what _run and _check return and
+    the digests; regeneration writes exactly those outputs and leaves nothing
+    else, and tests/golden holds nothing else."""
+    _inputs_into(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    written = regenerate(tmp_path)
+    compared = [name for tag in FITS for name in _run(tag)] + [_check(tag) for tag in CHECKS] + [DIGESTS.name]
+    assert sorted(written) == sorted(compared)
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(INPUTS + compared)
+    assert sorted(p.name for p in GOLDEN.iterdir()) == sorted(INPUTS + compared)
+
+
 if __name__ == "__main__":
     target = Path(sys.argv[1]).resolve()
     if target != GOLDEN:
         _inputs_into(target)
     os.chdir(target)
-    for tag in FITS:
-        _run(tag)
-    for tag in CHECKS:
-        _check(tag)
-    digests = {_tag(case): _iterative_digests(*case) for case in SHUFFLED}
-    for name in ("grid.csv", "grid.model.json", "grid.fit.json"):
-        Path(name).unlink()
-    (target / DIGESTS.name).write_text(json.dumps(digests, indent=2) + "\n")
+    regenerate(target)
