@@ -283,8 +283,8 @@ def verify_inner(
     check under "checks": its "name", "passed" and "detail", and its first
     "witness" only when it found one.
     """
-    if samples < 2:
-        raise DomainError(f"need at least 2 samples, got {samples}")
+    if type(samples) is not int or samples < 2:
+        raise DomainError(f"samples must be an integer >= 2, got {samples!r}")
     shift_samples = max(1, samples // 10)
     rng = random.Random(seed)
     denom, scale = 2**53, spec._den**depth

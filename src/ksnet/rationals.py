@@ -101,7 +101,7 @@ def grid_points(level: int, base: int) -> list[Fraction]:
     """The uniform rational grid {j / base**level : j = 0 .. base**level} on [0, 1]."""
     if base < 2:
         raise DomainError(f"base must be >= 2, got {base}")
-    if level < 1:
-        raise DomainError(f"level must be >= 1, got {level}")
+    if type(level) is not int or level < 1:
+        raise DomainError(f"level must be an integer >= 1, got {level!r}")
     scale = base**level
     return [Fraction(j, scale) for j in range(scale + 1)]

@@ -334,6 +334,9 @@ def test_bench_csv_schema(tmp_path):
     assert rc == EXIT_OK
     with open(out, newline="") as fh:
         rows = list(csv.reader(fh))
+    want = io.StringIO()
+    csv.writer(want).writerows(rows)
+    assert out.read_bytes() == want.getvalue().encode()
     assert rows[0] == [
         "n", "d", "gamma", "depth", "mode", "target", "fit_ms", "knot_count",
         "iterations", "convergence_factor", "separation_retries", "final_depth",
@@ -345,6 +348,22 @@ def test_bench_csv_schema(tmp_path):
     # knot counts never decrease along the sweep
     counts = [int(r[7]) for r in rows[1:3]]
     assert counts == sorted(counts)
+
+
+def test_csv_text_writes_what_csv_writer_writes():
+    """Rows of the kinds bench writes: ints, names, %.3f and %.6f texts, an empty
+    convergence_factor cell and exact fractions; and the eval header."""
+    rows = [
+        ["n", "d", "gamma", "depth", "mode", "target", "fit_ms", "knot_count", "iterations",
+         "convergence_factor", "separation_retries", "final_depth", "residual_max"],
+        [10, 2, 6, 30, "exact", "sum", "12.345", 50, 0, "", 0, 30, str(Fraction(0))],
+        [49, 3, 8, 60, "iterative", "reciprocal", "1234.500", 343, 17, "0.500000", 1, 61, str(Fraction(-7, 3000))],
+        ["w", "error_bound"],
+    ]
+    want = io.StringIO()
+    csv.writer(want).writerows(rows)
+    assert cli._csv_text(rows) == want.getvalue()
+    assert cli._csv_text([]) == ""
 
 
 def test_describe_output(workdir, capsys):

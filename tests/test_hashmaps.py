@@ -167,8 +167,8 @@ def test_check_ranges_level_2():
         assert lo == 5 * q and hi == 5 * q + 4
         assert lo <= Fraction(br["observed"][0]) <= Fraction(br["observed"][1]) <= hi
     assert report["passed"] is True and len(report["branches"]) == 5
-    for level in (0, -1):
-        with pytest.raises(DomainError, match=f"level must be >= 1, got {level}"):
+    for level in (0, -1, 20.5, True, "30"):
+        with pytest.raises(DomainError, match=f"level must be an integer >= 1, got {level!r}"):
             check_ranges(P26, SPEC6, probe_level=level, depth=30)
 
 

@@ -146,8 +146,9 @@ def test_verify_inner_passes():
     holder = next(c for c in doc["checks"] if c["name"] == "holder")
     assert holder["passed"] is True
     assert "bound 4" in holder["detail"]
-    with pytest.raises(DomainError, match="need at least 2 samples, got 1"):
-        verify_inner(SPEC6, samples=1)
+    for samples in (1, 20.5, True, "30"):
+        with pytest.raises(DomainError, match=f"samples must be an integer >= 2, got {samples!r}"):
+            verify_inner(SPEC6, samples=samples)
     with pytest.raises(DomainError, match="depth must be an integer in 1..240, got 0"):
         verify_inner(SPEC6, samples=10, depth=0)
 
