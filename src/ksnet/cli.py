@@ -231,9 +231,9 @@ def _emit_report(report: dict, out_path: str | None) -> None:
 
 
 def _csv_text(rows) -> str:
-    """The bytes csv.writer's default dialect writes for rows of two or more cells,
-    none holding a comma, quote or line break: str of each cell, unquoted, and
-    every row ends in \\r\\n.  One join, where the writer copies every character."""
+    """What the csv module's writer (default dialect) writes for rows of two or more
+    cells, none holding a comma, quote or line break: str of each cell, unquoted,
+    and every row ends in \\r\\n.  One join, where the writer copies every character."""
     return "".join([",".join(map(str, row)) + "\r\n" for row in rows])
 
 
