@@ -18,6 +18,7 @@ their models run to 1.2 MB, so only the digests are kept.  Regenerate all with
 only when an output format changes on purpose.
 """
 
+import contextlib
 import hashlib
 import itertools
 import json
@@ -27,10 +28,12 @@ import shutil
 import sys
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
 from ksnet.cli import main
+from ksnet.network import _plan, load
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 # tag: (samples, queries, fit flags)
@@ -59,18 +62,47 @@ def _run(tag: str) -> list[str]:
     return [model, *runs]
 
 
+# exact60's knot values need a common denominator G of 1,131 bits over 300 knots,
+# its positions 180 bits at depth 15 and about 360 at depth 60: below this limit
+# common_unit refuses G but not the positions, so the plan keeps G = 1
+FALLBACK_LIMIT = 1 << 17
+FALLBACK = {
+    "exact60.g1.exact15.csv": ["--depth", "15"],
+    "exact60.g1.fast60.csv": ["--numeric", "fast", "--depth", "60"],
+}
+
+
+def _fallback() -> list[str]:
+    """Write the G = 1 eval CSVs of the exact60 model, which the working directory
+    holds beside queries.csv; returns the names."""
+    with mock.patch("ksnet.outer.PLAN_BITS_LIMIT", FALLBACK_LIMIT):
+        for out, flags in FALLBACK.items():
+            argv = ["eval", "--model", "exact60.model.json", "--in", "queries.csv", *flags, "--out", out]
+            assert main(argv) == 0, argv
+    return list(FALLBACK)
+
+
 CHECKS = {
     "check": ["--samples", "500", "--trials", "5", "--trial-points", "40", "--probe-level", "2"],
     "check_depth1": ["--depth", "1", "--samples", "200", "--trials", "3", "--trial-points", "12",
                      "--probe-level", "1"],
+    "check_d3_gamma8": ["--d", "3", "--gamma", "8", "--samples", "500", "--trials", "5", "--trial-points", "40",
+                        "--probe-level", "1"],
+    "check_gamma1000": ["--gamma", "1000", "--samples", "500", "--trials", "5", "--trial-points", "40",
+                        "--probe-level", "1"],
 }
+# The CLI refuses a probe grid of more than POINT_CAP points, and level 1 at base
+# 1000 has 1001**2; the range sweep is closed form (about 30 ms here), so that
+# report is written with the cap lifted in process.
+PROBE_CAP = {"check_gamma1000": 1001**2}
 
 
 def _check(tag: str) -> str:
     """Write one check report into the working directory; returns its name."""
     out = f"{tag}.json"
     argv = ["check", "--no-timestamp", *CHECKS[tag], "--seed", "3", "--out", out]
-    assert main(argv) == 0, argv
+    with mock.patch("ksnet.cli.POINT_CAP", PROBE_CAP[tag]) if tag in PROBE_CAP else contextlib.nullcontext():
+        assert main(argv) == 0, argv
     return out
 
 
@@ -110,7 +142,7 @@ def _inputs_into(directory: Path) -> None:
 def regenerate(target: Path) -> list[str]:
     """Write every golden output into `target`, the working directory, which
     holds the inputs; returns the names written."""
-    written = [name for tag in FITS for name in _run(tag)] + [_check(tag) for tag in CHECKS]
+    written = [name for tag in FITS for name in _run(tag)] + _fallback() + [_check(tag) for tag in CHECKS]
     digests = {_tag(case): _iterative_digests(*case) for case in SHUFFLED}
     for name in ("grid.csv", "grid.model.json", "grid.fit.json"):
         Path(name).unlink()
@@ -124,6 +156,20 @@ def test_outputs_match_goldens(tag, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     for name in _run(tag):
         assert (tmp_path / name).read_bytes() == (GOLDEN / name).read_bytes(), name
+
+
+def test_plan_fallback_outputs_match_goldens(tmp_path, monkeypatch):
+    """The G = 1 plan gives the committed bytes, and the lowered limit does take it."""
+    _inputs_into(tmp_path)
+    shutil.copyfile(GOLDEN / "exact60.model.json", tmp_path / "exact60.model.json")
+    monkeypatch.chdir(tmp_path)
+    for name in _fallback():
+        assert (tmp_path / name).read_bytes() == (GOLDEN / name).read_bytes(), name
+    model = load(GOLDEN / "exact60.model.json")
+    monkeypatch.setattr("ksnet.outer.PLAN_BITS_LIMIT", FALLBACK_LIMIT)
+    assert [_plan(model, depth).value_den for depth in (15, 60)] == [1, 1]
+    monkeypatch.undo()
+    assert _plan(load(GOLDEN / "exact60.model.json"), 15).value_den > 1
 
 
 @pytest.mark.parametrize("tag", sorted(CHECKS))

@@ -7,6 +7,7 @@ import json
 import math
 import random
 from fractions import Fraction
+from pathlib import Path
 from types import SimpleNamespace
 
 import oracle
@@ -331,6 +332,32 @@ def test_save_load_path_and_handle(tmp_path):
     with open(path, "rb") as fh:
         assert save(load(fh)) == blob
     assert save(load(blob.decode())) == blob
+
+
+def test_a_non_canonical_model_file_reads_as_its_canonical_file(tmp_path):
+    """A golden model edited by hand: `values` repeats a literal and holds an
+    unreduced one beside its reduced form, and y and g tokens carry leading
+    zeros.  It evaluates to the golden CSVs, and save writes the golden bytes."""
+    golden = Path(__file__).resolve().parent / "golden"
+    canonical = (golden / "exact60.model.json").read_bytes()
+    doc = json.loads(canonical)
+    values = doc["values"]
+    num, den = map(int, values[1].split("/"))
+    values += [values[0], f"{2 * num}/{2 * den}"]
+    repeat, unreduced = str(len(values) - 2), str(len(values) - 1)
+    for q, branch in enumerate(doc["branches"]):
+        tokens = [repeat if t == "0" and q else unreduced if t == "1" else t for t in branch["g"].split(" ")]
+        branch["g"] = " ".join("0" + t if q == 3 else t for t in tokens)
+        if q == 2:
+            branch["y"] = " ".join("00" + t for t in branch["y"].split(" "))
+    text = json.dumps(doc, indent=2)
+    assert text.encode() != canonical and "1" not in doc["branches"][1]["g"].split(" ")
+    assert save(load(text)) == canonical
+    (tmp_path / "m.json").write_text(text)
+    for flags, out in (([], "exact60.exact.csv"), (["--numeric", "fast", "--depth", "45"], "exact60.fast45.csv")):
+        argv = ["eval", "--model", str(tmp_path / "m.json"), "--in", str(golden / "queries.csv"), *flags]
+        assert main([*argv, "--out", str(tmp_path / out)]) == 0
+        assert (tmp_path / out).read_bytes() == (golden / out).read_bytes(), out
 
 
 def test_document_structure():
