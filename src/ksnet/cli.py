@@ -50,7 +50,7 @@ from .hashmaps import (
 from .inner import check_depth, default_inner_spec, verify_inner
 from .network import assemble, describe, dot, evaluate_batch, load, save
 from .outer import SampleSet, fit_exact, fit_iterative, grid_samples, merge_report
-from .rationals import parse_rational, plain_ratios
+from .rationals import check_int, parse_rational, plain_ratios
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -110,18 +110,15 @@ class JobConfig:
                 check_depth(self.depth)
             except DomainError as exc:
                 raise InputError(f"--depth: {exc}") from None
-        if self.grid_level < 1:
-            raise InputError(f"--grid-level must be >= 1, got {self.grid_level}")
+        check_int("--grid-level", self.grid_level, 1, error=InputError)
         if self.tolerance <= 0:
             raise InputError(f"--tolerance must be positive, got {self.tolerance}")
         if self.series_tolerance <= 0:
             raise InputError(f"--series-tolerance must be positive, got {self.series_tolerance}")
-        if self.max_iter < 1:
-            raise InputError(f"--max-iter must be >= 1, got {self.max_iter}")
+        check_int("--max-iter", self.max_iter, 1, error=InputError)
         if not 0 < self.damping <= 1:
             raise InputError(f"--damping must lie in (0, 1], got {self.damping}")
-        if self.seed < 0:
-            raise InputError(f"--seed must be >= 0, got {self.seed}")
+        check_int("--seed", self.seed, 0, error=InputError)
         if not 2 <= self.samples <= SAMPLES_CAP:
             raise InputError(f"--samples must lie in 2..{SAMPLES_CAP}, got {self.samples}")
         if not 1 <= self.trials <= TRIALS_CAP:
@@ -131,8 +128,7 @@ class JobConfig:
         if self.trials * self.trial_points > POINT_CAP:
             raise InputError(f"--trials times --trial-points must be at most {POINT_CAP}, "
                              f"got {self.trials} * {self.trial_points}")
-        if self.probe_level < 1:
-            raise InputError(f"--probe-level must be >= 1, got {self.probe_level}")
+        check_int("--probe-level", self.probe_level, 1, error=InputError)
         if not all(1 <= n <= POINT_CAP for n in self.sweep_n):
             raise InputError(f"--sweep-n entries must lie in 1..{POINT_CAP}, got {self.sweep_n}")
         if self.command in ("fit", "eval") and not self.in_path:

@@ -30,7 +30,7 @@ from operator import le
 from .errors import CoincidentPoints, DomainError, InternalInvariantError, OutsideCube, ParameterError, PointError
 from .inner import DEPTH_CAP, InnerSpec, check_depth, phi_extend, phi_scaled
 from .linsolve import left_kernel_vector
-from .rationals import ONE, ZERO, digit_limit, grid_points
+from .rationals import ONE, ZERO, check_int, digit_limit, grid_points
 
 DEFAULT_SERIES_TOLERANCE = Fraction(1, 10**18)
 # Largest digit base: the inner function holds one weight per digit, and every model file lists them.
@@ -67,8 +67,7 @@ def lambda_partial(p: int, d: int, gamma: int, terms: int) -> tuple[Fraction, Fr
 
 def series_count(p: int, d: int, gamma: int, tolerance) -> int:
     """The fewest terms of lam_p whose tail bound is at most `tolerance` (0 for p = 1)."""
-    if p < 1 or p > d:
-        raise ParameterError(f"p must be in 1..{d}, got {p}")
+    check_int("p", p, 1, d, ParameterError)
     tolerance = Fraction(tolerance)
     if tolerance <= 0:
         raise ParameterError(f"series tolerance must be positive, got {tolerance}")
@@ -80,8 +79,7 @@ def series_count(p: int, d: int, gamma: int, tolerance) -> int:
 
 def check_dims(d: int, gamma: int) -> None:
     """The dimension rule of every network: d >= 2 and 2d+2 <= gamma <= GAMMA_CAP."""
-    if d < 2:
-        raise ParameterError(f"d must be >= 2, got {d}")
+    check_int("d", d, 2, error=ParameterError)
     if gamma < 2 * d + 2:
         raise ParameterError(f"gamma must be >= 2d+2 = {2 * d + 2}, got {gamma}")
     if gamma > GAMMA_CAP:
@@ -209,8 +207,7 @@ def point_branches(params: HashParams, inner: InnerSpec, x, depth: int) -> list[
 def psi_eval(params: HashParams, inner: InnerSpec, x, q: int, depth: int) -> tuple[Fraction, Fraction]:
     """Branch q at x in [0, 1]^d, depth `depth`, as (value, error_bound): the untruncated
     value lies in [value, value + error_bound].  A bad x raises its reason."""
-    if type(q) is not int or not 0 <= q <= 2 * params.d:
-        raise DomainError(f"branch index must be an integer in 0..{2 * params.d}, got {q!r}")
+    check_int("branch index", q, 0, 2 * params.d)
     value, window = point_branches(params, inner, x, depth)[q]
     unit = params.unit(inner, depth)
     return Fraction(value, unit), Fraction(window, unit)

@@ -34,7 +34,7 @@ from functools import cached_property
 from operator import floordiv, mod
 
 from .errors import DomainError, ParameterError
-from .rationals import ZERO
+from .rationals import ZERO, check_int
 
 HALF = Fraction(1, 2)
 # Deepest truncation anything reads: a fit's retries stop here, and every depth passes check_depth.
@@ -72,8 +72,7 @@ class InnerSpec:
     _cnum: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.base < 2:
-            raise ParameterError(f"base must be >= 2, got {self.base}")
+        check_int("base", self.base, 2, error=ParameterError)
         weights = tuple(Fraction(w) for w in self.weights)
         if len(weights) != self.base:
             raise ParameterError(
@@ -156,16 +155,14 @@ class InnerSpec:
 
 def default_inner_spec(base: int) -> InnerSpec:
     """Half the interval to digit 0, the rest split evenly: w(0) = 1/2, w(i) = 1/(2(base-1))."""
-    if base < 2:
-        raise ParameterError(f"base must be >= 2, got {base}")
+    check_int("base", base, 2, error=ParameterError)
     rest = Fraction(1, 2 * (base - 1))
     return InnerSpec(base=base, weights=(HALF,) + (rest,) * (base - 1))
 
 
 def check_depth(depth) -> None:
     """The one depth rule, of the kernel, the fits and evaluation: an int (not a bool) in 1..DEPTH_CAP."""
-    if type(depth) is not int or not 1 <= depth <= DEPTH_CAP:
-        raise DomainError(f"depth must be an integer in 1..{DEPTH_CAP}, got {depth!r}")
+    check_int("depth", depth, 1, DEPTH_CAP)
 
 
 def phi_extend(spec: InnerSpec, values, windows, rests, dens, more: int) -> tuple[list[int], list[int], list[int]]:
@@ -283,8 +280,7 @@ def verify_inner(
     check under "checks": its "name", "passed" and "detail", and its first
     "witness" only when it found one.
     """
-    if type(samples) is not int or samples < 2:
-        raise DomainError(f"samples must be an integer >= 2, got {samples!r}")
+    check_int("samples", samples, 2)
     shift_samples = max(1, samples // 10)
     rng = random.Random(seed)
     denom, scale = 2**53, spec._den**depth

@@ -13,23 +13,25 @@ coordinates, with no grouping and no table, whose fixed costs one point
 cannot repay.  Both check points with hashmaps.checked_points, mix branches
 with hashmaps.mix and end in the same per-point lookups (_Plan.total).  At
 depth k every branch value is an integer over one denominator, so a
-per-depth plan (built once per model and cached on it) holds all knot
-positions as integers in one sorted array, and all knot values as integer
-numerators over one value denominator G, the lcm of their denominators
-(G = 1, with per-knot denominators, when G would pass the plan's bit
-limit).  Each branch costs one knot search.  When its error window starts
-on or after a knot and ends before the next knot of its branch, the error
-term is the closed form |g1 - g0| * window / dy, over the same denominator
-as the interpolated value; any other window is scanned knot by knot.  w and
-the error bound accumulate on one running denominator, and only the final w
-and error bound become Fractions, where G is applied.  The float path is the
-exact result rounded to the nearest double, with a bound that also covers
-that rounding.
+per-depth plan (built once per model and cached on it) searches the model's
+knot positions, one sorted array of integers, and reads each knot's value
+through its index into the value table, whose distinct values alone are
+scaled to integer numerators over one value denominator G, the lcm of their
+denominators (G = 1, with the table's own denominators, when G would pass
+the plan's bit limit).  Each branch costs one knot search.  When its error
+window starts on or after a knot and ends before the next knot of its
+branch, the error term is the closed form |g1 - g0| * window / dy, over the
+same denominator as the interpolated value; any other window is scanned
+knot by knot.  w and the error bound accumulate on one running denominator,
+and only the final w and error bound become Fractions, where G is applied.
+The float path is the exact result rounded to the nearest double, with a
+bound that also covers that rounding.
 
 A model file (format 2) keeps the outer function as it is held: one `unit`,
 each branch's knot positions as integers over it, and each knot's value as
-an index into one table of distinct value literals.  save is one pass of the
-JSON encoder, and load reads a branch with split and int.
+an index into one table of distinct value literals.  save reduces and
+dedupes the table, not the knots, and is one pass of the JSON encoder; load
+reads each branch's `y` and `g` in one C-level pass of the JSON decoder.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain
+from operator import sub
 from pathlib import Path
 
 from .errors import AssemblyError, DomainError, InputError, ModelFormatError, ParameterError, PointError
@@ -257,13 +259,12 @@ def save(model: KNetModel, sink=None) -> bytes:
     `unit` is outer.unit, and each branch's `y` lists its knot positions as
     numerators over it.  `values` holds the distinct value literals in lowest
     terms, in order of first appearance, and each branch's `g` lists its knots'
-    indices into it.
+    indices into it; each table entry a knot uses is spelled once.
     """
     params, outer = model.params, model.outer
     literals: dict[str, int] = {}
-    index = dict.fromkeys(zip(chain.from_iterable(outer.gn), chain.from_iterable(outer.gd)))
-    for pair in index:
-        index[pair] = str(literals.setdefault(_literal(*pair), len(literals)))
+    tokens = {i: str(literals.setdefault(_literal(*outer.values[i]), len(literals)))
+              for i in dict.fromkeys(outer.value_ids)}
     doc = {
         "format_version": FORMAT_VERSION,
         "d": params.d,
@@ -274,8 +275,8 @@ def save(model: KNetModel, sink=None) -> bytes:
         "b": list(params.b),
         "unit": str(outer.unit),
         "values": list(literals),
-        "branches": [{"q": q, "y": map(str, ys), "g": map(index.__getitem__, zip(gn, gd))}
-                     for q, (ys, gn, gd) in enumerate(zip(outer.ys, outer.gn, outer.gd))],
+        "branches": [{"q": q, "y": map(str, outer.knots[lo:hi]), "g": map(tokens.__getitem__, outer.value_ids[lo:hi])}
+                     for q, (lo, hi) in enumerate(zip(outer.starts, outer.starts[1:]))],
         "meta": {k: v for k, v in model.meta.items() if k != "format_version"},
     }
     # json.dumps(doc, indent=2), streamed: each branch's y and g are spelled only
@@ -317,16 +318,21 @@ def _ratio_at(text, location: str) -> tuple[int, int]:
 
 
 def _integers(entry: dict, key: str, i: int) -> list[int]:
-    """Branch i's `key` string as integers: tokens of 1..digit_limit() ASCII digits
-    between single spaces; an error names the field and the first bad token."""
+    """Branch i's `key` string as integers: tokens of 1..digit_limit() ASCII digits between single
+    spaces, read as one JSON array, or where that refuses (a leading zero, an empty or over-long
+    token) one token at a time; an error names the field and the first bad token."""
     text = _want(entry, key, str, f"branches[{i}]")
+    if text.isascii() and not text.encode().translate(None, b"0123456789 "):
+        try:
+            return json.loads(f"[{text.replace(' ', ',')}]")
+        except ValueError:
+            pass
     tokens, limit = text.split(" ") if text else [], digit_limit()
-    if (text.isascii() and not text.encode().translate(None, b"0123456789 ") and "" not in tokens
-            and (len(text) <= limit or max(map(len, tokens)) <= limit)):
-        return list(map(int, tokens))
-    k, token = next((k, t) for k, t in enumerate(tokens) if not (t.isascii() and t.isdigit() and len(t) <= limit))
-    raise ModelFormatError(f"token {k}: expected 1 to {limit} ASCII digits, got {token[:40]!r}",
-                           location=f"branches[{i}].{key}")
+    for k, token in enumerate(tokens):
+        if not (token.isascii() and token.isdigit() and len(token) <= limit):
+            raise ModelFormatError(f"token {k}: expected 1 to {limit} ASCII digits, got {token[:40]!r}",
+                                   location=f"branches[{i}].{key}")
+    return list(map(int, tokens))
 
 
 def load(source) -> KNetModel:
@@ -407,8 +413,9 @@ def load(source) -> KNetModel:
                                location="unit")
     unit = int(unit)
     values = _want(doc, "values", list, "")
-    vn, vd = plain_ratios(values) or zip(*(_ratio_at(text, f"values[{k}]") for k, text in enumerate(values)))
-    ys, gn, gd = [], [], []
+    plain = plain_ratios(values)
+    table = tuple(zip(*plain)) if plain else tuple(_ratio_at(text, f"values[{k}]") for k, text in enumerate(values))
+    knots, value_ids, starts = [], [], [0]
     for i, entry in enumerate(branches):
         if not isinstance(entry, dict):
             raise ModelFormatError("expected object", location=f"branches[{i}]")
@@ -423,16 +430,17 @@ def load(source) -> KNetModel:
             k = next(k for k, j in enumerate(indices) if j >= len(values))
             raise ModelFormatError(f"token {k}: index {indices[k]} is past the {len(values)} values",
                                    location=f"branches[{i}].g")
-        ys.append(tuple(positions))
-        gn.append(tuple(map(vn.__getitem__, indices)))
-        gd.append(tuple(map(vd.__getitem__, indices)))
+        knots += positions
+        value_ids += indices
+        starts.append(len(knots))
     if unit != depth_unit:
         try:
-            common_unit((unit,), sum(map(len, ys)))
+            common_unit((unit,), len(knots))
         except DomainError as exc:
             raise ModelFormatError(str(exc), location="unit") from None
     try:
-        return assemble(inner, params, OuterFunction(d, unit, tuple(ys), tuple(gn), tuple(gd)), meta=dict(meta))
+        outer = OuterFunction(d, unit, tuple(knots), tuple(starts), table, tuple(value_ids))
+        return assemble(inner, params, outer, meta=dict(meta))
     except (DomainError, ParameterError) as exc:
         raise ModelFormatError(str(exc), location="branches") from None
 
@@ -441,7 +449,7 @@ def describe(model: KNetModel) -> dict:
     """The describe document: layer widths (d, d(2d+1), 2d+1, 1), the constant tables,
     the knot count of each branch and the meta record."""
     params, d = model.params, model.params.d
-    knot_counts = list(map(len, model.outer.ys))
+    knot_counts = list(map(sub, model.outer.starts[1:], model.outer.starts))
     return {
         "d": d,
         "gamma": params.gamma,

@@ -1,7 +1,7 @@
 """Outer functions on knots, and the two ways to fit them.
 
-A fitted network stores one knot table per branch: the branch values of the
-sample points paired with outer-function values.  Between knots the outer
+A fitted network stores the branch values of the sample points as knots,
+each with an index into one table of values.  Between knots the outer
 function interpolates linearly inside a branch; beyond a branch's knots it
 clamps to the nearest knot of that branch, so its range never leaves the
 span of the stored values (bounded targets stay bounded, and edits to one
@@ -13,10 +13,10 @@ deterministic.  fit_iterative walks the classic damped residual iteration
 on the same samples and then (by default) hands the knots to the exact
 solver, so the constructive route ends at the same zero-residual guarantee.
 Both take a checked SampleSet (grid_samples builds one from a target on a
-uniform grid).  Both scatter each point's closed-form value over the
-incidence build's branch columns, then write over it the knots of the
-connected components of points that share knots, each solved or iterated
-on its own.  The filled tables are re-checked against every target.
+uniform grid).  Both scatter each distinct target's closed-form value over
+the incidence build's branch columns, then give the knots of the connected
+components of points that share knots, each solved or iterated on its own,
+a value each.  The filled table is re-checked against every target.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress, count, repeat
-from operator import ge, lt, mul, sub, truediv
+from operator import ge, le, lt, sub, truediv
 
 from .errors import (
     DomainError,
@@ -44,7 +44,7 @@ from .errors import (
 from .hashmaps import HashParams, IncidenceSystem, PointGroups, SeparationVerdict, branch_offsets, certify_separation
 from .inner import InnerSpec
 from .linsolve import solve_square
-from .rationals import ZERO, grid_points
+from .rationals import ZERO, check_int, grid_points
 
 
 # Knot integers an outer function or lookup may hold, in bits: knots with
@@ -90,36 +90,39 @@ def common_unit(denominators, knot_count: int) -> int:
     return unit
 
 
-def over_one_denominator(gn, gd) -> tuple[int, list[int], list[int]] | None:
-    """The values gn[k] / gd[k] as (G, numerators over G, all-ones denominators), G the
-    common_unit of the gd; None when common_unit refuses G."""
-    dens = set(gd)
+def over_one_denominator(values, knot_count: int) -> tuple[int, list[int]] | None:
+    """The (numerator, denominator) pairs `values` as (G, their numerators over G), G the
+    common_unit of the denominators for knot_count knots; None when common_unit refuses G."""
+    dens = {m for _, m in values}
     try:
-        den = common_unit(dens, len(gd))
+        den = common_unit(dens, knot_count)
     except DomainError:
         return None
     factors = {m: den // m for m in dens}
-    return den, list(map(mul, gn, map(factors.__getitem__, gd))), [1] * len(gd)
+    return den, [n * factors[m] for n, m in values]
 
 
 @dataclass(frozen=True)
 class OuterFunction:
-    """Per-branch knot tables over the disjoint intervals [b_q, b_q + 2d]: knot k of
-    branch q is ys[q][k] / unit with value gn[q][k] / gd[q][k], gd > 0 (reduced in a fit)."""
+    """Knots over the disjoint intervals [b_q, b_q + 2d], as a model file holds them: knot k is
+    knots[k] / unit with value values[value_ids[k]], a (numerator, denominator > 0) pair that
+    may repeat or be unreduced, and branch q holds the increasing knots starts[q] .. starts[q + 1] - 1."""
 
     d: int
     unit: int
-    ys: tuple[tuple[int, ...], ...]
-    gn: tuple[tuple[int, ...], ...]
-    gd: tuple[tuple[int, ...], ...]
+    knots: tuple[int, ...]
+    starts: tuple[int, ...]
+    values: tuple[tuple[int, int], ...]
+    value_ids: tuple[int, ...]
 
     def __post_init__(self):
-        width = 2 * self.d
-        if not len(self.ys) == len(self.gn) == len(self.gd) == width + 1:
-            raise ParameterError(f"need {width + 1} branch tables for d = {self.d}, got {len(self.ys)}")
-        for q, (b, ys, gn, gd) in enumerate(zip(self.b, self.ys, self.gn, self.gd)):
-            if not len(ys) == len(gn) == len(gd):
-                raise ParameterError(f"branch {q}: {len(ys)} knots but {len(gn)} values")
+        width, knots, starts, ids = 2 * self.d, self.knots, self.starts, self.value_ids
+        if len(starts) != width + 2 or starts[0] or starts[-1] != len(knots) or not all(map(le, starts, starts[1:])):
+            raise ParameterError(f"need {width + 2} increasing branch offsets from 0 to {len(knots)}, got {starts}")
+        if len(ids) != len(knots) or ids and not 0 <= min(ids) <= max(ids) < len(self.values):
+            raise ParameterError(f"need {len(knots)} value ids below {len(self.values)}")
+        for q, (b, lo, hi) in enumerate(zip(self.b, starts, starts[1:])):
+            ys = knots[lo:hi]
             if not all(map(lt, ys, ys[1:])):
                 raise ParameterError(f"branch {q}: knots must be strictly increasing")
             if ys and (ys[0] < b * self.unit or ys[-1] > (b + width) * self.unit):
@@ -131,36 +134,35 @@ class OuterFunction:
 
     @property
     def knot_count(self) -> int:
-        return sum(map(len, self.ys))
+        return len(self.knots)
 
 
 class KnotLookup:
     """An outer function's knots as integers, for values that are integers over `unit`.
 
     The knots of all branches form one increasing array `ys` of integers over
-    scale = lcm(unit, outer.unit), a plain concatenation at unit = outer.unit,
-    since branch intervals are disjoint and increasing.  A value v / unit is
-    looked up as v * lift.
+    scale = lcm(unit, outer.unit), since branch intervals are disjoint and
+    increasing: at unit = outer.unit it is outer.knots itself.  A value
+    v / unit is looked up as v * lift.
 
-    Knot values are integer numerators `gn` over one denominator
-    value_den = lcm of the value denominators, with every `gd` = 1, when
-    value_den's bits times the knot count stay within PLAN_BITS_LIMIT
-    (over_one_denominator).  Otherwise value_den = 1 and `gd` keeps the per-knot
-    denominators; the same code serves both.  A lookup returns (n, m) for the
-    value n / (m * value_den), so value_den is applied once, by the caller.
+    Knot k's value is values[ids[k]], a pair (n, m) for n / (m * value_den),
+    so value_den is applied once, by the caller.  Only the distinct values are
+    scaled: value_den is the lcm of the table's denominators, with every m = 1,
+    when value_den's bits times the knot count stay within PLAN_BITS_LIMIT
+    (over_one_denominator).  Otherwise value_den = 1 and `values` is the
+    table's own pairs; the same code serves both.
     """
 
     def __init__(self, outer: OuterFunction, unit: int):
         scale = outer.unit if unit == outer.unit else common_unit((unit, outer.unit), outer.knot_count)
         self.lift = scale // unit
-        knots, factor = itertools.chain.from_iterable(outer.ys), scale // outer.unit
-        self.ys = list(knots) if factor == 1 else [y * factor for y in knots]
-        gn, gd = list(itertools.chain.from_iterable(outer.gn)), list(itertools.chain.from_iterable(outer.gd))
-        self.value_den, self.gn, self.gd = over_one_denominator(gn, gd) or (1, gn, gd)
+        self.ys = outer.knots if scale == outer.unit else [y * (scale // outer.unit) for y in outer.knots]
+        self.ids = outer.value_ids
+        scaled = over_one_denominator(outer.values, outer.knot_count)
+        self.value_den, self.values = (scaled[0], list(zip(scaled[1], repeat(1)))) if scaled else (1, outer.values)
         self.step = (2 * outer.d + 1) * scale
         self.tops = [(b + 2 * outer.d) * scale for b in outer.b]
-        ends = list(itertools.accumulate(map(len, outer.ys)))
-        self.spans = list(zip([0] + ends, ends))
+        self.spans = list(zip(outer.starts, outer.starts[1:]))
 
     def _find(self, y: int) -> tuple[int, bool]:
         """(i, between) for y / scale, from one search.
@@ -191,12 +193,12 @@ class KnotLookup:
         The outer function is piecewise linear, so the extremes lie at the
         window ends or at knots inside the window.
         """
-        ys, gn, gd = self.ys, self.gn, self.gd
+        ys, ids, values = self.ys, self.ids, self.values
         end, _, end_den = self.branch(hi, 0)
         num, den = ratio_gap(*g, end, end_den)
         i = bisect_left(ys, lo)
         while i < len(ys) and ys[i] <= hi:
-            n2, d2 = ratio_gap(*g, gn[i], gd[i])
+            n2, d2 = ratio_gap(*g, *values[ids[i]])
             if n2 * den > num * d2:
                 num, den = n2, d2
             i += 1
@@ -213,18 +215,18 @@ class KnotLookup:
         starts on a branch's last knot, or lies past the knots of its branch
         is scanned by deviation.
         """
-        ys, gn, gd = self.ys, self.gn, self.gd
+        ys, ids, values = self.ys, self.ids, self.values
         i, between = self._find(y)
         if between:
             y0, dy = ys[i - 1], ys[i] - ys[i - 1]
-            a0, b0, a1, b1 = gn[i - 1], gd[i - 1], gn[i], gd[i]
+            (a0, b0), (a1, b1) = values[ids[i - 1]], values[ids[i]]
             if b0 != b1:
                 a0, a1, b0 = a0 * b1, a1 * b0, b0 * b1
             num, den = a0 * dy + (a1 - a0) * (y - y0), b0 * dy
             if y + width < ys[i]:
                 return num, abs(a1 - a0) * width, den
         else:
-            num, den = gn[i], gd[i]
+            num, den = values[ids[i]]
         if not width:
             return num, 0, den
         dev, dev_den = self.deviation(y, y + width, (num, den))
@@ -332,31 +334,33 @@ def _reduced(num: int, den: int) -> tuple[int, int]:
     return num // c, den // c
 
 
-def _share(t: Fraction, share_n: int, share_d: int) -> tuple[int, int]:
-    """t * share_n / share_d in lowest terms, for t and share_n / share_d in lowest terms:
-    the value of every knot of a point that shares none."""
-    num, den = t.as_integer_ratio()
+def _share(num: int, den: int, share_n: int, share_d: int) -> tuple[int, int]:
+    """num / den * share_n / share_d in lowest terms, for both in lowest terms: the
+    value of every knot of a point that shares none."""
     c, e = math.gcd(num, share_d), math.gcd(share_n, den)
     return (num // c) * (share_n // e), (den // e) * (share_d // c)
 
 
-def _fill(system: IncidenceSystem, targets, share: tuple[int, int], shared: dict) -> list[tuple[int, int]]:
-    """Knot values by knot id: each point's target times `share` (a reduced pair) on
-    every knot it hits, read from the branch columns, then `shared`, the values
-    of the knots of points in components ({knot: value}), written over them."""
-    lone = [_share(t, *share) for t in targets]
-    values = [None] * system.knot_count
+def _fill(system: IncidenceSystem, targets, share: tuple[int, int], shared: dict) -> OuterFunction:
+    """The outer function on the system's knots: each distinct target times `share` (a reduced
+    pair) is one table entry, taken by the knots its points hit (read from the branch
+    columns), then each knot of `shared` ({knot: value}) gets an entry of its own."""
+    distinct: dict[tuple[int, int], int] = {}
+    point_ids = [distinct.setdefault(t.as_integer_ratio(), len(distinct)) for t in targets]
+    values = [_share(*target, *share) for target in distinct]
+    value_ids = [0] * system.knot_count
     for column in system.columns:
-        for k, v in zip(column, lone):
-            values[k] = v
+        for k, v in zip(column, point_ids):
+            value_ids[k] = v
     for k, v in shared.items():
-        values[k] = v
-    return values
+        value_ids[k] = len(values)
+        values.append(v)
+    return OuterFunction(system.d, system.unit, system.knots, system.starts, tuple(values), tuple(value_ids))
 
 
-def _min_norm_solution(system: IncidenceSystem, targets) -> list[tuple[int, int]]:
+def _min_norm_solution(system: IncidenceSystem, targets) -> OuterFunction:
     """g = M^T (M M^T)^-1 f, one connected component of M at a time, as reduced
-    (numerator, denominator > 0) pairs by knot id.
+    (numerator, denominator > 0) pairs in the value table of an outer function (_fill).
 
     M M^T is block diagonal over the components, and its entry (j, k) is the
     number of knots points j and k share.  A point that shares no knot has
@@ -384,22 +388,15 @@ def _min_norm_solution(system: IncidenceSystem, targets) -> list[tuple[int, int]
     return _fill(system, targets, (1, 2 * system.d + 1), g)
 
 
-def _outer_table(params: HashParams, system: IncidenceSystem, values: list) -> OuterFunction:
-    """The outer function whose knot k is system.knots[k] / unit with value values[k]:
-    one slice of each per branch."""
-    spans = list(zip(system.starts, system.starts[1:]))
-    gn, gd = zip(*(zip(*values[lo:hi]) for lo, hi in spans))
-    return OuterFunction(params.d, system.unit, tuple(system.knots[lo:hi] for lo, hi in spans), gn, gd)
-
-
-def _verify_zero_residual(system: IncidenceSystem, targets, values: list) -> None:
-    """Each point's knot values (values[k] by knot id), summed exactly branch column
-    by branch column, must give its target."""
+def _verify_zero_residual(system: IncidenceSystem, targets, outer: OuterFunction) -> None:
+    """Each point's knot values (values[value_ids[k]] for knot k), summed exactly branch
+    column by branch column, must give its target."""
+    knot_values = list(map(outer.values.__getitem__, outer.value_ids))
     first, *rest = system.columns
-    sums = list(map(values.__getitem__, first))
+    sums = list(map(knot_values.__getitem__, first))
     for column in rest:  # add_ratios, inline
         sums = [(a + c, b) if b == d else (a * d + c * b, b * d)
-                for (a, b), (c, d) in zip(sums, map(values.__getitem__, column))]
+                for (a, b), (c, d) in zip(sums, map(knot_values.__getitem__, column))]
     for j, ((num, den), t) in enumerate(zip(sums, targets)):
         if num * t.denominator != t.numerator * den:
             raise InternalInvariantError(f"exact solve left a nonzero residual at point {j}")
@@ -423,12 +420,10 @@ def _certify(
     return system, verdict
 
 
-def _exact_finish(params: HashParams, system: IncidenceSystem, targets) -> OuterFunction:
-    """The minimum-norm knot values of a separated system, with the tables they fill
-    read back and re-checked to reproduce every target."""
-    outer = _outer_table(params, system, _min_norm_solution(system, targets))
-    filled = list(zip(itertools.chain.from_iterable(outer.gn), itertools.chain.from_iterable(outer.gd)))
-    _verify_zero_residual(system, targets, filled)
+def _exact_finish(system: IncidenceSystem, targets) -> OuterFunction:
+    """The minimum-norm outer function of a separated system, re-checked to reproduce every target."""
+    outer = _min_norm_solution(system, targets)
+    _verify_zero_residual(system, targets, outer)
     return outer
 
 
@@ -445,7 +440,7 @@ def fit_exact(
     reproduces every target exactly and the report says residual zero.
     """
     system, verdict = _certify(samples, params, inner, depth)
-    outer = _exact_finish(params, system, samples.targets)
+    outer = _exact_finish(system, samples.targets)
     return outer, FitReport(mode="exact", residual_max=ZERO, knot_count=system.knot_count, iterations=0,
                             convergence_history=(), separation=verdict, depth=system.depth,
                             collision_count=system.collision_count)
@@ -576,16 +571,15 @@ def fit_iterative(
         raise ParameterError(f"damping must lie in (0, 1], got {damping}")
     if tolerance <= 0:
         raise ParameterError(f"tolerance must be positive, got {tolerance}")
-    if type(max_iter) is not int or max_iter < 1:
-        raise ParameterError(f"max_iter must be an integer >= 1, got {max_iter!r}")
+    check_int("max_iter", max_iter, 1, error=ParameterError)
     system, verdict = _certify(samples, params, inner, depth, require_separation=finalize)
     g, history, sup = run_damped_iteration(system, samples.targets, damping, tolerance, max_iter)
     if finalize:
-        outer, residual_max = _exact_finish(params, system, samples.targets), ZERO
+        outer, residual_max = _exact_finish(system, samples.targets), ZERO
     else:
         p, s, k = damping.numerator, damping.denominator, len(history)
         share = _reduced(s**k - (s - p) ** k, s**k * (2 * system.d + 1))
-        outer, residual_max = _outer_table(params, system, _fill(system, samples.targets, share, g)), sup
+        outer, residual_max = _fill(system, samples.targets, share, g), sup
     return outer, FitReport(mode="iterative", residual_max=residual_max, knot_count=system.knot_count,
                             iterations=len(history), convergence_history=tuple(history), separation=verdict,
                             depth=system.depth, collision_count=system.collision_count)
@@ -621,19 +615,22 @@ def merge_report(outer: OuterFunction) -> dict:
     magnitudes of at least max |f| / (2d+1) (pigeonhole over the 2d+1 branch
     contributions).  Exact values are fraction strings, jump ratios floats.
 
-    Each branch's values go over one denominator (over_one_denominator, or as
-    Fractions over 1 where it refuses one), so its low, high, largest jump and
-    smallest spacing are C-level min and max over differences.  _max_ratio
-    rounds the largest jump ratio, which is the largest rounded one.
+    The distinct values go over one denominator (over_one_denominator, or as
+    Fractions over 1 where it refuses one), so each branch's low, high, largest
+    jump and smallest spacing are C-level min and max over differences.
+    _max_ratio rounds the largest jump ratio, which is the largest rounded one.
     """
+    scaled = over_one_denominator(outer.values, outer.knot_count)
+    den, table = scaled or (1, [Fraction(n, m) for n, m in outer.values])
     branches, lows, highs, jumps_max, ratios, spacings = [], [], [], [], [], []
-    for q, (ys, gn, gd) in enumerate(zip(outer.ys, outer.gn, outer.gd)):
+    for q, (lo, hi) in enumerate(zip(outer.starts, outer.starts[1:])):
+        ys = outer.knots[lo:hi]
         doc = {"q": q, "knot_count": len(ys), "value_range": None, "max_jump": "0", "max_jump_ratio": 0.0,
                "min_spacing": None}
         branches.append(doc)
         if not ys:
             continue
-        den, values, _ = over_one_denominator(gn, gd) or (1, list(map(Fraction, gn, gd)), None)
+        values = list(map(table.__getitem__, outer.value_ids[lo:hi]))
         jumps, gaps = list(map(abs, map(sub, values[1:], values))), list(map(sub, ys[1:], ys))
         lows.append(Fraction(min(values), den))
         highs.append(Fraction(max(values), den))
@@ -644,7 +641,7 @@ def merge_report(outer: OuterFunction) -> dict:
             spacings.append(Fraction(min(gaps), outer.unit))
             doc["min_spacing"] = str(spacings[-1])
     return {
-        "total_knots": sum(map(len, outer.ys)),
+        "total_knots": outer.knot_count,
         "value_range": [str(min(lows)), str(max(highs))] if lows else None,
         "max_abs_value": str(max(map(abs, lows + highs), default=ZERO)),
         "max_jump": str(max(jumps_max, default=ZERO)),

@@ -4,7 +4,7 @@ Everything downstream (inner-function values, branch offsets, knots) is an
 exact rational, so equality decisions such as knot merging and zero-residual
 checks never depend on rounding.  The substrate is stdlib Fraction and
 integer (numerator, denominator) pairs; this module parses literals into
-them and builds the grids.
+them, builds the grids and holds the one rule for integer arguments.
 """
 
 from __future__ import annotations
@@ -13,13 +13,20 @@ import re
 import sys
 from fractions import Fraction
 
-from .errors import DomainError, InputError
+from .errors import DomainError, InputError, KsnetError
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
 _EXPONENT = re.compile(r"[eE][-+]?([\d_]*)\s*$")
+
+
+def check_int(name: str, value, lo: int, hi: int | None = None, error: type[KsnetError] = DomainError) -> None:
+    """The one integer-argument rule: an int, not a bool, of at least lo and, when hi is
+    given, at most hi; otherwise `error` names the argument, its bounds and its value."""
+    if type(value) is not int or value < lo or hi is not None and value > hi:
+        raise error(f"{name} must be an integer {f'>= {lo}' if hi is None else f'in {lo}..{hi}'}, got {value!r}")
 
 
 def digit_limit() -> int:
@@ -99,9 +106,7 @@ def parse_rational(text: str) -> Fraction:
 
 def grid_points(level: int, base: int) -> list[Fraction]:
     """The uniform rational grid {j / base**level : j = 0 .. base**level} on [0, 1]."""
-    if base < 2:
-        raise DomainError(f"base must be >= 2, got {base}")
-    if type(level) is not int or level < 1:
-        raise DomainError(f"level must be an integer >= 1, got {level!r}")
+    check_int("base", base, 2)
+    check_int("level", level, 1)
     scale = base**level
     return [Fraction(j, scale) for j in range(scale + 1)]

@@ -20,7 +20,9 @@ the library's shape, by a flood over shared columns, so the elimination is
 tested on rows no incidence system has.  merge_report, save and
 load work on Fraction knot tables read off the integer outer function
 (`tables`), as the library did before knots stayed integers from the fit to
-the file; KnotTable and outer_from_tables are that hand-built form.  save
+the file; KnotTable and outer_from_tables are that hand-built form.  Two
+value tables can hold the same knot values, so same_function compares outer
+functions knot by knot.  save
 and load are an independent format-2 reference: positions y * unit, values
 numbered by first appearance of their Fractions, every literal and token
 parsed one at a time.
@@ -91,13 +93,13 @@ def outer_from_tables(d: int, tables, unit: int | None = None) -> OuterFunction:
     of their knot denominators."""
     if unit is None:
         unit = common_unit({y.denominator for t in tables for y in t.ys}, sum(len(t.ys) for t in tables))
-    scaled = tuple(tuple(y * unit for y in t.ys) for t in tables)
-    if any(y.denominator != 1 for ys in scaled for y in ys):
+    scaled = [y * unit for t in tables for y in t.ys]
+    if any(y.denominator != 1 for y in scaled):
         raise ParameterError(f"a knot position is not an integer over {unit}")
-    ys = tuple(tuple(y.numerator for y in t) for t in scaled)
-    gn = tuple(tuple(g.numerator for g in t.gs) for t in tables)
-    gd = tuple(tuple(g.denominator for g in t.gs) for t in tables)
-    return OuterFunction(d, unit, ys, gn, gd)
+    starts = tuple(itertools.accumulate((len(t.ys) for t in tables), initial=0))
+    numbers: dict[tuple[int, int], int] = {}
+    ids = tuple(numbers.setdefault((g.numerator, g.denominator), len(numbers)) for t in tables for g in t.gs)
+    return OuterFunction(d, unit, tuple(y.numerator for y in scaled), starts, tuple(numbers), ids)
 
 
 _last_tables: list = [None, ()]
@@ -109,12 +111,19 @@ def tables(outer) -> tuple[KnotTable, ...]:
     if _last_tables[0] is not outer:
         _last_tables[:] = outer, tuple(
             KnotTable(
-                ys=tuple(Fraction(y, outer.unit) for y in ys),
-                gs=tuple(Fraction(n, m) for n, m in zip(gn, gd)),
+                ys=tuple(Fraction(y, outer.unit) for y in outer.knots[lo:hi]),
+                gs=tuple(Fraction(*outer.values[k]) for k in outer.value_ids[lo:hi]),
             )
-            for ys, gn, gd in zip(outer.ys, outer.gn, outer.gd)
+            for lo, hi in zip(outer.starts, outer.starts[1:])
         )
     return _last_tables[1]
+
+
+def same_function(a, b) -> bool:
+    """Whether two outer functions hold the same d, unit, knots and knot values, whatever
+    their value tables: equal per-knot values, not equal tables."""
+    return (a.d, a.unit, a.knots, a.starts) == (b.d, b.unit, b.knots, b.starts) and (
+        [Fraction(*a.values[k]) for k in a.value_ids] == [Fraction(*b.values[k]) for k in b.value_ids])
 
 
 def phi_eval(spec, x, depth: int) -> tuple[Fraction, Fraction]:
@@ -579,12 +588,11 @@ def component_solution(system, targets) -> dict:
 
 
 def outer_from_knots(params, system, g) -> OuterFunction:
-    """The outer function of knot values g (pairs by knot id), filled one knot at a time."""
-    tables = [([], [], []) for _ in range(params.branch_count)]
-    for col, (y, q) in enumerate(zip(system.knots, knot_branches(system.starts))):
-        for column, v in zip(tables[q], (y, *g.get(col, (0, 1)))):
-            column.append(v)
-    return OuterFunction(params.d, system.unit, *(tuple(map(tuple, v)) for v in zip(*tables)))
+    """The outer function of knot values g (pairs by knot id), filled one knot at a time:
+    each distinct pair is one table entry, in order of first appearance."""
+    numbers: dict[tuple[int, int], int] = {}
+    ids = [numbers.setdefault(g.get(col, (0, 1)), len(numbers)) for col in range(system.knot_count)]
+    return OuterFunction(params.d, system.unit, system.knots, system.starts, tuple(numbers), tuple(ids))
 
 
 def certify(params, inner, points, depth: int, depth_cap: int = DEPTH_CAP):

@@ -15,7 +15,6 @@ import json
 import random
 import tracemalloc
 from fractions import Fraction
-from operator import mul
 from unittest import mock
 
 import oracle
@@ -167,10 +166,10 @@ def _knot_tables(draw):
         tables.append(oracle.KnotTable(ys=tuple(b + Fraction(y, scale) for y in ys), gs=tuple(gs)))
     outer = oracle.outer_from_tables(2, tables)
     if draw(st.booleans()):
-        factors = [[draw(st.integers(1, 1000)) for _ in gn] for gn in outer.gn]
-        outer = OuterFunction(2, outer.unit, outer.ys,
-                              tuple(tuple(map(mul, gn, fs)) for gn, fs in zip(outer.gn, factors)),
-                              tuple(tuple(map(mul, gd, fs)) for gd, fs in zip(outer.gd, factors)))
+        # every knot its own table entry, unreduced by a drawn factor
+        pairs = map(outer.values.__getitem__, outer.value_ids)
+        values = tuple((n * f, m * f) for n, m in pairs for f in [draw(st.integers(1, 1000))])
+        outer = OuterFunction(2, outer.unit, outer.knots, outer.starts, values, tuple(range(len(values))))
     return outer
 
 
@@ -195,8 +194,8 @@ def test_save_of_load_is_the_identity_on_hand_built_models(outer, factor, meta):
     """Empty branches, negative and unreduced values, and units that are not the
     stored depth's (the knots' lcm, times a drawn factor): the bytes read back
     to themselves, and are the oracle's."""
-    outer = OuterFunction(2, outer.unit * factor, tuple(tuple(y * factor for y in ys) for ys in outer.ys),
-                          outer.gn, outer.gd)
+    outer = OuterFunction(2, outer.unit * factor, tuple(y * factor for y in outer.knots), outer.starts,
+                          outer.values, outer.value_ids)
     model = assemble(default_inner_spec(6), make_params(2, 6), outer, meta)
     data = save(model)
     assert data == oracle.save(model)
@@ -212,7 +211,7 @@ def test_a_refused_denominator_leaves_the_report_unchanged():
     outer = oracle.outer_from_tables(2, tables)
     want = merge_report(outer)
     with mock.patch.object(outer_module, "PLAN_BITS_LIMIT", 8):
-        assert over_one_denominator(outer.gn[0], outer.gd[0]) is None
+        assert over_one_denominator(outer.values, outer.knot_count) is None
         assert merge_report(outer) == want == oracle.merge_report(outer)
 
 
@@ -252,7 +251,7 @@ def test_subnormal_quotients_are_compared_exactly():
     assert outer.unit == 10**300
     assert float(jumps[0]) / 2 > float(jumps[1]) / 18 > 0
     with mock.patch.object(outer_module, "PLAN_BITS_LIMIT", 64):
-        assert over_one_denominator(outer.gn[0], outer.gd[0]) is None
+        assert over_one_denominator(outer.values, outer.knot_count) is None
         report = merge_report(outer)
     assert report == oracle.merge_report(outer)
     assert report["max_jump_ratio"] == float(jumps[1] / 18 * 10**300) > float(jumps[0] / 2 * 10**300)
@@ -295,7 +294,7 @@ def test_unreduced_values_save_reduced():
     doc["values"].append("-1/2")  # a second spelling of one value, used by no knot
     doc["branches"][3]["y"] = "0" + doc["branches"][3]["y"]
     model = load(json.dumps(doc))
-    assert (model.outer.gn[0][0], model.outer.gd[0][0]) == (-2, 4)
+    assert model.outer.values[model.outer.value_ids[0]] == (-2, 4)
     assert save(model) == save(MODELS["hand_built"]) == oracle.save(model)
     assert merge_report(model.outer) == merge_report(MODELS["hand_built"].outer) == oracle.merge_report(model.outer)
 

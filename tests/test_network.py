@@ -316,7 +316,7 @@ def test_save_load_round_trip():
     again = load(blob)
     assert save(again) == blob
     assert again.params == MODEL.params
-    assert again.outer == MODEL.outer
+    assert oracle.same_function(again.outer, MODEL.outer)
     assert again.meta == MODEL.meta
     rng = random.Random(7)
     for _ in range(20):
@@ -368,13 +368,14 @@ def test_document_structure():
     assert doc["b"] == [0, 5, 10, 15, 20]
     assert len(doc["inner_weights"]) == 6
     assert doc["unit"] == str(MODEL.outer.unit) == str(P26.unit(SPEC6, MODEL.meta.get("depth", 30)))
-    assert doc["values"] == list(dict.fromkeys(str(Fraction(n, m)) for gn, gd in zip(MODEL.outer.gn, MODEL.outer.gd)
-                                               for n, m in zip(gn, gd)))
+    knot_values = [str(Fraction(*MODEL.outer.values[k])) for k in MODEL.outer.value_ids]
+    assert doc["values"] == list(dict.fromkeys(knot_values))
     assert [br["q"] for br in doc["branches"]] == [0, 1, 2, 3, 4]
-    for branch, ys, gn, gd in zip(doc["branches"], MODEL.outer.ys, MODEL.outer.gn, MODEL.outer.gd):
+    starts = MODEL.outer.starts
+    for branch, lo, hi in zip(doc["branches"], starts, starts[1:]):
         assert set(branch) == {"q", "y", "g"}
-        assert branch["y"] == " ".join(map(str, ys))
-        assert [doc["values"][int(j)] for j in branch["g"].split()] == [str(Fraction(n, m)) for n, m in zip(gn, gd)]
+        assert branch["y"] == " ".join(map(str, MODEL.outer.knots[lo:hi]))
+        assert [doc["values"][int(j)] for j in branch["g"].split()] == knot_values[lo:hi]
 
 
 def test_load_rejects_malformed_documents():
@@ -490,7 +491,7 @@ def test_load_reads_any_unit_within_the_plan_limit(monkeypatch):
     with pytest.raises(ModelFormatError, match="plan limit") as exc:
         load(json.dumps(doc))
     assert exc.value.location == "unit"
-    assert load(save(MODEL)).outer == MODEL.outer  # the stored depth's unit is always read
+    assert oracle.same_function(load(save(MODEL)).outer, MODEL.outer)  # the stored depth's unit is always read
 
 
 def test_load_checks_lambda_against_series_terms():
@@ -532,7 +533,7 @@ def test_describe_topology():
     assert list(doc) == ["d", "gamma", "layer_widths", "a", "lambda", "lambda_tail", "b", "inner_weights",
                          "knot_counts", "total_knots", "meta"]
     assert doc["layer_widths"] == [2, 10, 5, 1]
-    assert doc["knot_counts"] == [len(ys) for ys in MODEL.outer.ys]
+    assert doc["knot_counts"] == [len(table.ys) for table in oracle.tables(MODEL.outer)]
     assert doc["total_knots"] == MODEL.outer.knot_count
     assert doc["a"] == "1/30"
     assert doc["meta"] == MODEL.meta and doc["meta"] is not MODEL.meta

@@ -285,7 +285,7 @@ def test_evaluate_matches_oracle_on_every_window_case(network, data, depth, resp
         doc = json.loads(save(model))
         doc["values"] = [f"{g.numerator * factor}/{g.denominator * factor}" for g in map(Fraction, doc["values"])]
         model = load(json.dumps(doc))
-    value_den = math.lcm(*(m for gd in model.outer.gd for m in gd))
+    value_den = math.lcm(*(m for _, m in model.outer.values))
     scale_bits = math.lcm(unit, model.outer.unit).bit_length()
     assert not fallback or value_den.bit_length() > scale_bits
     limit = model.outer.knot_count * scale_bits

@@ -52,11 +52,16 @@ def _random_samples(seed, n, f, bits=50):
 
 
 def test_knot_table_validation():
-    empty = ((),) * 4
-    with pytest.raises(ParameterError, match="strictly increasing"):
-        OuterFunction(2, 1, ((1, 1),) + empty, ((0, 0),) + empty, ((1, 1),) + empty)
-    with pytest.raises(ParameterError, match="1 knots but 0 values"):
-        OuterFunction(2, 1, ((1,),) + empty, ((),) + empty, ((),) + empty)
+    with pytest.raises(ParameterError, match="branch 0: knots must be strictly increasing"):
+        OuterFunction(2, 1, (1, 1), (0, 2, 2, 2, 2, 2), ((0, 1),), (0, 0))
+    with pytest.raises(ParameterError, match="branch 1 knots must lie in"):
+        OuterFunction(2, 1, (1, 2), (0, 1, 2, 2, 2, 2), ((0, 1),), (0, 0))
+    for values, ids in (((), ()), ((), (0,)), (((0, 1),), (1,)), (((0, 1),), (-1,)), (((0, 1),), (0, 0))):
+        with pytest.raises(ParameterError, match=f"need 1 value ids below {len(values)}"):
+            OuterFunction(2, 1, (1,), (0, 1, 1, 1, 1, 1), values, ids)
+    for starts in ((0, 1, 1, 1, 1), (0, 1, 1, 1, 1, 2), (1, 1, 1, 1, 1, 1), (0, 1, 0, 1, 1, 1)):
+        with pytest.raises(ParameterError, match="need 6 increasing branch offsets from 0 to 1"):
+            OuterFunction(2, 1, (1,), starts, ((0, 1),), (0,))
 
 
 def test_sample_set_validation():
@@ -147,14 +152,14 @@ def test_residual_recheck_sums_knot_values_exactly():
     the smallest step its denominator allows."""
     samples = _random_samples(4, 30, lambda p: 1 / (p[0] + p[1] + Fraction(1, 1000)))
     system = build_incidence(P26, SPEC6, samples.points, 30)
-    g = _min_norm_solution(system, samples.targets)
-    assert len({den for _, den in g}) > 1
-    _verify_zero_residual(system, samples.targets, g)
+    outer = _min_norm_solution(system, samples.targets)
+    assert len({den for _, den in outer.values}) > 1
+    _verify_zero_residual(system, samples.targets, outer)
     for j in (0, 17, 29):
         targets = list(samples.targets)
         targets[j] += Fraction(1, targets[j].denominator * 10**40)
         with pytest.raises(InternalInvariantError, match=f"point {j}"):
-            _verify_zero_residual(system, targets, g)
+            _verify_zero_residual(system, targets, outer)
 
 
 @pytest.mark.parametrize("shared", [False, True], ids=["singletons", "shared"])
@@ -168,15 +173,16 @@ def test_residual_recheck_reads_the_filled_tables(monkeypatch, shared):
     else:
         samples, depth = _random_samples(4, 30, lambda p: p[0] - p[1]), 30
     assert bool(build_incidence(P26, SPEC6, samples.points, depth).components) is shared
-    fill = outer_module._outer_table
+    fill = outer_module._fill
 
-    def corrupt(*args):
-        table = fill(*args)
-        gn = [list(values) for values in table.gn]
-        gn[2][0] += 1
-        return dataclasses.replace(table, gn=tuple(map(tuple, gn)))
+    def corrupt(system, *args):  # the first knot of branch 2 takes a new entry, one more than its value
+        outer = fill(system, *args)
+        k = system.starts[2]
+        num, den = outer.values[outer.value_ids[k]]
+        ids = outer.value_ids[:k] + (len(outer.values),) + outer.value_ids[k + 1:]
+        return dataclasses.replace(outer, values=outer.values + ((num + den, den),), value_ids=ids)
 
-    monkeypatch.setattr(outer_module, "_outer_table", corrupt)
+    monkeypatch.setattr(outer_module, "_fill", corrupt)
     with pytest.raises(InternalInvariantError, match="nonzero residual"):
         fit_exact(samples, P26, SPEC6, depth)
     with pytest.raises(InternalInvariantError, match="nonzero residual"):
