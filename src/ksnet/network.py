@@ -36,6 +36,7 @@ reads each branch's `y` and `g` in one C-level pass of the JSON decoder.
 
 from __future__ import annotations
 
+import contextlib
 import io
 import json
 import math
@@ -323,10 +324,8 @@ def _integers(entry: dict, key: str, i: int) -> list[int]:
     token) one token at a time; an error names the field and the first bad token."""
     text = _want(entry, key, str, f"branches[{i}]")
     if text.isascii() and not text.encode().translate(None, b"0123456789 "):
-        try:
+        with contextlib.suppress(ValueError):  # read again below, token by token
             return json.loads(f"[{text.replace(' ', ',')}]")
-        except ValueError:
-            pass
     tokens, limit = text.split(" ") if text else [], digit_limit()
     for k, token in enumerate(tokens):
         if not (token.isascii() and token.isdigit() and len(token) <= limit):

@@ -145,21 +145,22 @@ class KnotLookup:
     increasing: at unit = outer.unit it is outer.knots itself.  A value
     v / unit is looked up as v * lift.
 
-    Knot k's value is values[ids[k]], a pair (n, m) for n / (m * value_den),
-    so value_den is applied once, by the caller.  Only the distinct values are
-    scaled: value_den is the lcm of the table's denominators, with every m = 1,
-    when value_den's bits times the knot count stay within PLAN_BITS_LIMIT
-    (over_one_denominator).  Otherwise value_den = 1 and `values` is the
-    table's own pairs; the same code serves both.
+    Knot k's value is values[k], a pair (n, m) for n / (m * value_den), so
+    value_den is applied once, by the caller.  Only the table is scaled:
+    value_den is the lcm of its denominators, with every m = 1, when
+    value_den's bits times the knot count stay within PLAN_BITS_LIMIT
+    (over_one_denominator); otherwise value_den = 1 and the table's own pairs
+    serve, through the same code.  `values` gathers the table's pairs by value
+    id once, so a lookup reads a knot's pair with no id between.
     """
 
     def __init__(self, outer: OuterFunction, unit: int):
         scale = outer.unit if unit == outer.unit else common_unit((unit, outer.unit), outer.knot_count)
         self.lift = scale // unit
         self.ys = outer.knots if scale == outer.unit else [y * (scale // outer.unit) for y in outer.knots]
-        self.ids = outer.value_ids
         scaled = over_one_denominator(outer.values, outer.knot_count)
-        self.value_den, self.values = (scaled[0], list(zip(scaled[1], repeat(1)))) if scaled else (1, outer.values)
+        self.value_den, table = (scaled[0], list(zip(scaled[1], repeat(1)))) if scaled else (1, outer.values)
+        self.values = [table[k] for k in outer.value_ids]
         self.step = (2 * outer.d + 1) * scale
         self.tops = [(b + 2 * outer.d) * scale for b in outer.b]
         self.spans = list(zip(outer.starts, outer.starts[1:]))
@@ -193,12 +194,12 @@ class KnotLookup:
         The outer function is piecewise linear, so the extremes lie at the
         window ends or at knots inside the window.
         """
-        ys, ids, values = self.ys, self.ids, self.values
+        ys, values = self.ys, self.values
         end, _, end_den = self.branch(hi, 0)
         num, den = ratio_gap(*g, end, end_den)
         i = bisect_left(ys, lo)
         while i < len(ys) and ys[i] <= hi:
-            n2, d2 = ratio_gap(*g, *values[ids[i]])
+            n2, d2 = ratio_gap(*g, *values[i])
             if n2 * den > num * d2:
                 num, den = n2, d2
             i += 1
@@ -215,18 +216,18 @@ class KnotLookup:
         starts on a branch's last knot, or lies past the knots of its branch
         is scanned by deviation.
         """
-        ys, ids, values = self.ys, self.ids, self.values
+        ys, values = self.ys, self.values
         i, between = self._find(y)
         if between:
             y0, dy = ys[i - 1], ys[i] - ys[i - 1]
-            (a0, b0), (a1, b1) = values[ids[i - 1]], values[ids[i]]
+            (a0, b0), (a1, b1) = values[i - 1], values[i]
             if b0 != b1:
                 a0, a1, b0 = a0 * b1, a1 * b0, b0 * b1
             num, den = a0 * dy + (a1 - a0) * (y - y0), b0 * dy
             if y + width < ys[i]:
                 return num, abs(a1 - a0) * width, den
         else:
-            num, den = values[ids[i]]
+            num, den = values[i]
         if not width:
             return num, 0, den
         dev, dev_den = self.deviation(y, y + width, (num, den))
