@@ -616,7 +616,7 @@ def merge_report(outer: OuterFunction) -> dict:
     magnitudes of at least max |f| / (2d+1) (pigeonhole over the 2d+1 branch
     contributions).  Exact values are fraction strings, jump ratios floats.
 
-    The distinct values go over one denominator (over_one_denominator, or as
+    The value table goes over one denominator (over_one_denominator, or into
     Fractions over 1 where it refuses one), so each branch's low, high, largest
     jump and smallest spacing are C-level min and max over differences.
     _max_ratio rounds the largest jump ratio, which is the largest rounded one.

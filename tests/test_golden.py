@@ -92,7 +92,7 @@ CHECKS = {
                         "--probe-level", "1"],
 }
 # The CLI refuses a probe grid of more than POINT_CAP points, and level 1 at base
-# 1000 has 1001**2; the range sweep is closed form (about 30 ms here), so that
+# 1000 has 1001**2; the range sweep is closed form (about 30 ms on a 2-vCPU VM), so that
 # report is written with the cap lifted in process.
 PROBE_CAP = {"check_gamma1000": 1001**2}
 
