@@ -13,9 +13,9 @@ component_solution, outer_from_knots, certify and the two fits are the fit
 as it ran before systems whose points share no knot took a closed form:
 components and a per-component solve on every system, every certificate by
 elimination, and tables filled one knot at a time.  They find components
-with their own union-find over the incidence rows and read knot branches
-off `starts` (knot_branches), so a wrong component finder in the library
-shows as a different model.  row_components gives any rows' components in
+with their own union-find over the incidence rows, so a wrong component
+finder in the library shows as a different model; knot_branches reads each
+knot's branch off `starts`.  row_components gives any rows' components in
 the library's shape, by a flood over shared columns, so the elimination is
 tested on rows no incidence system has.  merge_report, save and
 load work on Fraction knot tables read off the integer outer function

@@ -182,8 +182,8 @@ def test_class_report_matches_oracle_on_any_knot_table(outer):
 @given(_knot_tables(), st.integers(1, 800))
 @settings(max_examples=40, deadline=None)
 def test_class_report_matches_oracle_where_one_denominator_is_refused(outer, bits):
-    """With PLAN_BITS_LIMIT lowered, common_unit refuses the values' common
-    denominator in some branches, which are then compared as Fractions."""
+    """With PLAN_BITS_LIMIT lowered, common_unit refuses the value table's common
+    denominator for some drawn tables, whose values are then compared as Fractions."""
     with mock.patch.object(outer_module, "PLAN_BITS_LIMIT", bits):
         assert merge_report(outer) == oracle.merge_report(outer)
 
